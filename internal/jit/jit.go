@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,27 +365,27 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		}()
 	}
 
-	var mu sync.Mutex
-	var collected []query.Tuple
-	stopped := false
+	// Streamed rows reach the caller's emit one at a time under emitMu.
+	// With a tail to run, each worker gathers its own tuples and the
+	// parts are joined once the workers are done: the tail sorts or
+	// aggregates, so their order carries no meaning.
 	streaming := len(mp.Tail) == 0
-	var interpMorsels, compiledMorsels atomic.Int64
-	collect := func(t query.Tuple) (bool, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
+	var emitMu sync.Mutex
+	var stopped atomic.Bool
+	stream := func(t query.Tuple) (bool, error) {
+		emitMu.Lock()
+		defer emitMu.Unlock()
+		if stopped.Load() {
 			return false, nil
 		}
-		if streaming {
-			if !emit(query.ToRow(t)) {
-				stopped = true
-				return false, nil
-			}
-			return true, nil
+		if !emit(query.ToRow(t)) {
+			stopped.Store(true)
+			return false, nil
 		}
-		collected = append(collected, append(query.Tuple(nil), t...))
 		return true, nil
 	}
+	parts := make([][]query.Tuple, workers)
+	var interpMorsels, compiledMorsels atomic.Int64
 
 	start := time.Now()
 	var next atomic.Uint64
@@ -394,6 +395,15 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			collect := stream
+			if !streaming {
+				var mine []query.Tuple
+				collect = func(t query.Tuple) (bool, error) {
+					mine = append(mine, append(query.Tuple(nil), t...))
+					return true, nil
+				}
+				defer func() { parts[w] = mine }()
+			}
 			var chunk uint64
 			interp, err := mp.PipelineRunner(ctx, &chunk, collect)
 			if err != nil {
@@ -403,13 +413,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 			var exec *Exec
 			for {
 				c := next.Add(1) - 1
-				if c >= nchunks || firstErr.Pending() || cctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				done := stopped
-				mu.Unlock()
-				if done {
+				if c >= nchunks || stopped.Load() || firstErr.Pending() || cctx.Err() != nil {
 					return
 				}
 				if prog := compiledProg.Load(); prog != nil {
@@ -467,7 +471,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		return st, err
 	}
 	if !streaming {
-		if err := mp.RunTail(ctx, collected, emit); err != nil {
+		if err := mp.RunTail(ctx, slices.Concat(parts...), emit); err != nil {
 			asp.SetError(err)
 			asp.End()
 			return st, err

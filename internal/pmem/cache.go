@@ -1,6 +1,9 @@
 package pmem
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Simulated CPU cache. Loads from the device first probe this cache: a hit
 // is free, a miss pays the device read latency (C1) and installs the line.
@@ -17,10 +20,15 @@ const (
 	cacheWays = 8
 )
 
+// cacheSet is one associativity set. Probes read the tags without the
+// lock; mu serializes installs and invalidations only. The struct is
+// padded to two cache lines (tags fill the first) so probes of
+// neighbouring sets never false-share.
 type cacheSet struct {
+	tags [cacheWays]atomic.Uint64 // line number + 1; 0 means empty
 	mu   sync.Mutex
-	tags [cacheWays]uint64 // line number + 1; 0 means empty
-	hand uint8             // round-robin eviction cursor
+	hand uint8                  // round-robin eviction cursor; guarded by mu
+	_    [LineSize - 8 - 1]byte // mu is 8 bytes, hand 1
 }
 
 type cacheSim struct {
@@ -39,19 +47,32 @@ func newCacheSim(capacityBytes int) *cacheSim {
 	return &cacheSim{sets: make([]cacheSet, numSets), mask: uint64(numSets - 1)}
 }
 
-// touch probes the cache for the given line number and installs it on a
-// miss. It reports whether the probe hit.
-func (c *cacheSim) touch(line uint64) bool {
-	set := &c.sets[line&c.mask]
-	tag := line + 1
-	set.mu.Lock()
-	for i := range set.tags {
-		if set.tags[i] == tag {
-			set.mu.Unlock()
+// resident reports whether tag is in the set. Safe without mu.
+func (s *cacheSet) resident(tag uint64) bool {
+	for i := range s.tags {
+		if s.tags[i].Load() == tag {
 			return true
 		}
 	}
-	set.tags[set.hand] = tag
+	return false
+}
+
+// touch probes the cache for the given line number and installs it on a
+// miss. It reports whether the probe hit. The hit path takes no lock and
+// writes nothing; a miss re-checks under the set lock so that two
+// concurrent missers of one line install it once.
+func (c *cacheSim) touch(line uint64) bool {
+	set := &c.sets[line&c.mask]
+	tag := line + 1
+	if set.resident(tag) {
+		return true
+	}
+	set.mu.Lock()
+	if set.resident(tag) {
+		set.mu.Unlock()
+		return true
+	}
+	set.tags[set.hand].Store(tag)
 	set.hand = (set.hand + 1) % cacheWays
 	set.mu.Unlock()
 	return false
@@ -64,8 +85,8 @@ func (c *cacheSim) invalidate(line uint64) {
 	tag := line + 1
 	set.mu.Lock()
 	for i := range set.tags {
-		if set.tags[i] == tag {
-			set.tags[i] = 0
+		if set.tags[i].Load() == tag {
+			set.tags[i].Store(0)
 		}
 	}
 	set.mu.Unlock()
@@ -76,7 +97,9 @@ func (c *cacheSim) invalidateAll() {
 	for i := range c.sets {
 		set := &c.sets[i]
 		set.mu.Lock()
-		set.tags = [cacheWays]uint64{}
+		for j := range set.tags {
+			set.tags[j].Store(0)
+		}
 		set.hand = 0
 		set.mu.Unlock()
 	}

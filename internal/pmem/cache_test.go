@@ -1,8 +1,10 @@
 package pmem
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCacheSimHitAfterInstall(t *testing.T) {
@@ -28,14 +30,9 @@ func TestCacheSimEviction(t *testing.T) {
 	for i := uint64(0); i < cacheWays; i++ {
 		// touch() installs on miss, which can evict lines we are about to
 		// probe; count hits via direct tag inspection instead.
-		set := &c.sets[0]
-		set.mu.Lock()
-		for _, tag := range set.tags {
-			if tag == i+1 {
-				hits++
-			}
+		if c.sets[0].resident(i + 1) {
+			hits++
 		}
-		set.mu.Unlock()
 	}
 	if hits != cacheWays-1 {
 		t.Errorf("%d original lines resident, want %d", hits, cacheWays-1)
@@ -79,4 +76,103 @@ func TestCacheSimConcurrentTouch(t *testing.T) {
 		}(uint64(w))
 	}
 	wg.Wait() // success criterion: no race detector report, no panic
+}
+
+// lockedCacheSim is the mutex-only cache the lock-free cacheSim replaced,
+// kept as the reference for TestCacheSimLockFreeMatchesLocked.
+type lockedCacheSim struct {
+	sets []lockedCacheSet
+	mask uint64
+}
+
+type lockedCacheSet struct {
+	mu   sync.Mutex
+	tags [cacheWays]uint64
+	hand uint8
+}
+
+func (c *lockedCacheSim) touch(line uint64) bool {
+	set := &c.sets[line&c.mask]
+	tag := line + 1
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for i := range set.tags {
+		if set.tags[i] == tag {
+			return true
+		}
+	}
+	set.tags[set.hand] = tag
+	set.hand = (set.hand + 1) % cacheWays
+	return false
+}
+
+func (c *lockedCacheSim) invalidate(line uint64) {
+	set := &c.sets[line&c.mask]
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for i := range set.tags {
+		if set.tags[i] == line+1 {
+			set.tags[i] = 0
+		}
+	}
+}
+
+func (c *lockedCacheSim) invalidateAll() {
+	for i := range c.sets {
+		set := &c.sets[i]
+		set.mu.Lock()
+		set.tags = [cacheWays]uint64{}
+		set.hand = 0
+		set.mu.Unlock()
+	}
+}
+
+// A single thread must see exactly the hit/miss sequence of the mutex-only
+// cache: the lock-free probe changes who synchronizes, not what is
+// resident.
+func TestCacheSimLockFreeMatchesLocked(t *testing.T) {
+	const capacity = 16 * 1024 // 32 sets: small enough to evict constantly
+	c := newCacheSim(capacity)
+	ref := &lockedCacheSim{sets: make([]lockedCacheSet, len(c.sets)), mask: c.mask}
+	rng := rand.New(rand.NewSource(15))
+	hits := 0
+	const n = 200000
+	for i := 0; i < n; i++ {
+		var line uint64
+		if rng.Intn(3) == 0 {
+			line = uint64(rng.Intn(64)) // hot lines
+		} else {
+			line = uint64(rng.Intn(4 * capacity / LineSize))
+		}
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			c.invalidateAll()
+			ref.invalidateAll()
+		case r < 20:
+			c.invalidate(line)
+			ref.invalidate(line)
+		default:
+			got, want := c.touch(line), ref.touch(line)
+			if got != want {
+				t.Fatalf("access %d (line %d): hit=%v, reference hit=%v", i, line, got, want)
+			}
+			if got {
+				hits++
+			}
+		}
+	}
+	if hits == 0 || hits == n {
+		t.Fatalf("degenerate trace: %d hits of %d accesses", hits, n)
+	}
+}
+
+// Neighbouring cache sets, and neighbouring counter stripes, must not
+// share a cache line.
+func TestPaddedSizes(t *testing.T) {
+	if got := unsafe.Sizeof(cacheSet{}); got != 2*LineSize {
+		t.Errorf("cacheSet is %d bytes, want %d", got, 2*LineSize)
+	}
+	if got := unsafe.Sizeof(statStripe{}); got != 2*LineSize {
+		t.Errorf("statStripe is %d bytes, want %d", got, 2*LineSize)
+	}
 }

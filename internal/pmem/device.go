@@ -59,6 +59,8 @@ type Config struct {
 // and must be externally synchronized (exactly like real hardware under
 // the C4 guarantee).
 type Device struct {
+	// Set by New and read by every access. The pad keeps them a full
+	// cache line away from the fields below, which accesses write.
 	name       string
 	words      []uint64 // CPU view
 	media      []uint64 // durable view; nil for volatile devices
@@ -67,13 +69,15 @@ type Device struct {
 	cache      *cacheSim
 	persistent bool
 	strict     *strictState // non-nil only in strict flush-checking mode
-
 	// crashctl is the armed crash-schedule controller (crashctl.go);
-	// nil when disarmed. mediaMu orders media-view writers: Flush holds
-	// it shared per line, Crash and Load hold it exclusively so a crash
-	// never observes a half-copied line from a concurrent flusher.
+	// nil when disarmed.
 	crashctl atomic.Pointer[crashCtl]
-	mediaMu  sync.RWMutex
+	_        [LineSize]byte
+
+	// mediaMu orders media-view writers: Flush holds it shared per line,
+	// Crash and Load hold it exclusively so a crash never observes a
+	// half-copied line from a concurrent flusher.
+	mediaMu sync.RWMutex
 
 	epochMu     sync.Mutex
 	epochBlocks map[uint64]struct{} // 256B blocks charged since last Drain
@@ -142,17 +146,18 @@ func (d *Device) checkRange(off, n uint64) {
 	}
 }
 
-// chargeRead applies read latency for the line containing off.
-func (d *Device) chargeRead(off uint64) {
+// chargeRead applies read latency for the line containing off, counting
+// the probe on st.
+func (d *Device) chargeRead(st *statStripe, off uint64) {
 	if !d.hasLatency {
 		return
 	}
 	line := off / LineSize
 	if d.cache != nil && d.cache.touch(line) {
-		d.Stats.CacheHits.Add(1)
+		st.cacheHits.Add(1)
 		return
 	}
-	d.Stats.CacheMisses.Add(1)
+	st.cacheMisses.Add(1)
 	spinWait(d.prof.ReadMiss)
 }
 
@@ -160,8 +165,9 @@ func (d *Device) chargeRead(off uint64) {
 // aligned.
 func (d *Device) ReadU64(off uint64) uint64 {
 	d.checkRange(off, 8)
-	d.Stats.Reads.Add(1)
-	d.chargeRead(off)
+	st := d.Stats.stripe(off)
+	st.reads.Add(1)
+	d.chargeRead(st, off)
 	d.strictRead(off, 8)
 	return atomic.LoadUint64(&d.words[off/8])
 }
@@ -170,7 +176,7 @@ func (d *Device) ReadU64(off uint64) uint64 {
 // volatile until the containing line is flushed.
 func (d *Device) WriteU64(off uint64, v uint64) {
 	d.checkRange(off, 8)
-	d.Stats.Writes.Add(1)
+	d.Stats.stripe(off).writes.Add(1)
 	d.crashPoint(EvStore)
 	if d.cache != nil {
 		d.cache.touch(off / LineSize) // write-allocate
@@ -183,10 +189,11 @@ func (d *Device) WriteU64(off uint64, v uint64) {
 // primitive the MVTO protocol uses for write-locking records (§5.1).
 func (d *Device) CompareAndSwapU64(off, old, new uint64) bool {
 	d.checkRange(off, 8)
-	d.Stats.Reads.Add(1)
-	d.Stats.Writes.Add(1)
+	st := d.Stats.stripe(off)
+	st.reads.Add(1)
+	st.writes.Add(1)
 	d.crashPoint(EvStore)
-	d.chargeRead(off)
+	d.chargeRead(st, off)
 	d.strictCAS(off, 8)
 	return atomic.CompareAndSwapUint64(&d.words[off/8], old, new)
 }
@@ -195,8 +202,9 @@ func (d *Device) CompareAndSwapU64(off, old, new uint64) bool {
 // respect to writers of the other half of the containing word.
 func (d *Device) ReadU32(off uint64) uint32 {
 	d.checkRange(off, 4)
-	d.Stats.Reads.Add(1)
-	d.chargeRead(off)
+	st := d.Stats.stripe(off)
+	st.reads.Add(1)
+	d.chargeRead(st, off)
 	d.strictRead(off, 4)
 	w := atomic.LoadUint64(&d.words[off/8])
 	if off%8 == 0 {
@@ -211,7 +219,7 @@ func (d *Device) ReadU32(off uint64) uint32 {
 // failure-atomic (C4).
 func (d *Device) WriteU32(off uint64, v uint32) {
 	d.checkRange(off, 4)
-	d.Stats.Writes.Add(1)
+	d.Stats.stripe(off).writes.Add(1)
 	d.crashPoint(EvStore)
 	if d.cache != nil {
 		d.cache.touch(off / LineSize)
@@ -230,11 +238,12 @@ func (d *Device) WriteU32(off uint64, v uint32) {
 // ReadWords bulk-loads len(dst) words starting at off (8-byte aligned).
 func (d *Device) ReadWords(off uint64, dst []uint64) {
 	d.checkRange(off, uint64(len(dst))*8)
-	d.Stats.Reads.Add(uint64(len(dst)))
+	st := d.Stats.stripe(off)
+	st.reads.Add(uint64(len(dst)))
 	d.strictRead(off, uint64(len(dst))*8)
 	for i := range dst {
-		if i%wordsPerLine == 0 || i == 0 {
-			d.chargeRead(off + uint64(i)*8)
+		if i%wordsPerLine == 0 {
+			d.chargeRead(st, off+uint64(i)*8)
 		}
 		dst[i] = atomic.LoadUint64(&d.words[off/8+uint64(i)])
 	}
@@ -243,7 +252,7 @@ func (d *Device) ReadWords(off uint64, dst []uint64) {
 // WriteWords bulk-stores src starting at off (8-byte aligned).
 func (d *Device) WriteWords(off uint64, src []uint64) {
 	d.checkRange(off, uint64(len(src))*8)
-	d.Stats.Writes.Add(uint64(len(src)))
+	d.Stats.stripe(off).writes.Add(uint64(len(src)))
 	d.crashPoint(EvStore)
 	d.strictStore(off, uint64(len(src))*8)
 	for i, v := range src {
@@ -262,16 +271,17 @@ func (d *Device) ReadBytes(off uint64, dst []byte) {
 		panic("pmem: ReadBytes offset must be 8-byte aligned")
 	}
 	d.strictRead(off, uint64(len(dst)))
+	st := d.Stats.stripe(off)
 	var buf [8]byte
 	for i := 0; i < len(dst); i += 8 {
 		if uint64(i)%LineSize == 0 {
-			d.chargeRead(off + uint64(i))
+			d.chargeRead(st, off+uint64(i))
 		}
 		w := atomic.LoadUint64(&d.words[off/8+uint64(i/8)])
 		binary.LittleEndian.PutUint64(buf[:], w)
 		copy(dst[i:], buf[:])
 	}
-	d.Stats.Reads.Add(uint64((len(dst) + 7) / 8))
+	st.reads.Add(uint64((len(dst) + 7) / 8))
 }
 
 // WriteBytes stores src to the device starting at off (8-byte aligned). A
@@ -298,7 +308,7 @@ func (d *Device) WriteBytes(off uint64, src []byte) {
 		copy(buf[:], src[i:])
 		atomic.StoreUint64(&d.words[idx], binary.LittleEndian.Uint64(buf[:]))
 	}
-	d.Stats.Writes.Add(uint64((len(src) + 7) / 8))
+	d.Stats.stripe(off).writes.Add(uint64((len(src) + 7) / 8))
 }
 
 // Zero clears n bytes starting at off (both 8-byte aligned).
@@ -309,7 +319,7 @@ func (d *Device) Zero(off, n uint64) {
 	for i := uint64(0); i < n; i += 8 {
 		atomic.StoreUint64(&d.words[(off+i)/8], 0)
 	}
-	d.Stats.Writes.Add(n / 8)
+	d.Stats.stripe(off).writes.Add(n / 8)
 }
 
 // Flush writes back (clwb) every cache line overlapping [off, off+n) to the
@@ -325,7 +335,7 @@ func (d *Device) Flush(off, n uint64) {
 	d.strictFlush(off, n)
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
-	d.Stats.LineFlushes.Add(last - first + 1)
+	d.Stats.stripe(off).lineFlushes.Add(last - first + 1)
 	for line := first; line <= last; line++ {
 		if d.media != nil {
 			d.flushLine(line)

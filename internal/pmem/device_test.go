@@ -186,6 +186,65 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// The per-access counters are striped by address; whatever the
+// interleaving, the sum over the stripes must be exact.
+func TestStatsStripedExact(t *testing.T) {
+	const (
+		workers = 8
+		// 128 KiB per worker is 32 stripe regions, so the workers' 256
+		// regions share the 64 stripes and their adds do contend.
+		lines = 2048
+		// One block of slack: the last ReadWords spills into the next
+		// line, and block-aligned bases keep the BlockWrites count exact.
+		stride = lines*LineSize + BlockSize
+	)
+	d := New(Config{
+		Name:       "p",
+		Size:       workers * stride,
+		Persistent: true,
+		Profile:    Profile{ReadMiss: 1}, // nonzero so probes are charged
+		CacheBytes: 64 * 1024,
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(base uint64) {
+			defer wg.Done()
+			var buf [12]uint64 // spans two lines: two probes
+			for l := uint64(0); l < lines; l++ {
+				off := base + l*LineSize
+				d.ReadU64(off)
+				d.ReadWords(off, buf[:])
+				d.WriteU64(off+8, l)
+				if l%4 == 0 {
+					d.Flush(off, LineSize)
+				}
+			}
+		}(uint64(w) * stride)
+	}
+	wg.Wait()
+	s := d.Stats.Snapshot()
+	want := StatsSnapshot{
+		Reads:       workers * lines * (1 + 12),
+		Writes:      workers * lines,
+		LineFlushes: workers * lines / 4,
+		BlockWrites: workers * lines / 4, // one line per 256-byte block
+	}
+	if probes := uint64(workers * lines * 3); s.CacheHits+s.CacheMisses != probes {
+		t.Errorf("hits %d + misses %d = %d, want %d charged probes",
+			s.CacheHits, s.CacheMisses, s.CacheHits+s.CacheMisses, probes)
+	}
+	s.CacheHits, s.CacheMisses = 0, 0
+	if s != want {
+		t.Errorf("snapshot = %+v, want %+v", s, want)
+	}
+	d.Stats.Reset()
+	// Unsigned sums: a zero snapshot means every stripe is zero.
+	if s := d.Stats.Snapshot(); s != (StatsSnapshot{}) {
+		t.Errorf("snapshot after Reset = %+v, want zero", s)
+	}
+}
+
 func TestWriteCombiningChargesPerBlock(t *testing.T) {
 	d := New(Config{
 		Name:       "p",
@@ -195,14 +254,14 @@ func TestWriteCombiningChargesPerBlock(t *testing.T) {
 	})
 	// Four lines in one 256-byte block: one block write.
 	d.Flush(0, 256)
-	if got := d.Stats.BlockWrites.Load(); got != 1 {
+	if got := d.Stats.Snapshot().BlockWrites; got != 1 {
 		t.Errorf("flushing one block charged %d block writes, want 1", got)
 	}
 	d.Drain()
 	// Two lines in different blocks: two block writes.
 	d.Flush(0, 8)
 	d.Flush(256, 8)
-	if got := d.Stats.BlockWrites.Load(); got != 3 {
+	if got := d.Stats.Snapshot().BlockWrites; got != 3 {
 		t.Errorf("total block writes = %d, want 3", got)
 	}
 }
@@ -335,7 +394,7 @@ func TestCrashInvalidatesCache(t *testing.T) {
 	d.ReadU64(0)
 	d.Crash()
 	d.ReadU64(0)
-	if got := d.Stats.CacheMisses.Load(); got != 2 {
+	if got := d.Stats.Snapshot().CacheMisses; got != 2 {
 		t.Errorf("misses after crash = %d, want 2 (cache must be cold)", got)
 	}
 }

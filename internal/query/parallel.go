@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -439,26 +440,26 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 		nchunks = MorselCount(pr.E.Nodes().MaxID(), pr.E.Nodes().ChunkCap())
 	}
 
-	var mu sync.Mutex
-	var collected []Tuple
-	stopped := false
+	// Streamed rows reach the caller's emit one at a time under emitMu.
+	// With a tail to run, each worker gathers its own tuples and the
+	// parts are joined once the workers are done: the tail sorts or
+	// aggregates, so their order carries no meaning.
 	streaming := len(mp.Tail) == 0
-	collect := func(t Tuple) (bool, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
+	var emitMu sync.Mutex
+	var stopped atomic.Bool
+	stream := func(t Tuple) (bool, error) {
+		emitMu.Lock()
+		defer emitMu.Unlock()
+		if stopped.Load() {
 			return false, nil
 		}
-		if streaming {
-			if !emit(tupleToRow(t)) {
-				stopped = true
-				return false, nil
-			}
-			return true, nil
+		if !emit(tupleToRow(t)) {
+			stopped.Store(true)
+			return false, nil
 		}
-		collected = append(collected, append(Tuple(nil), t...))
 		return true, nil
 	}
+	parts := make([][]Tuple, workers)
 
 	// With tracing on, each worker gets its own span under the caller's
 	// query.parallel span, carrying the number of morsels it claimed —
@@ -479,6 +480,15 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 				wsp.SetAttr("morsels", morsels)
 				wsp.End()
 			}()
+			collect := stream
+			if !streaming {
+				var mine []Tuple
+				collect = func(t Tuple) (bool, error) {
+					mine = append(mine, append(Tuple(nil), t...))
+					return true, nil
+				}
+				defer func() { parts[w] = mine }()
+			}
 			var chunk uint64
 			run, err := mp.PipelineRunner(ctx, &chunk, collect)
 			if err != nil {
@@ -488,13 +498,7 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 			}
 			for {
 				c := next.Add(1) - 1
-				if c >= nchunks || firstErr.Pending() || cctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				done := stopped
-				mu.Unlock()
-				if done {
+				if c >= nchunks || stopped.Load() || firstErr.Pending() || cctx.Err() != nil {
 					return
 				}
 				chunk = c
@@ -519,5 +523,5 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 	if streaming {
 		return nil
 	}
-	return mp.RunTail(ctx, collected, emit)
+	return mp.RunTail(ctx, slices.Concat(parts...), emit)
 }

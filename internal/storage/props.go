@@ -67,6 +67,21 @@ func writePropChainTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, s 
 	return head, nil
 }
 
+// propRec is one property record as loaded from the device: readers take
+// the whole 64-byte record with a single ReadWords (one range check, one
+// counter add, one cache probe), like ReadNodeRec and ReadRelRec.
+type propRec [PropRecordSize / 8]uint64
+
+func (r *propRec) next() uint64 { return r[PNext/8] }
+
+// item decodes the j-th key/value slot; an empty slot has key 0 and
+// TypeNil.
+func (r *propRec) item(j int) (key uint32, typ ValueType, raw uint64) {
+	w := (PItems + j*PItemSize) / 8
+	kt := r[w+piKey/8]
+	return uint32(kt), ValueType(kt >> 32), r[w+piVal/8]
+}
+
 // ReadPropChain decodes the property chain starting at record id head.
 func ReadPropChain(tbl *Table, head uint64) []Prop {
 	props, _ := ReadPropChainN(tbl, head, 0)
@@ -82,10 +97,10 @@ func ReadPropChainN(tbl *Table, head uint64, maxRecs int) ([]Prop, bool) {
 	if head == NilID {
 		return nil, true
 	}
-	dev := tbl.dev
 	var props []Prop
+	var rec propRec
 	walked := 0
-	for id := head; id != NilID; {
+	for id := head; id != NilID; id = rec.next() {
 		if maxRecs > 0 && walked >= maxRecs {
 			return props, false
 		}
@@ -94,17 +109,14 @@ func ReadPropChainN(tbl *Table, head uint64, maxRecs int) ([]Prop, bool) {
 		if !ok {
 			break
 		}
+		tbl.dev.ReadWords(off, rec[:])
 		for j := 0; j < PItemsMax; j++ {
-			item := off + PItems + uint64(j)*PItemSize
-			kt := dev.ReadU64(item + piKey)
-			key := uint32(kt)
-			typ := ValueType(kt >> 32)
+			key, typ, raw := rec.item(j)
 			if key == 0 && typ == TypeNil {
 				continue
 			}
-			props = append(props, Prop{Key: key, Val: Value{Type: typ, Raw: dev.ReadU64(item + piVal)}})
+			props = append(props, Prop{Key: key, Val: Value{Type: typ, Raw: raw}})
 		}
-		id = dev.ReadU64(off + PNext)
 	}
 	return props, true
 }
@@ -112,23 +124,18 @@ func ReadPropChainN(tbl *Table, head uint64, maxRecs int) ([]Prop, bool) {
 // PropValue looks up a single key in the chain without materializing the
 // whole property set; the common case for filters.
 func PropValue(tbl *Table, head uint64, key uint32) (Value, bool) {
-	if head == NilID {
-		return Value{}, false
-	}
-	dev := tbl.dev
-	for id := head; id != NilID; {
+	var rec propRec
+	for id := head; id != NilID; id = rec.next() {
 		off, ok := tbl.RecordOffset(id)
 		if !ok {
 			return Value{}, false
 		}
+		tbl.dev.ReadWords(off, rec[:])
 		for j := 0; j < PItemsMax; j++ {
-			item := off + PItems + uint64(j)*PItemSize
-			kt := dev.ReadU64(item + piKey)
-			if uint32(kt) == key {
-				return Value{Type: ValueType(kt >> 32), Raw: dev.ReadU64(item + piVal)}, true
+			if k, typ, raw := rec.item(j); k == key {
+				return Value{Type: typ, Raw: raw}, true
 			}
 		}
-		id = dev.ReadU64(off + PNext)
 	}
 	return Value{}, false
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poseidon/internal/pmem"
 	"poseidon/internal/pmemobj"
 )
 
@@ -87,6 +88,65 @@ func TestPropValueLookup(t *testing.T) {
 	}
 	if _, ok := PropValue(tbl, NilID, 1); ok {
 		t.Error("PropValue on empty chain found a key")
+	}
+}
+
+// A property record is read, and charged, once: 8 words and one cache
+// probe per 64-byte record, however many of its items are in use.
+func TestReadPropChainRecordGranular(t *testing.T) {
+	dev := pmem.New(pmem.Config{
+		Name:       "storage",
+		Size:       16 << 20,
+		Persistent: true,
+		Profile:    pmem.Profile{ReadMiss: 1}, // nonzero so probes are charged
+		CacheBytes: 1 << 20,
+	})
+	pool, err := pmemobj.Create(dev, pmemobj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	tbl, _ := CreateTable(pool, PropRecordSize, Options{})
+
+	for n := 0; n <= 7; n++ {
+		var props []Prop
+		for k := 1; k <= n; k++ {
+			props = append(props, Prop{Key: uint32(k), Val: IntValue(int64(k) * 10)})
+		}
+		recs := uint64((n + PItemsMax - 1) / PItemsMax)
+		head := writeProps(t, pool, tbl, uint64(n), props)
+
+		dev.DropCache()
+		before := dev.Stats.Snapshot()
+		got := ReadPropChain(tbl, head)
+		delta := dev.Stats.Snapshot().Sub(before)
+		if !reflect.DeepEqual(got, props) {
+			t.Errorf("%d props: got %+v, want %+v", n, got, props)
+		}
+		if delta.CacheMisses != recs || delta.CacheHits != 0 || delta.Reads != recs*PropRecordSize/8 {
+			t.Errorf("%d props in %d records, cold: %d misses, %d hits, %d word reads",
+				n, recs, delta.CacheMisses, delta.CacheHits, delta.Reads)
+		}
+
+		if recs > 1 {
+			part, ok := ReadPropChainN(tbl, head, int(recs)-1)
+			if ok || !reflect.DeepEqual(part, props[:(recs-1)*PItemsMax]) {
+				t.Errorf("%d props, bound %d: ok=%v, got %+v", n, recs-1, ok, part)
+			}
+		}
+		if all, ok := ReadPropChainN(tbl, head, int(recs)); !ok || !reflect.DeepEqual(all, props) {
+			t.Errorf("%d props, bound %d: ok=%v, got %+v", n, recs, ok, all)
+		}
+
+		before = dev.Stats.Snapshot()
+		v, ok := PropValue(tbl, head, 1)
+		delta = dev.Stats.Snapshot().Sub(before)
+		if ok != (n > 0) || (ok && v.Int() != 10) {
+			t.Errorf("%d props: PropValue(1) = %v, %v", n, v, ok)
+		}
+		if probes := delta.CacheHits + delta.CacheMisses; n > 0 && probes != 1 {
+			t.Errorf("%d props: PropValue of the first item made %d probes, want 1", n, probes)
+		}
 	}
 }
 

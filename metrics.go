@@ -81,11 +81,15 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 	// PMem device counters are sampled from the device's own atomics at
 	// scrape time — re-exporting them costs the hot path nothing.
 	stats := &db.engine.Device().Stats
-	reg.CounterFunc("poseidon_pmem_reads_total", "8-byte loads from the (P)Mem device.", stats.Reads.Load)
-	reg.CounterFunc("poseidon_pmem_writes_total", "8-byte stores to the (P)Mem device.", stats.Writes.Load)
-	reg.CounterFunc("poseidon_pmem_cache_hits_total", "Device loads served by the simulated CPU cache.", stats.CacheHits.Load)
-	reg.CounterFunc("poseidon_pmem_cache_misses_total", "Device loads that paid the media read latency.", stats.CacheMisses.Load)
-	reg.CounterFunc("poseidon_pmem_line_flushes_total", "clwb-equivalent cache-line flushes.", stats.LineFlushes.Load)
+	// The per-access counters are striped; Snapshot sums them.
+	devCounter := func(name, help string, pick func(pmem.StatsSnapshot) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return pick(stats.Snapshot()) })
+	}
+	devCounter("poseidon_pmem_reads_total", "8-byte loads from the (P)Mem device.", func(s pmem.StatsSnapshot) uint64 { return s.Reads })
+	devCounter("poseidon_pmem_writes_total", "8-byte stores to the (P)Mem device.", func(s pmem.StatsSnapshot) uint64 { return s.Writes })
+	devCounter("poseidon_pmem_cache_hits_total", "Device loads served by the simulated CPU cache.", func(s pmem.StatsSnapshot) uint64 { return s.CacheHits })
+	devCounter("poseidon_pmem_cache_misses_total", "Device loads that paid the media read latency.", func(s pmem.StatsSnapshot) uint64 { return s.CacheMisses })
+	devCounter("poseidon_pmem_line_flushes_total", "clwb-equivalent cache-line flushes.", func(s pmem.StatsSnapshot) uint64 { return s.LineFlushes })
 	reg.CounterFunc("poseidon_pmem_block_writes_total", "256-byte internal media block writes (write amplification, C3).", stats.BlockWrites.Load)
 	reg.CounterFunc("poseidon_pmem_drains_total", "sfence-equivalent persistence barriers.", stats.Drains.Load)
 	reg.CounterFunc("poseidon_pmem_crashes_total", "Simulated power failures.", stats.Crashes.Load)
