@@ -41,7 +41,7 @@ func main() {
 	maxPoints := flag.Int("max", 0, "cap exhaustive enumeration at N points (0 = all)")
 	replay := flag.String("replay", "", "re-execute one schedule ID and report")
 	shards := flag.Int("shards", 0, "engine-core shard count for run and recovery (0 = engine default)")
-	mixStr := flag.String("mix", "iu", "workload mix: iu (per-txn commits) or ingest (group-commit epochs + delta merges)")
+	mixStr := flag.String("mix", "iu", "workload mix: iu (Tx.Commit, epochs of one) or ingest (CommitBatch epochs + delta merges)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 

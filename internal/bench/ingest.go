@@ -11,19 +11,19 @@ import (
 )
 
 // Ingest measures the write-optimized ingest trajectory (PR 10): the
-// drain (fence) events each committed IU transaction pays with and
-// without group commit, and bulk-load throughput against the
-// one-transaction-per-entity baseline. Both comparisons run unsharded —
-// group commit batches concurrent single-shard committers into epochs,
-// and the 1-CPU acceptance host has one shard anyway — so the figure is
-// deterministic and scheduling-independent.
+// drain (fence) events each committed IU transaction pays as an epoch of
+// one (Tx.Commit) and as a member of an 8-transaction epoch
+// (CommitBatch), and bulk-load throughput against the
+// one-transaction-per-entity baseline. Both comparisons run unsharded
+// and single-threaded, so the figure is deterministic and
+// scheduling-independent.
 func Ingest(opts Options) (*Table, error) {
 	opts.fill()
 	t := &Table{
-		Name:    "Ingest: group commit fences and bulk-load throughput (unsharded PMem)",
+		Name:    "Ingest: commit-epoch fences and bulk-load throughput (unsharded PMem)",
 		Columns: []string{"ktx/s", "drains/txn", "speedup"},
 		Notes: []string{
-			"iu-*: LDBC IU update transactions; grouped commits batch 8 through CommitBatch",
+			"iu-*: LDBC IU update transactions; iu-pertxn commits epochs of one, iu-group batches 8 through CommitBatch",
 			"iu drains/txn counts commit-path sfence events per committed transaction",
 			"(operation-time allocation fences are identical across the two variants)",
 			"load-*: full dataset ingest, ktx/s counts entities (nodes+edges) per second",
@@ -74,8 +74,8 @@ func (s ingestStat) row(name string, base ingestStat) TableRow {
 }
 
 // ingestIU loads a small dataset, then commits IU update transactions
-// through the per-transaction path and through 8-member group-commit
-// epochs, counting drains around the commit phase only.
+// one per epoch (Tx.Commit) and in 8-member epochs (CommitBatch),
+// counting drains around the commit phase only.
 func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 	persons := opts.Persons
 	if persons > 200 {
@@ -88,10 +88,7 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 	}
 
 	run := func(group bool) (ingestStat, error) {
-		e, err := core.Open(core.Config{
-			Mode: core.PMem, PoolSize: 512 << 20, Shards: 1,
-			GroupCommit: core.GroupCommitConfig{Enabled: group, MaxBatch: 8},
-		})
+		e, err := core.Open(core.Config{Mode: core.PMem, PoolSize: 512 << 20, Shards: 1})
 		if err != nil {
 			return ingestStat{}, err
 		}
@@ -115,8 +112,8 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 
 		// drains/txn counts the commit path only: operation-time
 		// allocation fences are identical across the two variants, so
-		// the commit protocol is where group commit changes the fence
-		// bill per transaction.
+		// the commit protocol is where epoch size changes the fence bill
+		// per transaction.
 		var st ingestStat
 		start := time.Now()
 		const groupSize = 8

@@ -23,9 +23,9 @@ import (
 
 // lockShards acquires the commit locks of the given shards, which must be
 // sorted in ascending order. Contention is charged to each shard's
-// lock-wait gauge and, when a commit span is supplied, attributed to the
-// individual shard on the span (sp may be nil).
-func (e *Engine) lockShards(order []int, sp *trace.Span) {
+// lock-wait gauge and attributed, per shard, on the commit span of every
+// transaction the locks are taken for (members may be nil).
+func (e *Engine) lockShards(order []int, members []*Tx) {
 	for _, s := range order {
 		sh := &e.shards[s]
 		// TryLock first: the uncontended fast path pays no clock reads,
@@ -40,8 +40,10 @@ func (e *Engine) lockShards(order []int, sp *trace.Span) {
 		sh.commitMu.Lock()
 		if w := time.Since(start); w > 0 {
 			sh.lockWaitNs.Add(uint64(w.Nanoseconds()))
-			if sp != nil {
-				sp.SetAttr(fmt.Sprintf("lock_wait_shard%d_ns", s), w.Nanoseconds())
+			for _, tx := range members {
+				if tx.seat.span != nil {
+					tx.seat.span.SetAttr(fmt.Sprintf("lock_wait_shard%d_ns", s), w.Nanoseconds())
+				}
 			}
 		}
 	}
@@ -73,11 +75,7 @@ func (tx *Tx) commitShards() []int {
 		d := tx.dirty[key]
 		set[e.shardOf(key)] = struct{}{}
 		if d.hasOld && d.propsChanged && !d.isDelete {
-			oldHead := d.oldNode.Props
-			if key.kind == kindRel {
-				oldHead = d.oldRel.Props
-			}
-			e.addPropChainShards(oldHead, set)
+			e.addPropChainShards(d.oldPropHead(), set)
 		}
 	}
 	order := make([]int, 0, len(set))
@@ -102,140 +100,207 @@ func (e *Engine) addPropChainShards(head uint64, set map[int]struct{}) {
 	}
 }
 
-// propNeeds returns, per shard, the number of property records the commit
-// will insert — the capacity to reserve before retrying after
-// ErrShardFull.
-func (tx *Tx) propNeeds() map[int]int {
-	needs := make(map[int]int)
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if d.isDelete || !d.propsChanged || len(d.ver.props) == 0 {
-			continue
-		}
-		s := tx.e.shardOf(key)
-		needs[s] += (len(d.ver.props) + storage.PItemsMax - 1) / storage.PItemsMax
+// Commit persists the transaction (§5.1 Commit) by joining a commit
+// epoch — the one pipeline every commit runs through (see commitEpoch).
+// A transaction whose writes stay inside one shard queues on that shard
+// and commits together with whoever else is waiting there; alone, it is
+// simply the leader of an epoch of one. A cross-shard transaction
+// (including one whose old property chains straddle shards after a
+// shard-count change) is an epoch of one over its ascending lock set.
+func (tx *Tx) Commit() error {
+	tx.endMu.Lock()
+	defer tx.endMu.Unlock()
+	order, err := tx.precommit()
+	if order == nil {
+		return err
 	}
-	return needs
+	if len(order) == 1 {
+		return tx.commitQueued(order)
+	}
+	tx.e.commitEpoch(order, []*Tx{tx})
+	return tx.seat.result
 }
 
-// Commit persists the transaction (§5.1 Commit):
+// precommit is the check every commit producer runs, under tx.endMu,
+// before seating the transaction in an epoch. It returns the ascending
+// shard lock set of a live transaction with writes; a nil set means the
+// commit already concluded with err — the transaction was finished,
+// cancelled (a cancelled context turns Commit into a rollback: nothing of
+// the transaction becomes visible) or had nothing to persist.
+func (tx *Tx) precommit() (order []int, err error) {
+	if tx.done.Load() {
+		return nil, ErrTxDone
+	}
+	if err := tx.ctxErr(); err != nil {
+		tx.setAbortReason(AbortCancelled)
+		_ = tx.abortLocked()
+		return nil, err
+	}
+	if len(tx.order) == 0 {
+		tx.e.tel.TxCommits.Inc()
+		tx.finish()
+		return nil, nil
+	}
+	order = tx.commitShards()
+	// Request tracing: Session.Exec (and the server's explicit COMMIT
+	// path) attach their span to the transaction's context; with tracing
+	// off the handle is nil and every span call no-ops.
+	sp := trace.FromContext(tx.Context()).Child("core.commit", trace.KindCommit)
+	sp.SetAttr("shards", int64(len(order)))
+	sp.SetAttr("writes", int64(len(tx.order)))
+	if len(order) > 1 {
+		sp.SetAttr("cross_shard", true)
+	}
+	tx.seat.span = sp
+	return order, nil
+}
+
+// settle records a member's commit outcome and closes its commit span.
+func (tx *Tx) settle(err error) {
+	tx.seat.result = err
+	tx.seat.span.SetError(err)
+	tx.seat.span.End()
+}
+
+// commitEpoch is the commit pipeline. Producers — Tx.Commit (through the
+// shard queue, or directly for a cross-shard transaction) and CommitBatch
+// — hand it transactions that passed precommit and whose endMu they
+// hold, with order, the ascending union of the members' shard lock sets.
+// Every member's outcome is delivered through settle.
+//
+// Sharding: only the commit locks of the shards in order are taken, and
+// the undo log is the lane of the lowest one. Because every persistent
+// range written belongs to a held shard, concurrent epochs on disjoint
+// shards write disjoint ranges into distinct lanes, and crash rollback
+// of the lanes is order-independent. Commit order within a shard is
+// serialized by its lock. Serializability does not depend on the lock
+// scope — MVTO's timestamp protocol provides it — so the global commit
+// watermark (the clock) needs no extra publication step.
+//
+// Epochs never abort for capacity reasons: members are cut into groups
+// sized to the lane up front (the estimate is conservative but
+// approximate), and a group that still overflows the lane is halved and
+// retried. Members are only aborted when they could not commit alone.
+func (e *Engine) commitEpoch(order []int, members []*Tx) {
+	lane := e.shards[order[0]].lane
+	budget := e.laneBudget(lane)
+	for len(members) > 0 {
+		n, cost := 1, estimateUndo(members[0])
+		for ; n < len(members); n++ {
+			c := estimateUndo(members[n])
+			if cost+c > budget {
+				break
+			}
+			cost += c
+		}
+		err := e.persistGroup(order, lane, members[:n])
+		for n > 1 && errors.Is(err, pmemobj.ErrLogFull) {
+			n /= 2
+			err = e.persistGroup(order, lane, members[:n])
+		}
+		if n < len(members) {
+			e.epochSplits.Add(1)
+		}
+		if err != nil {
+			// The lane transaction rolled back all persistent changes;
+			// the volatile free lists may hold stale hints, which inserts
+			// prune against the bitmaps. Abort the members fully (the
+			// shard locks are released: the abort re-acquires them to
+			// release inserted slots).
+			err = fmt.Errorf("core: commit failed: %w", err)
+			for _, tx := range members[:n] {
+				tx.setAbortReason(AbortCommitFailed)
+				_ = tx.abortLocked()
+				tx.settle(err)
+			}
+		}
+		members = members[n:]
+	}
+}
+
+// persistGroup runs the four commit steps for one lane-sized group:
 //
 //  1. Superseded committed versions are pushed into the DRAM version
 //     chains so older readers keep a consistent view after the PMem
 //     records are overwritten.
 //  2. All record rewrites, property-chain writes and slot releases run in
-//     a single pmemobj undo-log transaction, so the whole commit is
-//     failure-atomic (DG4; the paper's PMDK-based approach).
+//     a single pmemobj undo-log transaction, so the whole group is
+//     failure-atomic (DG4; the paper's PMDK-based approach). The ranges
+//     known up front are snapshotted behind one publication fence.
 //  3. Records are unlocked with single 8-byte stores after the commit
-//     point; a crash in between leaves stale locks that recovery clears.
-//  4. Secondary indexes are updated and transaction-level GC runs.
+//     point, behind one drain; a crash in between leaves stale locks that
+//     recovery clears.
+//  4. Secondary indexes are updated (still under the shard locks, so
+//     per-shard index updates observe commit order), index deltas are
+//     published once, and transaction-level GC is queued.
 //
-// Sharding: only the commit locks of the shards the transaction touched
-// are taken (ascending, via lockShards), and the undo log is the lane of
-// the lowest involved shard. Because every persistent range written here
-// belongs to a held shard, concurrent commits on disjoint shards write
-// disjoint ranges into distinct lanes, and crash rollback of the lanes is
-// order-independent. Commit order within a shard is serialized by its
-// lock; cross-shard transactions serialize with every involved shard.
-// Serializability does not depend on the lock scope — MVTO's timestamp
-// protocol provides it — so the global commit watermark (the clock)
-// needs no extra publication step.
-func (tx *Tx) Commit() error {
-	tx.endMu.Lock()
-	defer tx.endMu.Unlock()
-	if tx.done.Load() {
-		return ErrTxDone
-	}
-	// A cancelled context turns Commit into a rollback: nothing of the
-	// transaction becomes visible.
-	if err := tx.ctxErr(); err != nil {
-		tx.setAbortReason(AbortCancelled)
-		_ = tx.abortLocked()
-		return err
-	}
-	if len(tx.order) == 0 {
-		tx.e.tel.TxCommits.Inc()
-		tx.finish()
-		return nil
-	}
-	shardOrder := tx.commitShards()
-	// Single-shard transactions join their shard's commit epoch when
-	// group commit is on; cross-shard ones (including old property
-	// chains that straddle shards after a shard-count change) always
-	// take the per-transaction path below.
-	if tx.e.cfg.GroupCommit.Enabled && len(shardOrder) == 1 {
-		return tx.commitGrouped(shardOrder[0])
-	}
-	return tx.commitLocked(shardOrder)
-}
-
-// commitLocked is the per-transaction commit path (steps 1-4 above).
-// Caller holds tx.endMu and has verified the transaction is live and
-// has writes.
-func (tx *Tx) commitLocked(shardOrder []int) error {
-	e := tx.e
-	// Request tracing: Session.Exec (and the server's explicit COMMIT
-	// path) attach their span to the transaction's context; with tracing
-	// off the handles are nil and every span call below no-ops.
-	cspan := trace.FromContext(tx.Context()).Child("core.commit", trace.KindCommit)
-	cspan.SetAttr("shards", int64(len(shardOrder)))
-	cspan.SetAttr("writes", int64(len(tx.order)))
-	if len(shardOrder) > 1 {
-		cspan.SetAttr("cross_shard", true)
-	}
-	e.lockShards(shardOrder, cspan)
+// On success every member is finished and settled. On failure nothing of
+// the group persisted, the shard locks are released and the members are
+// untouched, so the caller may retry them in smaller groups.
+func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
+	e.lockShards(order, members)
 	locked := true
 	defer func() {
 		if locked {
-			e.unlockShards(shardOrder)
+			e.unlockShards(order)
 		}
 	}()
-	lane := e.shards[shardOrder[0]].lane
 
-	// Step 1: preserve old versions for updates (deletes keep serving old
-	// readers from the PMem record itself, whose window just gets closed).
-	var pushed []struct {
+	// Step 1. Deletes keep serving old readers from the PMem record
+	// itself, whose window just gets closed.
+	type pushedVer struct {
 		c *chain
 		v *version
 	}
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if !d.hasOld || d.isDelete {
-			continue
+	var pushed []pushedVer
+	for _, tx := range members {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			if !d.hasOld || d.isDelete {
+				continue
+			}
+			var v *version
+			if d.key.kind == kindNode {
+				old := d.oldNode
+				v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
+			} else {
+				old := d.oldRel
+				v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
+			}
+			c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
+			c.push(v)
+			pushed = append(pushed, pushedVer{c, v})
 		}
-		var v *version
-		if d.key.kind == kindNode {
-			old := d.oldNode
-			v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
-		} else {
-			old := d.oldRel
-			v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
-		}
-		c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
-		c.push(v)
-		pushed = append(pushed, struct {
-			c *chain
-			v *version
-		}{c, v})
 	}
 
-	// Step 2: the failure-atomic persist, on the shard lane. A shard that
-	// runs out of property-record slots rolls the lane back; capacity is
-	// reserved outside every commit lock (chunk appends mutate global
-	// allocator state) and the persist retried.
-	var psp *trace.Span
+	// Step 2. The persist span hangs off the first traced member. A shard
+	// that runs out of property-record slots rolls the lane back;
+	// capacity is reserved outside every commit lock (chunk appends
+	// mutate global allocator state) and the persist retried.
+	var traced *trace.Span
+	for _, tx := range members {
+		if traced = tx.seat.span; traced != nil {
+			break
+		}
+	}
+	psp := traced.Child("pmem.persist", trace.KindPMem)
 	var preDev pmem.StatsSnapshot
-	if cspan != nil {
-		//poseidonlint:ignore lifecycle psp exists iff cspan != nil; both exit paths End it inside the same nil guard
-		psp = cspan.Child("pmem.persist", trace.KindPMem)
+	if psp != nil {
 		preDev = e.dev.Stats.Snapshot()
 	}
+	ranges := e.epochRanges(members)
+	retries := 0
 	var err error
 	for {
 		err = e.pool.RunTxLane(lane, func(ptx *pmemobj.Tx) error {
-			for _, key := range tx.order {
-				if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
-					return err
+			if err := ptx.SnapshotAll(ranges); err != nil {
+				return err
+			}
+			for _, tx := range members {
+				for _, key := range tx.order {
+					if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
@@ -243,91 +308,122 @@ func (tx *Tx) commitLocked(shardOrder []int) error {
 		if !errors.Is(err, storage.ErrShardFull) {
 			break
 		}
-		e.unlockShards(shardOrder)
+		e.unlockShards(order)
 		locked = false
-		var rerr error
-		for s, n := range tx.propNeeds() {
-			if ferr := e.props.EnsureShardFreeN(s, n); ferr != nil {
-				rerr = ferr
-				break
-			}
-		}
-		if rerr != nil {
-			err = rerr
+		err = e.reserveProps(members)
+		e.lockShards(order, members)
+		locked = true
+		if err != nil {
 			break
 		}
-		psp.SetAttr("shard_full_retries", int64(1))
-		e.lockShards(shardOrder, cspan)
-		locked = true
+		retries++
+	}
+	if retries > 0 {
+		psp.SetAttr("shard_full_retries", int64(retries))
 	}
 	if err != nil {
-		// The lane transaction rolled back all persistent changes; the
-		// volatile free lists may hold stale hints, which inserts prune
-		// against the bitmaps. Undo the version pushes and abort fully —
-		// after releasing the shard locks, because the abort re-acquires
-		// them to release inserted slots.
 		for _, p := range pushed {
 			p.c.remove(p.v)
 		}
-		if locked {
-			e.unlockShards(shardOrder)
-			locked = false
-		}
-		tx.setAbortReason(AbortCommitFailed)
-		_ = tx.abortLocked()
-		err = fmt.Errorf("core: commit failed: %w", err)
+		e.unlockShards(order)
+		locked = false
 		psp.SetError(err)
 		psp.End()
-		cspan.SetError(err)
-		cspan.End()
 		return err
 	}
 
-	// Step 3: release the write locks. The commit point has passed; these
-	// are plain failure-atomic 8-byte stores.
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		off := tx.recordOffset(d.key)
-		e.dev.WriteU64(off, 0) // txn-id is field 0 of both record types
-		e.dev.Flush(off, 8)
+	// Step 3. The commit point has passed; these are plain failure-atomic
+	// 8-byte stores (txn-id is field 0 of both record types).
+	for _, tx := range members {
+		for _, key := range tx.order {
+			off := tx.recordOffset(key)
+			e.dev.WriteU64(off, 0)
+			e.dev.Flush(off, 8)
+		}
 	}
 	e.dev.Drain()
 	if psp != nil {
-		// The device delta over-attributes under concurrency (commits on
+		// The device delta over-attributes under concurrency (epochs on
 		// other shards share the device); it is a locality signal, not an
 		// exact charge.
 		d := e.dev.Stats.Snapshot().Sub(preDev)
 		psp.SetAttr("line_flushes", int64(d.LineFlushes))
 		psp.SetAttr("block_writes", int64(d.BlockWrites))
 		psp.SetAttr("drains", int64(d.Drains))
-		psp.End()
 	}
+	psp.End()
 
 	// The dirty versions are now redundant: the PMem records carry the
 	// committed state. Deleted objects keep a committed tombstone version
 	// out of the chain too — the PMem record serves old readers.
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		tx.chainsForKey(d.key).getOrCreate(d.key.id).remove(d.ver)
+	for _, tx := range members {
+		for _, key := range tx.order {
+			tx.chainsForKey(key).getOrCreate(key.id).remove(tx.dirty[key].ver)
+		}
 	}
 
-	// Step 4: secondary index maintenance (still under the shard locks, so
-	// per-shard index updates observe commit order) and GC bookkeeping.
-	tx.updateIndexes()
-	e.publishIndexDeltas(shardOrder)
-	tx.enqueueGC()
-	for _, s := range shardOrder {
-		e.shards[s].commits.Add(1)
+	// Step 4.
+	for _, tx := range members {
+		tx.updateIndexes()
+		tx.enqueueGC()
 	}
-	if len(shardOrder) > 1 {
-		e.crossCommits.Add(1)
+	e.publishIndexDeltas(order)
+	for _, s := range order {
+		e.shards[s].commits.Add(uint64(len(members)))
 	}
-	e.unlockShards(shardOrder)
+	if len(order) > 1 {
+		e.crossCommits.Add(uint64(len(members)))
+	}
+	e.epochs.Add(1)
+	e.epochMembers.Add(uint64(len(members)))
+	e.unlockShards(order)
 	locked = false
-	e.tel.TxCommits.Inc()
-	tx.finish()
-	cspan.End()
+	for _, tx := range members {
+		e.tel.TxCommits.Inc()
+		tx.finish()
+		tx.seat.span.SetAttr("epoch_members", int64(len(members)))
+		tx.settle(nil)
+	}
 	return nil
+}
+
+// reserveProps grows the property table so that every shard can take the
+// property records the members' commits will insert — the capacity to
+// reserve before retrying after ErrShardFull. Shards are visited in
+// ascending order, so the device-event sequence is deterministic for
+// crash-point replay.
+func (e *Engine) reserveProps(members []*Tx) error {
+	needs := make([]int, e.nShards)
+	for _, tx := range members {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			if !d.isDelete && d.propsChanged {
+				needs[e.shardOf(key)] += propRecords(len(d.ver.props))
+			}
+		}
+	}
+	for s, n := range needs {
+		if n == 0 {
+			continue
+		}
+		if err := e.props.EnsureShardFreeN(s, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// propRecords returns the number of property records a chain of n
+// properties occupies.
+func propRecords(n int) int { return (n + storage.PItemsMax - 1) / storage.PItemsMax }
+
+// oldPropHead returns the head of the committed property chain the dirty
+// object supersedes.
+func (d *dirtyObj) oldPropHead() uint64 {
+	if d.key.kind == kindNode {
+		return d.oldNode.Props
+	}
+	return d.oldRel.Props
 }
 
 func (tx *Tx) chainsForKey(key objKey) *chainTable {
@@ -359,11 +455,7 @@ func (tx *Tx) recordOffset(key objKey) uint64 {
 func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
 	e := tx.e
 	off := tx.recordOffset(d.key)
-	recSize := storage.NodeRecordSize
-	if d.key.kind == kindRel {
-		recSize = storage.RelRecordSize
-	}
-	if err := ptx.Snapshot(off, uint64(recSize)); err != nil {
+	if err := ptx.Snapshot(off, recordSize(d.key.kind)); err != nil {
 		return err
 	}
 
@@ -386,16 +478,10 @@ func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
 		// Insert or update: replace the record content and, if they
 		// changed, the properties. Adjacency-only updates keep the
 		// committed property chain (DG1).
-		var head uint64
+		head := d.oldPropHead()
 		if d.propsChanged {
 			if d.hasOld {
-				var oldHead uint64
-				if d.key.kind == kindNode {
-					oldHead = d.oldNode.Props
-				} else {
-					oldHead = d.oldRel.Props
-				}
-				if err := storage.FreePropChainTx(ptx, e.props, oldHead); err != nil {
+				if err := storage.FreePropChainTx(ptx, e.props, head); err != nil {
 					return err
 				}
 			}
@@ -404,10 +490,6 @@ func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
 			if err != nil {
 				return err
 			}
-		} else if d.key.kind == kindNode {
-			head = d.oldNode.Props
-		} else {
-			head = d.oldRel.Props
 		}
 		if d.key.kind == kindNode {
 			rec := *d.ver.node
@@ -458,14 +540,10 @@ func (tx *Tx) abortLocked() error {
 			// so the release cannot overlap a concurrent commit's undo
 			// log. Readers always saw the record locked, so nobody can
 			// hold a reference.
-			s := e.shardOf(d.key)
-			sh := &e.shards[s]
 			tbl := tx.tableFor(d.key.kind)
-			sh.commitMu.Lock()
-			err := e.pool.RunTxLane(sh.lane, func(ptx *pmemobj.Tx) error {
+			err := e.runOnShardLane(e.shardOf(d.key), func(ptx *pmemobj.Tx) error {
 				return tbl.ReleaseTx(ptx, d.key.id)
 			})
-			sh.commitMu.Unlock()
 			if err != nil {
 				return fmt.Errorf("core: abort: release %v %d: %w", d.key.kind, d.key.id, err)
 			}

@@ -38,31 +38,10 @@ type Config struct {
 	// POSEIDON_SHARDS environment variable (the CI race matrix uses it).
 	// Shard ownership is volatile — any shard count opens any image.
 	Shards int
-	// GroupCommit batches concurrent single-shard commits into per-shard
-	// epochs: one leader persists the whole batch behind a single set of
-	// fences and wakes the group. Off by default (per-transaction
-	// commits, exactly the pre-batching behavior).
-	GroupCommit GroupCommitConfig
 	// IndexDelta absorbs secondary-index updates in a small persistent
 	// delta per tree, merged into the B+-tree outside the commit path
 	// (see index.Tree). Off by default.
 	IndexDelta IndexDeltaConfig
-}
-
-// GroupCommitConfig tunes per-shard commit epochs (the Blizzard-style
-// batching of persistence barriers across concurrent writers).
-type GroupCommitConfig struct {
-	// Enabled turns group commit on. Cross-shard transactions always
-	// fall back to the per-transaction commit path.
-	Enabled bool
-	// MaxBatch bounds the transactions one epoch commits together
-	// (default 32).
-	MaxBatch int
-	// MaxDelay bounds how long an epoch leader waits for the batch to
-	// fill before draining. Zero (the default) drains whatever is
-	// already queued — batching then comes purely from backpressure:
-	// committers arriving while an epoch persists form the next one.
-	MaxDelay time.Duration
 }
 
 // IndexDeltaConfig tunes the LSM-style secondary-index delta layer.
@@ -94,9 +73,6 @@ func (c *Config) fill() {
 	}
 	if c.Shards > maxShardLanes {
 		c.Shards = maxShardLanes
-	}
-	if c.GroupCommit.Enabled && c.GroupCommit.MaxBatch <= 0 {
-		c.GroupCommit.MaxBatch = 32
 	}
 }
 
@@ -171,8 +147,9 @@ type engineShard struct {
 	gcMu    sync.Mutex
 	gcQueue []objKey
 
-	// group is the shard's commit-epoch queue (see groupcommit.go).
-	group groupState
+	// queue batches the shard's concurrent committers into epochs (see
+	// groupcommit.go).
+	queue epochQueue
 
 	// Per-shard slice of the secondary indexes: tree s of index (label,
 	// key) holds entries only for node ids owned by shard s.
@@ -220,10 +197,10 @@ type Engine struct {
 	allShards    []int         // 0..nShards-1, the lockAllShards acquisition order
 	crossCommits atomic.Uint64 // commits that locked more than one shard
 
-	// Group-commit accounting (see GroupCommitStats).
-	groupEpochs  atomic.Uint64 // epochs persisted
-	groupMembers atomic.Uint64 // transactions committed through epochs
-	groupSplits  atomic.Uint64 // epochs split to fit the shard's undo lane
+	// Commit-epoch accounting (see GroupCommitStats).
+	epochs       atomic.Uint64 // lane-sized groups persisted
+	epochMembers atomic.Uint64 // transactions committed through them
+	epochSplits  atomic.Uint64 // groups cut short to fit the undo lane
 
 	// mergeStop terminates the background index-delta merger, when one
 	// was started (Config.IndexDelta.MergeEvery > 0).
@@ -579,11 +556,11 @@ func (e *Engine) Close() {
 	}
 }
 
-// GroupCommitStats reports group-commit progress: epochs persisted,
+// GroupCommitStats reports commit-epoch progress: epochs persisted,
 // transactions committed through them, and epochs that had to split to
-// fit their shard's undo-log lane.
+// fit their undo-log lane.
 func (e *Engine) GroupCommitStats() (epochs, members, splits uint64) {
-	return e.groupEpochs.Load(), e.groupMembers.Load(), e.groupSplits.Load()
+	return e.epochs.Load(), e.epochMembers.Load(), e.epochSplits.Load()
 }
 
 // NodeCount returns the number of occupied node slots (all versions).

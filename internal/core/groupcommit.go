@@ -1,139 +1,136 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"poseidon/internal/pmemobj"
 	"poseidon/internal/storage"
+	"poseidon/internal/trace"
 )
 
-// Group commit: concurrent single-shard committers enqueue into their
-// shard's commit epoch instead of each paying a full drain/fence cycle.
-// The first committer to find the queue leaderless becomes the epoch
-// leader; it forms an epoch (up to Config.GroupCommit.MaxBatch members),
-// persists the whole batch behind one batched undo-log append (a single
-// publication fence, pmemobj.SnapshotAll), one lane commit and one
-// shared lock-release drain, then wakes every member. Committers
-// arriving while an epoch persists queue up and form the next epoch —
-// with MaxDelay zero, batching comes purely from that backpressure. A
-// leader whose own transaction has committed hands any refilled queue to
-// a detached drainer goroutine rather than draining it itself, so no
-// caller's commit latency exceeds its own epoch.
+// Commit-epoch producers and lane sizing. The pipeline itself is
+// commitEpoch (commit.go); this file holds what feeds it: the per-shard
+// queue behind Tx.Commit, the deterministic CommitBatch entry point, and
+// the undo-lane arithmetic epochs are sized with.
 //
-// Epochs never abort wholesale for capacity reasons: a batch whose undo
-// images would overflow the shard's lane is split into smaller groups
-// (see processGroup), degrading throughput instead of failing members.
+// The queue batches concurrent single-shard committers: a committer that
+// finds its shard's queue leaderless leads one epoch — itself plus
+// whoever queued behind it while it waited for the shard lock, up to
+// maxEpochMembers — persists the batch behind one publication fence, one
+// lane commit and one shared lock-release drain, then wakes the members.
+// Committers arriving while an epoch persists park and form the next
+// epoch; batching comes purely from that backpressure, so an uncontended
+// committer pays for an epoch of one and nothing else. A leader runs
+// exactly one epoch, its own: leadership then passes to the committer at
+// the head of the queue, so no caller's commit latency exceeds its own
+// epoch and every epoch runs on a goroutine that is waiting for it.
 
-// groupState is one shard's commit-epoch queue.
-type groupState struct {
+// maxEpochMembers bounds the transactions one queued epoch commits
+// together.
+const maxEpochMembers = 32
+
+// epochQueue is one shard's commit queue.
+type epochQueue struct {
 	mu      sync.Mutex
-	pending []*groupReq
-	// leading is true while some goroutine is draining the queue; every
-	// other committer parks on its request's done channel.
+	pending []*Tx
+	// leading is true while some committer owns the queue; every other
+	// committer parks on its seat until it is handed a result or the
+	// leadership.
 	leading bool
+	// batch is the running epoch's member list, owned by the current
+	// leader and reused across epochs.
+	batch []*Tx
 }
 
-// groupReq is one transaction's seat in a commit epoch. The done channel
-// is buffered so the leader's result delivery never blocks.
-type groupReq struct {
-	tx   *Tx
-	done chan error
+// commitSeat is a transaction's place in a commit epoch. It lives in the
+// Tx, so joining an epoch allocates nothing.
+type commitSeat struct {
+	span   *trace.Span // the transaction's core.commit span (nil untraced)
+	result error
+	// wake parks a queued follower; the leader releases it exactly once,
+	// with either the result or (leads set) the queue's leadership.
+	wake  sync.WaitGroup
+	leads bool
+	// panicked holds the value the epoch's leader panicked with mid-commit
+	// (an injected power failure, or a bug). The follower re-raises it, so
+	// the panic unwinds every member's caller exactly as it unwinds the
+	// leader's instead of leaving them parked forever.
+	panicked any
+	queued   time.Time // when a traced transaction joined the queue
 }
 
-// commitGrouped commits the transaction through its shard's commit
-// epoch. Caller holds tx.endMu and has verified the transaction is live,
-// has writes, and touches only shard s.
-func (tx *Tx) commitGrouped(s int) error {
-	e := tx.e
-	g := &e.shards[s].group
-	req := &groupReq{tx: tx, done: make(chan error, 1)}
-	g.mu.Lock()
-	g.pending = append(g.pending, req)
-	if g.leading {
-		g.mu.Unlock()
-		return <-req.done
+// commitQueued commits a single-shard transaction through its shard's
+// queue; order is its one-element lock set. Caller holds tx.endMu and ran
+// precommit.
+func (tx *Tx) commitQueued(order []int) error {
+	q := &tx.e.shards[order[0]].queue
+	if tx.seat.span != nil {
+		tx.seat.queued = time.Now()
 	}
-	g.leading = true
-	g.mu.Unlock()
-
-	// This goroutine leads only until its own result is in — its request
-	// is in the first batch unless MaxBatch truncation pushes it out, so
-	// that is normally one epoch. Under sustained load the queue refills
-	// while an epoch persists; draining it here would keep this caller
-	// leading (and its Commit from returning) indefinitely even though
-	// its transaction persisted in the first epoch. Instead leadership
-	// hands off to a detached drainer and the caller's commit latency
-	// stays bounded by its own epoch.
-	for e.leadEpoch(s) {
-		select {
-		case err := <-req.done:
-			g.mu.Lock()
-			if len(g.pending) == 0 {
-				g.leading = false
-				g.mu.Unlock()
-			} else {
-				g.mu.Unlock()
-				go e.drainEpochs(s)
-			}
-			return err
-		default:
-		}
-	}
-	return <-req.done
-}
-
-// leadEpoch forms one epoch from shard s's queue and commits it. It
-// returns false when the queue was empty — leadership has then been
-// released — and true after committing an epoch, in which case the
-// caller still leads and must either loop or hand off.
-func (e *Engine) leadEpoch(s int) bool {
-	g := &e.shards[s].group
-	cfg := e.cfg.GroupCommit
-	if cfg.MaxDelay > 0 {
-		g.mu.Lock()
-		n := len(g.pending)
-		g.mu.Unlock()
-		if n > 0 && n < cfg.MaxBatch {
-			time.Sleep(cfg.MaxDelay)
-		}
-	}
-	g.mu.Lock()
-	batch := g.pending
-	if len(batch) > cfg.MaxBatch {
-		batch = batch[:cfg.MaxBatch:cfg.MaxBatch]
-		g.pending = append([]*groupReq(nil), g.pending[cfg.MaxBatch:]...)
+	q.mu.Lock()
+	lead := !q.leading
+	if lead {
+		q.leading = true
 	} else {
-		g.pending = nil
+		tx.seat.wake.Add(1)
 	}
-	if len(batch) == 0 {
-		g.leading = false
-		g.mu.Unlock()
-		return false
+	q.pending = append(q.pending, tx)
+	q.mu.Unlock()
+	if !lead {
+		tx.seat.wake.Wait()
+		lead = tx.seat.leads
 	}
-	g.mu.Unlock()
-	e.commitEpoch(s, batch)
-	return true
+	if lead {
+		tx.e.leadEpoch(order)
+	}
+	if tx.seat.panicked != nil {
+		panic(tx.seat.panicked)
+	}
+	return tx.seat.result
 }
 
-// drainEpochs leads shard s's commit epochs until the queue empties.
-// Runs detached after a committer-leader's own epoch completed with
-// members still queued (see commitGrouped); every member it commits has
-// a parked caller, so the goroutine cannot outlive the commits it
-// serves.
-func (e *Engine) drainEpochs(s int) {
-	for e.leadEpoch(s) {
+// leadEpoch commits one epoch from the head of the queue of the shard in
+// order — the caller's own transaction is its first member — then wakes
+// the followers and passes the leadership on.
+func (e *Engine) leadEpoch(order []int) {
+	q := &e.shards[order[0]].queue
+	q.mu.Lock()
+	n := min(len(q.pending), maxEpochMembers)
+	batch := append(q.batch[:0], q.pending[:n]...)
+	q.pending = q.pending[:copy(q.pending, q.pending[n:])]
+	q.mu.Unlock()
+	for _, tx := range batch {
+		if tx.seat.span != nil {
+			tx.seat.span.SetAttr("queue_wait_ns", time.Since(tx.seat.queued).Nanoseconds())
+		}
 	}
+	defer func() {
+		r := recover()
+		for _, tx := range batch[1:] {
+			tx.seat.panicked = r
+			tx.seat.wake.Done()
+		}
+		q.mu.Lock()
+		q.batch = batch
+		if len(q.pending) > 0 {
+			q.pending[0].seat.leads = true
+			q.pending[0].seat.wake.Done()
+		} else {
+			q.leading = false
+		}
+		q.mu.Unlock()
+		if r != nil {
+			panic(r)
+		}
+	}()
+	e.commitEpoch(order, batch)
 }
 
-// CommitBatch commits the given transactions as group-commit epochs,
-// regardless of Config.GroupCommit.Enabled: single-shard transactions
-// are grouped per shard (in ascending shard order) and committed through
-// the epoch path; cross-shard ones fall back to the per-transaction
-// path. The caller must own every transaction and not use them
+// CommitBatch commits the given transactions as commit epochs without
+// going through the queues: single-shard transactions form one epoch per
+// shard (committed in ascending shard order), cross-shard ones an epoch
+// of one each. The caller must own every transaction and not use them
 // concurrently. Returns one result per transaction, in input order.
 //
 // This is the deterministic entry point: bulk loaders use it to form
@@ -142,99 +139,41 @@ func (e *Engine) drainEpochs(s int) {
 // sequence through the epoch machinery.
 func (e *Engine) CommitBatch(txs []*Tx) []error {
 	errs := make([]error, len(txs))
-	type seat struct {
-		idx int
-		req *groupReq
-	}
-	groups := make(map[int][]*groupReq)
-	var seats []seat
+	byShard := make([][]*Tx, e.nShards)
+	var seated []int // indices of the members of byShard, endMu held
 	for i, tx := range txs {
 		tx.endMu.Lock()
-		if tx.done.Load() {
-			errs[i] = ErrTxDone
-			tx.endMu.Unlock()
-			continue
-		}
-		if err := tx.ctxErr(); err != nil {
-			tx.setAbortReason(AbortCancelled)
-			_ = tx.abortLocked()
+		order, err := tx.precommit()
+		switch {
+		case order == nil:
 			errs[i] = err
-			tx.endMu.Unlock()
+		case len(order) > 1:
+			e.commitEpoch(order, []*Tx{tx})
+			errs[i] = tx.seat.result
+		default:
+			byShard[order[0]] = append(byShard[order[0]], tx)
+			seated = append(seated, i)
 			continue
 		}
-		if len(tx.order) == 0 {
-			e.tel.TxCommits.Inc()
-			tx.finish()
-			tx.endMu.Unlock()
-			continue
+		tx.endMu.Unlock()
+	}
+	for s, members := range byShard {
+		if len(members) > 0 {
+			e.commitEpoch([]int{s}, members)
 		}
-		shardOrder := tx.commitShards()
-		if len(shardOrder) > 1 {
-			errs[i] = tx.commitLocked(shardOrder)
-			tx.endMu.Unlock()
-			continue
-		}
-		req := &groupReq{tx: tx, done: make(chan error, 1)}
-		groups[shardOrder[0]] = append(groups[shardOrder[0]], req)
-		seats = append(seats, seat{i, req})
 	}
-	shards := make([]int, 0, len(groups))
-	for s := range groups {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	for _, s := range shards {
-		e.commitEpoch(s, groups[s])
-	}
-	for _, st := range seats {
-		errs[st.idx] = <-st.req.done
-		st.req.tx.endMu.Unlock()
+	for _, i := range seated {
+		errs[i] = txs[i].seat.result
+		txs[i].endMu.Unlock()
 	}
 	return errs
 }
 
-// commitEpoch commits one epoch's members on shard s: cancelled members
-// are aborted up front, the rest are packed into groups sized to the
-// shard's undo-log lane and persisted group by group. Every member's
-// result is delivered on its done channel.
-func (e *Engine) commitEpoch(s int, reqs []*groupReq) {
-	live := make([]*groupReq, 0, len(reqs))
-	for _, req := range reqs {
-		if err := req.tx.ctxErr(); err != nil {
-			req.tx.setAbortReason(AbortCancelled)
-			_ = req.tx.abortLocked()
-			req.done <- err
-			continue
-		}
-		live = append(live, req)
-	}
-	if len(live) == 0 {
-		return
-	}
-	// Pack members into lane-budget groups up front. The estimate is
-	// conservative but approximate; a group that still overflows the
-	// lane degrades further by splitting inside processGroup.
-	budget := e.laneBudget(s)
-	var group []*groupReq
-	var cost uint64
-	for _, req := range live {
-		c := estimateUndo(req.tx)
-		if len(group) > 0 && cost+c > budget {
-			e.groupSplits.Add(1)
-			e.processGroup(s, group)
-			group, cost = nil, 0
-		}
-		group = append(group, req)
-		cost += c
-	}
-	e.processGroup(s, group)
-}
-
-// laneBudget returns the undo-log bytes an epoch may plan to use on
-// shard s's lane: the lane capacity minus its header, with a safety
-// margin for allocator metadata the estimate cannot see.
-func (e *Engine) laneBudget(s int) uint64 {
-	laneCap := e.pool.LaneCap(e.shards[s].lane)
+// laneBudget returns the undo-log bytes an epoch may plan to use on the
+// lane: its capacity minus the header, with a safety margin for
+// allocator metadata the estimate cannot see.
+func (e *Engine) laneBudget(lane int) uint64 {
+	laneCap := e.pool.LaneCap(lane)
 	if laneCap <= pmemobj.LogHeaderBytes {
 		return 1
 	}
@@ -247,241 +186,60 @@ func (e *Engine) laneBudget(s int) uint64 {
 // property record. Coverage dedup only shrinks the real usage, so the
 // estimate errs high; the slack covers chunk-header snapshots.
 func estimateUndo(tx *Tx) uint64 {
-	total := uint64(0)
+	total := uint64(512)
 	for _, key := range tx.order {
 		d := tx.dirty[key]
-		recSize := uint64(storage.NodeRecordSize)
-		if d.key.kind == kindRel {
-			recSize = storage.RelRecordSize
+		total += pmemobj.SnapshotCost(recordSize(key.kind))
+		if d.isDelete || !d.propsChanged {
+			continue
 		}
-		total += pmemobj.SnapshotCost(recSize)
-		if d.hasOld && d.propsChanged && !d.isDelete {
-			oldRecs := uint64(len(d.oldProps)+storage.PItemsMax-1) / storage.PItemsMax
-			total += oldRecs * (pmemobj.SnapshotCost(storage.PropRecordSize) + pmemobj.SnapshotCost(8))
+		if d.hasOld {
+			total += uint64(propRecords(len(d.oldProps))) * (pmemobj.SnapshotCost(storage.PropRecordSize) + pmemobj.SnapshotCost(8))
 		}
-		if d.propsChanged && !d.isDelete {
-			newRecs := uint64(len(d.ver.props)+storage.PItemsMax-1) / storage.PItemsMax
-			total += newRecs * pmemobj.SnapshotCost(8)
-		}
+		total += uint64(propRecords(len(d.ver.props))) * pmemobj.SnapshotCost(8)
 	}
-	return total + 512
+	return total
 }
 
-// groupRanges pre-collects every persistent range the group's members
-// are known to touch — dirty records, the old property records an
-// update frees, and their occupancy-bitmap words — so one SnapshotAll
-// publishes them behind a single fence. applyDirty's own Snapshot calls
-// then dedup against the coverage; only ranges unknown before slot
-// allocation (fresh bitmap words, chunk headers) still log individually.
-func (e *Engine) groupRanges(reqs []*groupReq) []pmemobj.Range {
-	var out []pmemobj.Range
-	for _, req := range reqs {
-		tx := req.tx
+// epochRanges pre-collects every persistent range the members are known
+// to touch — dirty records, the old property records an update frees,
+// and their occupancy-bitmap words — so one SnapshotAll publishes them
+// behind a single fence. applyDirty's own Snapshot calls then dedup
+// against the coverage; only ranges unknown before slot allocation
+// (fresh bitmap words, chunk headers) still log individually.
+func (e *Engine) epochRanges(members []*Tx) []pmemobj.Range {
+	n := 0
+	for _, tx := range members {
+		n += len(tx.order)
+	}
+	out := make([]pmemobj.Range, 0, n)
+	for _, tx := range members {
 		for _, key := range tx.order {
 			d := tx.dirty[key]
-			off := tx.recordOffset(d.key)
-			recSize := uint64(storage.NodeRecordSize)
-			if d.key.kind == kindRel {
-				recSize = storage.RelRecordSize
+			out = append(out, pmemobj.Range{Off: tx.recordOffset(key), N: recordSize(key.kind)})
+			if !d.hasOld || !d.propsChanged || d.isDelete {
+				continue
 			}
-			out = append(out, pmemobj.Range{Off: off, N: recSize})
-			if d.hasOld && d.propsChanged && !d.isDelete {
-				head := d.oldNode.Props
-				if d.key.kind == kindRel {
-					head = d.oldRel.Props
+			for id := d.oldPropHead(); id != storage.NilID; {
+				poff, ok := e.props.RecordOffset(id)
+				if !ok {
+					break
 				}
-				for id := head; id != storage.NilID; {
-					poff, ok := e.props.RecordOffset(id)
-					if !ok {
-						break
-					}
-					out = append(out, pmemobj.Range{Off: poff, N: storage.PropRecordSize})
-					if w, ok := e.props.BitmapWordOff(id); ok {
-						out = append(out, pmemobj.Range{Off: w, N: 8})
-					}
-					id = e.dev.ReadU64(poff + storage.PNext)
+				out = append(out, pmemobj.Range{Off: poff, N: storage.PropRecordSize})
+				if w, ok := e.props.BitmapWordOff(id); ok {
+					out = append(out, pmemobj.Range{Off: w, N: 8})
 				}
+				id = e.dev.ReadU64(poff + storage.PNext)
 			}
 		}
 	}
 	return out
 }
 
-// processGroup persists one lane-sized group of single-shard
-// transactions as a unit: the commit steps of Tx.commitLocked, with the
-// per-transaction fences amortized over the group. A group whose undo
-// images overflow the lane despite the pre-sizing splits in half and
-// retries — members are only aborted for the same reasons a solo commit
-// would abort them.
-func (e *Engine) processGroup(s int, reqs []*groupReq) {
-	if len(reqs) == 0 {
-		return
+// recordSize returns the persistent record size of an object kind.
+func recordSize(k objKind) uint64 {
+	if k == kindRel {
+		return storage.RelRecordSize
 	}
-	sh := &e.shards[s]
-	order := []int{s}
-	e.lockShards(order, nil)
-	locked := true
-	defer func() {
-		if locked {
-			e.unlockShards(order)
-		}
-	}()
-
-	// Step 1: preserve superseded committed versions, per member.
-	type pushedVer struct {
-		c *chain
-		v *version
-	}
-	var pushed []pushedVer
-	for _, req := range reqs {
-		tx := req.tx
-		for _, key := range tx.order {
-			d := tx.dirty[key]
-			if !d.hasOld || d.isDelete {
-				continue
-			}
-			var v *version
-			if d.key.kind == kindNode {
-				old := d.oldNode
-				v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
-			} else {
-				old := d.oldRel
-				v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
-			}
-			c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
-			c.push(v)
-			pushed = append(pushed, pushedVer{c, v})
-		}
-	}
-	unpush := func() {
-		for _, p := range pushed {
-			p.c.remove(p.v)
-		}
-	}
-
-	// Step 2: one lane transaction for the whole group, fronted by the
-	// batched snapshot — the epoch's single publication fence.
-	ranges := e.groupRanges(reqs)
-	var err error
-	for {
-		err = e.pool.RunTxLane(sh.lane, func(ptx *pmemobj.Tx) error {
-			if err := ptx.SnapshotAll(ranges); err != nil {
-				return err
-			}
-			for _, req := range reqs {
-				tx := req.tx
-				for _, key := range tx.order {
-					if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if !errors.Is(err, storage.ErrShardFull) {
-			break
-		}
-		// Reserve property capacity outside the commit lock (chunk
-		// appends mutate global allocator state), summed over the
-		// group, then retry. Sorted iteration keeps the device-event
-		// sequence deterministic for crash-point replay.
-		e.unlockShards(order)
-		locked = false
-		needs := make(map[int]int)
-		for _, req := range reqs {
-			for ns, n := range req.tx.propNeeds() {
-				needs[ns] += n
-			}
-		}
-		nss := make([]int, 0, len(needs))
-		for ns := range needs {
-			nss = append(nss, ns)
-		}
-		sort.Ints(nss)
-		var rerr error
-		for _, ns := range nss {
-			if ferr := e.props.EnsureShardFreeN(ns, needs[ns]); ferr != nil {
-				rerr = ferr
-				break
-			}
-		}
-		if rerr != nil {
-			// Re-acquire the shard lock before leaving the loop so every
-			// exit holds it: the error paths below unlock unconditionally,
-			// and unlocking an unheld commitMu would panic (or release a
-			// concurrent committer's lock).
-			e.lockShards(order, nil)
-			locked = true
-			err = rerr
-			break
-		}
-		e.lockShards(order, nil)
-		locked = true
-	}
-	if errors.Is(err, pmemobj.ErrLogFull) && len(reqs) > 1 {
-		// The lane rolled the whole group back. Degrade, don't abort:
-		// split in half and retry each independently (each half
-		// re-runs step 1 for its members).
-		unpush()
-		e.unlockShards(order)
-		locked = false
-		e.groupSplits.Add(1)
-		mid := len(reqs) / 2
-		e.processGroup(s, reqs[:mid])
-		e.processGroup(s, reqs[mid:])
-		return
-	}
-	if err != nil {
-		// Same failure semantics as a solo commit: the lane rolled
-		// everything back; abort the members (after releasing the shard
-		// lock — aborts re-acquire it to release inserted slots).
-		unpush()
-		e.unlockShards(order)
-		locked = false
-		werr := fmt.Errorf("core: commit failed: %w", err)
-		for _, req := range reqs {
-			req.tx.setAbortReason(AbortCommitFailed)
-			_ = req.tx.abortLocked()
-			req.done <- werr
-		}
-		return
-	}
-
-	// Step 3: release every member's write locks behind one drain.
-	for _, req := range reqs {
-		tx := req.tx
-		for _, key := range tx.order {
-			off := tx.recordOffset(key)
-			e.dev.WriteU64(off, 0) // txn-id is field 0 of both record types
-			e.dev.Flush(off, 8)
-		}
-	}
-	e.dev.Drain()
-
-	// The dirty versions are now redundant (see Tx.commitLocked).
-	for _, req := range reqs {
-		tx := req.tx
-		for _, key := range tx.order {
-			d := tx.dirty[key]
-			tx.chainsForKey(d.key).getOrCreate(d.key.id).remove(d.ver)
-		}
-	}
-
-	// Step 4: index maintenance and GC bookkeeping under the shard
-	// lock, one delta publication for the whole group.
-	for _, req := range reqs {
-		req.tx.updateIndexes()
-		req.tx.enqueueGC()
-	}
-	e.publishIndexDeltas(order)
-	sh.commits.Add(uint64(len(reqs)))
-	e.groupEpochs.Add(1)
-	e.groupMembers.Add(uint64(len(reqs)))
-	e.unlockShards(order)
-	locked = false
-	for _, req := range reqs {
-		e.tel.TxCommits.Inc()
-		req.tx.finish()
-		req.done <- nil
-	}
+	return storage.NodeRecordSize
 }

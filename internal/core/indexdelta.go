@@ -8,9 +8,9 @@ import (
 
 // Engine-side wiring of the index delta layer (Config.IndexDelta): every
 // persistent shard tree absorbs commit-time index maintenance into its
-// delta region, commits publish once per transaction or group-commit
-// epoch, and an optional background goroutine merges deltas into the
-// base trees so lookup overlays stay short. With MergeEvery zero, merges
+// delta region, commits publish once per commit epoch, and an optional
+// background goroutine merges deltas into the base trees so lookup
+// overlays stay short. With MergeEvery zero, merges
 // happen only inline (when a region fills) — the deterministic mode the
 // crash explorer requires.
 
@@ -26,8 +26,8 @@ func (e *Engine) enableTreeDelta(t *index.Tree) {
 }
 
 // publishIndexDeltas publishes the delta regions of every index tree on
-// the given shards — one Persist per dirty tree for the whole commit (or
-// epoch). Caller holds the shards' commit locks, so publication lands in
+// the given shards — one Persist per dirty tree for the whole commit
+// epoch. Caller holds the shards' commit locks, so publication lands in
 // commit order.
 func (e *Engine) publishIndexDeltas(shardOrder []int) {
 	if !e.cfg.IndexDelta.Enabled {

@@ -72,25 +72,21 @@ func TestMVTOSerializabilityProperty(t *testing.T) {
 		baseSeed = v
 	}
 	// Every core configuration must satisfy the property: the unsharded
-	// single-monitor engine, the sharded core with its cross-shard
-	// commit protocol (ascending lock order, per-shard MVTO state), and
-	// both again with group commit batching concurrent committers into
-	// shared epochs.
+	// single-monitor engine and the sharded core with its cross-shard
+	// commit protocol (ascending lock order, per-shard MVTO state); in
+	// both, concurrent single-shard committers share commit epochs.
 	for _, shards := range []int{1, 4} {
-		for _, group := range []bool{false, true} {
-			for round := 0; round < rounds; round++ {
-				seed := baseSeed + int64(round)
-				t.Run(fmt.Sprintf("shards=%d/group=%v/seed=%d", shards, group, seed), func(t *testing.T) {
-					runMVTORound(t, seed, goroutines, txPerGo, nodeCount, shards, group)
-				})
-			}
+		for round := 0; round < rounds; round++ {
+			seed := baseSeed + int64(round)
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				runMVTORound(t, seed, goroutines, txPerGo, nodeCount, shards)
+			})
 		}
 	}
 }
 
-func runMVTORound(t *testing.T, seed int64, goroutines, txPerGo, nodeCount, shards int, group bool) {
-	e, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20, Shards: shards,
-		GroupCommit: GroupCommitConfig{Enabled: group}})
+func runMVTORound(t *testing.T, seed int64, goroutines, txPerGo, nodeCount, shards int) {
+	e, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,17 @@ func newShardedEngine(t *testing.T, shards int) *Engine {
 // transactions until each home shard has produced one.
 func nodePerShard(t *testing.T, e *Engine) []uint64 {
 	t.Helper()
+	return nodePerShardWith(t, e, map[string]any{"v": int64(0)})
+}
+
+func nodePerShardWith(t *testing.T, e *Engine, props map[string]any) []uint64 {
+	t.Helper()
 	ids := make([]uint64, e.Shards())
 	seen := make([]bool, e.Shards())
 	remaining := e.Shards()
 	for tries := 0; remaining > 0 && tries < 10*e.Shards(); tries++ {
 		tx := e.Begin()
-		id := mustCreateNode(t, tx, "S", map[string]any{"v": int64(0)})
+		id := mustCreateNode(t, tx, "S", props)
 		s := e.ShardOfNode(id)
 		if seen[s] {
 			tx.Abort()

@@ -41,6 +41,8 @@ type Tx struct {
 
 	dirty map[objKey]*dirtyObj
 	order []objKey // deterministic commit order
+
+	seat commitSeat // set by precommit, used by the commit epoch
 }
 
 // maxPropWalk bounds the property-chain walk of a concurrent read: a
@@ -102,11 +104,8 @@ func (e *Engine) relRTSOf(id uint64) *rtsTable  { return e.shards[e.rels.ShardOf
 // reserved via EnsureShardFree — outside every commit lock, because chunk
 // appends mutate global allocator state — before retrying.
 func (e *Engine) withShardSlot(tbl *storage.Table, s int, fn func(*pmemobj.Tx) error) error {
-	sh := &e.shards[s]
 	for {
-		sh.commitMu.Lock()
-		err := e.pool.RunTxLane(sh.lane, fn)
-		sh.commitMu.Unlock()
+		err := e.runOnShardLane(s, fn)
 		if errors.Is(err, storage.ErrShardFull) {
 			if err := tbl.EnsureShardFree(s); err != nil {
 				return err
@@ -115,6 +114,17 @@ func (e *Engine) withShardSlot(tbl *storage.Table, s int, fn func(*pmemobj.Tx) e
 		}
 		return err
 	}
+}
+
+// runOnShardLane runs fn as a transaction on shard s's undo-log lane
+// under the shard's commit lock. The lock is released by defer: an
+// injected power failure panics out of the lane transaction, and the
+// other committers of a crash-under-stress run must not block on it.
+func (e *Engine) runOnShardLane(s int, fn func(*pmemobj.Tx) error) error {
+	sh := &e.shards[s]
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	return e.pool.RunTxLane(sh.lane, fn)
 }
 
 // ID returns the transaction's timestamp identifier.

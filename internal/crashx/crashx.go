@@ -210,11 +210,10 @@ func newHarness(opts Options) (*harness, error) {
 	switch opts.Mix {
 	case MixIU:
 	case MixIngest:
-		// The write-optimized ingest stack: group-commit epochs (driven
-		// deterministically through CommitBatch) and delta-mode indexes.
-		// MergeEvery stays zero — a background merger would make event
-		// ordinals racy; the op loop merges explicitly instead.
-		cfg.GroupCommit = core.GroupCommitConfig{Enabled: true, MaxBatch: ingestEpoch}
+		// The write-optimized ingest stack: multi-member commit epochs
+		// (driven deterministically through CommitBatch) and delta-mode
+		// indexes. MergeEvery stays zero — a background merger would make
+		// event ordinals racy; the op loop merges explicitly instead.
 		cfg.IndexDelta = core.IndexDeltaConfig{Enabled: true}
 	default:
 		return nil, fmt.Errorf("crashx: unknown mix %q", opts.Mix)
@@ -381,6 +380,14 @@ const ingestEpoch = 4
 // crash window also covers mid delta-merge states.
 const ingestMergeEvery = 2
 
+// ingestChurn is the number of churn epochs after every full IU epoch
+// (alternately creating and deleting). Only a churn epoch's lane commit
+// — some twenty flush events — rides on the publication fence alone, and
+// a sampled sweep has to land in one: with a single churn epoch per IU
+// epoch a 250-point sample of a short run expects about one hit, so
+// whether the groupfence mutant was caught hung on the seed.
+const ingestChurn = 4
+
 // runIngestOps executes the deterministic IU mix through the
 // write-optimized ingest path: transactions accumulate into
 // ingestEpoch-sized batches committed through CommitBatch (the
@@ -390,11 +397,11 @@ const ingestMergeEvery = 2
 // before the leader's group fence, after it (mid epoch apply), or in the
 // middle of a delta merge. Returns the number of IU ops started.
 //
-// After every IU epoch, a churn epoch of property-less CreateRel (or,
-// alternating, DeleteRel) transactions commits. Their apply phase writes
-// only ranges the leader pre-covered with SnapshotAll — no fresh
-// property records, so no individual undo appends re-persist the lane's
-// count word after the group fence. Those epochs depend on the leader's
+// After every IU epoch, ingestChurn churn epochs of property-less
+// CreateRel (or, alternating, DeleteRel) transactions commit. Their
+// apply phase writes only ranges the leader pre-covered with SnapshotAll
+// — no fresh property records, so no individual undo appends re-persist
+// the lane's count word after the group fence. Those epochs depend on the leader's
 // single fence alone, which is exactly what the groupfence crashmutate
 // build breaks: without them, IU epochs' own prop-chain snapshots mask
 // the planted bug and the mutation test could not catch it.
@@ -500,8 +507,10 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 		}
 		if batch = append(batch, tx); len(batch) == ingestEpoch {
 			flush()
-			if err := churnEpoch(); err != nil {
-				return started, err
+			for c := 0; c < ingestChurn; c++ {
+				if err := churnEpoch(); err != nil {
+					return started, err
+				}
 			}
 		}
 	}

@@ -41,8 +41,7 @@ func (ds *Dataset) BulkLoadCore(e *core.Engine, withIndexes bool, kind index.Kin
 // LoadCoreTx loads the dataset through the regular MVTO transaction
 // path — the ingest baseline the bulk loader is measured against. Every
 // transaction carries txOps entities (1 reproduces the one-commit-per-
-// entity worst case); with group commit enabled the commits still pay
-// the full per-transaction protocol, just batched into shared epochs.
+// entity worst case).
 func (ds *Dataset) LoadCoreTx(e *core.Engine, withIndexes bool, kind index.Kind, txOps int) error {
 	if txOps < 1 {
 		txOps = 1

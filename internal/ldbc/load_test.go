@@ -66,8 +66,7 @@ func TestLoadCoreTxMatchesBulk(t *testing.T) {
 	}
 
 	for _, txOps := range []int{1, 64} {
-		perTx, err := core.Open(core.Config{Mode: core.DRAM, PoolSize: 256 << 20,
-			GroupCommit: core.GroupCommitConfig{Enabled: true}})
+		perTx, err := core.Open(core.Config{Mode: core.DRAM, PoolSize: 256 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,9 +250,7 @@ func lineDirectives(m *Module, pkg *Package) map[string]map[int]map[string]bool 
 // ---- baseline ----------------------------------------------------------
 
 // ReadBaseline loads a baseline file of grandfathered findings: one
-// Finding.Key per line, '#' comments and blank lines skipped. Keys
-// written for the retired shardlock pass are migrated to its successor
-// lockorder, so old baselines keep suppressing the same sites.
+// Finding.Key per line, '#' comments and blank lines skipped.
 func ReadBaseline(path string) (map[string]bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -265,9 +263,6 @@ func ReadBaseline(path string) (map[string]bool, error) {
 			continue
 		}
 		out[line] = true
-		if strings.Contains(line, "[shardlock]") {
-			out[strings.Replace(line, "[shardlock]", "[lockorder]", 1)] = true
-		}
 	}
 	return out, nil
 }

@@ -150,12 +150,13 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 		"Versions inspected per DRAM version-chain lookup.",
 		telemetry.LengthBuckets(64), 1)
 
-	// Group-commit epoch counters, sampled from the engine's atomics.
+	// Commit-epoch counters, sampled from the engine's atomics. Every
+	// write commit is an epoch member, alone or with others.
 	reg.CounterFunc("poseidon_group_commit_epochs_total",
-		"Commit epochs persisted by group-commit leaders.",
+		"Commit epochs persisted.",
 		func() uint64 { ep, _, _ := db.engine.GroupCommitStats(); return ep })
 	reg.CounterFunc("poseidon_group_commit_txs_total",
-		"Transactions committed through group-commit epochs.",
+		"Transactions committed through them.",
 		func() uint64 { _, txs, _ := db.engine.GroupCommitStats(); return txs })
 	reg.CounterFunc("poseidon_group_commit_splits_total",
 		"Epochs split to fit the shard undo-log lane budget.",

@@ -135,10 +135,6 @@ type Config struct {
 	// slow-query log (see TelemetryConfig). Off by default: the hot paths
 	// then pay a single nil-check branch.
 	Telemetry TelemetryConfig
-	// GroupCommit batches concurrent single-shard committers into shared
-	// commit epochs (one drain/fence cycle per epoch). See
-	// core.GroupCommitConfig; zero value = off, per-transaction commits.
-	GroupCommit core.GroupCommitConfig
 	// IndexDelta absorbs secondary-index maintenance into per-tree
 	// LSM-style delta regions, publishing once per commit epoch. See
 	// core.IndexDeltaConfig; zero value = off.
@@ -178,7 +174,7 @@ func stmtCacheCap(cfg Config) int {
 
 // Open creates a new database.
 func Open(cfg Config) (*DB, error) {
-	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, GroupCommit: cfg.GroupCommit, IndexDelta: cfg.IndexDelta})
+	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, IndexDelta: cfg.IndexDelta})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +194,7 @@ func Open(cfg Config) (*DB, error) {
 // running crash recovery. Use db.Device() to obtain the device before a
 // crash.
 func Reopen(dev *pmem.Device, cfg Config) (*DB, error) {
-	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, GroupCommit: cfg.GroupCommit, IndexDelta: cfg.IndexDelta})
+	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, IndexDelta: cfg.IndexDelta})
 	if err != nil {
 		return nil, err
 	}
