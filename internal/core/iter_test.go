@@ -88,11 +88,13 @@ func TestNodeRangeIterBounds(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("clipped range = %d nodes, want 2", len(got))
 	}
-	// Chunk iterator covers everything in the chunk holding the nodes
+	// A range spanning exactly the chunk holding the nodes covers them all
 	// (one tx places all its nodes in its home shard's chunk).
-	got = drainNodes(t, tx.NewNodeChunkIter(ids[0]/e.Nodes().ChunkCap(), 0))
+	cap_ := e.Nodes().ChunkCap()
+	chunk := ids[0] / cap_
+	got = drainNodes(t, tx.NewNodeRangeIter(chunk*cap_, (chunk+1)*cap_, 0))
 	if len(got) != len(ids) {
-		t.Errorf("chunk iter = %d nodes", len(got))
+		t.Errorf("chunk range = %d nodes", len(got))
 	}
 }
 
@@ -110,10 +112,12 @@ func TestRelItersAndRanges(t *testing.T) {
 	if len(mid) != 3 {
 		t.Errorf("rel range = %d, want 3", len(mid))
 	}
-	it3 := tx.NewRelChunkIter(rels[0]/e.Rels().ChunkCap(), 0)
+	cap_ := e.Rels().ChunkCap()
+	chunk := rels[0] / cap_
+	it3 := tx.NewRelRangeIter(chunk*cap_, (chunk+1)*cap_, 0)
 	all := drainRels(t, it3.Next, it3.Rel)
 	if len(all) != 9 {
-		t.Errorf("rel chunk iter = %d", len(all))
+		t.Errorf("rel chunk range = %d", len(all))
 	}
 	// Adjacency iterators.
 	snap, _ := tx.GetNode(ids[4])

@@ -40,6 +40,29 @@ func (e *Engine) mutantUnbracketedRead(id uint64) uint64 {
 	return rec.Bts
 }
 
+// mutantChainReadBelowBracket brackets the record read the way readNode
+// does but walks the property chain after the bracket closed, through the
+// buffer-appending reader: a commit may by then have freed and recycled
+// the chain, and nothing re-checks. seqlock must flag the chain read.
+func (e *Engine) mutantChainReadBelowBracket(id uint64, buf []storage.Prop) []storage.Prop {
+	off, ok := e.nodes.RecordOffset(id)
+	if !ok {
+		return nil
+	}
+	var rec storage.NodeRec
+	for {
+		bts1 := e.dev.ReadU64(off + storage.NBts)
+		ets1 := e.dev.ReadU64(off + storage.NEts)
+		rec = storage.ReadNodeRec(e.dev, off)
+		if e.dev.ReadU64(off+storage.NTxnID) == 0 &&
+			e.dev.ReadU64(off+storage.NBts) == bts1 && e.dev.ReadU64(off+storage.NEts) == ets1 {
+			break
+		}
+	}
+	props, _ := storage.ReadPropChainInto(e.props, rec.Props, buf, maxPropWalk)
+	return props
+}
+
 // mutantLeakedSpan returns on the error path without ending the span it
 // started, so the span never exports and later children mis-parent.
 // lifecycle must flag the creation.

@@ -1,0 +1,584 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"poseidon/internal/pmem"
+	"poseidon/internal/storage"
+)
+
+// Label-first reads: what a read touches on the device, what a snapshot
+// owns, and the protocol behaviour that must not have moved.
+
+// countEngine is a single-shard PMem engine whose device counts cache
+// probes (any nonzero latency turns the probe accounting on) without
+// spending real time on them.
+func countEngine(t *testing.T) *Engine {
+	t.Helper()
+	e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1, Profile: &pmem.Profile{ReadMiss: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// mixedGraph commits 48 nodes — label A with 2 properties (one chain
+// record), B with 4 (two), C with 7 (three), interleaved — and 12
+// relationships out of node 0, alternately x (1 property) and y (4).
+func mixedGraph(t *testing.T, e *Engine) (nodes, rels []uint64) {
+	t.Helper()
+	tx := e.Begin()
+	for i := 0; i < 48; i++ {
+		label, n := "A", 2
+		switch i % 3 {
+		case 1:
+			label, n = "B", 4
+		case 2:
+			label, n = "C", 7
+		}
+		props := map[string]any{}
+		for k := 0; k < n; k++ {
+			props[fmt.Sprintf("p%d", k)] = int64(100*i + k)
+		}
+		nodes = append(nodes, mustCreateNode(t, tx, label, props))
+	}
+	for i := 1; i <= 12; i++ {
+		label, props := "x", map[string]any{"w": int64(i)}
+		if i%2 == 1 {
+			label, props = "y", map[string]any{"w": int64(i), "a": int64(1), "b": int64(2), "c": int64(3)}
+		}
+		r, err := tx.CreateRel(nodes[0], nodes[i], label, props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, r)
+	}
+	mustCommit(t, tx)
+	return nodes, rels
+}
+
+// coldDelta runs fn against a cold simulated cache and returns what it
+// cost on the device.
+func coldDelta(e *Engine, fn func()) pmem.StatsSnapshot {
+	e.dev.DropCache()
+	before := e.dev.Stats.Snapshot()
+	fn()
+	return e.dev.Stats.Snapshot().Sub(before)
+}
+
+// lineSet collects the cache lines a read is expected to probe.
+type lineSet map[uint64]bool
+
+func (s lineSet) add(offs ...uint64) {
+	for _, off := range offs {
+		s[off/pmem.LineSize] = true
+	}
+}
+
+// chainLines adds the line each record of a property chain is probed at.
+func chainLines(e *Engine, s lineSet, head uint64) {
+	for id := head; id != storage.NilID; {
+		off, _ := e.props.RecordOffset(id)
+		s.add(off)
+		id = e.dev.ReadU64(off + storage.PNext)
+	}
+}
+
+func labelCode(t *testing.T, e *Engine, name string) uint32 {
+	t.Helper()
+	code, ok := e.dict.Lookup(name)
+	if !ok {
+		t.Fatalf("label %q not in the dictionary", name)
+	}
+	return uint32(code)
+}
+
+// TestLabelScanTouchesOnlyMatchingChains: a label scan probes the
+// occupancy bitmap, the three header words of every node record, and the
+// property records of the matching nodes — not one line of a chain whose
+// owner it rejects. Filter-after-read walked all 48 chains.
+func TestLabelScanTouchesOnlyMatchingChains(t *testing.T) {
+	e := countEngine(t)
+	nodes, _ := mixedGraph(t, e)
+	tx := e.Begin()
+	defer tx.Abort()
+
+	for _, tc := range []struct {
+		label   string
+		matches int
+	}{{"A", 16}, {"B", 16}, {"C", 16}} {
+		want := lineSet{}
+		for id := uint64(0); id < e.nodes.MaxID(); id += 64 {
+			off, _ := e.nodes.BitmapWordOff(id)
+			want.add(off)
+		}
+		code := labelCode(t, e, tc.label)
+		for _, id := range nodes {
+			off, _ := e.nodes.RecordOffset(id)
+			want.add(off, off+storage.NBts, off+storage.NEts)
+			if rec := storage.ReadNodeRec(e.dev, off); rec.Label == code {
+				chainLines(e, want, rec.Props)
+			}
+		}
+		got := 0
+		d := coldDelta(e, func() {
+			it := tx.NewNodeIter(code)
+			for {
+				ok, err := it.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
+				got++
+			}
+		})
+		if got != tc.matches {
+			t.Errorf("label %s: %d nodes, want %d", tc.label, got, tc.matches)
+		}
+		if d.CacheMisses != uint64(len(want)) {
+			t.Errorf("label %s scan: %d cold misses, want %d (bitmap + node headers + matching chains only)",
+				tc.label, d.CacheMisses, len(want))
+		}
+	}
+
+	// The same through an adjacency walk: the 12 list records are all
+	// probed (the list runs through them), the chains of the 6 x only.
+	n0, err := tx.GetNode(nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := labelCode(t, e, "x")
+	d := coldDelta(e, func() {
+		it := tx.NewOutRelIter(n0, x)
+		for n := 0; ; n++ {
+			ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if n != 6 {
+					t.Errorf("x out-rels = %d, want 6", n)
+				}
+				return
+			}
+		}
+	})
+	// Per list record 15 words in 8 probes (occupancy word; Bts, Ets, the
+	// 9-word record over two lines, then TxnID, Bts, Ets again); the 12
+	// records span 14 lines beside the bitmap's one; 6 one-record chains.
+	// Filter-after-read also walked the 6 two-record chains of the y.
+	if want := (pmem.StatsSnapshot{Reads: 12*15 + 6*8, CacheHits: 12*8 - 15, CacheMisses: 15 + 6}); d != want {
+		t.Errorf("label-x expansion: %+v, want %+v", d, want)
+	}
+}
+
+// TestUnfilteredReadsTouchWhatTheyDid pins the device cost of reads that
+// carry no label — a label-0 scan, the callback scan, point GetNode and
+// GetRel — at the numbers measured before reads went label-first: the
+// pushed-down test must change nothing for them.
+func TestUnfilteredReadsTouchWhatTheyDid(t *testing.T) {
+	e := countEngine(t)
+	nodes, rels := mixedGraph(t, e)
+	tx := e.Begin()
+	defer tx.Abort()
+
+	// 19 occupancy words (3 lines) walk the chunk; each node costs 13 words
+	// in 7 probes (occupancy word; Bts, Ets, the 7-word record, then TxnID,
+	// Bts, Ets again), the 48 records spanning 42 lines; 16×(1+2+3) chain
+	// records of 8 words, one probe and one line each.
+	scan := pmem.StatsSnapshot{Reads: 19 + 48*13 + 96*8, CacheHits: 19 + 48*7 - 3 - 42, CacheMisses: 3 + 42 + 96}
+	if d := coldDelta(e, func() {
+		it := tx.NewNodeIter(0)
+		for {
+			if ok, err := it.Next(); !ok || err != nil {
+				return
+			}
+		}
+	}); d != scan {
+		t.Errorf("label-0 NodeIter: %+v, want %+v", d, scan)
+	}
+	if d := coldDelta(e, func() {
+		_ = tx.ScanNodes(func(NodeSnap) bool { return true })
+	}); d != scan {
+		t.Errorf("ScanNodes: %+v, want %+v", d, scan)
+	}
+
+	// One C node, whose record straddles two lines: the bitmap line, the
+	// record's two, three chain records.
+	if d, want := coldDelta(e, func() {
+		if _, err := tx.GetNode(nodes[2]); err != nil {
+			t.Fatal(err)
+		}
+	}), (pmem.StatsSnapshot{Reads: 13 + 3*8, CacheHits: 7 - 3, CacheMisses: 3 + 3}); d != want {
+		t.Errorf("GetNode: %+v, want %+v", d, want)
+	}
+	// One y relationship: 15 words in 8 probes, two chain records.
+	if d, want := coldDelta(e, func() {
+		if _, err := tx.GetRel(rels[0]); err != nil {
+			t.Fatal(err)
+		}
+	}), (pmem.StatsSnapshot{Reads: 15 + 2*8, CacheHits: 8 - 3, CacheMisses: 3 + 2}); d != want {
+		t.Errorf("GetRel: %+v, want %+v", d, want)
+	}
+}
+
+// TestSnapshotsOutliveTheirWalker keeps every snapshot of a scan that
+// runs through several slabs, lets the same iterator scan again, and only
+// then reads them: each must still hold exactly what a fresh point read
+// returns, and appending to one's Props must not reach its slab
+// neighbour.
+func TestSnapshotsOutliveTheirWalker(t *testing.T) {
+	e := newTestEngine(t, DRAM)
+	const n = 700 // × 5 properties: seven 512-property slabs' worth
+	tx := e.Begin()
+	for i := 0; i < n; i++ {
+		props := map[string]any{}
+		for k := 0; k < 5; k++ {
+			props[fmt.Sprintf("p%d", k)] = int64(10*i + k)
+		}
+		mustCreateNode(t, tx, "K", props)
+		mustCreateNode(t, tx, "Other", map[string]any{"z": int64(i)})
+	}
+	mustCommit(t, tx)
+
+	rd := e.Begin()
+	defer rd.Abort()
+	var it NodeIter
+	var kept []NodeSnap
+	for pass := 0; pass < 2; pass++ {
+		it.Reset(rd, 0, ^uint64(0), labelCode(t, e, "K"))
+		for {
+			ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if pass == 0 {
+				kept = append(kept, it.Node())
+			}
+		}
+	}
+	if len(kept) != n {
+		t.Fatalf("kept %d snapshots, want %d", len(kept), n)
+	}
+	for i, s := range kept {
+		if i+1 < len(kept) {
+			_ = append(s.Props(), storage.Prop{Key: 999999})
+		}
+		fresh, err := rd.GetNode(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Props(), fresh.Props()) || len(s.Props()) != 5 {
+			t.Fatalf("snapshot %d of node %d holds %v, a fresh read %v", i, s.ID, s.Props(), fresh.Props())
+		}
+		for _, p := range fresh.Props() {
+			if v, ok := s.Prop(p.Key); !ok || v != p.Val {
+				t.Fatalf("snapshot %d: Prop(%d) = %v, %v; want %v", i, p.Key, v, ok, p.Val)
+			}
+		}
+	}
+}
+
+// TestScanAbortsOnLockedSlotOfAnyLabel: a record the scan would drop for
+// its label was still read, so finding it write-locked still aborts.
+func TestScanAbortsOnLockedSlotOfAnyLabel(t *testing.T) {
+	bothModes(t, func(t *testing.T, e *Engine) {
+		setup := e.Begin()
+		mustCreateNode(t, setup, "A", map[string]any{"v": int64(1)})
+		b := mustCreateNode(t, setup, "B", map[string]any{"v": int64(2)})
+		mustCommit(t, setup)
+
+		rd := e.Begin()
+		w := e.Begin()
+		defer w.Abort()
+		if err := w.SetNodeProps(b, map[string]any{"v": int64(3)}); err != nil {
+			t.Fatal(err)
+		}
+		it := rd.NewNodeIter(labelCode(t, e, "A"))
+		var err error
+		for ok := true; ok && err == nil; {
+			ok, err = it.Next()
+		}
+		if reason, ok := ReasonOf(err); !errors.Is(err, ErrAborted) || !ok || reason != AbortValidation {
+			t.Fatalf("label-A scan over a write-locked B node: err = %v, want an AbortValidation abort", err)
+		}
+	})
+}
+
+// TestLabelScanReadsTheVersionChain: a reader older than the PMem record
+// takes its version from the DRAM chain, under the same label test — the
+// matching scan returns the superseded property set, another label's scan
+// does not return the node at all.
+func TestLabelScanReadsTheVersionChain(t *testing.T) {
+	bothModes(t, func(t *testing.T, e *Engine) {
+		setup := e.Begin()
+		a := mustCreateNode(t, setup, "A", map[string]any{"v": int64(1)})
+		mustCreateNode(t, setup, "B", map[string]any{"v": int64(7)})
+		mustCommit(t, setup)
+
+		old := e.Begin()
+		defer old.Abort()
+		w := e.Begin()
+		if err := w.SetNodeProps(a, map[string]any{"v": int64(2)}); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, w)
+
+		vKey := labelCode(t, e, "v")
+		scan := func(tx *Tx, label string) map[uint64]int64 {
+			out := map[uint64]int64{}
+			it := tx.NewNodeIter(labelCode(t, e, label))
+			for {
+				ok, err := it.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return out
+				}
+				v, _ := it.Node().Prop(vKey)
+				out[it.Node().ID] = v.Int()
+			}
+		}
+		if got := scan(old, "A"); len(got) != 1 || got[a] != 1 {
+			t.Errorf("old reader's label-A scan = %v, want node %d with the superseded v=1", got, a)
+		}
+		if got := scan(old, "B"); len(got) != 1 || got[a] != 0 {
+			t.Errorf("old reader's label-B scan = %v, must not hold A node %d", got, a)
+		}
+		now := e.Begin()
+		defer now.Abort()
+		if got := scan(now, "A"); len(got) != 1 || got[a] != 2 {
+			t.Errorf("new reader's label-A scan = %v, want v=2", got)
+		}
+	})
+}
+
+// TestSnapshotOfOwnWriteSeesLaterSetProps: a snapshot of an object the
+// transaction itself wrote reads through the dirty version, so it follows
+// that transaction's later updates (CREATE … SET … RETURN in one
+// statement relies on it).
+func TestSnapshotOfOwnWriteSeesLaterSetProps(t *testing.T) {
+	e := newTestEngine(t, DRAM)
+	tx := e.Begin()
+	defer tx.Abort()
+	id := mustCreateNode(t, tx, "A", map[string]any{"v": int64(1)})
+	snap, err := tx.GetNode(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetNodeProps(id, map[string]any{"v": int64(2), "w": int64(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Prop(labelCode(t, e, "v")); !ok || v.Int() != 2 {
+		t.Errorf("snapshot taken before SetNodeProps reads v = %v, %v; want 2", v, ok)
+	}
+	if len(snap.Props()) != 2 {
+		t.Errorf("Props() = %v, want both properties", snap.Props())
+	}
+}
+
+// TestLabelReadersNeverSeeMixedVersions is the race stress of the
+// label-first read (it runs under the detector in CI's race job): label
+// scanners and labelled expanders run against writers that rewrite every
+// property of the matching objects in one transaction, while other
+// writers create and delete nodes and relationships of other labels, so
+// that freed chain records are recycled under the readers. Every version
+// ever committed has all its value properties equal; a snapshot that
+// shows two different values mixed two versions.
+func TestLabelReadersNeverSeeMixedVersions(t *testing.T) {
+	bothModes(t, func(t *testing.T, e *Engine) {
+		const objects, rounds = 12, 120
+		vals := func(v int64) map[string]any {
+			return map[string]any{"a": v, "b": v, "c": v, "d": v, "e": v} // two chain records
+		}
+		setup := e.Begin()
+		hub := mustCreateNode(t, setup, "Hub", nil)
+		var ms, rs []uint64
+		for i := 0; i < objects; i++ {
+			m := mustCreateNode(t, setup, "M", vals(0))
+			mustCreateNode(t, setup, "N", vals(-1))
+			r, err := setup.CreateRel(hub, m, "m", vals(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := setup.CreateRel(hub, m, "n", vals(-1)); err != nil {
+				t.Fatal(err)
+			}
+			ms, rs = append(ms, m), append(rs, r)
+		}
+		mustCommit(t, setup)
+		mCode, relCode := labelCode(t, e, "M"), labelCode(t, e, "m")
+
+		// uniform reports the first mixed property set.
+		uniform := func(kind string, id uint64, label, want uint32, props []storage.Prop) error {
+			if label != want {
+				return fmt.Errorf("%s %d has label %d, the walker asked for %d", kind, id, label, want)
+			}
+			if len(props) != 5 {
+				return fmt.Errorf("%s %d: %d properties, want 5: %v", kind, id, len(props), props)
+			}
+			for _, p := range props[1:] {
+				if p.Val != props[0].Val {
+					return fmt.Errorf("%s %d mixes versions: %v", kind, id, props)
+				}
+			}
+			return nil
+		}
+
+		var stop atomic.Bool
+		var scans, walks, commits atomic.Int64
+		errCh := make(chan error, 16)
+		fail := func(err error) {
+			if err = ignorable(err); err != nil {
+				select {
+				case errCh <- err:
+				default:
+				}
+				stop.Store(true)
+			}
+		}
+		var writers, readers sync.WaitGroup
+		// Writers of the matching objects.
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				for i := 1; i <= rounds && !stop.Load(); i++ {
+					tx := e.Begin()
+					k := (i*2 + w) % objects
+					err := tx.SetNodeProps(ms[k], vals(int64(i)))
+					if err == nil {
+						err = tx.SetRelProps(rs[k], vals(int64(i)))
+					}
+					if err == nil {
+						err = tx.Commit()
+					}
+					if err != nil {
+						tx.Abort()
+						fail(err)
+						continue
+					}
+					commits.Add(1)
+				}
+			}(w)
+		}
+		// Churn of the other labels: each round's nodes and relationship
+		// die in the next, handing their chain records back.
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			var prev []uint64
+			for i := 0; i < rounds && !stop.Load(); i++ {
+				tx := e.Begin()
+				var fresh []uint64
+				var err error
+				for _, id := range prev {
+					if err == nil {
+						err = tx.DetachDeleteNode(id)
+					}
+				}
+				for k := 0; k < 2 && err == nil; k++ {
+					var id uint64
+					if id, err = tx.CreateNode("N", vals(-1)); err == nil {
+						fresh = append(fresh, id)
+					}
+				}
+				if err == nil {
+					_, err = tx.CreateRel(fresh[0], fresh[1], "n", vals(-1))
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					tx.Abort()
+					fail(err)
+					continue // prev stays for the next round
+				}
+				prev = fresh
+			}
+		}()
+		// Label scanners.
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				var it NodeIter
+				for !stop.Load() {
+					tx := e.Begin()
+					it.Reset(tx, 0, ^uint64(0), mCode)
+					n := 0
+					ok, err := it.Next()
+					for ; ok && err == nil; ok, err = it.Next() {
+						s := it.Node()
+						if err = uniform("node", s.ID, s.Rec.Label, mCode, s.Props()); err != nil {
+							break
+						}
+						n++
+					}
+					tx.Abort()
+					if err != nil {
+						fail(err)
+					} else if n != objects {
+						fail(fmt.Errorf("label-M scan returned %d nodes, want %d", n, objects))
+					} else {
+						scans.Add(1)
+					}
+				}
+			}()
+		}
+		// Labelled expanders.
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var it AdjIter
+			for !stop.Load() {
+				tx := e.Begin()
+				h, err := tx.GetNode(hub)
+				n := 0
+				if err == nil {
+					it.Reset(tx, h.Rec.Out, true, relCode)
+					var ok bool
+					for ok, err = it.Next(); ok && err == nil; ok, err = it.Next() {
+						r := it.Rel()
+						if err = uniform("relationship", r.ID, r.Rec.Label, relCode, r.Props()); err != nil {
+							break
+						}
+						n++
+					}
+				}
+				tx.Abort()
+				if err != nil {
+					fail(err)
+				} else if n != objects {
+					fail(fmt.Errorf("label-m expansion returned %d relationships, want %d", n, objects))
+				} else {
+					walks.Add(1)
+				}
+			}
+		}()
+		writers.Wait()
+		stop.Store(true)
+		readers.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if commits.Load() == 0 {
+			t.Fatal("no update ever committed")
+		}
+		t.Logf("%d updates committed under %d clean label scans and %d clean expansions",
+			commits.Load(), scans.Load(), walks.Load())
+	})
+}

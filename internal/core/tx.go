@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -204,56 +205,49 @@ func (tx *Tx) finish() {
 // --- snapshots (read views) ---
 
 // NodeSnap is a consistent read view of a node: either the PMem-resident
-// latest committed version or a DRAM version from the chain.
+// latest committed version, whose property set was captured inside the
+// read's seqlock bracket, or a DRAM version from the chain. A snapshot
+// stays valid for as long as it is held.
 type NodeSnap struct {
-	ID  uint64
-	Rec storage.NodeRec
+	ID    uint64
+	Rec   storage.NodeRec
+	props []storage.Prop // captured set of a PMem-resident version, capped
+	// ver is set for a DRAM version instead. A dirty version is read
+	// through it, so a snapshot of an object the transaction has written
+	// keeps seeing that transaction's later SetProps.
 	ver *version
-	e   *Engine
 }
 
 // Prop returns the value of the property with the given key code.
-func (s NodeSnap) Prop(key uint32) (storage.Value, bool) {
-	if s.ver != nil {
-		return propIn(s.ver.props, key)
-	}
-	return storage.PropValue(s.e.props, s.Rec.Props, key)
-}
+func (s NodeSnap) Prop(key uint32) (storage.Value, bool) { return propIn(s.Props(), key) }
 
-// Props materializes the node's full property set.
-//
-//poseidonlint:ignore seqlock Rec left readNode's validated bracket with its rts pinned; committed property chains are immutable and the pin blocks reclamation
+// Props returns the node's full property set. The elements are shared
+// with the snapshot and must not be modified; the slice is capped at its
+// length, so appending to it reallocates.
 func (s NodeSnap) Props() []storage.Prop {
 	if s.ver != nil {
-		return append([]storage.Prop(nil), s.ver.props...)
+		return slices.Clip(s.ver.props)
 	}
-	return storage.ReadPropChain(s.e.props, s.Rec.Props)
+	return s.props
 }
 
-// RelSnap is a consistent read view of a relationship.
+// RelSnap is a consistent read view of a relationship; see NodeSnap.
 type RelSnap struct {
-	ID  uint64
-	Rec storage.RelRec
-	ver *version
-	e   *Engine
+	ID    uint64
+	Rec   storage.RelRec
+	props []storage.Prop
+	ver   *version
 }
 
 // Prop returns the value of the property with the given key code.
-func (s RelSnap) Prop(key uint32) (storage.Value, bool) {
-	if s.ver != nil {
-		return propIn(s.ver.props, key)
-	}
-	return storage.PropValue(s.e.props, s.Rec.Props, key)
-}
+func (s RelSnap) Prop(key uint32) (storage.Value, bool) { return propIn(s.Props(), key) }
 
-// Props materializes the relationship's full property set.
-//
-//poseidonlint:ignore seqlock Rec left readRel's validated bracket with its rts pinned; committed property chains are immutable and the pin blocks reclamation
+// Props returns the relationship's full property set; see NodeSnap.Props.
 func (s RelSnap) Props() []storage.Prop {
 	if s.ver != nil {
-		return append([]storage.Prop(nil), s.ver.props...)
+		return slices.Clip(s.ver.props)
 	}
-	return storage.ReadPropChain(s.e.props, s.Rec.Props)
+	return s.props
 }
 
 func propIn(props []storage.Prop, key uint32) (storage.Value, bool) {
@@ -265,29 +259,50 @@ func propIn(props []storage.Prop, key uint32) (storage.Value, bool) {
 	return storage.Value{}, false
 }
 
+// errWrongLabel is readNode/readRel's answer for a visible object that
+// does not carry the label the walker asked for: the returned snapshot's
+// Rec is valid (adjacency walkers follow its list pointers), but its
+// property chain was not read. It never leaves the package.
+var errWrongLabel = errors.New("core: label mismatch")
+
+// pointPropBuf is the stack buffer of a point read; longer property sets
+// spill to the heap.
+const pointPropBuf = 16
+
 // GetNode returns the version of node id visible to the transaction
 // (§5.1 read protocol): the PMem record is consulted first; if its
 // validity window does not cover the transaction, the DRAM version chain
 // is searched. Reading an object write-locked by another transaction
 // aborts.
 func (tx *Tx) GetNode(id uint64) (NodeSnap, error) {
+	var buf [pointPropBuf]storage.Prop
+	snap, props, err := tx.readNode(id, 0, buf[:0])
+	if len(props) > 0 {
+		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
+	}
+	return snap, err
+}
+
+// readNode is the read protocol behind GetNode and every node walker.
+// label restricts it to nodes of that label code (0 = any); another
+// visible node is reported as errWrongLabel. A PMem-resident version's
+// property set is appended to dst and returned beside the snapshot: the
+// caller decides where it lives (GetNode copies out of a stack buffer,
+// walkers keep it in their slab) and stores it in the snapshot.
+func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, []storage.Prop, error) {
 	if err := tx.check(); err != nil {
-		return NodeSnap{}, err
+		return NodeSnap{}, nil, err
 	}
 	if d, ok := tx.dirty[objKey{kindNode, id}]; ok {
 		if d.isDelete {
-			return NodeSnap{}, ErrNotFound
+			return NodeSnap{}, nil, ErrNotFound
 		}
-		return NodeSnap{ID: id, Rec: *d.ver.node, ver: d.ver, e: tx.e}, nil
+		return nodeVersionSnap(id, d.ver, label)
 	}
-	return tx.readNode(id)
-}
-
-func (tx *Tx) readNode(id uint64) (NodeSnap, error) {
 	e := tx.e
 	off, ok := e.nodes.RecordOffset(id)
 	if !ok || !e.nodes.Occupied(id) {
-		return NodeSnap{}, ErrNotFound
+		return NodeSnap{}, nil, ErrNotFound
 	}
 	// Seqlock-style stable read. The record is multi-word, so a committer
 	// can rewrite it underneath us, and the lock word alone cannot detect
@@ -301,6 +316,12 @@ func (tx *Tx) readNode(id uint64) (NodeSnap, error) {
 	// could dereference recycled slots. Any free of this record's chain
 	// is part of a commit that also advances the record's Bts or Ets, so
 	// a stable bracket proves the captured props are the committed set.
+	//
+	// The label test sits inside the bracket too and skips nothing but the
+	// chain walk: a version the walker will drop needs no property set,
+	// but it was still read, so the lock checks and the rts bump apply to
+	// it whatever its label (a label taken from a torn record fails the
+	// re-check like any other field).
 	var rec storage.NodeRec
 	var props []storage.Prop
 	for attempt := 0; ; attempt++ {
@@ -308,11 +329,13 @@ func (tx *Tx) readNode(id uint64) (NodeSnap, error) {
 		ets1 := e.dev.ReadU64(off + storage.NEts)
 		rec = storage.ReadNodeRec(e.dev, off)
 		if rec.TxnID != 0 {
-			return NodeSnap{}, tx.fail(AbortValidation, "node %d is write-locked by txn %d", id, rec.TxnID)
+			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d is write-locked by txn %d", id, rec.TxnID)
 		}
 		propsOK := true
 		if rec.Bts != 0 && rec.Bts <= tx.id && tx.id < rec.Ets {
-			props, propsOK = storage.ReadPropChainN(e.props, rec.Props, maxPropWalk)
+			if label == 0 || rec.Label == label {
+				props, propsOK = storage.ReadPropChainInto(e.props, rec.Props, dst, maxPropWalk)
+			}
 			// Bump rts BEFORE re-reading the lock word. A writer CASes
 			// the lock and then reads rts, so either it observes our bump
 			// (and aborts if we are newer) or its lock lands first and
@@ -323,51 +346,68 @@ func (tx *Tx) readNode(id uint64) (NodeSnap, error) {
 			e.nodeRTSOf(id).bump(id, tx.id) // rts is updated only on latest-version reads
 		}
 		if e.dev.ReadU64(off+storage.NTxnID) != 0 {
-			return NodeSnap{}, tx.fail(AbortValidation, "node %d was locked during read", id)
+			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d was locked during read", id)
 		}
 		if propsOK && e.dev.ReadU64(off+storage.NBts) == bts1 && e.dev.ReadU64(off+storage.NEts) == ets1 &&
 			rec.Bts == bts1 && rec.Ets == ets1 {
 			break // no commit overlapped the read
 		}
 		if attempt >= 3 {
-			return NodeSnap{}, tx.fail(AbortValidation, "node %d kept being rewritten during read", id)
+			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d kept being rewritten during read", id)
 		}
 	}
 	if rec.Bts == 0 {
-		return NodeSnap{}, ErrNotFound
+		return NodeSnap{}, nil, ErrNotFound
 	}
 	if rec.Bts <= tx.id && tx.id < rec.Ets {
-		return NodeSnap{ID: id, Rec: rec, ver: &version{bts: rec.Bts, ets: rec.Ets, node: &rec, props: props}, e: e}, nil
+		if label != 0 && rec.Label != label {
+			return NodeSnap{ID: id, Rec: rec}, nil, errWrongLabel
+		}
+		return NodeSnap{ID: id, Rec: rec}, props, nil
 	}
 	if c := e.nodeChainsOf(id).get(id); c != nil {
 		v, steps := c.findVisible(tx.id)
 		e.tel.ChainWalk.Observe(steps)
 		if v != nil && !v.tombstone {
-			return NodeSnap{ID: id, Rec: *v.node, ver: v, e: e}, nil
+			return nodeVersionSnap(id, v, label)
 		}
 	}
-	return NodeSnap{}, ErrNotFound
+	return NodeSnap{}, nil, ErrNotFound
+}
+
+// nodeVersionSnap is the snapshot of DRAM version v under the label test.
+func nodeVersionSnap(id uint64, v *version, label uint32) (NodeSnap, []storage.Prop, error) {
+	if label != 0 && v.node.Label != label {
+		return NodeSnap{ID: id, Rec: *v.node}, nil, errWrongLabel
+	}
+	return NodeSnap{ID: id, Rec: *v.node, ver: v}, nil, nil
 }
 
 // GetRel returns the visible version of relationship id.
 func (tx *Tx) GetRel(id uint64) (RelSnap, error) {
+	var buf [pointPropBuf]storage.Prop
+	snap, props, err := tx.readRel(id, 0, buf[:0])
+	if len(props) > 0 {
+		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
+	}
+	return snap, err
+}
+
+// readRel is the relationship counterpart of readNode.
+func (tx *Tx) readRel(id uint64, label uint32, dst []storage.Prop) (RelSnap, []storage.Prop, error) {
 	if err := tx.check(); err != nil {
-		return RelSnap{}, err
+		return RelSnap{}, nil, err
 	}
 	if d, ok := tx.dirty[objKey{kindRel, id}]; ok {
 		if d.isDelete {
-			return RelSnap{}, ErrNotFound
+			return RelSnap{}, nil, ErrNotFound
 		}
-		return RelSnap{ID: id, Rec: *d.ver.rel, ver: d.ver, e: tx.e}, nil
+		return relVersionSnap(id, d.ver, label)
 	}
-	return tx.readRel(id)
-}
-
-func (tx *Tx) readRel(id uint64) (RelSnap, error) {
 	e := tx.e
 	off, ok := e.rels.RecordOffset(id)
 	if !ok || !e.rels.Occupied(id) {
-		return RelSnap{}, ErrNotFound
+		return RelSnap{}, nil, ErrNotFound
 	}
 	// Same seqlock-style stable read as readNode — see the comment there.
 	var rec storage.RelRec
@@ -377,38 +417,50 @@ func (tx *Tx) readRel(id uint64) (RelSnap, error) {
 		ets1 := e.dev.ReadU64(off + storage.REts)
 		rec = storage.ReadRelRec(e.dev, off)
 		if rec.TxnID != 0 {
-			return RelSnap{}, tx.fail(AbortValidation, "relationship %d is write-locked by txn %d", id, rec.TxnID)
+			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d is write-locked by txn %d", id, rec.TxnID)
 		}
 		propsOK := true
 		if rec.Bts != 0 && rec.Bts <= tx.id && tx.id < rec.Ets {
-			props, propsOK = storage.ReadPropChainN(e.props, rec.Props, maxPropWalk)
+			if label == 0 || rec.Label == label {
+				props, propsOK = storage.ReadPropChainInto(e.props, rec.Props, dst, maxPropWalk)
+			}
 			e.relRTSOf(id).bump(id, tx.id)
 		}
 		if e.dev.ReadU64(off+storage.RTxnID) != 0 {
-			return RelSnap{}, tx.fail(AbortValidation, "relationship %d was locked during read", id)
+			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d was locked during read", id)
 		}
 		if propsOK && e.dev.ReadU64(off+storage.RBts) == bts1 && e.dev.ReadU64(off+storage.REts) == ets1 &&
 			rec.Bts == bts1 && rec.Ets == ets1 {
 			break
 		}
 		if attempt >= 3 {
-			return RelSnap{}, tx.fail(AbortValidation, "relationship %d kept being rewritten during read", id)
+			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d kept being rewritten during read", id)
 		}
 	}
 	if rec.Bts == 0 {
-		return RelSnap{}, ErrNotFound
+		return RelSnap{}, nil, ErrNotFound
 	}
 	if rec.Bts <= tx.id && tx.id < rec.Ets {
-		return RelSnap{ID: id, Rec: rec, ver: &version{bts: rec.Bts, ets: rec.Ets, rel: &rec, props: props}, e: e}, nil
+		if label != 0 && rec.Label != label {
+			return RelSnap{ID: id, Rec: rec}, nil, errWrongLabel
+		}
+		return RelSnap{ID: id, Rec: rec}, props, nil
 	}
 	if c := e.relChainsOf(id).get(id); c != nil {
 		v, steps := c.findVisible(tx.id)
 		e.tel.ChainWalk.Observe(steps)
 		if v != nil && !v.tombstone {
-			return RelSnap{ID: id, Rec: *v.rel, ver: v, e: e}, nil
+			return relVersionSnap(id, v, label)
 		}
 	}
-	return RelSnap{}, ErrNotFound
+	return RelSnap{}, nil, ErrNotFound
+}
+
+func relVersionSnap(id uint64, v *version, label uint32) (RelSnap, []storage.Prop, error) {
+	if label != 0 && v.rel.Label != label {
+		return RelSnap{ID: id, Rec: *v.rel}, nil, errWrongLabel
+	}
+	return RelSnap{ID: id, Rec: *v.rel, ver: v}, nil, nil
 }
 
 // mustAbort rolls the transaction back after a protocol violation so the
@@ -422,55 +474,26 @@ func (tx *Tx) mustAbort() {
 // OutRels visits every visible outgoing relationship of the node snap,
 // following the offset-linked relationship list directly in (P)Mem (DD4).
 func (tx *Tx) OutRels(n NodeSnap, fn func(RelSnap) bool) error {
-	if err := tx.check(); err != nil {
-		return err
-	}
-	for rid := n.Rec.Out; rid != storage.NilID; {
-		r, err := tx.GetRel(rid)
-		if err == ErrNotFound {
-			// Invisible to us: follow the committed chain structure.
-			next, ok := tx.rawRelNext(rid, true)
-			if !ok {
-				return nil
-			}
-			rid = next
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if !fn(r) {
-			return nil
-		}
-		rid = r.Rec.NextSrc
-	}
-	return nil
+	return tx.adjRels(n.Rec.Out, true, fn)
 }
 
 // InRels visits every visible incoming relationship of the node snap.
 func (tx *Tx) InRels(n NodeSnap, fn func(RelSnap) bool) error {
+	return tx.adjRels(n.Rec.In, false, fn)
+}
+
+func (tx *Tx) adjRels(head uint64, out bool, fn func(RelSnap) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	for rid := n.Rec.In; rid != storage.NilID; {
-		r, err := tx.GetRel(rid)
-		if err == ErrNotFound {
-			next, ok := tx.rawRelNext(rid, false)
-			if !ok {
-				return nil
-			}
-			rid = next
-			continue
-		}
-		if err != nil {
+	var it AdjIter
+	it.Reset(tx, head, out, 0)
+	for {
+		ok, err := it.Next()
+		if !ok || err != nil || !fn(it.Rel()) {
 			return err
 		}
-		if !fn(r) {
-			return nil
-		}
-		rid = r.Rec.NextDst
 	}
-	return nil
 }
 
 // rawRelNext reads the chain pointer of a relationship record regardless
@@ -501,37 +524,13 @@ func (tx *Tx) ScanNodes(fn func(NodeSnap) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	n := tx.e.nodes.Chunks()
-	for ci := uint64(0); ci < n; ci++ {
-		cont, err := tx.ScanNodeChunk(ci, fn)
-		if err != nil || !cont {
+	it := tx.NewNodeIter(0)
+	for {
+		ok, err := it.Next()
+		if !ok || err != nil || !fn(it.Node()) {
 			return err
 		}
 	}
-	return nil
-}
-
-// ScanNodeChunk visits the visible nodes of one chunk — a morsel in the
-// §6.1 parallel-scan sense. It reports whether scanning should continue.
-func (tx *Tx) ScanNodeChunk(ci uint64, fn func(NodeSnap) bool) (bool, error) {
-	if err := tx.check(); err != nil {
-		return false, err
-	}
-	var abortErr error
-	cont := true
-	tx.e.nodes.ScanChunk(ci, func(id, _ uint64) bool {
-		snap, err := tx.GetNode(id)
-		if err == ErrNotFound {
-			return true
-		}
-		if err != nil {
-			abortErr = err
-			return false
-		}
-		cont = fn(snap)
-		return cont
-	})
-	return cont, abortErr
 }
 
 // ScanRels visits every relationship visible to the transaction.
@@ -539,36 +538,13 @@ func (tx *Tx) ScanRels(fn func(RelSnap) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	n := tx.e.rels.Chunks()
-	for ci := uint64(0); ci < n; ci++ {
-		cont, err := tx.ScanRelChunk(ci, fn)
-		if err != nil || !cont {
+	it := tx.NewRelIter(0)
+	for {
+		ok, err := it.Next()
+		if !ok || err != nil || !fn(it.Rel()) {
 			return err
 		}
 	}
-	return nil
-}
-
-// ScanRelChunk visits the visible relationships of one chunk.
-func (tx *Tx) ScanRelChunk(ci uint64, fn func(RelSnap) bool) (bool, error) {
-	if err := tx.check(); err != nil {
-		return false, err
-	}
-	var abortErr error
-	cont := true
-	tx.e.rels.ScanChunk(ci, func(id, _ uint64) bool {
-		snap, err := tx.GetRel(id)
-		if err == ErrNotFound {
-			return true
-		}
-		if err != nil {
-			abortErr = err
-			return false
-		}
-		cont = fn(snap)
-		return cont
-	})
-	return cont, abortErr
 }
 
 // --- writes ---

@@ -483,3 +483,45 @@ func TestJITOnPMemEngine(t *testing.T) {
 		t.Errorf("one-hop from 10 = %v, want [11 17]", pids)
 	}
 }
+
+// TestCreateSetReturnSeesOwnWrite pins a read-your-own-write the snapshot
+// representation must keep: the tuple column CREATE produced is a view of
+// the transaction's dirty version, so a SET later in the same statement
+// shows through it at RETURN — under the interpreter and the JIT alike.
+func TestCreateSetReturnSeesOwnWrite(t *testing.T) {
+	e, _ := buildGraph(t, core.DRAM)
+	j, _ := New(e)
+	plan := &query.Plan{Root: &query.Project{
+		Input: &query.SetProps{
+			Input: &query.CreateNode{Label: "Gadget", Props: []query.PropSpec{
+				{Key: "v", Val: &query.Const{Val: 1}}, {Key: "keep", Val: &query.Const{Val: 7}},
+			}},
+			Col:   0,
+			Props: []query.PropSpec{{Key: "v", Val: &query.Const{Val: 2}}, {Key: "w", Val: &query.Const{Val: 3}}},
+		},
+		Cols: []query.Expr{
+			&query.Prop{Col: 0, Key: "v"}, &query.Prop{Col: 0, Key: "w"}, &query.Prop{Col: 0, Key: "keep"},
+		},
+	}}
+	pr, err := query.Prepare(e, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(*core.Tx, func(query.Row) bool) error{
+		"interpreter": func(tx *core.Tx, emit func(query.Row) bool) error { return pr.Run(tx, nil, emit) },
+		"jit": func(tx *core.Tx, emit func(query.Row) bool) error {
+			_, err := j.Run(tx, plan, nil, emit)
+			return err
+		},
+	} {
+		tx := e.Begin()
+		var rows []query.Row
+		if err := run(tx, func(r query.Row) bool { rows = append(rows, r); return true }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tx.Abort()
+		if len(rows) != 1 || rows[0][0].Int() != 2 || rows[0][1].Int() != 3 || rows[0][2].Int() != 7 {
+			t.Errorf("%s: CREATE … SET … RETURN = %v, want v=2 w=3 keep=7", name, rows)
+		}
+	}
+}

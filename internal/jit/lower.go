@@ -14,9 +14,13 @@ import (
 // generated "code" is a flat array of step closures per basic block, each
 // specialized at link time with its operand registers, resolved
 // dictionary codes and immediates. Executing a pipeline costs one
-// indirect call per step and one per block transfer, with zero
-// allocations and no boxed tuples — in contrast to the AOT interpreter's
-// per-operator dynamic dispatch and per-tuple copies.
+// indirect call per step and one per block transfer and allocates nothing
+// per record it scans or expands: values live in registers, the iterators
+// of each pipeline position stay in the Exec from run to run, and the
+// property sets of their snapshots go to the iterators' slabs. The one
+// boxed tuple is the row handed to the sink at OpEmit — in contrast to
+// the AOT interpreter's per-operator dynamic dispatch and per-tuple
+// copies.
 
 // machine is the register file of a lowered pipeline.
 type machine struct {
@@ -376,77 +380,42 @@ func lowerInstr(in Instr) (stepFn, error) {
 			return true
 		}, nil
 
-	case OpIterNodesInit:
+	case OpIterNodesInit, OpIterChunkInit, OpIterRelsInit, OpIterRelChunkInit:
 		lc := &lazyCode{name: in.Sym}
+		chunked := in.Op == OpIterChunkInit || in.Op == OpIterRelChunkInit
+		rel := in.Op == OpIterRelsInit || in.Op == OpIterRelChunkInit
 		return func(m *machine) bool {
-			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
+			tbl := m.ctx.E.Nodes()
+			if rel {
+				tbl = m.ctx.E.Rels()
 			}
-			m.iters[dst] = m.ctx.Tx.NewNodeIter(code)
+			var from, to uint64 // an unknown label scans nothing
+			code, ok := lc.get(m.ctx.E)
+			if ok && chunked {
+				from, to = query.MorselRange(uint64(m.vals[a].Int()), tbl.ChunkCap())
+			} else if ok {
+				to = tbl.MaxID()
+			}
+			if rel {
+				iterAt[core.RelTableIter](m, dst).Reset(m.ctx.Tx, from, to, code)
+			} else {
+				iterAt[core.NodeIter](m, dst).Reset(m.ctx.Tx, from, to, code)
+			}
 			return true
 		}, nil
 
-	case OpIterRelsInit:
+	case OpIterOutRels, OpIterInRels:
 		lc := &lazyCode{name: in.Sym}
+		out := in.Op == OpIterOutRels
 		return func(m *machine) bool {
+			head := storage.NilID // an unknown label walks nothing
 			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
+			if ok && out {
+				head = m.nodes[a].Rec.Out
+			} else if ok {
+				head = m.nodes[a].Rec.In
 			}
-			m.iters[dst] = m.ctx.Tx.NewRelIter(code)
-			return true
-		}, nil
-
-	case OpIterChunkInit:
-		lc := &lazyCode{name: in.Sym}
-		return func(m *machine) bool {
-			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
-			}
-			from, to := query.MorselRange(uint64(m.vals[a].Int()), m.ctx.E.Nodes().ChunkCap())
-			m.iters[dst] = m.ctx.Tx.NewNodeRangeIter(from, to, code)
-			return true
-		}, nil
-
-	case OpIterRelChunkInit:
-		lc := &lazyCode{name: in.Sym}
-		return func(m *machine) bool {
-			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
-			}
-			from, to := query.MorselRange(uint64(m.vals[a].Int()), m.ctx.E.Rels().ChunkCap())
-			m.iters[dst] = m.ctx.Tx.NewRelRangeIter(from, to, code)
-			return true
-		}, nil
-
-	case OpIterOutRels:
-		lc := &lazyCode{name: in.Sym}
-		return func(m *machine) bool {
-			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
-			}
-			m.iters[dst] = m.ctx.Tx.NewOutRelIter(m.nodes[a], code)
-			return true
-		}, nil
-
-	case OpIterInRels:
-		lc := &lazyCode{name: in.Sym}
-		return func(m *machine) bool {
-			code, ok := lc.get(m.ctx.E)
-			if !ok {
-				m.iters[dst] = emptyIter{}
-				return true
-			}
-			m.iters[dst] = m.ctx.Tx.NewInRelIter(m.nodes[a], code)
+			iterAt[core.AdjIter](m, dst).Reset(m.ctx.Tx, head, out, code)
 			return true
 		}, nil
 
@@ -624,11 +593,17 @@ func (m *machine) pairProps(pairs []Pair) (map[string]any, bool) {
 	return props, true
 }
 
-type emptyIter struct{}
-
-func (emptyIter) Next() (bool, error) { return false, nil }
-func (emptyIter) Node() core.NodeSnap { return core.NodeSnap{} }
-func (emptyIter) Rel() core.RelSnap   { return core.RelSnap{} }
+// iterAt returns the iterator of type T held in iterator register r,
+// creating it at the position's first use. An Exec keeps it — and the
+// slab of property sets behind it — from one run (morsel) to the next.
+func iterAt[T any](m *machine, r Reg) *T {
+	it, ok := m.iters[r].(*T)
+	if !ok {
+		it = new(T)
+		m.iters[r] = it
+	}
+	return it
+}
 
 // Exec is a per-worker execution context reusing one machine across runs
 // (morsels).

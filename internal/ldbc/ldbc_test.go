@@ -322,3 +322,115 @@ func TestDiskWorkloadMirrorsEngine(t *testing.T) {
 		dtx.Commit()
 	}
 }
+
+// filterAfterRead rewrites a plan into the shape its Expands had before
+// relationship labels were pushed down into the adjacency read: walk the
+// whole list, then drop the other labels with a filter. It returns the
+// rewritten operator and its tuple width.
+func filterAfterRead(t *testing.T, op query.Op) (query.Op, int) {
+	t.Helper()
+	switch o := op.(type) {
+	case *query.NodeScan, *query.IndexScan:
+		return op, 1
+	case *query.Expand:
+		in, w := filterAfterRead(t, o.Input)
+		return &query.Filter{
+			Input: &query.Expand{Input: in, Col: o.Col, Dir: o.Dir},
+			Pred:  &query.HasLabel{Col: w, Label: o.RelLabel},
+		}, w + 1
+	}
+	var in query.Op
+	switch o := op.(type) {
+	case *query.Filter:
+		in = o.Input
+	case *query.GetNode:
+		in = o.Input
+	case *query.OrderBy:
+		in = o.Input
+	case *query.Project:
+		in = o.Input
+	default:
+		t.Fatalf("filterAfterRead: unexpected operator %T in an SR plan", op)
+	}
+	in, w := filterAfterRead(t, in)
+	if _, grows := op.(*query.GetNode); grows {
+		w++
+	}
+	out, err := query.CloneWithInput(op, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, w
+}
+
+// TestLabelFirstExpandsMatchFilterAfterRead: on every SR query — SR3
+// expands `knows` in Both directions — and under all four execution
+// modes, pushing the relationship label into the adjacency walk returns
+// the rows that walking every relationship and filtering afterwards does.
+func TestLabelFirstExpandsMatchFilterAfterRead(t *testing.T) {
+	ds := smallDataset(t)
+	e := loadedEngine(t, ds, core.DRAM)
+	j, err := jit.New(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := NewParamGen(ds, 17)
+	bothRows := 0 // SR3's, so the Both-direction case cannot pass empty
+	for _, q := range SRQueries() {
+		for _, useIndex := range []bool{false, true} {
+			plan, err := SRPlan(q, useIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refRoot, _ := filterAfterRead(t, plan.Root)
+			ref, err := query.Prepare(e, &query.Plan{Root: refRoot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := query.Prepare(e, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 3; trial++ {
+				params := pg.SRParams(q)
+				tx := e.Begin()
+				want, err := ref.Collect(tx, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if q.Num == 3 {
+					bothRows += len(want)
+				}
+				collect := func(run func(emit func(query.Row) bool) error) []query.Row {
+					var rows []query.Row
+					if err := run(func(r query.Row) bool { rows = append(rows, r); return true }); err != nil {
+						t.Fatal(err)
+					}
+					return rows
+				}
+				modes := map[string][]query.Row{
+					"interpret": collect(func(emit func(query.Row) bool) error { return pr.Run(tx, params, emit) }),
+					"parallel":  collect(func(emit func(query.Row) bool) error { return pr.RunParallel(tx, params, 3, emit) }),
+					"jit": collect(func(emit func(query.Row) bool) error {
+						_, err := j.Run(tx, plan, params, emit)
+						return err
+					}),
+					"adaptive": collect(func(emit func(query.Row) bool) error {
+						_, err := j.RunAdaptive(tx, plan, params, 3, emit)
+						return err
+					}),
+				}
+				tx.Abort()
+				for mode, got := range modes {
+					if !sameRowMultiset(got, want) {
+						t.Errorf("SR %s (index=%v) %s: %d rows, filter-after-read %d:\n got  %v\n want %v",
+							q.Name(), useIndex, mode, len(got), len(want), got, want)
+					}
+				}
+			}
+		}
+	}
+	if bothRows == 0 {
+		t.Error("no SR3 trial returned a row: the Both-direction expand went untested")
+	}
+}

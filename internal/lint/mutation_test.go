@@ -1,16 +1,29 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// seededMutants maps each function of internal/core/lintmutate.go to the
+// pass contracted to report it.
+var seededMutants = map[string]string{
+	"mutantDescendingLocks":       "lockorder",
+	"mutantUnbracketedRead":       "seqlock",
+	"mutantChainReadBelowBracket": "seqlock",
+	"mutantLeakedSpan":            "lifecycle",
+}
+
 // TestMutationCaught is the analyzer's own regression harness: the
 // module is re-loaded with the lintmutate build tag, which pulls in
-// internal/core/lintmutate.go — one seeded bug per race class. Each
-// mutant must be reported by its pass, in that file, and the rest of
-// the tree must stay clean (the tag adds bugs, it must not add noise).
+// internal/core/lintmutate.go — seeded bugs of each race class. Each
+// mutant must be reported by its pass, inside its own function, and the
+// rest of the tree must stay clean (the tag adds bugs, it must not add
+// noise).
 func TestMutationCaught(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -25,6 +38,22 @@ func TestMutationCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	const mutFile = "internal/core/lintmutate.go"
+	// Line ranges of the mutant functions, so that a finding is credited
+	// to the mutant it sits in: two mutants share the seqlock pass.
+	pfset := token.NewFileSet()
+	parsed, err := parser.ParseFile(pfset, filepath.Join(root, mutFile), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutantAt := func(line int) string {
+		for _, d := range parsed.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if ok && pfset.Position(fd.Pos()).Line <= line && line <= pfset.Position(fd.End()).Line {
+				return fd.Name.Name
+			}
+		}
+		return ""
+	}
 	caught := map[string]bool{}
 	for _, f := range findings {
 		rel, err := filepath.Rel(root, f.Pos.Filename)
@@ -32,11 +61,16 @@ func TestMutationCaught(t *testing.T) {
 			t.Errorf("finding outside the mutant file: %s", f)
 			continue
 		}
-		caught[f.Pass] = true
+		name := mutantAt(f.Pos.Line)
+		if seededMutants[name] != f.Pass {
+			t.Errorf("finding not owed by a seeded mutant: %s (in %q)", f, name)
+			continue
+		}
+		caught[name] = true
 	}
-	for _, pass := range []string{"lockorder", "seqlock", "lifecycle"} {
-		if !caught[pass] {
-			t.Errorf("seeded %s mutant in %s went unreported", pass, mutFile)
+	for name, pass := range seededMutants {
+		if !caught[name] {
+			t.Errorf("seeded %s mutant %s in %s went unreported", pass, name, mutFile)
 		}
 	}
 	// The untagged load must not see the mutants at all.

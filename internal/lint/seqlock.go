@@ -7,7 +7,8 @@ import (
 // seqlock: multi-word record memory (NodeRec/RelRec and property
 // chains) is read optimistically under the Bts/Ets seqlock protocol —
 // the PR 6 race fix. Every storage.ReadNodeRec / ReadRelRec /
-// ReadPropChain* call must be justified by one of:
+// ReadPropChain / ReadPropChainInto / PropValue call must be justified by
+// one of:
 //
 //   - a seqlock bracket: an enclosing retry loop that snapshots the
 //     record's Bts and Ets words before the read, re-reads both after,
@@ -18,10 +19,15 @@ import (
 //   - holding a shard commitMu (directly or via lockShards), which
 //     excludes all writers.
 //
-// Unbounded ReadPropChain inside an optimistic bracket is additionally
-// flagged: a torn chain head can send it chasing arbitrary garbage —
-// use ReadPropChainN, whose bound makes a torn read terminate and fail
-// the bracket re-check instead.
+// The unbounded chain walkers (ReadPropChain, PropValue) are additionally
+// flagged inside an optimistic bracket: a torn chain head can send them
+// chasing arbitrary garbage — use ReadPropChainInto, whose bound makes a
+// torn read terminate and fail the bracket re-check instead.
+//
+// Readers are matched by name, so a new storage function that loads
+// record or chain memory must be registered in recordReads, and a caller
+// must reach it lexically inside its bracket, not through a helper: the
+// pass cannot see a read it has no name for.
 var passSeqlock = &Pass{
 	Name:    "seqlock",
 	Doc:     "record reads need a Bts/Ets seqlock bracket, a TxnID CAS pin, or the shard commitMu",
@@ -44,8 +50,12 @@ var passSeqlock = &Pass{
 
 var recordReads = map[string]bool{
 	"ReadNodeRec": true, "ReadRelRec": true,
-	"ReadPropChain": true, "ReadPropChainN": true,
+	"ReadPropChain": true, "ReadPropChainInto": true, "PropValue": true,
 }
+
+// unboundedChainReads are the recordReads that follow a chain with no
+// bound on the records walked.
+var unboundedChainReads = map[string]bool{"ReadPropChain": true, "PropValue": true}
 
 // seqState is the must-state on a path: has a TxnID CAS been executed
 // on every path here, and which locks may/must be held.
@@ -198,8 +208,8 @@ func checkSeqlock(c *Context, fi FuncInfo) {
 						// Writers are excluded; any accessor is safe.
 					case !bracket:
 						c.Reportf(call.Pos(), "%s outside a seqlock bracket: wrap it in a Bts/Ets snapshot + TxnID re-check retry loop (see core.readNode), pin the record with a TxnID CAS, or hold the shard commitMu", name)
-					case name == "ReadPropChain":
-						c.Reportf(call.Pos(), "unbounded ReadPropChain inside an optimistic seqlock bracket can chase a torn chain; use ReadPropChainN so a torn read terminates and fails the re-check")
+					case unboundedChainReads[name]:
+						c.Reportf(call.Pos(), "unbounded %s inside an optimistic seqlock bracket can chase a torn chain; use ReadPropChainInto so a torn read terminates and fails the re-check", name)
 					}
 				}
 			}

@@ -45,6 +45,27 @@ func badUnboundedChain(dev *pmem.Device, tbl *storage.Table, off, head uint64) [
 	}
 }
 
+func badUnboundedLookup(dev *pmem.Device, tbl *storage.Table, off, head uint64) storage.Value {
+	for {
+		bts1 := dev.ReadU64(off + storage.NBts)
+		ets1 := dev.ReadU64(off + storage.NEts)
+		v, _ := storage.PropValue(tbl, head, 7) // want seqlock
+		if dev.ReadU64(off+storage.NTxnID) != 0 {
+			continue
+		}
+		if bts1 == dev.ReadU64(off+storage.NBts) && ets1 == dev.ReadU64(off+storage.NEts) {
+			return v
+		}
+	}
+}
+
+// The buffer-appending reader is a record read like the others: outside
+// a bracket it is flagged, whatever buffer it fills.
+func badChainIntoBuffer(tbl *storage.Table, head uint64, buf []storage.Prop) []storage.Prop {
+	props, _ := storage.ReadPropChainInto(tbl, head, buf, 64) // want seqlock
+	return props
+}
+
 func goodBracketed(dev *pmem.Device, off uint64) storage.NodeRec {
 	for {
 		bts1 := dev.ReadU64(off + storage.NBts)
@@ -63,7 +84,8 @@ func goodBoundedChain(dev *pmem.Device, tbl *storage.Table, off, head uint64) []
 	for {
 		bts1 := dev.ReadU64(off + storage.NBts)
 		ets1 := dev.ReadU64(off + storage.NEts)
-		props, ok := storage.ReadPropChainN(tbl, head, 64)
+		var buf [8]storage.Prop
+		props, ok := storage.ReadPropChainInto(tbl, head, buf[:0], 64)
 		if !ok || dev.ReadU64(off+storage.NTxnID) != 0 {
 			continue
 		}
@@ -79,6 +101,12 @@ func goodCASPinned(dev *pmem.Device, off, id uint64) (storage.NodeRec, bool) {
 	}
 	rec := storage.ReadNodeRec(dev, off)
 	return rec, true
+}
+
+func goodLookupUnderCommitLock(sh *shardS, tbl *storage.Table, head uint64) (storage.Value, bool) {
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	return storage.PropValue(tbl, head, 7)
 }
 
 func goodUnderCommitLock(sh *shardS, off uint64) storage.RelRec {

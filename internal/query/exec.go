@@ -247,62 +247,60 @@ func buildOp(op Op, ctx *Ctx, out Sink) (func() error, error) {
 // --- access paths ---
 
 func buildNodeScan(o *NodeScan, ctx *Ctx, out Sink) (func() error, error) {
-	ref := &codeRef{name: o.Label}
+	return buildScan(o.Label, false, nil, ctx, out)
+}
+
+func buildRelScan(o *RelScan, ctx *Ctx, out Sink) (func() error, error) {
+	return buildScan(o.Label, true, nil, ctx, out)
+}
+
+// buildScan links a table scan — nodes, or relationships if rel — over the
+// whole table or, with morsel set, over the morsel a worker has stored
+// there before the run. The label goes down into the iterator, which the
+// driver keeps from run to run.
+func buildScan(label string, rel bool, morsel *uint64, ctx *Ctx, out Sink) (func() error, error) {
+	ref := &codeRef{name: label}
+	tbl := ctx.E.Nodes()
+	if rel {
+		tbl = ctx.E.Rels()
+	}
+	var nodes core.NodeIter
+	var rels core.RelTableIter
 	return func() error {
-		var labelCode uint64
-		if o.Label != "" {
+		var labelCode uint32
+		if label != "" {
 			code, ok := ref.get(ctx.E)
 			if !ok {
 				return nil // label never seen: empty result
 			}
-			labelCode = code
+			labelCode = uint32(code)
 		}
-		var sinkErr error
-		err := ctx.Tx.ScanNodes(func(n core.NodeSnap) bool {
-			if labelCode != 0 && uint64(n.Rec.Label) != labelCode {
-				return true
-			}
-			cont, err := out(Tuple{{Kind: DNode, Node: n}})
-			if err != nil {
-				sinkErr = err
-				return false
-			}
-			return cont
-		})
-		if err != nil {
-			return err
+		from, to := uint64(0), tbl.MaxID()
+		if morsel != nil {
+			from, to = MorselRange(*morsel, tbl.ChunkCap())
 		}
-		return sinkErr
-	}, nil
-}
-
-func buildRelScan(o *RelScan, ctx *Ctx, out Sink) (func() error, error) {
-	ref := &codeRef{name: o.Label}
-	return func() error {
-		var labelCode uint64
-		if o.Label != "" {
-			code, ok := ref.get(ctx.E)
-			if !ok {
-				return nil
+		if rel {
+			rels.Reset(ctx.Tx, from, to, labelCode)
+			for {
+				ok, err := rels.Next()
+				if !ok || err != nil {
+					return err
+				}
+				if cont, err := out(Tuple{{Kind: DRel, Rel: rels.Rel()}}); !cont || err != nil {
+					return err
+				}
 			}
-			labelCode = code
 		}
-		var sinkErr error
-		err := ctx.Tx.ScanRels(func(r core.RelSnap) bool {
-			if labelCode != 0 && uint64(r.Rec.Label) != labelCode {
-				return true
+		nodes.Reset(ctx.Tx, from, to, labelCode)
+		for {
+			ok, err := nodes.Next()
+			if !ok || err != nil {
+				return err
 			}
-			cont, err := out(Tuple{{Kind: DRel, Rel: r}})
-			if err != nil {
-				sinkErr = err
-				return false
+			if cont, err := out(Tuple{{Kind: DNode, Node: nodes.Node()}}); !cont || err != nil {
+				return err
 			}
-			return cont
-		})
-		if err != nil {
-			return err
 		}
-		return sinkErr
 	}, nil
 }
 
@@ -391,44 +389,47 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 
 func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 	ref := &codeRef{name: o.RelLabel}
-	own := func(t Tuple) (bool, error) {
-		if o.Col >= len(t) || t[o.Col].Kind != DNode {
-			return false, fmt.Errorf("%w: Expand column %d is not a node", ErrBadPlan, o.Col)
-		}
-		var labelCode uint64
-		if o.RelLabel != "" {
-			code, ok := ref.get(ctx.E)
-			if !ok {
-				return true, nil
-			}
-			labelCode = code
-		}
-		cont := true
-		var sinkErr error
-		visit := func(r core.RelSnap) bool {
-			if labelCode != 0 && uint64(r.Rec.Label) != labelCode {
-				return true
+	var it core.AdjIter
+	// walk extends t by each relationship of the adjacency list at head.
+	walk := func(t Tuple, head uint64, outgoing bool, labelCode uint32) (bool, error) {
+		it.Reset(ctx.Tx, head, outgoing, labelCode)
+		for {
+			ok, err := it.Next()
+			if !ok || err != nil {
+				return err == nil, err
 			}
 			// The interpreter copies the tuple at every operator boundary —
 			// the boxing overhead compiled code avoids.
 			nt := make(Tuple, len(t)+1)
 			copy(nt, t)
-			nt[len(t)] = Datum{Kind: DRel, Rel: r}
-			cont, sinkErr = out(nt)
-			return cont && sinkErr == nil
-		}
-		node := t[o.Col].Node
-		if o.Dir == Out || o.Dir == Both {
-			if err := ctx.Tx.OutRels(node, visit); err != nil {
-				return false, err
+			nt[len(t)] = Datum{Kind: DRel, Rel: it.Rel()}
+			if cont, err := out(nt); !cont || err != nil {
+				return cont, err
 			}
 		}
-		if sinkErr == nil && cont && (o.Dir == In || o.Dir == Both) {
-			if err := ctx.Tx.InRels(node, visit); err != nil {
-				return false, err
+	}
+	own := func(t Tuple) (bool, error) {
+		if o.Col >= len(t) || t[o.Col].Kind != DNode {
+			return false, fmt.Errorf("%w: Expand column %d is not a node", ErrBadPlan, o.Col)
+		}
+		var labelCode uint32
+		if o.RelLabel != "" {
+			code, ok := ref.get(ctx.E)
+			if !ok {
+				return true, nil
+			}
+			labelCode = uint32(code)
+		}
+		node := t[o.Col].Node.Rec
+		if o.Dir != In {
+			if cont, err := walk(t, node.Out, true, labelCode); !cont || err != nil {
+				return cont, err
 			}
 		}
-		return cont, sinkErr
+		if o.Dir != Out {
+			return walk(t, node.In, false, labelCode)
+		}
+		return true, nil
 	}
 	return buildOp(o.Input, ctx, own)
 }

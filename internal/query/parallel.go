@@ -207,49 +207,7 @@ func (o *tupleSource) sig(b *strings.Builder) { b.WriteString("tupleSource") }
 func (o *tupleSource) child() Op              { return nil }
 
 func buildChunkScan(o *chunkScan, ctx *Ctx, out Sink) (func() error, error) {
-	ref := &codeRef{name: o.label}
-	return func() error {
-		var labelCode uint32
-		if o.label != "" {
-			code, ok := ref.get(ctx.E)
-			if !ok {
-				return nil
-			}
-			labelCode = uint32(code)
-		}
-		if o.rel {
-			from, to := MorselRange(*o.chunk, ctx.E.Rels().ChunkCap())
-			it := ctx.Tx.NewRelRangeIter(from, to, labelCode)
-			for {
-				ok, err := it.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				cont, err := out(Tuple{{Kind: DRel, Rel: it.Rel()}})
-				if err != nil || !cont {
-					return err
-				}
-			}
-		}
-		from, to := MorselRange(*o.chunk, ctx.E.Nodes().ChunkCap())
-		it := ctx.Tx.NewNodeRangeIter(from, to, labelCode)
-		for {
-			ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			cont, err := out(Tuple{{Kind: DNode, Node: it.Node()}})
-			if err != nil || !cont {
-				return err
-			}
-		}
-	}, nil
+	return buildScan(o.label, o.rel, o.chunk, ctx, out)
 }
 
 func buildTupleSource(o *tupleSource, ctx *Ctx, out Sink) (func() error, error) {

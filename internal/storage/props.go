@@ -82,32 +82,32 @@ func (r *propRec) item(j int) (key uint32, typ ValueType, raw uint64) {
 	return uint32(kt), ValueType(kt >> 32), r[w+piVal/8]
 }
 
-// ReadPropChain decodes the property chain starting at record id head.
+// ReadPropChain decodes the property chain starting at record id head,
+// for callers that exclude the record's writers.
 func ReadPropChain(tbl *Table, head uint64) []Prop {
-	props, _ := ReadPropChainN(tbl, head, 0)
+	props, _ := ReadPropChainInto(tbl, head, nil, 0)
 	return props
 }
 
-// ReadPropChainN is ReadPropChain with a bound on the number of chain
-// records walked (0 = unbounded). Concurrent readers pass a bound so
-// that a torn walk over records being recycled underneath them cannot
-// follow a pointer cycle forever; ok=false reports that the bound was
-// hit, meaning the result must be discarded and the read revalidated.
-func ReadPropChainN(tbl *Table, head uint64, maxRecs int) ([]Prop, bool) {
-	if head == NilID {
-		return nil, true
-	}
-	var props []Prop
+// ReadPropChainInto appends the properties of the chain starting at head
+// to dst and returns the extended slice, so a reader that brings its own
+// buffer decodes without allocating. maxRecs bounds the number of chain
+// records walked (0 = unbounded): a concurrent reader's walk can be torn
+// by records being recycled underneath it, and must neither follow a
+// pointer cycle forever nor trust what it gathered. ok=false reports such
+// a walk — the bound was hit or a pointer led outside the table — whose
+// result must be discarded and the read revalidated.
+func ReadPropChainInto(tbl *Table, head uint64, dst []Prop, maxRecs int) ([]Prop, bool) {
 	var rec propRec
 	walked := 0
 	for id := head; id != NilID; id = rec.next() {
 		if maxRecs > 0 && walked >= maxRecs {
-			return props, false
+			return dst, false
 		}
 		walked++
 		off, ok := tbl.RecordOffset(id)
 		if !ok {
-			break
+			return dst, false
 		}
 		tbl.dev.ReadWords(off, rec[:])
 		for j := 0; j < PItemsMax; j++ {
@@ -115,10 +115,10 @@ func ReadPropChainN(tbl *Table, head uint64, maxRecs int) ([]Prop, bool) {
 			if key == 0 && typ == TypeNil {
 				continue
 			}
-			props = append(props, Prop{Key: key, Val: Value{Type: typ, Raw: raw}})
+			dst = append(dst, Prop{Key: key, Val: Value{Type: typ, Raw: raw}})
 		}
 	}
-	return props, true
+	return dst, true
 }
 
 // PropValue looks up a single key in the chain without materializing the

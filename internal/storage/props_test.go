@@ -129,12 +129,12 @@ func TestReadPropChainRecordGranular(t *testing.T) {
 		}
 
 		if recs > 1 {
-			part, ok := ReadPropChainN(tbl, head, int(recs)-1)
+			part, ok := ReadPropChainInto(tbl, head, nil, int(recs)-1)
 			if ok || !reflect.DeepEqual(part, props[:(recs-1)*PItemsMax]) {
 				t.Errorf("%d props, bound %d: ok=%v, got %+v", n, recs-1, ok, part)
 			}
 		}
-		if all, ok := ReadPropChainN(tbl, head, int(recs)); !ok || !reflect.DeepEqual(all, props) {
+		if all, ok := ReadPropChainInto(tbl, head, nil, int(recs)); !ok || !reflect.DeepEqual(all, props) {
 			t.Errorf("%d props, bound %d: ok=%v, got %+v", n, recs, ok, all)
 		}
 
@@ -147,6 +147,70 @@ func TestReadPropChainRecordGranular(t *testing.T) {
 		if probes := delta.CacheHits + delta.CacheMisses; n > 0 && probes != 1 {
 			t.Errorf("%d props: PropValue of the first item made %d probes, want 1", n, probes)
 		}
+	}
+}
+
+// TestReadPropChainIntoAppendsWithoutAllocating pins the contract the
+// MVTO read builds on: the chain lands behind whatever dst already
+// holds, inside dst's backing array while it fits (so a reader that
+// brings a buffer allocates nothing), and spills to a fresh array — the
+// old one untouched — once it does not.
+func TestReadPropChainIntoAppendsWithoutAllocating(t *testing.T) {
+	pool, _ := newTestPool(t, 16<<20)
+	tbl, _ := CreateTable(pool, PropRecordSize, Options{})
+	var props []Prop
+	for k := uint32(1); k <= 7; k++ { // 3 records
+		props = append(props, Prop{Key: k, Val: IntValue(int64(k))})
+	}
+	head := writeProps(t, pool, tbl, 9, props)
+
+	buf := make([]Prop, 2, 16)
+	buf[0], buf[1] = Prop{Key: 100}, Prop{Key: 101}
+	got, ok := ReadPropChainInto(tbl, head, buf, 8)
+	if !ok || len(got) != 9 || &got[0] != &buf[0] || !reflect.DeepEqual(got[2:], props) ||
+		got[0].Key != 100 || got[1].Key != 101 {
+		t.Fatalf("append into a roomy buffer: ok=%v, %+v", ok, got)
+	}
+	if n := testing.AllocsPerRun(50, func() { ReadPropChainInto(tbl, head, buf[:0], 8) }); n != 0 {
+		t.Errorf("reading 7 props into a 16-prop buffer allocated %.0f times, want 0", n)
+	}
+
+	tight := make([]Prop, 0, 4)
+	got, ok = ReadPropChainInto(tbl, head, tight, 8)
+	if !ok || !reflect.DeepEqual(got, props) || cap(got) == cap(tight) {
+		t.Errorf("spill past a 4-prop buffer: ok=%v cap=%d %+v", ok, cap(got), got)
+	}
+	if got, ok := ReadPropChainInto(tbl, NilID, tight, 8); !ok || len(got) != 0 {
+		t.Errorf("empty chain: ok=%v, %+v", ok, got)
+	}
+}
+
+// TestReadPropChainIntoTornPointer hand-corrupts a PNext to point outside
+// the table, the way a reader can see it while the record is recycled
+// under it: that is a torn walk (ok=false, revalidate), not end-of-chain
+// with a partial set the caller may trust.
+func TestReadPropChainIntoTornPointer(t *testing.T) {
+	pool, dev := newTestPool(t, 16<<20)
+	tbl, _ := CreateTable(pool, PropRecordSize, Options{})
+	var props []Prop
+	for k := uint32(1); k <= 5; k++ { // 2 records
+		props = append(props, Prop{Key: k, Val: IntValue(int64(k))})
+	}
+	head := writeProps(t, pool, tbl, 3, props)
+	off, _ := tbl.RecordOffset(head)
+	good := dev.ReadU64(off + PNext)
+	dev.WriteU64(off+PNext, tbl.MaxID()+12345) // not NilID, not a slot
+
+	got, ok := ReadPropChainInto(tbl, head, nil, 8)
+	if ok {
+		t.Errorf("chain pointer outside the table reported ok=true with %+v", got)
+	}
+	if !reflect.DeepEqual(got, props[:PItemsMax]) {
+		t.Errorf("partial walk = %+v, want the first record's items", got)
+	}
+	dev.WriteU64(off+PNext, good)
+	if got, ok := ReadPropChainInto(tbl, head, nil, 8); !ok || !reflect.DeepEqual(got, props) {
+		t.Errorf("restored chain: ok=%v, %+v", ok, got)
 	}
 }
 
