@@ -242,14 +242,14 @@ func BenchmarkScan100kStreamed(b *testing.B) {
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkPointLookup measures an indexed point lookup through the
-// public API on the PMem engine.
-func BenchmarkPointLookup(b *testing.B) {
+// pointLookupDB opens a PMem engine holding 10,000 indexed Person nodes
+// and returns it with the plan that looks one up by its number.
+func pointLookupDB(b *testing.B) (*DB, *query.Plan) {
 	db, err := Open(Config{Mode: PMem, PoolSize: 256 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
+	b.Cleanup(db.Close)
 	tx := db.Begin()
 	for i := 0; i < 10000; i++ {
 		if _, err := tx.CreateNode("Person", map[string]any{"num": int64(i)}); err != nil {
@@ -262,13 +262,45 @@ func BenchmarkPointLookup(b *testing.B) {
 	if err := db.CreateIndex("Person", "num", HybridIndex); err != nil {
 		b.Fatal(err)
 	}
-	plan := &query.Plan{Root: &query.Project{
+	return db, &query.Plan{Root: &query.Project{
 		Input: &query.IndexScan{Label: "Person", Key: "num", Value: &query.Param{Name: "n"}},
 		Cols:  []query.Expr{&query.IDOf{Col: 0}},
 	}}
+}
+
+// BenchmarkPointLookup measures an indexed point lookup through the
+// public API on the PMem engine.
+func BenchmarkPointLookup(b *testing.B) {
+	db, plan := pointLookupDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := db.Query(plan, query.Params{"n": int64(i % 10000)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 1 {
+			b.Fatalf("rows = %d", len(rows))
+		}
+	}
+}
+
+// BenchmarkSessionQueryAllPoint is the same lookup as a prepared
+// statement through Session.QueryAll: against BenchmarkPointLookup it
+// shows what the session's bookkeeping costs over the one-shot path,
+// without running the benchmark spine.
+func BenchmarkSessionQueryAllPoint(b *testing.B) {
+	db, plan := pointLookupDB(b)
+	stmt, err := db.PreparePlan(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := db.NewSession(SessionConfig{})
+	defer sess.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := sess.QueryAll(ctx, stmt, query.Params{"n": int64(i % 10000)})
 		if err != nil {
 			b.Fatal(err)
 		}

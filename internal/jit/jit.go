@@ -345,8 +345,9 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 	// static task function to the compiled function".
 	var compiledProg atomic.Pointer[Program]
 	compileDone := make(chan *Compiled, 1)
+	sig := plan.Signature()
 	j.mu.Lock()
-	pre := j.mem[plan.Signature()]
+	pre := j.mem[sig]
 	j.mu.Unlock()
 	if pre != nil {
 		compiledProg.Store(pre.Morsel)

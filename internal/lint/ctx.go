@@ -54,7 +54,6 @@ var passCtxThreading = &Pass{
 	},
 }
 
-
 // backgroundCtx matches context.Background()/context.TODO() via the
 // file's import of the "context" package (works with stub imports).
 func backgroundCtx(k *Kit, pkg *Package, call *ast.CallExpr) (string, bool) {

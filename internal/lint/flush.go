@@ -278,4 +278,3 @@ func litMayFlush(k *Kit, pkg *Package, lit *ast.FuncLit) bool {
 	})
 	return found
 }
-

@@ -9,6 +9,7 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Dir is a traversal direction.
@@ -61,9 +62,11 @@ type Op interface {
 	child() Op // nil for access paths
 }
 
-// Plan is a graph-algebra expression tree.
+// Plan is a graph-algebra expression tree, handled by pointer only and
+// immutable once its signature has been asked for.
 type Plan struct {
 	Root Op
+	sig  atomic.Pointer[string] // Signature, formatted once: every run asks
 }
 
 // Signature returns the query identifier used as the key of the
@@ -71,9 +74,14 @@ type Plan struct {
 // comprises the operators' identifiers"). Parameters contribute their
 // names, not their values, so one compilation serves all bindings.
 func (p *Plan) Signature() string {
+	if s := p.sig.Load(); s != nil {
+		return *s
+	}
 	var b strings.Builder
 	p.Root.sig(&b)
-	return b.String()
+	s := b.String()
+	p.sig.Store(&s)
+	return s
 }
 
 // HasUpdates reports whether the plan contains operators that modify the

@@ -15,10 +15,10 @@ type evalFn func(ctx *Ctx, t Tuple) (storage.Value, error)
 // predFn evaluates a boolean predicate.
 type predFn func(ctx *Ctx, t Tuple) (bool, error)
 
-func buildExpr(e Expr, eng *core.Engine) (evalFn, error) {
+func buildExpr(e Expr, c *Ctx) (evalFn, error) {
 	switch x := e.(type) {
 	case *Const:
-		v, err := eng.EncodeValue(x.Val)
+		v, err := c.E.EncodeValue(x.Val)
 		if err != nil {
 			return nil, err
 		}
@@ -35,7 +35,7 @@ func buildExpr(e Expr, eng *core.Engine) (evalFn, error) {
 		}, nil
 
 	case *Prop:
-		ref := &codeRef{name: x.Key}
+		ref := c.code(x.Key)
 		col := x.Col
 		return func(ctx *Ctx, t Tuple) (storage.Value, error) {
 			if col >= len(t) {
@@ -91,7 +91,7 @@ func buildExpr(e Expr, eng *core.Engine) (evalFn, error) {
 		}, nil
 
 	case *Cmp, *And, *Or, *Not, *HasLabel:
-		pred, err := buildPred(e, eng)
+		pred, err := buildPred(e, c)
 		if err != nil {
 			return nil, err
 		}
@@ -108,14 +108,14 @@ func buildExpr(e Expr, eng *core.Engine) (evalFn, error) {
 	}
 }
 
-func buildPred(e Expr, eng *core.Engine) (predFn, error) {
+func buildPred(e Expr, c *Ctx) (predFn, error) {
 	switch x := e.(type) {
 	case *Cmp:
-		l, err := buildExpr(x.L, eng)
+		l, err := buildExpr(x.L, c)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildExpr(x.R, eng)
+		r, err := buildExpr(x.R, c)
 		if err != nil {
 			return nil, err
 		}
@@ -133,11 +133,11 @@ func buildPred(e Expr, eng *core.Engine) (predFn, error) {
 		}, nil
 
 	case *And:
-		l, err := buildPred(x.L, eng)
+		l, err := buildPred(x.L, c)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildPred(x.R, eng)
+		r, err := buildPred(x.R, c)
 		if err != nil {
 			return nil, err
 		}
@@ -150,11 +150,11 @@ func buildPred(e Expr, eng *core.Engine) (predFn, error) {
 		}, nil
 
 	case *Or:
-		l, err := buildPred(x.L, eng)
+		l, err := buildPred(x.L, c)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildPred(x.R, eng)
+		r, err := buildPred(x.R, c)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func buildPred(e Expr, eng *core.Engine) (predFn, error) {
 		}, nil
 
 	case *Not:
-		inner, err := buildPred(x.X, eng)
+		inner, err := buildPred(x.X, c)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func buildPred(e Expr, eng *core.Engine) (predFn, error) {
 		}, nil
 
 	case *HasLabel:
-		ref := &codeRef{name: x.Label}
+		ref := c.code(x.Label)
 		col := x.Col
 		return func(ctx *Ctx, t Tuple) (bool, error) {
 			if col >= len(t) {
@@ -199,7 +199,7 @@ func buildPred(e Expr, eng *core.Engine) (predFn, error) {
 
 	default:
 		// A bare expression used as a predicate: truthiness of its value.
-		fn, err := buildExpr(e, eng)
+		fn, err := buildExpr(e, c)
 		if err != nil {
 			return nil, err
 		}

@@ -77,18 +77,35 @@ func (c *codeRef) get(e *core.Engine) (uint64, bool) {
 }
 
 // Prepared is a plan bound to an engine, ready for repeated execution.
+// It is immutable: goroutines sharing one run it without a lock.
 type Prepared struct {
 	E    *core.Engine
 	Plan *Plan
 	Sig  string
+	linked
 }
 
-// Prepare validates and binds a plan to an engine.
+// linked is what Prepare compiles once, so that a run links only its own
+// state: the evaluators of the operators' expressions, keyed by the plan's
+// expression nodes (the morsel and tail rewrites share them), and the
+// dictionary references of its label and key strings. It is a Prepared's,
+// never the plan's: codes are one engine's, a Plan may be prepared on many.
+type linked struct {
+	exprs map[Expr]evalFn
+	preds map[Expr]predFn
+	codes map[string]*codeRef
+}
+
+// Prepare validates a plan and binds it to an engine by linking the
+// cascade once against a recording Ctx. A build error is not reported
+// here: the run that reaches it fails as it always did.
 func Prepare(e *core.Engine, p *Plan) (*Prepared, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("%w: empty plan", ErrBadPlan)
 	}
-	return &Prepared{E: e, Plan: p, Sig: p.Signature()}, nil
+	l := linked{map[Expr]evalFn{}, map[Expr]predFn{}, map[string]*codeRef{}}
+	_, _ = buildOp(p.Root, &Ctx{E: e, linked: l, preparing: true}, nil)
+	return &Prepared{E: e, Plan: p, Sig: p.Signature(), linked: l}, nil
 }
 
 // Ctx is the per-execution state shared by all operators of a run.
@@ -100,6 +117,41 @@ type Ctx struct {
 	// entry points). Scans observe it through the transaction; operators
 	// that replay materialized tuples check it directly.
 	Context context.Context
+
+	// linked is the Prepared's; a Ctx built outside one (the JIT engine's)
+	// has none and compiles the expressions of what it links afresh.
+	linked
+	preparing bool // Prepare's own Ctx records what it builds
+}
+
+// expr and pred return the evaluator of an operator's expression or
+// predicate: the Prepared's, or one built now (Prepare's Ctx records it).
+func (c *Ctx) expr(e Expr) (evalFn, error) { return linkFn(c, c.exprs, e, buildExpr) }
+func (c *Ctx) pred(e Expr) (predFn, error) { return linkFn(c, c.preds, e, buildPred) }
+
+func linkFn[F any](c *Ctx, m map[Expr]F, e Expr, build func(Expr, *Ctx) (F, error)) (F, error) {
+	if fn, ok := m[e]; ok {
+		return fn, nil
+	}
+	fn, err := build(e, c)
+	if err == nil && c.preparing {
+		m[e] = fn
+	}
+	return fn, err
+}
+
+// code returns a label or key string's reference, resolved by Prepare
+// unless the dictionary does not hold the string yet.
+func (c *Ctx) code(name string) *codeRef {
+	ref, ok := c.codes[name]
+	if !ok {
+		ref = &codeRef{name: name}
+		if c.preparing {
+			ref.get(c.E)
+			c.codes[name] = ref
+		}
+	}
+	return ref
 }
 
 // err reports the run's cancellation state.
@@ -125,6 +177,7 @@ func BindParams(e *core.Engine, params Params) (map[string]storage.Value, error)
 
 // Run executes the plan in interpretation mode within tx, calling emit
 // for every result row until exhaustion or emit returns false.
+//
 //poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
 func (pr *Prepared) Run(tx *core.Tx, params Params, emit func(Row) bool) error {
 	return pr.RunCtx(context.Background(), tx, params, emit)
@@ -145,7 +198,7 @@ func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit
 	}
 	prev := tx.WithContext(ctx)
 	defer tx.WithContext(prev)
-	qctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: ctx}
+	qctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: ctx, linked: pr.linked}
 	terminal := func(t Tuple) (bool, error) {
 		if err := qctx.err(); err != nil {
 			return false, err
@@ -197,6 +250,7 @@ func tupleToRow(t Tuple) Row {
 
 // buildOp recursively links the operator cascade: each pipeline operator
 // wraps the downstream sink; access paths return the pipeline driver.
+// It creates only the state of one run; evaluators and codes come from ctx.
 func buildOp(op Op, ctx *Ctx, out Sink) (func() error, error) {
 	switch o := op.(type) {
 	case *NodeScan:
@@ -259,7 +313,7 @@ func buildRelScan(o *RelScan, ctx *Ctx, out Sink) (func() error, error) {
 // there before the run. The label goes down into the iterator, which the
 // driver keeps from run to run.
 func buildScan(label string, rel bool, morsel *uint64, ctx *Ctx, out Sink) (func() error, error) {
-	ref := &codeRef{name: label}
+	ref := ctx.code(label)
 	tbl := ctx.E.Nodes()
 	if rel {
 		tbl = ctx.E.Rels()
@@ -322,13 +376,22 @@ func buildNodeByID(o *NodeByID, ctx *Ctx, out Sink) (func() error, error) {
 	}, nil
 }
 
+// indexFor is Engine.IndexFor minus its two dictionary probes per call;
+// an unresolved code is 0, which no index has.
+func indexFor(e *core.Engine, label, key *codeRef) (*core.IndexRef, bool) {
+	lc, _ := label.get(e)
+	kc, _ := key.get(e)
+	return e.LookupIndex(uint32(lc), uint32(kc))
+}
+
 func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
-	val, err := buildExpr(o.Value, ctx.E)
+	val, err := ctx.expr(o.Value)
 	if err != nil {
 		return nil, err
 	}
+	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
 	return func() error {
-		tree, ok := ctx.E.IndexFor(o.Label, o.Key)
+		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
 			return fmt.Errorf("query: no index on (%s, %s)", o.Label, o.Key)
 		}
@@ -354,7 +417,7 @@ func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
-	evals, err := buildPropSpecs(o.Props, ctx.E)
+	evals, err := buildPropSpecs(o.Props, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +451,7 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 // --- pipeline operators ---
 
 func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
-	ref := &codeRef{name: o.RelLabel}
+	ref := ctx.code(o.RelLabel)
 	var it core.AdjIter
 	// walk extends t by each relationship of the adjacency list at head.
 	walk := func(t Tuple, head uint64, outgoing bool, labelCode uint32) (bool, error) {
@@ -472,12 +535,13 @@ func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
-	val, err := buildExpr(o.Value, ctx.E)
+	val, err := ctx.expr(o.Value)
 	if err != nil {
 		return nil, err
 	}
+	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
 	own := func(t Tuple) (bool, error) {
-		tree, ok := ctx.E.IndexFor(o.Label, o.Key)
+		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
 			return false, fmt.Errorf("query: no index on (%s, %s)", o.Label, o.Key)
 		}
@@ -504,7 +568,7 @@ func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildFilter(o *Filter, ctx *Ctx, out Sink) (func() error, error) {
-	pred, err := buildPred(o.Pred, ctx.E)
+	pred, err := ctx.pred(o.Pred)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +588,7 @@ func buildFilter(o *Filter, ctx *Ctx, out Sink) (func() error, error) {
 func buildProject(o *Project, ctx *Ctx, out Sink) (func() error, error) {
 	evals := make([]evalFn, len(o.Cols))
 	for i, c := range o.Cols {
-		fn, err := buildExpr(c, ctx.E)
+		fn, err := ctx.expr(c)
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +622,7 @@ func buildLimit(o *Limit, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
-	key, err := buildExpr(o.Key, ctx.E)
+	key, err := ctx.expr(o.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -608,7 +672,7 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildDistinct(o *Distinct, ctx *Ctx, out Sink) (func() error, error) {
-	key, err := buildExpr(o.Key, ctx.E)
+	key, err := ctx.expr(o.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -648,11 +712,11 @@ func buildCountAgg(o *CountAgg, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
-	lkey, err := buildExpr(o.LKey, ctx.E)
+	lkey, err := ctx.expr(o.LKey)
 	if err != nil {
 		return nil, err
 	}
-	rkey, err := buildExpr(o.RKey, ctx.E)
+	rkey, err := ctx.expr(o.RKey)
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +766,7 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 // --- update operators ---
 
 func buildCreateRel(o *CreateRel, ctx *Ctx, out Sink) (func() error, error) {
-	evals, err := buildPropSpecs(o.Props, ctx.E)
+	evals, err := buildPropSpecs(o.Props, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -732,7 +796,7 @@ func buildCreateRel(o *CreateRel, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildSetProps(o *SetProps, ctx *Ctx, out Sink) (func() error, error) {
-	evals, err := buildPropSpecs(o.Props, ctx.E)
+	evals, err := buildPropSpecs(o.Props, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -790,10 +854,10 @@ type propSpecEval struct {
 	fn  evalFn
 }
 
-func buildPropSpecs(specs []PropSpec, e *core.Engine) ([]propSpecEval, error) {
+func buildPropSpecs(specs []PropSpec, ctx *Ctx) ([]propSpecEval, error) {
 	out := make([]propSpecEval, len(specs))
 	for i, s := range specs {
-		fn, err := buildExpr(s.Val, e)
+		fn, err := ctx.expr(s.Val)
 		if err != nil {
 			return nil, err
 		}

@@ -389,7 +389,7 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 	}
 	prev := tx.WithContext(cctx)
 	defer tx.WithContext(prev)
-	ctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: cctx}
+	ctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: cctx, linked: pr.linked}
 
 	var nchunks uint64
 	if _, isRel := mp.Leaf.(*RelScan); isRel {

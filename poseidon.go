@@ -287,13 +287,15 @@ func (db *DB) QueryTxCtx(ctx context.Context, tx *Tx, plan *query.Plan, params q
 	if err != nil {
 		return nil, err
 	}
-	return db.collect(ctx, tx, stmt, params, mode)
+	return db.collect(ctx, tx, stmt, params, mode, db.workers)
 }
 
-// collect runs stmt in tx and materializes the decoded result.
-func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode) ([][]any, error) {
+// collect runs stmt in tx on the caller's goroutine and materializes the
+// decoded result: the path of every entry point that returns all rows at
+// once (the Query*/Cypher* one-shots and Session.QueryAll).
+func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int) ([][]any, error) {
 	var raw []query.Row
-	if err := stmt.run(ctx, tx, params, mode, db.workers, func(r query.Row) bool {
+	if err := stmt.run(ctx, tx, params, mode, workers, func(r query.Row) bool {
 		raw = append(raw, r)
 		return true
 	}); err != nil {
@@ -301,15 +303,23 @@ func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Para
 	}
 	out := make([][]any, len(raw))
 	for i, r := range raw {
-		row := make([]any, len(r))
-		for k, v := range r {
-			gv, err := db.engine.DecodeValue(v)
-			if err != nil {
-				return nil, err
-			}
-			row[k] = gv
+		var err error
+		if out[i], err = db.decodeRow(r); err != nil {
+			return nil, err
 		}
-		out[i] = row
+	}
+	return out, nil
+}
+
+// decodeRow decodes a raw result row to Go values.
+func (db *DB) decodeRow(r query.Row) ([]any, error) {
+	out := make([]any, len(r))
+	for i, v := range r {
+		gv, err := db.engine.DecodeValue(v)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = gv
 	}
 	return out, nil
 }
@@ -377,7 +387,7 @@ func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params
 		return nil, err
 	}
 	tx := db.engine.Begin()
-	rows, err := db.collect(ctx, tx, stmt, params, mode)
+	rows, err := db.collect(ctx, tx, stmt, params, mode, db.workers)
 	if err != nil {
 		tx.Abort()
 		return nil, err

@@ -66,7 +66,7 @@ func newRows(parent context.Context, db *DB, end func(),
 		done:   make(chan error, 1),
 	}
 	go func() {
-		batch := make([]query.Row, 0, rowsBatchSize)
+		var batch []query.Row // grown by append: most results never fill one
 		err := run(ctx, func(row query.Row) bool {
 			batch = append(batch, row)
 			if len(batch) < rowsBatchSize {
@@ -127,17 +127,7 @@ func (r *Rows) Next() bool {
 func (r *Rows) Row() query.Row { return r.cur }
 
 // Values decodes the current row to Go values.
-func (r *Rows) Values() ([]any, error) {
-	out := make([]any, len(r.cur))
-	for i, v := range r.cur {
-		gv, err := r.db.engine.DecodeValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = gv
-	}
-	return out, nil
-}
+func (r *Rows) Values() ([]any, error) { return r.db.decodeRow(r.cur) }
 
 // Scan decodes the current row into dest, which must contain one pointer
 // per column (*any, *int64, *string, *float64 or *bool).
@@ -205,7 +195,7 @@ func (r *Rows) Close() error {
 }
 
 // Collect exhausts the cursor, decoding every remaining row, and closes
-// it: the materialized convenience path.
+// it. (Session.QueryAll materializes without a cursor.)
 func (r *Rows) Collect() ([][]any, error) {
 	var out [][]any
 	for r.Next() {

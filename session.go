@@ -186,6 +186,30 @@ func (s *Session) LastProfile() *trace.Profile {
 	return trace.BuildProfile(s.lastTrace.Load())
 }
 
+// open starts the session's bookkeeping around one statement: its
+// deadline, its span with the core.begin child, and a tracked implicit
+// transaction. The returned end rolls the transaction back (a no-op once
+// it has committed) and closes the rest; refused, open leaves nothing.
+func (s *Session) open(ctx context.Context, name string) (context.Context, *core.Tx, func(), error) {
+	cctx, cancelTimeout := s.context(ctx)
+	cctx, span := s.startSpan(cctx, name)
+	bsp := span.Child("core.begin", trace.KindCommit)
+	tx := s.db.engine.Begin()
+	bsp.End()
+	end := func() {
+		tx.Abort()
+		s.release(tx)
+		cancelTimeout()
+		span.End()
+	}
+	if err := s.track(tx); err != nil {
+		span.SetError(err)
+		end()
+		return nil, nil, nil, err
+	}
+	return cctx, tx, end, nil
+}
+
 // Query runs a prepared statement in a fresh read-only snapshot and
 // streams the result. The statement must not contain updates
 // (ErrUpdatePlan otherwise): the snapshot is rolled back when the cursor
@@ -195,40 +219,30 @@ func (s *Session) Query(ctx context.Context, stmt *Stmt, params query.Params) (*
 	if stmt.plan.HasUpdates() {
 		return nil, ErrUpdatePlan
 	}
-	cctx, cancelTimeout := s.context(ctx)
-	cctx, span := s.startSpan(cctx, "session.query")
-	bsp := span.Child("core.begin", trace.KindCommit)
-	tx := s.db.engine.Begin()
-	bsp.End()
-	if err := s.track(tx); err != nil {
-		tx.Abort()
-		span.SetError(err)
-		span.End()
-		cancelTimeout()
+	cctx, tx, end, err := s.open(ctx, "session.query")
+	if err != nil {
 		return nil, err
 	}
-	end := func() {
-		tx.Abort()
-		s.release(tx)
-		cancelTimeout()
-		// The session span covers the full streaming lifetime: it ends
-		// when the cursor is exhausted or closed, not when the producer
-		// starts.
-		span.End()
-	}
+	// The cursor calls end when it is exhausted or closed, so the session
+	// span covers the full streaming lifetime.
 	return newRows(cctx, s.db, end, func(rctx context.Context, emit func(query.Row) bool) error {
 		return stmt.run(rctx, tx, params, s.cfg.Mode, s.cfg.Workers, emit)
 	}), nil
 }
 
-// QueryAll runs a statement and materializes the decoded result: the
-// convenience wrapper over Query/Collect.
+// QueryAll is Query for callers that want the whole decoded result: same
+// snapshot, checks, Timeout and rollback, but the statement runs on the
+// caller's goroutine — nothing streams, so no producer hands rows over.
 func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) ([][]any, error) {
-	rows, err := s.Query(ctx, stmt, params)
+	if stmt.plan.HasUpdates() {
+		return nil, ErrUpdatePlan
+	}
+	cctx, tx, end, err := s.open(ctx, "session.query")
 	if err != nil {
 		return nil, err
 	}
-	return rows.Collect()
+	defer end()
+	return s.db.collect(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers)
 }
 
 // Exec runs a statement — typically containing updates — in a fresh
@@ -236,19 +250,12 @@ func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params)
 // result rows. On any error, including ctx cancellation, the
 // transaction is rolled back and nothing becomes visible.
 func (s *Session) Exec(ctx context.Context, stmt *Stmt, params query.Params) (int, error) {
-	cctx, cancelTimeout := s.context(ctx)
-	defer cancelTimeout()
-	cctx, span := s.startSpan(cctx, "session.exec")
-	defer span.End()
-	bsp := span.Child("core.begin", trace.KindCommit)
-	tx := s.db.engine.Begin()
-	bsp.End()
-	if err := s.track(tx); err != nil {
-		tx.Abort()
-		span.SetError(err)
+	cctx, tx, end, err := s.open(ctx, "session.exec")
+	if err != nil {
 		return 0, err
 	}
-	defer s.release(tx)
+	defer end()
+	span := trace.FromContext(cctx) // open's; nil with tracing off
 	if span != nil {
 		// Commit runs after stmt.run restores the tx context, so the
 		// span must ride the transaction itself for the commit spans to
@@ -263,7 +270,6 @@ func (s *Session) Exec(ctx context.Context, stmt *Stmt, params query.Params) (in
 		mode = Interpret
 	}
 	if err := stmt.run(cctx, tx, params, mode, s.cfg.Workers, func(query.Row) bool { n++; return true }); err != nil {
-		tx.Abort()
 		span.SetError(err)
 		return 0, err
 	}

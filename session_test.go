@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,7 +156,8 @@ func TestUpdateGuard(t *testing.T) {
 }
 
 // TestStreamedMatchesMaterialized: the Rows cursor yields exactly what
-// the materialized path does, in every execution mode.
+// the materialized paths do — the one-shot and Session.QueryAll, which
+// runs on the caller's goroutine — in every execution mode.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedPeople(t, db, 1000)
@@ -179,12 +181,14 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 		}
 		seen := make(map[int64]bool)
 		n := 0
+		var streamed []int64
 		for rows.Next() {
 			var v int64
 			if err := rows.Scan(&v); err != nil {
 				t.Fatalf("mode %d: %v", em, err)
 			}
 			seen[v] = true
+			streamed = append(streamed, v)
 			n++
 		}
 		if err := rows.Err(); err != nil {
@@ -193,6 +197,23 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 		rows.Close()
 		if n != len(want) || len(seen) != len(want) {
 			t.Fatalf("mode %d: streamed %d rows (%d distinct), want %d", em, n, len(seen), len(want))
+		}
+		// Row for row, up to the order morsel workers deliver in.
+		all, err := sess.QueryAll(context.Background(), stmt, nil)
+		if err != nil {
+			t.Fatalf("mode %d: QueryAll: %v", em, err)
+		}
+		materialized := make([]int64, len(all))
+		for i, r := range all {
+			if len(r) != 1 {
+				t.Fatalf("mode %d: QueryAll row %d has %d columns", em, i, len(r))
+			}
+			materialized[i], _ = r[0].(int64)
+		}
+		slices.Sort(streamed)
+		slices.Sort(materialized)
+		if !slices.Equal(streamed, materialized) {
+			t.Fatalf("mode %d: QueryAll returned %d rows that differ from the %d streamed", em, len(materialized), len(streamed))
 		}
 		sess.Close()
 	}

@@ -12,11 +12,11 @@ import (
 	"poseidon/internal/trace"
 )
 
-// Stmt is a prepared statement: a query parsed and planned exactly once,
-// with the interpreter cascade pre-linked. Statements are cached in the
-// DB (see CacheStats) and are safe to share across sessions and
-// goroutines; per-execution state lives in the transaction and the
-// parameter bindings, never in the statement.
+// Stmt is a prepared statement: a query parsed, planned and prepared
+// exactly once (query.Prepare: expressions compiled, dictionary codes
+// resolved, signature formatted). Statements are cached in the DB (see
+// CacheStats) and are immutable, so sessions and goroutines share them;
+// per-execution state lives in the transaction, the bindings and the run.
 type Stmt struct {
 	db       *DB
 	plan     *query.Plan
@@ -92,17 +92,21 @@ func (db *DB) CacheStats() CacheStats { return db.stmts.stats() }
 // the one place query telemetry is observed. With telemetry disabled
 // (db.tel == nil) the statement runs with zero instrumentation.
 func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMode, workers int, emit func(query.Row) bool) error {
-	tel := s.db.tel
+	tel, tracer := s.db.tel, s.db.tracer
+	if tel == nil && tracer == nil {
+		_, err := s.runInner(ctx, tx, params, mode, workers, emit)
+		return err
+	}
 	queryText := s.text
 	if queryText == "" {
-		queryText = s.plan.Signature()
+		queryText = s.prepared.Sig
 	}
 	// Request tracing: continue the caller's trace (server wire span or
 	// session span) or, on a bare context with tracing enabled, root a
 	// fresh trace here so legacy facade paths are traced too.
 	var span *trace.Span
 	var traceID string
-	if tracer := s.db.tracer; tracer != nil {
+	if tracer != nil {
 		if parent := trace.FromContext(ctx); parent != nil {
 			span = parent.Child("stmt.run", trace.KindSession)
 			ctx = trace.ContextWithSpan(ctx, span)
@@ -112,10 +116,6 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 		span.SetAttr("query", queryText)
 		span.SetAttr("mode", mode.String())
 		traceID = trace.FormatID(span.TraceID())
-	}
-	if tel == nil && span == nil {
-		_, err := s.runInner(ctx, tx, params, mode, workers, emit)
-		return err
 	}
 	stats := &s.db.engine.Device().Stats
 	pre := stats.Snapshot()

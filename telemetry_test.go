@@ -287,27 +287,41 @@ func TestDisabledTelemetryZeroCost(t *testing.T) {
 	// stmt.run (the instrumented wrapper) and stmt.runInner (the bare
 	// dispatch) must have identical allocation profiles, down to zero
 	// difference. Query execution itself allocates, so compare, don't
-	// demand absolute zero.
-	stmt, err := db.Prepare(`MATCH (p:Person {name: $n}) RETURN p.age`)
+	// demand absolute zero. A plan-built statement has no source text, so
+	// its telemetry name is the plan signature — which must not be
+	// touched, let alone formatted, on the disabled path either.
+	fromText, err := db.Prepare(`MATCH (p:Person {name: $n}) RETURN p.age`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := query.Params{"n": "alice"}
+	fromPlan, err := db.PreparePlan(friendsPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx := db.Begin()
 	defer tx.Abort()
 	emit := func(query.Row) bool { return true }
 	ctx := context.Background()
-	inner := testing.AllocsPerRun(100, func() {
-		if _, err := stmt.runInner(ctx, tx, params, Interpret, 1, emit); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		stmt   *Stmt
+		params query.Params
+	}{
+		{"cypher", fromText, query.Params{"n": "alice"}},
+		{"plan", fromPlan, query.Params{"who": "alice"}},
+	} {
+		inner := testing.AllocsPerRun(100, func() {
+			if _, err := c.stmt.runInner(ctx, tx, c.params, Interpret, 1, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		wrapped := testing.AllocsPerRun(100, func() {
+			if err := c.stmt.run(ctx, tx, c.params, Interpret, 1, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if wrapped > inner {
+			t.Errorf("%s statement: disabled stmt.run allocates %v/op vs %v/op bare — instrumentation leaks into the disabled path", c.name, wrapped, inner)
 		}
-	})
-	wrapped := testing.AllocsPerRun(100, func() {
-		if err := stmt.run(ctx, tx, params, Interpret, 1, emit); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if wrapped > inner {
-		t.Errorf("disabled stmt.run allocates %v/op vs %v/op bare — instrumentation leaks into the disabled path", wrapped, inner)
 	}
 }
