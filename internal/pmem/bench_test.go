@@ -57,3 +57,22 @@ func BenchmarkReadU64Parallel(b *testing.B) {
 		readWindow(d, w%maxWindows*benchWindow, pb.Next)
 	})
 }
+
+// BenchmarkDrainFresh and BenchmarkDrainAfterLargeEpoch are the barrier
+// guard: flush+flush+Drain must cost the same on a device that once ended
+// a 1000-block epoch (every bulk load has them) as on a fresh one, and
+// allocate nothing. TestBarrierCostIndependentOfHistory asserts the ratio.
+func BenchmarkDrainFresh(b *testing.B) {
+	d := wcDevice(2 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	barrierLoop(d, b.N)
+}
+
+func BenchmarkDrainAfterLargeEpoch(b *testing.B) {
+	d := wcDevice(2 << 20)
+	largeEpoch(d, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	barrierLoop(d, b.N)
+}

@@ -85,3 +85,66 @@ func TestCrashConcurrentFlushers(t *testing.T) {
 		}
 	}
 }
+
+func TestWriteCombiningEpochUnderConcurrency(t *testing.T) {
+	// Stress for the epoch table: flushers persist into disjoint regions
+	// (each Drain ends the epoch under the others' feet, which only moves
+	// charges, never corrupts the table), one goroutine crashes the device
+	// and readers run throughout. Run under -race this exercises the
+	// epochMu discipline of charge, Drain and Crash; afterwards, quiesced,
+	// a single-threaded epoch must charge exactly what the map model says
+	// — a table left inconsistent (a live count that is off, a block
+	// stamped twice) would not.
+	const (
+		flushers = 4
+		region   = 64 * BlockSize
+	)
+	dev := New(Config{Name: "race", Size: flushers * region, Persistent: true,
+		Profile: Profile{WriteBlock: 1}, CacheBytes: 1 << 14})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	run := func(body func(i uint64)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body(i)
+			}
+		}()
+	}
+	for g := uint64(0); g < flushers; g++ {
+		base := g * region
+		run(func(i uint64) {
+			off := base + i*72%region&^7
+			dev.WriteU64(off, i)
+			dev.Flush(off, 8)
+			if i%3 == 0 {
+				dev.Drain()
+			}
+		})
+		run(func(i uint64) { dev.ReadU64(base + i*8%region) })
+	}
+	for i := 0; i < 300; i++ {
+		dev.Crash()
+	}
+	close(stop)
+	wg.Wait()
+
+	dev.Drain()
+	m := new(wcModel)
+	m.barrier()
+	m.writes = dev.Stats.BlockWrites.Load()
+	for i := uint64(0); i < 3*flushers*region/BlockSize; i++ {
+		off := i * 5 * LineSize % (flushers * region)
+		dev.Flush(off, 2*LineSize)
+		m.flush(off, 2*LineSize)
+		if got := dev.Stats.BlockWrites.Load(); got != m.writes {
+			t.Fatalf("flush %d at %d: BlockWrites = %d, model says %d", i, off, got, m.writes)
+		}
+	}
+}

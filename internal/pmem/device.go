@@ -79,8 +79,8 @@ type Device struct {
 	// half-copied line from a concurrent flusher.
 	mediaMu sync.RWMutex
 
-	epochMu     sync.Mutex
-	epochBlocks map[uint64]struct{} // 256B blocks charged since last Drain
+	epochMu sync.Mutex
+	epoch   wcEpoch // 256B blocks charged since the last Drain
 
 	// Stats counts accesses; safe for concurrent use.
 	Stats Stats
@@ -100,9 +100,11 @@ func New(cfg Config) *Device {
 		hasLatency: !cfg.Profile.zero(),
 		persistent: cfg.Persistent,
 	}
+	if d.hasLatency {
+		d.epoch = newWCEpoch()
+	}
 	if cfg.Persistent {
 		d.media = make([]uint64, size/8)
-		d.epochBlocks = make(map[uint64]struct{})
 		if cfg.StrictFlush || strictEnvEnabled() {
 			d.strict = newStrictState()
 		}
@@ -366,10 +368,7 @@ func (d *Device) flushLine(line uint64) {
 func (d *Device) chargeFlush(line uint64) {
 	block := line * LineSize / BlockSize
 	d.epochMu.Lock()
-	_, charged := d.epochBlocks[block]
-	if !charged {
-		d.epochBlocks[block] = struct{}{}
-	}
+	charged := d.epoch.charge(block)
 	d.epochMu.Unlock()
 	if charged {
 		spinWait(d.prof.FlushLine)
@@ -389,14 +388,7 @@ func (d *Device) Drain() {
 	d.strictDrain()
 	if d.hasLatency {
 		d.epochMu.Lock()
-		// Re-make instead of clear() once the map has grown: clearing a
-		// map walks its full capacity, which would make barriers after a
-		// large flush epoch (e.g. bulk load) absurdly expensive forever.
-		if len(d.epochBlocks) > 1024 {
-			d.epochBlocks = make(map[uint64]struct{})
-		} else {
-			clear(d.epochBlocks)
-		}
+		d.epoch.end()
 		d.epochMu.Unlock()
 		spinWait(d.prof.Drain)
 	}
@@ -433,11 +425,9 @@ func (d *Device) Crash() {
 	if d.cache != nil {
 		d.cache.invalidateAll()
 	}
-	if d.epochBlocks != nil {
-		d.epochMu.Lock()
-		clear(d.epochBlocks)
-		d.epochMu.Unlock()
-	}
+	d.epochMu.Lock()
+	d.epoch.end()
+	d.epochMu.Unlock()
 }
 
 // DropCache invalidates the simulated CPU cache without touching data,

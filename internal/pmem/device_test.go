@@ -264,6 +264,16 @@ func TestWriteCombiningChargesPerBlock(t *testing.T) {
 	if got := d.Stats.Snapshot().BlockWrites; got != 3 {
 		t.Errorf("total block writes = %d, want 3", got)
 	}
+	// A barrier ends the epoch: the same block is charged again after a
+	// Drain, and again after a Crash, but not twice in between.
+	for i, barrier := range []func(){d.Drain, d.Crash} {
+		barrier()
+		d.Flush(256, 8)
+		d.Flush(256+LineSize, 8)
+		if got, want := d.Stats.Snapshot().BlockWrites, uint64(4+i); got != want {
+			t.Errorf("total block writes after barrier %d = %d, want %d", i, got, want)
+		}
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

@@ -55,8 +55,9 @@ type Pool struct {
 	// transactions (RunTxLane) serialize on their lane's own mutex.
 	mu sync.Mutex
 
-	logOff uint64
-	logCap uint64
+	logOff  uint64
+	logCap  uint64
+	scratch txScratch // of the built-in log's transaction; guarded by mu
 
 	// laneMu guards the lanes slice during attachment; steady-state lane
 	// lookups read the slice without it (lanes are attached at open time,
@@ -69,9 +70,10 @@ type Pool struct {
 // mutex, giving the engine one independent failure-atomic commit pipeline
 // per shard (the Blizzard-style per-shard persistence domain).
 type poolLane struct {
-	mu  sync.Mutex
-	off uint64
-	cap uint64
+	mu      sync.Mutex
+	off     uint64
+	cap     uint64
+	scratch txScratch // of the lane's transaction; guarded by mu
 }
 
 // AttachLane registers an undo-log lane backed by the caller-allocated

@@ -2,6 +2,8 @@ package pmemobj
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 )
 
 // Undo-log transactions (the libpmemobj model the paper uses for commit,
@@ -27,16 +29,46 @@ const logDataStart = 64
 // Tx is an in-flight failure-atomic transaction. A Tx is only valid inside
 // the RunTx callback that created it and must not be used concurrently.
 type Tx struct {
-	p       *Pool
-	logOff  uint64 // base of the undo log this transaction writes
-	logCap  uint64
-	laned   bool   // true for lane transactions (no allocator access)
-	logEnd  uint64 // next free byte in the log region (volatile)
-	count   uint64 // entries appended so far (volatile mirror)
-	touched []txRange
+	p      *Pool
+	logOff uint64 // base of the undo log this transaction writes
+	logCap uint64
+	laned  bool       // true for lane transactions (no allocator access)
+	logEnd uint64     // next free byte in the log region (volatile)
+	count  uint64     // entries appended so far (volatile mirror)
+	s      *txScratch // borrowed from the log; a Tx built without one makes its own
 }
 
 type txRange struct{ off, n uint64 }
+
+// txScratch is a transaction's volatile bookkeeping. It belongs to the log
+// the transaction runs on (Pool for the built-in log, poolLane for a lane)
+// and is reused under the mutex that serializes that log's transactions;
+// newTx empties it, so nothing of a transaction that failed, panicked or
+// was abandoned reaches the next one.
+type txScratch struct {
+	// touched is every snapshotted or note-written range in call order,
+	// the order commit flushes in (crash schedule IDs depend on it).
+	touched []txRange
+	// maximal is the coverage index: the touched ranges no other touched
+	// range contains, sorted by offset. No two of them nest, so they are
+	// sorted by end as well, and the last one starting at or before an
+	// offset is the only one that can cover a range starting there.
+	maximal []txRange
+	keep    []txRange // SnapshotAll's surviving batch
+	words   []uint64  // snapshot copy buffer
+}
+
+func (p *Pool) newTx(s *txScratch, logOff, logCap uint64, laned bool) *Tx {
+	s.touched, s.maximal = s.touched[:0], s.maximal[:0]
+	return &Tx{p: p, s: s, logOff: logOff, logCap: logCap, laned: laned, logEnd: logOff + logDataStart}
+}
+
+func (tx *Tx) scratch() *txScratch {
+	if tx.s == nil {
+		tx.s = new(txScratch)
+	}
+	return tx.s
+}
 
 // RunTx executes fn inside a transaction on the pool's built-in undo log.
 // If fn returns nil the transaction commits; any error (or panic) rolls
@@ -46,8 +78,7 @@ type txRange struct{ off, n uint64 }
 func (p *Pool) RunTx(fn func(*Tx) error) (err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tx := &Tx{p: p, logOff: p.logOff, logCap: p.logCap, logEnd: p.logOff + logDataStart}
-	return tx.run(fn)
+	return p.newTx(&p.scratch, p.logOff, p.logCap, false).run(fn)
 }
 
 // RunTxLane executes fn inside a transaction on an attached undo-log lane
@@ -72,8 +103,7 @@ func (p *Pool) RunTxLane(lane int, fn func(*Tx) error) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tx := &Tx{p: p, logOff: l.off, logCap: l.cap, laned: true, logEnd: l.off + logDataStart}
-	return tx.run(fn)
+	return p.newTx(&l.scratch, l.off, l.cap, true).run(fn)
 }
 
 func (tx *Tx) run(fn func(*Tx) error) (err error) {
@@ -97,7 +127,7 @@ func (tx *Tx) run(fn func(*Tx) error) (err error) {
 // Every Begin must be paired with exactly one Commit or Abandon.
 func (p *Pool) Begin() *Tx {
 	p.mu.Lock()
-	return &Tx{p: p, logOff: p.logOff, logCap: p.logCap, logEnd: p.logOff + logDataStart}
+	return p.newTx(&p.scratch, p.logOff, p.logCap, false)
 }
 
 // Commit flushes the transaction's ranges, invalidates the undo log and
@@ -120,12 +150,33 @@ func (tx *Tx) Abandon() {
 // covered range is pure overhead: rollback restores entries in reverse
 // order, so the oldest snapshot of a range wins regardless.
 func (tx *Tx) covered(off, n uint64) bool {
-	for _, r := range tx.touched {
-		if off >= r.off && off+n <= r.off+r.n {
-			return true
-		}
+	s := tx.scratch()
+	i := s.upTo(off)
+	return i > 0 && off+n <= s.maximal[i-1].off+s.maximal[i-1].n
+}
+
+// upTo returns how many maximal ranges start at or before off.
+func (s *txScratch) upTo(off uint64) int {
+	return sort.Search(len(s.maximal), func(i int) bool { return s.maximal[i].off > off })
+}
+
+// touch appends [off, off+n) to touched and, unless a maximal range
+// already contains it, makes it one in place of the neighbours it contains.
+func (tx *Tx) touch(off, n uint64) {
+	s := tx.scratch()
+	s.touched = append(s.touched, txRange{off, n})
+	if tx.covered(off, n) {
+		return
 	}
-	return false
+	i := s.upTo(off)
+	if i > 0 && s.maximal[i-1].off == off {
+		i--
+	}
+	j := i
+	for j < len(s.maximal) && s.maximal[j].off+s.maximal[j].n <= off+n {
+		j++
+	}
+	s.maximal = slices.Replace(s.maximal, i, j, txRange{off, n})
 }
 
 // SnapshotCost returns the number of undo-log bytes a Snapshot of an
@@ -157,33 +208,40 @@ func (tx *Tx) Snapshot(off, n uint64) error {
 	if tx.covered(off, n) {
 		return nil
 	}
-	p := tx.p
-	dataLen := align(n, 8)
-	need := 16 + dataLen
+	need := SnapshotCost(n)
 	if tx.logEnd+need > tx.logOff+tx.logCap {
 		return fmt.Errorf("%w: need %d bytes", ErrLogFull, need)
 	}
-	dev := p.dev
+	dev := tx.p.dev
 	entry := tx.logEnd
-	dev.WriteU64(entry, off)
-	dev.WriteU64(entry+8, n)
-	// Copy the old contents into the log.
-	words := make([]uint64, dataLen/8)
-	for i := range words {
-		words[i] = dev.ReadU64(off + uint64(i)*8)
-	}
-	dev.WriteWords(entry+16, words)
+	tx.appendEntry(off, n)
 	dev.Flush(entry, need)
 	// The entry becomes valid only once the count is bumped durably.
 	tx.count++
 	dev.WriteU64(tx.logOff, tx.count)
 	dev.Persist(tx.logOff, 8)
-	tx.logEnd += need
-	tx.touched = append(tx.touched, txRange{off, n})
+	tx.touch(off, n)
 	// The range is now recoverable even while its stores sit unflushed
 	// in the CPU cache; tell the strict flush checker (no-op otherwise).
 	dev.NoteUndoCovered(off, n)
 	return nil
+}
+
+// appendEntry writes the undo entry for [off, off+n) at logEnd and
+// advances logEnd past it; the caller flushes, counts and publishes it.
+// The old image is read word by word: ReadWords charges cache lines
+// relative to the range start, which would change the hit/miss counts.
+func (tx *Tx) appendEntry(off, n uint64) {
+	dev := tx.p.dev
+	dev.WriteU64(tx.logEnd, off)
+	dev.WriteU64(tx.logEnd+8, n)
+	s, k := tx.scratch(), align(n, 8)/8
+	s.words = slices.Grow(s.words[:0], int(k))[:k]
+	for i := range s.words {
+		s.words[i] = dev.ReadU64(off + uint64(i)*8)
+	}
+	dev.WriteWords(tx.logEnd+16, s.words)
+	tx.logEnd += SnapshotCost(n)
 }
 
 // Range identifies a device range for batched snapshotting.
@@ -198,7 +256,8 @@ type Range struct{ Off, N uint64 }
 // batch does not fit the remaining log space, nothing is appended and
 // ErrLogFull is returned, so the caller can split the epoch and retry.
 func (tx *Tx) SnapshotAll(ranges []Range) error {
-	keep := make([]txRange, 0, len(ranges))
+	s := tx.scratch()
+	keep := s.keep[:0]
 	need := uint64(0)
 	for _, r := range ranges {
 		if r.N == 0 {
@@ -223,6 +282,7 @@ func (tx *Tx) SnapshotAll(ranges []Range) error {
 		keep = append(keep, txRange{r.Off, r.N})
 		need += SnapshotCost(r.N)
 	}
+	s.keep = keep
 	if len(keep) == 0 {
 		return nil
 	}
@@ -232,16 +292,7 @@ func (tx *Tx) SnapshotAll(ranges []Range) error {
 	dev := tx.p.dev
 	start := tx.logEnd
 	for _, k := range keep {
-		entry := tx.logEnd
-		dev.WriteU64(entry, k.off)
-		dev.WriteU64(entry+8, k.n)
-		dataLen := align(k.n, 8)
-		words := make([]uint64, dataLen/8)
-		for i := range words {
-			words[i] = dev.ReadU64(k.off + uint64(i)*8)
-		}
-		dev.WriteWords(entry+16, words)
-		tx.logEnd += 16 + dataLen
+		tx.appendEntry(k.off, k.n)
 		tx.count++
 	}
 	dev.Flush(start, tx.logEnd-start)
@@ -255,7 +306,7 @@ func (tx *Tx) SnapshotAll(ranges []Range) error {
 		dev.Persist(tx.logOff, 8)
 	}
 	for _, k := range keep {
-		tx.touched = append(tx.touched, k)
+		tx.touch(k.off, k.n)
 		dev.NoteUndoCovered(k.off, k.n)
 	}
 	return nil
@@ -266,7 +317,7 @@ func (tx *Tx) SnapshotAll(ranges []Range) error {
 // contents are unreachable — typically memory allocated within the same
 // transaction, which the allocator rolls back wholesale on abort.
 func (tx *Tx) NoteWrite(off, n uint64) {
-	tx.touched = append(tx.touched, txRange{off, n})
+	tx.touch(off, n)
 	tx.p.dev.NoteUndoCovered(off, n)
 }
 
@@ -274,8 +325,9 @@ func (tx *Tx) noteWrite(off, n uint64) { tx.NoteWrite(off, n) }
 
 func (tx *Tx) commit() {
 	dev := tx.p.dev
-	for i, r := range tx.touched {
-		if mutateSkipFlush() && i == len(tx.touched)-1 {
+	touched := tx.scratch().touched
+	for i, r := range touched {
+		if mutateSkipFlush() && i == len(touched)-1 {
 			// crashmutate builds omit the last range's flush; the
 			// commit record below then lies about durability.
 			continue

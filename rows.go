@@ -221,8 +221,10 @@ func (r *Rows) finish() {
 	}
 	r.finished = true
 	err := <-r.done
+	// Sampled before the cancel below, which would make it always true.
+	closed := context.Cause(r.ctx) == errRowsClosed
 	r.cancel(errRowsClosed)
-	if err != nil && context.Cause(r.ctx) == errRowsClosed &&
+	if err != nil && closed &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, core.ErrTxDone)) {
 		err = nil
 	}

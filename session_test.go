@@ -374,6 +374,50 @@ func TestSessionCloseWithInflightRows(t *testing.T) {
 	}
 }
 
+// TestSessionCloseTruncatesMultiBatchRows: with a result of many batches
+// the producer is still scanning when the session closes under it (one
+// batch consumed, at most two more in flight), so rows are missing and
+// the cursor must say so. Rows.finish used to cancel with errRowsClosed
+// before asking whether the cursor had been closed, which turned every
+// ErrTxDone into success. A deliberate Rows.Close mid-stream still
+// reports nil (TestRowsEarlyClose).
+func TestSessionCloseTruncatesMultiBatchRows(t *testing.T) {
+	db := openTestDB(t, DRAM)
+	const n = 10 * rowsBatchSize
+	seedPeople(t, db, n)
+	stmt, err := db.PreparePlan(scanAllPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession(SessionConfig{Mode: Interpret})
+	rows, err := sess.Query(context.Background(), stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := 1
+	for rows.Next() {
+		got++
+	}
+	if got >= n {
+		t.Fatalf("stream delivered all %d rows after the session closed", got)
+	}
+	if err := rows.Err(); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("rows.Err after %d of %d rows = %v, want ErrTxDone", got, n, err)
+	}
+	if err := rows.Close(); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("rows.Close = %v, want the same ErrTxDone", err)
+	}
+	if n := db.Engine().ActiveTxs(); n != 0 {
+		t.Fatalf("%d transactions still active", n)
+	}
+}
+
 // TestSessionMaxTxs: the transaction bound rejects Begin, Query and
 // Exec with ErrSessionLimit once the session owns MaxTxs live
 // transactions, and frees capacity when one ends.
