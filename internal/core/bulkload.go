@@ -32,7 +32,8 @@ import (
 //
 // A BulkLoader must not run concurrently with transactions: it bypasses
 // the MVTO write locks and the per-shard commit locks, and it logs
-// through the pool's built-in undo log rather than a shard lane. Shard
+// through the pool's built-in undo log rather than a shard lane.
+// NewBulkLoader and Begin enforce that with ErrBulkLoad. Shard
 // membership is a pure function of the record id, so sequentially
 // filled chunks still rotate over the shards and every sharded-core
 // invariant holds once the load finishes.
@@ -48,6 +49,9 @@ type BulkLoader struct {
 	apps    []bulkAppender
 	batches uint64
 	err     error
+	// open is set while this loader holds the engine's bulkLoading flag:
+	// from NewBulkLoader until Finish or the first failure.
+	open bool
 }
 
 // bulkAppender is one shard's staging area: secondary-index entries for
@@ -61,9 +65,31 @@ type bulkAppender struct {
 // the undo-log capacity.
 const bulkBatch = 256
 
-// NewBulkLoader starts a bulk load session.
+// NewBulkLoader starts a bulk load session. The session excludes
+// transactions: until Finish (or the loader's first failure) Begin
+// returns transactions that fail with ErrBulkLoad, and a loader started
+// while a transaction is active or another loader is open is dead — every
+// call on it, Finish included, returns ErrBulkLoad.
 func (e *Engine) NewBulkLoader() *BulkLoader {
-	return &BulkLoader{e: e, batch: bulkBatch, apps: make([]bulkAppender, e.nShards)}
+	b := &BulkLoader{e: e, batch: bulkBatch, apps: make([]bulkAppender, e.nShards)}
+	// beginMu's write side waits out every Begin between its clock draw
+	// and its registration, so the check cannot miss a starting
+	// transaction, and a later Begin sees the flag.
+	e.beginMu.Lock()
+	b.open = e.ActiveTxs() == 0 && e.bulkLoading.CompareAndSwap(false, true)
+	e.beginMu.Unlock()
+	if !b.open {
+		b.err = ErrBulkLoad
+	}
+	return b
+}
+
+// release reopens the engine for transactions.
+func (b *BulkLoader) release() {
+	if b.open {
+		b.open = false
+		b.e.bulkLoading.Store(false)
+	}
 }
 
 func (b *BulkLoader) ensureTx() {
@@ -154,6 +180,7 @@ func (b *BulkLoader) publishStaged() {
 			}
 			if err := t.InsertMany(app.entries[ik]); err != nil && b.err == nil {
 				b.err = fmt.Errorf("core: bulk index publication (%d,%d): %w", ik.label, ik.key, err)
+				b.release()
 			}
 		}
 		sh.idxMu.RUnlock()
@@ -297,6 +324,7 @@ func (b *BulkLoader) AddRel(src, dst uint64, label string, props map[string]any)
 
 func (b *BulkLoader) fail(err error) error {
 	b.flush()
+	b.release()
 	b.err = err
 	return err
 }
@@ -315,6 +343,7 @@ func (b *BulkLoader) failTx(err error) error {
 	b.e.nodes.ResyncVolatile()
 	b.e.rels.ResyncVolatile()
 	b.e.props.ResyncVolatile()
+	b.release()
 	b.err = err
 	return err
 }
@@ -322,5 +351,6 @@ func (b *BulkLoader) failTx(err error) error {
 // Finish commits the final batch and returns the first error encountered.
 func (b *BulkLoader) Finish() error {
 	b.flush()
+	b.release()
 	return b.err
 }

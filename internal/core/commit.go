@@ -129,7 +129,7 @@ func (tx *Tx) Commit() error {
 // the transaction becomes visible) or had nothing to persist.
 func (tx *Tx) precommit() (order []int, err error) {
 	if tx.done.Load() {
-		return nil, ErrTxDone
+		return nil, tx.doneErr()
 	}
 	if err := tx.ctxErr(); err != nil {
 		tx.setAbortReason(AbortCancelled)
@@ -231,8 +231,8 @@ func (e *Engine) commitEpoch(order []int, members []*Tx) {
 //     point, behind one drain; a crash in between leaves stale locks that
 //     recovery clears.
 //  4. Secondary indexes are updated (still under the shard locks, so
-//     per-shard index updates observe commit order), index deltas are
-//     published once, and transaction-level GC is queued.
+//     per-shard index updates observe commit order) and
+//     transaction-level GC is queued.
 //
 // On success every member is finished and settled. On failure nothing of
 // the group persisted, the shard locks are released and the members are
@@ -367,7 +367,6 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		tx.updateIndexes()
 		tx.enqueueGC()
 	}
-	e.publishIndexDeltas(order)
 	for _, s := range order {
 		e.shards[s].commits.Add(uint64(len(members)))
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"poseidon/internal/dict"
 	"poseidon/internal/index"
@@ -38,21 +37,6 @@ type Config struct {
 	// POSEIDON_SHARDS environment variable (the CI race matrix uses it).
 	// Shard ownership is volatile — any shard count opens any image.
 	Shards int
-	// IndexDelta absorbs secondary-index updates in a small persistent
-	// delta per tree, merged into the B+-tree outside the commit path
-	// (see index.Tree). Off by default.
-	IndexDelta IndexDeltaConfig
-}
-
-// IndexDeltaConfig tunes the LSM-style secondary-index delta layer.
-type IndexDeltaConfig struct {
-	// Enabled routes index maintenance through per-tree deltas.
-	Enabled bool
-	// MergeEvery starts a background goroutine that merges deltas into
-	// the base trees at this interval. Zero merges inline only (when a
-	// delta fills, under the shard commit lock) — the deterministic
-	// mode the crash-point explorer needs.
-	MergeEvery time.Duration
 }
 
 func (c *Config) fill() {
@@ -202,10 +186,9 @@ type Engine struct {
 	epochMembers atomic.Uint64 // transactions committed through them
 	epochSplits  atomic.Uint64 // groups cut short to fit the undo lane
 
-	// mergeStop terminates the background index-delta merger, when one
-	// was started (Config.IndexDelta.MergeEvery > 0).
-	mergeStop chan struct{}
-	mergeDone chan struct{}
+	// bulkLoading is set while a BulkLoader is open; Begin refuses to
+	// start transactions then (see NewBulkLoader).
+	bulkLoading atomic.Bool
 
 	// idxDDL serializes index creation and rebuild against each other
 	// (not against commits — those synchronize per shard).
@@ -263,7 +246,6 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.clock.Store(1)
-	e.startDeltaMerger()
 	return e, nil
 }
 
@@ -456,7 +438,6 @@ func Reopen(dev *pmem.Device, cfg Config) (*Engine, error) {
 	if err := e.reconcileIndexes(); err != nil {
 		return nil, err
 	}
-	e.startDeltaMerger()
 	return e, nil
 }
 
@@ -547,11 +528,14 @@ func (e *Engine) Rels() *storage.Table { return e.rels }
 // Props returns the property table.
 func (e *Engine) Props() *storage.Table { return e.props }
 
-// Close unregisters the engine's pool. The device (and, in PMem mode, its
-// durable contents) remains usable for Reopen.
+// Close unregisters the engine's pool and every index tree's private DRAM
+// pool. The device (and, in PMem mode, its durable contents) remains
+// usable for Reopen.
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
-		e.stopDeltaMerger()
+		for _, info := range e.Indexes() {
+			info.Tree.Close()
+		}
 		e.pool.Close()
 	}
 }

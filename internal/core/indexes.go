@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"poseidon/internal/index"
@@ -125,7 +126,6 @@ func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
 		if trees[s], err = index.Create(kind, e.pool, index.Options{}); err != nil {
 			return err
 		}
-		e.enableTreeDelta(trees[s])
 	}
 	for s := 0; s < e.nShards; s++ {
 		if err := e.backfillShard(trees[s], ik, s); err != nil {
@@ -198,7 +198,10 @@ func (e *Engine) unpublishIndex(ik indexKey) {
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.idxMu.Lock()
-		delete(sh.indexes, ik)
+		if t := sh.indexes[ik]; t != nil {
+			t.Close()
+			delete(sh.indexes, ik)
+		}
 		sh.idxMu.Unlock()
 	}
 }
@@ -238,6 +241,8 @@ func (e *Engine) RebuildVolatileIndexes() error {
 // is replaced with empty trees (and the directory rewritten): the
 // partition function changed, so every entry would be in the wrong tree;
 // reconcileIndexes then rebuilds the contents from the primary tables.
+// So is a family with a tree written by the removed index delta layer
+// (index.ErrDeltaImage), whose leaf chain may lack published entries.
 func (e *Engine) reopenIndexes() error {
 	type family struct {
 		kind index.Kind
@@ -267,26 +272,30 @@ func (e *Engine) reopenIndexes() error {
 				}
 			}
 		}
-		if ok {
-			for s, de := range f.ents {
-				tree, err := index.Open(de.kind, e.pool, de.hdr, index.Options{})
-				if err != nil {
-					return fmt.Errorf("core: reopen index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
-				}
-				e.enableTreeDelta(tree)
+		for s := 0; ok && s < e.nShards; s++ {
+			de := f.ents[s]
+			tree, err := index.Open(de.kind, e.pool, de.hdr, index.Options{})
+			switch {
+			case errors.Is(err, index.ErrDeltaImage):
+				ok = false // ops published to the delta never reached the leaves
+			case err != nil:
+				return fmt.Errorf("core: reopen index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
+			default:
 				e.shards[s].indexes[ik] = tree
 			}
+		}
+		if ok {
 			continue
 		}
 		// Shard-count (or layout) mismatch: fresh empty trees, rebuilt by
 		// reconcileIndexes. The old trees' blocks leak, as in any rebuild.
 		rewrite = true
+		e.unpublishIndex(ik) // closes the trees opened before the mismatch showed
 		for s := 0; s < e.nShards; s++ {
 			tree, err := index.Create(f.kind, e.pool, index.Options{})
 			if err != nil {
 				return err
 			}
-			e.enableTreeDelta(tree)
 			e.shards[s].indexes[ik] = tree
 		}
 	}
@@ -533,7 +542,6 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 	if err != nil {
 		return err
 	}
-	e.enableTreeDelta(tree)
 	for ent, st := range entries {
 		if !st.required || e.nodes.ShardOf(ent.ID) != s {
 			continue // tombstoned nodes' entries are optional; a rebuild omits them
@@ -555,6 +563,7 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 			}
 		}
 	}
+	e.shards[s].indexes[ik].Close()
 	e.shards[s].indexes[ik] = tree
 	return nil
 }

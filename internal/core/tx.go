@@ -29,6 +29,11 @@ type Tx struct {
 	done  atomic.Bool
 	endMu sync.Mutex
 
+	// refused marks a transaction Begin declined to start because a bulk
+	// loader is open: it is born done and every call fails with
+	// ErrBulkLoad. (A bool in the padding after endMu: Tx does not grow.)
+	refused bool
+
 	// ctx, when non-nil, is consulted by every operation: once it is
 	// cancelled the transaction aborts itself and all subsequent calls
 	// return the context's error. It is set via WithContext before any
@@ -76,8 +81,16 @@ type dirtyObj struct {
 // clock. The transaction is registered with its home shard's active set.
 // Draw and registration happen under beginMu's read side so a concurrent
 // GC pass cannot compute a minActive past the new id (see minActive).
+// While a BulkLoader is open the returned transaction is already finished
+// and every call on it fails with ErrBulkLoad.
 func (e *Engine) Begin() *Tx {
 	e.beginMu.RLock()
+	if e.bulkLoading.Load() {
+		e.beginMu.RUnlock()
+		tx := &Tx{e: e, refused: true}
+		tx.done.Store(true)
+		return tx
+	}
 	id := e.clock.Add(1)
 	sh := &e.shards[e.homeShard(id)]
 	sh.activeMu.Lock()
@@ -166,9 +179,18 @@ func (tx *Tx) ctxErr() error {
 	return tx.ctx.Err()
 }
 
+// doneErr is what a finished transaction answers: ErrTxDone, or the
+// reason Begin refused to start it.
+func (tx *Tx) doneErr() error {
+	if tx.refused {
+		return ErrBulkLoad
+	}
+	return ErrTxDone
+}
+
 func (tx *Tx) check() error {
 	if tx.done.Load() {
-		return ErrTxDone
+		return tx.doneErr()
 	}
 	if err := tx.ctxErr(); err != nil {
 		tx.setAbortReason(AbortCancelled)

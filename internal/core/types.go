@@ -47,6 +47,9 @@ var (
 	ErrTxDone    = errors.New("core: transaction already finished")
 	ErrHasRels   = errors.New("core: node still has relationships")
 	ErrBadConfig = errors.New("core: invalid configuration")
+	// ErrBulkLoad: a BulkLoader bypasses the MVTO locks, so loaders and
+	// transactions exclude each other (see Engine.NewBulkLoader).
+	ErrBulkLoad = errors.New("core: bulk loader and transactions cannot run concurrently")
 )
 
 // AbortReason classifies why an MVTO transaction aborted, mirroring the

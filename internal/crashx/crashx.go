@@ -17,9 +17,7 @@
 // "ingest" mix exercises the write-optimized ingest stack: the base
 // dataset is streamed in through the bulk loader, IU transactions commit
 // in deterministic group-commit epochs through CommitBatch (so crash
-// points land before and after the epoch leader's group fence), and the
-// secondary indexes run in delta mode with explicit merges between
-// epochs (so crash points also land mid delta-merge).
+// points land before and after the epoch leader's group fence).
 package crashx
 
 import (
@@ -27,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -43,7 +40,7 @@ import (
 // ingest mix existed parse and replay unchanged.
 const (
 	MixIU     = ""       // one IU transaction per commit (classic path)
-	MixIngest = "ingest" // bulk base load + group-commit epochs + delta merges
+	MixIngest = "ingest" // bulk base load + group-commit epochs
 )
 
 // Options configures an exploration run.
@@ -207,15 +204,7 @@ func newHarness(opts Options) (*harness, error) {
 		Shards:   opts.Shards,
 		Profile:  &pmem.Profile{}, // latency model off: exploration is about ordering, not timing
 	}
-	switch opts.Mix {
-	case MixIU:
-	case MixIngest:
-		// The write-optimized ingest stack: multi-member commit epochs
-		// (driven deterministically through CommitBatch) and delta-mode
-		// indexes. MergeEvery stays zero — a background merger would make
-		// event ordinals racy; the op loop merges explicitly instead.
-		cfg.IndexDelta = core.IndexDeltaConfig{Enabled: true}
-	default:
+	if opts.Mix != MixIU && opts.Mix != MixIngest {
 		return nil, fmt.Errorf("crashx: unknown mix %q", opts.Mix)
 	}
 	e, err := core.Open(cfg)
@@ -376,10 +365,6 @@ func (h *harness) runOps(ctx context.Context, e *core.Engine, preps []*query.Pre
 // epochs batch real work.
 const ingestEpoch = 4
 
-// ingestMergeEvery merges the index deltas after every Nth epoch, so the
-// crash window also covers mid delta-merge states.
-const ingestMergeEvery = 2
-
 // ingestChurn is the number of churn epochs after every full IU epoch
 // (alternately creating and deleting). Only a churn epoch's lane commit
 // — some twenty flush events — rides on the publication fence alone, and
@@ -392,10 +377,9 @@ const ingestChurn = 4
 // write-optimized ingest path: transactions accumulate into
 // ingestEpoch-sized batches committed through CommitBatch (the
 // deterministic group-commit entry — one leader, one group fence per
-// epoch), and every ingestMergeEvery epochs the secondary-index deltas
-// merge into their base trees. An injected crash can therefore land
-// before the leader's group fence, after it (mid epoch apply), or in the
-// middle of a delta merge. Returns the number of IU ops started.
+// epoch). An injected crash can therefore land before the leader's group
+// fence or after it (mid epoch apply). Returns the number of IU ops
+// started.
 //
 // After every IU epoch, ingestChurn churn epochs of property-less
 // CreateRel (or, alternating, DeleteRel) transactions commit. Their
@@ -419,14 +403,6 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 	qs := ldbc.IUQueries()
 	nNodes := uint64(len(h.ds.Nodes)) // base-load node ids are 0..nNodes-1
 
-	epochs := 0
-	endEpoch := func() {
-		epochs++
-		if epochs%ingestMergeEvery == 0 {
-			h.mergeDeltas(e)
-		}
-	}
-
 	batch := make([]*core.Tx, 0, ingestEpoch)
 	flush := func() {
 		if len(batch) == 0 {
@@ -437,7 +413,6 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 		// judges the recovered image, not workload success.
 		e.CommitBatch(batch)
 		batch = batch[:0]
-		endEpoch()
 	}
 
 	churnPair := 0
@@ -480,7 +455,6 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 				churnLive = append(churnLive, created[i])
 			}
 		}
-		endEpoch()
 		return nil
 	}
 
@@ -515,27 +489,7 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 		}
 	}
 	flush()
-	h.mergeDeltas(e) // the tail of the run crosses merge code too
 	return started, nil
-}
-
-// mergeDeltas merges every index tree's delta into its base, in a
-// deterministic (shard, label, key) order so crash-event ordinals are
-// reproducible.
-func (h *harness) mergeDeltas(e *core.Engine) {
-	infos := e.Indexes()
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Shard != infos[j].Shard {
-			return infos[i].Shard < infos[j].Shard
-		}
-		if infos[i].Label != infos[j].Label {
-			return infos[i].Label < infos[j].Label
-		}
-		return infos[i].Key < infos[j].Key
-	})
-	for _, info := range infos {
-		_ = info.Tree.MergeDelta()
-	}
 }
 
 // Explore enumerates (or samples) crash points over the configured

@@ -121,3 +121,37 @@ func TestReplayCleanSchedule(t *testing.T) {
 		t.Fatalf("unexpected violation: %s", v)
 	}
 }
+
+// A ScheduleID names a crash point by its ordinal among the masked events,
+// so every IU-mix ID minted so far replays only while the default path
+// issues the same stores, flushes and drains in the same order. The totals
+// of the CI sweep's workload (-persons 16 -ops 30 -seed 1) are pinned as
+// measured before the index delta layer was removed (PR 20); a change that
+// moves them re-addresses every recorded IU schedule and must say so.
+func TestIUMixEventCountsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens a full engine; skipped in -short")
+	}
+	want := map[int]map[pmem.CrashEvents]uint64{
+		1: {pmem.EvStore: 1805, pmem.EvFlush: 1179, pmem.EvDrain: 354},
+		4: {pmem.EvStore: 1931, pmem.EvFlush: 10405, pmem.EvDrain: 371},
+	}
+	for shards, counts := range want {
+		opts := Options{Persons: 16, Ops: 30, Seed: 1, Shards: shards}
+		opts.fill()
+		h, err := newHarness(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask, n := range counts {
+			h.opts.Mask = mask
+			out, err := h.runOnce(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.events != n {
+				t.Errorf("shards=%d: IU mix generates %d %s events, pinned %d", shards, out.events, mask, n)
+			}
+		}
+	}
+}

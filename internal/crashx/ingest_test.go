@@ -9,11 +9,10 @@ import (
 	"poseidon/internal/pmem"
 )
 
-// The ingest mix drives the write-optimized commit stack — group-commit
-// epochs through CommitBatch and delta-mode indexes with explicit merges
-// — so its crash points land before and after the epoch leader's group
-// fence and in the middle of delta merges. Every sampled point must
-// still recover to an fsck-clean image.
+// The ingest mix drives the write-optimized commit stack — a bulk base
+// load and group-commit epochs through CommitBatch — so its crash points
+// land before and after the epoch leader's group fence. Every sampled
+// point must still recover to an fsck-clean image.
 
 func TestExploreIngestSmoke(t *testing.T) {
 	if testing.Short() {

@@ -25,6 +25,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"poseidon/internal/pmem"
@@ -59,6 +60,12 @@ func (k Kind) String() string {
 // should drop and rebuild the index from primary data.
 var ErrCorrupt = errors.New("index: corrupt persistent index")
 
+// ErrDeltaImage reports a tree whose header links a delta region: the
+// image was written by the removed LSM-style delta layer, and ops it
+// published there never reached the leaf chain. Callers must rebuild the
+// index from primary data rather than serve the incomplete chain.
+var ErrDeltaImage = errors.New("index: image uses the removed delta layer; rebuild the index")
+
 // Node geometry. Both node types occupy 448 user bytes, which lands in
 // the 512-byte allocator class together with the 64-byte block header.
 const (
@@ -87,7 +94,7 @@ const (
 	ihLeafHead = 16
 	ihRoot     = 24 // root node offset (persistent variant only)
 	ihHeight   = 32 // 0 = root is a leaf (persistent variant only)
-	ihDelta    = 40 // delta-region offset (0 = none; zero on pre-delta images)
+	ihDelta    = 40 // delta-region offset written by the removed delta layer; Open refuses non-zero
 	ihSize     = 64
 
 	indexMagic = 0x49445831 // "IDX1"
@@ -129,17 +136,8 @@ type Tree struct {
 
 	mu     sync.RWMutex
 	root   uint64
-	height int    // 0 = root is a leaf
-	count  uint64 // logical entries: base tree plus net pending delta ops
-
-	// LSM-style delta layer (see delta.go). deltaOff == 0 means the tree
-	// runs in the classic persist-per-insert mode.
-	deltaOff uint64     // persistent delta region (0 = disabled)
-	deltaCap int        // entry capacity of the region
-	dview    []deltaEnt // sorted overlay of pending ops, one per (key, id)
-	dcount   int        // ops appended to the region (volatile)
-	dpub     int        // ops covered by the last published count word
-	dnet     int        // net logical-count change the pending ops carry
+	height int // 0 = root is a leaf
+	count  uint64
 
 	// bulkLeaves, when non-nil, collects leaf offsets persistLeaf would
 	// have flushed so InsertMany can persist each touched leaf once.
@@ -233,6 +231,9 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 	if got := Kind(d.ReadU64(hdr + ihKind)); got != kind {
 		return nil, fmt.Errorf("%w: stored kind %v, requested %v", ErrCorrupt, got, kind)
 	}
+	if d.ReadU64(hdr+ihDelta) != 0 {
+		return nil, ErrDeltaImage
+	}
 	t := &Tree{kind: kind, leafPool: pool, leafDev: d, durable: true, hdr: hdr}
 	switch kind {
 	case Persistent:
@@ -250,15 +251,18 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 			return nil, err
 		}
 	}
-	// Drain any published delta ops into the base tree before the index
-	// serves reads, so recovery consumers (fsck, reconcile, WalkLeaves)
-	// keep seeing the leaf chain as the complete ground truth.
-	if off := d.ReadU64(hdr + ihDelta); off != 0 {
-		if err := t.replayDelta(off); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
+}
+
+// Close unregisters the tree's private DRAM pool (a Hybrid tree's inner
+// nodes, a Volatile tree's everything) so a dropped tree's arena can be
+// collected. The shared leaf pool belongs to the caller and is never
+// closed. Idempotent; the tree itself stays usable, so readers still
+// holding it are unaffected.
+func (t *Tree) Close() {
+	if t.kind != Persistent {
+		t.innerPool.Close()
+	}
 }
 
 // Offset returns the persistent header offset (0 for volatile trees).
@@ -384,11 +388,6 @@ func (t *Tree) lowerBound(k storage.Value) uint64 {
 func (t *Tree) Lookup(k storage.Value) []uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.overlayIDs(k, t.lookupBase(k))
-}
-
-// lookupBase collects k's ids from the base tree only.
-func (t *Tree) lookupBase(k storage.Value) []uint64 {
 	var out []uint64
 	leaf := t.lowerBound(k)
 	for leaf != 0 {
@@ -413,13 +412,6 @@ func (t *Tree) lookupBase(k storage.Value) []uint64 {
 func (t *Tree) LookupFirst(k storage.Value) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		ids := t.overlayIDs(k, t.lookupBase(k))
-		if len(ids) == 0 {
-			return 0, false
-		}
-		return ids[0], true
-	}
 	leaf := t.lowerBound(k)
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -442,11 +434,7 @@ func (t *Tree) LookupFirst(k storage.Value) (uint64, bool) {
 func (t *Tree) Contains(k storage.Value, id uint64) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	e := entry{key: k, id: id}
-	if i, found := t.dviewFind(e); found {
-		return !t.dview[i].del
-	}
-	return t.containsLocked(e)
+	return t.containsLocked(entry{key: k, id: id})
 }
 
 // Range calls fn for every entry with lo <= key <= hi in (key, id) order,
@@ -454,10 +442,6 @@ func (t *Tree) Contains(k storage.Value, id uint64) bool {
 func (t *Tree) Range(lo, hi storage.Value, fn func(k storage.Value, id uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		t.rangeMerged(&lo, &hi, fn)
-		return
-	}
 	leaf := t.lowerBound(lo)
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -481,10 +465,6 @@ func (t *Tree) Range(lo, hi storage.Value, fn func(k storage.Value, id uint64) b
 func (t *Tree) Scan(fn func(k storage.Value, id uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		t.rangeMerged(nil, nil, fn)
-		return
-	}
 	leaf := t.leftmostLeaf()
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -506,21 +486,15 @@ func (t *Tree) leftmostLeaf() uint64 {
 	return node
 }
 
-// Insert adds (k, id). Inserting an already-present pair is a no-op.
-// With the delta layer enabled the op is absorbed into the delta region
-// (no drain); otherwise it goes straight into the base tree.
+// Insert adds (k, id), persisting every touched leaf. Inserting an
+// already-present pair is a no-op.
 func (t *Tree) Insert(k storage.Value, id uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := entry{key: k, id: id}
-	if t.deltaOff != 0 {
-		return t.deltaInsert(e)
-	}
-	return t.insertBase(e)
+	return t.insertLocked(entry{key: k, id: id})
 }
 
-// insertBase inserts into the base tree, persisting every touched leaf.
-func (t *Tree) insertBase(e entry) error {
+func (t *Tree) insertLocked(e entry) error {
 	var path []pathEnt
 	leaf := t.leafFor(e, &path)
 	n := t.leafCount(leaf)
@@ -576,6 +550,35 @@ func (t *Tree) insertBase(e entry) error {
 	t.count++
 
 	return t.insertUpward(path, sep, right)
+}
+
+// InsertMany bulk-inserts entries, persisting each touched leaf once at
+// the end — one drain for the whole batch instead of one per insert. The
+// bulk loader uses it to build indexes after the primary data lands.
+func (t *Tree) InsertMany(ents []Entry) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.durable {
+		t.bulkLeaves = make(map[uint64]struct{})
+		defer func() {
+			offs := make([]uint64, 0, len(t.bulkLeaves))
+			for off := range t.bulkLeaves {
+				offs = append(offs, off)
+			}
+			t.bulkLeaves = nil
+			sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
+			for _, off := range offs {
+				t.leafDev.Flush(off, nodeBytes)
+			}
+			t.leafDev.Drain()
+		}()
+	}
+	for _, ent := range ents {
+		if err := t.insertLocked(entry{key: ent.Key, id: ent.ID}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // insertIntoLeaf inserts into a leaf known to have room.
@@ -683,14 +686,6 @@ func (t *Tree) Delete(k storage.Value, id uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := entry{key: k, id: id}
-	if t.deltaOff != 0 {
-		return t.deltaDelete(e)
-	}
-	return t.deleteBase(e)
-}
-
-// deleteBase removes from the base tree, persisting the touched leaf.
-func (t *Tree) deleteBase(e entry) bool {
 	leaf := t.leafFor(e, nil)
 	n := t.leafCount(leaf)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -403,5 +404,65 @@ func TestHybridLookupTouchesOnePMemNode(t *testing.T) {
 	// read every inner level.
 	if delta.Reads > 80 {
 		t.Errorf("hybrid lookup did %d PMem reads, want only leaf accesses", delta.Reads)
+	}
+}
+
+// An image written with the removed delta layer links a delta region from
+// the tree header; ops published there never reached the leaf chain, so
+// Open must refuse the tree instead of serving the incomplete chain.
+func TestOpenRefusesDeltaImage(t *testing.T) {
+	for _, kind := range []Kind{Hybrid, Persistent} {
+		t.Run(kind.String(), func(t *testing.T) {
+			pool, dev := newPMemPool(t, 32<<20)
+			tree, err := Create(kind, pool, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			if err := tree.Insert(iv(1), 1); err != nil {
+				t.Fatal(err)
+			}
+			pools := pmemobj.Registered()
+			dev.WriteU64(tree.Offset()+ihDelta, 4096)
+			if _, err := Open(kind, pool, tree.Offset(), Options{}); !errors.Is(err, ErrDeltaImage) {
+				t.Fatalf("Open of a delta-layer image: err = %v, want ErrDeltaImage", err)
+			}
+			if got := pmemobj.Registered(); got != pools {
+				t.Errorf("refused Open left %d pool(s) registered", got-pools)
+			}
+			dev.WriteU64(tree.Offset()+ihDelta, 0)
+			reopened, err := Open(kind, pool, tree.Offset(), Options{})
+			if err != nil {
+				t.Fatalf("Open with a zero delta word: %v", err)
+			}
+			reopened.Close()
+		})
+	}
+}
+
+// Close drops the private DRAM pool of Hybrid and Volatile trees from the
+// pmemobj registry, never the caller's leaf pool, and is idempotent.
+func TestCloseReleasesPrivatePool(t *testing.T) {
+	pool, _ := newPMemPool(t, 32<<20)
+	base := pmemobj.Registered()
+	for kind, private := range map[Kind]int{Volatile: 1, Hybrid: 1, Persistent: 0} {
+		tree, err := Create(kind, pool, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pmemobj.Registered() - base; got != private {
+			t.Errorf("%v: %d private pool(s) registered, want %d", kind, got, private)
+		}
+		tree.Close()
+		tree.Close()
+		if got := pmemobj.Registered(); got != base {
+			t.Errorf("%v: %d pool(s) registered after Close, want %d", kind, got, base)
+		}
+		if err := tree.Insert(iv(7), 7); err != nil || !tree.Contains(iv(7), 7) {
+			t.Errorf("%v: closed tree unusable (err %v)", kind, err)
+		}
+	}
+	if _, _, err := pmemobj.Resolve(pmemobj.PPtr{Pool: pool.UUID()}); err != nil {
+		t.Errorf("leaf pool was unregistered: %v", err)
 	}
 }

@@ -108,25 +108,8 @@ func (t *Tree) CheckIntegrity() []string {
 		}
 		leaf = t.leafNext(leaf)
 	}
-	if base := uint64(int64(t.count) - int64(t.dnet)); total != base {
-		probs = append(probs, fmt.Sprintf("cached entry count %d (net pending delta %+d) != %d entries on the leaf chain", t.count, t.dnet, total))
-	}
-	// Delta-layer invariants: the published op count fits the region and
-	// every published op has a valid opcode (replay would reject either).
-	if t.deltaOff != 0 {
-		pub := t.leafDev.ReadU64(t.deltaOff + drCount)
-		if pub > uint64(t.deltaCap) {
-			probs = append(probs, fmt.Sprintf("delta region count %d exceeds capacity %d", pub, t.deltaCap))
-		} else {
-			for i := uint64(0); i < pub; i++ {
-				if op := t.leafDev.ReadU64(t.deltaOff + drOps + i*deltaOpSz); op != opInsert && op != opDelete {
-					probs = append(probs, fmt.Sprintf("delta op %d has invalid opcode %d", i, op))
-				}
-			}
-		}
-		if pub > uint64(t.dcount) {
-			probs = append(probs, fmt.Sprintf("delta region publishes %d ops but only %d were appended", pub, t.dcount))
-		}
+	if total != t.count {
+		probs = append(probs, fmt.Sprintf("cached entry count %d != %d entries on the leaf chain", t.count, total))
 	}
 	return probs
 }

@@ -277,6 +277,14 @@ func unregister(p *Pool) {
 	delete(registry.pools, p.uuid)
 }
 
+// Registered returns the number of open pools in the runtime registry; a
+// pool stays there — and reachable — until Close.
+func Registered() int {
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	return len(registry.pools)
+}
+
 // Resolve translates a persistent pointer into its pool, paying the
 // registry-lookup cost that makes persistent pointers slower than plain
 // offsets.

@@ -135,10 +135,6 @@ type Config struct {
 	// slow-query log (see TelemetryConfig). Off by default: the hot paths
 	// then pay a single nil-check branch.
 	Telemetry TelemetryConfig
-	// IndexDelta absorbs secondary-index maintenance into per-tree
-	// LSM-style delta regions, publishing once per commit epoch. See
-	// core.IndexDeltaConfig; zero value = off.
-	IndexDelta core.IndexDeltaConfig
 }
 
 // defaultStmtCacheSize bounds the statement cache when Config leaves it 0.
@@ -174,7 +170,7 @@ func stmtCacheCap(cfg Config) int {
 
 // Open creates a new database.
 func Open(cfg Config) (*DB, error) {
-	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, IndexDelta: cfg.IndexDelta})
+	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +190,7 @@ func Open(cfg Config) (*DB, error) {
 // running crash recovery. Use db.Device() to obtain the device before a
 // crash.
 func Reopen(dev *pmem.Device, cfg Config) (*DB, error) {
-	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, IndexDelta: cfg.IndexDelta})
+	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
