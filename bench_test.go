@@ -45,6 +45,9 @@ func getSetup(b *testing.B) *bench.Setup {
 			Persons: benchScale(),
 			Runs:    10,
 		})
+		if setupErr == nil {
+			setup.Ctx = context.Background()
+		}
 	})
 	if setupErr != nil {
 		b.Fatal(setupErr)
@@ -198,7 +201,7 @@ func BenchmarkScan100kMaterialized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Query(plan, nil)
+		rows, err := db.QueryCtx(context.Background(), plan, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +277,7 @@ func BenchmarkPointLookup(b *testing.B) {
 	db, plan := pointLookupDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Query(plan, query.Params{"n": int64(i % 10000)})
+		rows, err := db.QueryCtx(context.Background(), plan, query.Params{"n": int64(i % 10000)})
 		if err != nil {
 			b.Fatal(err)
 		}

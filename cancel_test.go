@@ -70,7 +70,7 @@ func TestDeadlineCancelsAllModes(t *testing.T) {
 		waitGoroutines(t, base)
 	}
 	// The engine is unharmed: the same scan completes when given time.
-	rows, err := db.Query(plan, nil)
+	rows, err := db.QueryCtx(context.Background(), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExecCtxCancelledCommitsNothing(t *testing.T) {
 	if db.Engine().ActiveTxs() != 0 {
 		t.Fatal("transaction leaked")
 	}
-	rows, err := db.Query(&query.Plan{Root: &query.NodeScan{Label: "Copy"}}, nil)
+	rows, err := db.QueryCtx(context.Background(), &query.Plan{Root: &query.NodeScan{Label: "Copy"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

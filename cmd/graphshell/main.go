@@ -407,7 +407,7 @@ func run(sh *shell, cmd string, args []string, indexed map[[2]string]bool) error
 			val = n
 		}
 		plan := &query.Plan{Root: &query.IndexScan{Label: args[0], Key: args[1], Value: &query.Param{Name: "v"}}}
-		rows, err := db.Query(plan, query.Params{"v": val})
+		rows, err := db.QueryCtx(context.Background(), plan, query.Params{"v": val})
 		if err != nil {
 			return err
 		}

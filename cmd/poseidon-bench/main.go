@@ -83,7 +83,7 @@ func main() {
 		"ablations":     s.Ablations,
 		"stream":        func() (*bench.Table, error) { return streamFigure(*runs) },
 		"saturation":    func() (*bench.Table, error) { return bench.Saturation(s.Opts) },
-		"ingest":        func() (*bench.Table, error) { return bench.Ingest(s.Opts) },
+		"ingest":        func() (*bench.Table, error) { return bench.Ingest(s.Ctx, s.Opts) },
 		"traceoverhead": func() (*bench.Table, error) { return traceFigure(*runs) },
 	}
 	order := []string{"5", "6", "7", "8", "9", "10", "ablations", "stream", "saturation", "ingest", "traceoverhead"}
@@ -332,7 +332,7 @@ func traceFigure(runs int) (*bench.Table, error) {
 	return t, nil
 }
 
-// streamFigure compares materialized ([][]any via DB.Query) against
+// streamFigure compares materialized ([][]any via DB.QueryCtx) against
 // streamed (Session.Query + Rows, raw values) delivery of a 100k-node
 // scan through the public API.
 func streamFigure(runs int) (*bench.Table, error) {
@@ -366,7 +366,7 @@ func streamFigure(runs int) (*bench.Table, error) {
 	defer sess.Close()
 
 	runMat := func() error {
-		rows, err := db.Query(plan, nil)
+		rows, err := db.QueryCtx(context.Background(), plan, nil)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := j.Compile(plan)
+	// Every compile and run carries a context: a 10s ceiling cancels
+	// mid-scan (and mid-compile) if something degenerates, rolling the
+	// transaction back.
+	ctx, cancelAll := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelAll()
+	c, err := j.CompileCtx(ctx, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,17 +71,13 @@ func main() {
 
 	// Relinking from the persistent code cache is much cheaper.
 	j.InvalidateSession()
-	c2, err := j.Compile(plan)
+	c2, err := j.CompileCtx(ctx, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("relink from persistent cache: %v (cache hit: %v)\n\n", c2.CompileTime, c2.FromCache)
 
-	// AOT vs JIT on the same transaction. Every run carries a context:
-	// a 10s ceiling cancels mid-scan (and mid-compile) if something
-	// degenerates, rolling the transaction back.
-	ctx, cancelAll := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelAll()
+	// AOT vs JIT on the same transaction.
 	params := query.Params{"id": int64(10)}
 	pr, _ := query.Prepare(e, plan)
 	tx := e.Begin()
@@ -121,7 +122,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncypher signature: %s\n", cplan.Signature())
-	cc, err := j.Compile(cplan)
+	cc, err := j.CompileCtx(ctx, cplan)
 	if err != nil {
 		log.Fatal(err)
 	}

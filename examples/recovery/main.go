@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -74,7 +75,7 @@ func main() {
 		Input: &query.NodeByID{Param: "id"},
 		Cols:  []query.Expr{&query.Prop{Col: 0, Key: "balance"}},
 	}}
-	rows, err := db2.Query(balance, query.Params{"id": int64(42)})
+	rows, err := db2.QueryCtx(context.Background(), balance, query.Params{"id": int64(42)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func main() {
 		Cols:  []query.Expr{&query.Prop{Col: 0, Key: "balance"}},
 	}}
 	start = time.Now()
-	rows, err = db2.Query(lookup, query.Params{"n": int64(7777)})
+	rows, err = db2.QueryCtx(context.Background(), lookup, query.Params{"n": int64(7777)})
 	if err != nil {
 		log.Fatal(err)
 	}

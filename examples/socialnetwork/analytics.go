@@ -1,14 +1,15 @@
-// Package analytics implements snapshot-consistent graph analytics over
-// the transactional engine — the paper's stated next step ("in our
-// ongoing work, we plan to investigate the behavior of complex graph
-// analytics", §8). Algorithms run inside one MVTO read transaction, so
-// they observe a consistent snapshot while concurrent updates proceed —
-// the HTAP setting the engine's architecture targets.
+package main
+
+// Snapshot-consistent graph analytics over the transactional engine — the
+// paper's stated next step ("in our ongoing work, we plan to investigate
+// the behavior of complex graph analytics", §8). Algorithms run inside
+// one MVTO read transaction, so they observe a consistent snapshot while
+// concurrent updates proceed — the HTAP setting the engine's architecture
+// targets.
 //
 // The algorithms use the same AOT access methods as the query engine
 // (adjacency iterators over offset-linked relationship lists), so their
 // access patterns exercise exactly the storage design of §4.
-package analytics
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"sort"
 
 	"poseidon/internal/core"
-	"poseidon/internal/storage"
 )
 
 // idIndexer maps sparse record ids to dense [0,n) indexes for the
@@ -50,54 +50,6 @@ func collectNodes(tx *core.Tx, labelCode uint32) (*idIndexer, error) {
 		return true
 	})
 	return x, err
-}
-
-// BFSResult reports a breadth-first traversal.
-type BFSResult struct {
-	// Dist maps node id to hop distance from the source; unreachable
-	// nodes are absent.
-	Dist map[uint64]int
-	// Reached is the number of reached nodes (including the source).
-	Reached int
-	// MaxDepth is the eccentricity observed.
-	MaxDepth int
-}
-
-// BFS runs a breadth-first traversal from src over relationships with
-// the given label (empty = all), following edges in both directions,
-// within the transaction's snapshot.
-func BFS(tx *core.Tx, src uint64, relLabel string) (*BFSResult, error) {
-	labelCode, err := labelCodeOf(tx, relLabel)
-	if err != nil {
-		return &BFSResult{Dist: map[uint64]int{}}, nil // unknown label: nothing reachable
-	}
-	res := &BFSResult{Dist: map[uint64]int{}}
-	srcSnap, err := tx.GetNode(src)
-	if err != nil {
-		return nil, fmt.Errorf("analytics: bfs source: %w", err)
-	}
-	res.Dist[src] = 0
-	res.Reached = 1
-	frontier := []core.NodeSnap{srcSnap}
-	for depth := 1; len(frontier) > 0; depth++ {
-		var next []core.NodeSnap
-		for _, n := range frontier {
-			if err := visitNeighbors(tx, n, labelCode, func(m core.NodeSnap) error {
-				if _, seen := res.Dist[m.ID]; seen {
-					return nil
-				}
-				res.Dist[m.ID] = depth
-				res.Reached++
-				res.MaxDepth = depth
-				next = append(next, m)
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-		}
-		frontier = next
-	}
-	return res, nil
 }
 
 func labelCodeOf(tx *core.Tx, relLabel string) (uint32, error) {
@@ -372,6 +324,3 @@ func WeaklyConnectedComponents(tx *core.Tx, relLabel string) ([]int, error) {
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return sizes, nil
 }
-
-// Value re-exported for callers building thresholds.
-type Value = storage.Value

@@ -1,4 +1,4 @@
-package analytics
+package main
 
 import (
 	"math"
@@ -31,52 +31,6 @@ func chainGraph(t *testing.T) (*core.Engine, []uint64) {
 		t.Fatal(err)
 	}
 	return e, ids
-}
-
-func TestBFSDistancesAndReach(t *testing.T) {
-	e, ids := chainGraph(t)
-	tx := e.Begin()
-	defer tx.Abort()
-	res, err := BFS(tx, ids[0], "knows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reached != 10 {
-		t.Errorf("reached = %d, want 10 (island excluded)", res.Reached)
-	}
-	if res.MaxDepth != 9 {
-		t.Errorf("max depth = %d, want 9", res.MaxDepth)
-	}
-	for i := 0; i < 10; i++ {
-		if res.Dist[ids[i]] != i {
-			t.Errorf("dist[%d] = %d, want %d", i, res.Dist[ids[i]], i)
-		}
-	}
-	if _, reached := res.Dist[ids[10]]; reached {
-		t.Error("island node reached")
-	}
-	// From the middle, both directions are followed.
-	res, _ = BFS(tx, ids[5], "knows")
-	if res.Dist[ids[0]] != 5 || res.Dist[ids[9]] != 4 {
-		t.Errorf("middle BFS dists: %d/%d", res.Dist[ids[0]], res.Dist[ids[9]])
-	}
-	// Unknown labels reach nothing beyond the source.
-	res, err = BFS(tx, ids[0], "ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reached != 0 && res.Reached != 1 {
-		t.Errorf("ghost label reached %d", res.Reached)
-	}
-}
-
-func TestBFSMissingSource(t *testing.T) {
-	e, _ := chainGraph(t)
-	tx := e.Begin()
-	defer tx.Abort()
-	if _, err := BFS(tx, 9999, "knows"); err == nil {
-		t.Error("BFS from missing node succeeded")
-	}
 }
 
 func TestPageRankPropertiesOnRing(t *testing.T) {
@@ -211,22 +165,22 @@ func TestAnalyticsSeeSnapshotNotLaterCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := BFS(analyticTx, ids[0], "knows")
+	sizes, err := WeaklyConnectedComponents(analyticTx, "knows")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reached != 10 {
-		t.Errorf("snapshot BFS reached %d, want 10 (bridge invisible)", res.Reached)
+	if len(sizes) != 2 || sizes[0] != 10 || sizes[1] != 2 {
+		t.Errorf("snapshot components = %v, want [10 2] (bridge invisible)", sizes)
 	}
 
 	// A fresh transaction sees the bridge.
 	freshTx := e.Begin()
 	defer freshTx.Abort()
-	res, err = BFS(freshTx, ids[0], "knows")
+	sizes, err = WeaklyConnectedComponents(freshTx, "knows")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reached != 12 {
-		t.Errorf("fresh BFS reached %d, want 12", res.Reached)
+	if len(sizes) != 1 || sizes[0] != 12 {
+		t.Errorf("fresh components = %v, want [12]", sizes)
 	}
 }

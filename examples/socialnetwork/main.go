@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"poseidon/internal/analytics"
 	"poseidon/internal/core"
 	"poseidon/internal/index"
 	"poseidon/internal/jit"
@@ -169,20 +168,20 @@ func main() {
 	// the interactive session just mutated (the paper's §8 outlook).
 	atx := e.Begin()
 	defer atx.Abort()
-	deg, err := analytics.Degrees(atx, "Person", "knows")
+	deg, err := Degrees(atx, "Person", "knows")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nanalytics: knows degree: avg %.1f, max out %d, p90 %d\n",
 		deg.AvgOut, deg.MaxOut, deg.Percentile9)
-	wcc, err := analytics.WeaklyConnectedComponents(atx, "knows")
+	wcc, err := WeaklyConnectedComponents(atx, "knows")
 	if err != nil {
 		log.Fatal(err)
 	}
 	if len(wcc) > 0 {
 		fmt.Printf("analytics: %d knows-components, largest %d persons\n", len(wcc), wcc[0])
 	}
-	pr, err := analytics.PageRank(atx, "Person", "knows", 0.85, 50, 1e-8)
+	pr, err := PageRank(atx, "Person", "knows", 0.85, 50, 1e-8)
 	if err != nil {
 		log.Fatal(err)
 	}

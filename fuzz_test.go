@@ -1,6 +1,7 @@
 package poseidon
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -22,7 +23,7 @@ func sharedFuzzDB() (*DB, error) {
 			return
 		}
 		seed := `CREATE (a:Person {id: 1, name: 'ada', age: 36})`
-		if _, err := db.Cypher(seed, nil); err != nil {
+		if _, err := db.CypherCtx(context.Background(), seed, nil); err != nil {
 			fuzzDB.err = err
 			return
 		}

@@ -57,9 +57,9 @@ type Setup struct {
 	Opts Options
 	DS   *ldbc.Dataset
 
-	// Ctx, when set by the caller, is threaded through every measured
-	// execution so a cancelled benchmark run aborts mid-query. A nil Ctx
-	// is tolerated by the *Ctx entry points.
+	// Ctx is threaded through every measured execution so a cancelled
+	// benchmark run aborts mid-query. NewSetup's caller sets it before
+	// running a figure; it must not be nil.
 	Ctx context.Context
 
 	PMem    *core.Engine

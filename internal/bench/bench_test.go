@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ func tinySetup(t *testing.T) *Setup {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Ctx = context.Background()
 	t.Cleanup(s.Close)
 	return s
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 // one-transaction-per-entity baseline. Both comparisons run unsharded
 // and single-threaded, so the figure is deterministic and
 // scheduling-independent.
-func Ingest(opts Options) (*Table, error) {
+func Ingest(ctx context.Context, opts Options) (*Table, error) {
 	opts.fill()
 	t := &Table{
 		Name:    "Ingest: commit-epoch fences and bulk-load throughput (unsharded PMem)",
@@ -31,7 +32,7 @@ func Ingest(opts Options) (*Table, error) {
 		},
 	}
 
-	iuPerTxn, iuGroup, err := ingestIU(opts)
+	iuPerTxn, iuGroup, err := ingestIU(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func (s ingestStat) row(name string, base ingestStat) TableRow {
 // ingestIU loads a small dataset, then commits IU update transactions
 // one per epoch (Tx.Commit) and in 8-member epochs (CommitBatch),
 // counting drains around the commit phase only.
-func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
+func ingestIU(ctx context.Context, opts Options) (perTxn, grouped ingestStat, err error) {
 	persons := opts.Persons
 	if persons > 200 {
 		persons = 200
@@ -136,7 +137,7 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 			q := queries[i%len(queries)]
 			params := pg.IUParams(q)
 			tx := e.Begin()
-			if _, err := prepared[i%len(queries)].Collect(tx, params); err != nil {
+			if _, err := prepared[i%len(queries)].CollectCtx(ctx, tx, params); err != nil {
 				// Two in-flight batch members touched the same record:
 				// drain the epoch, then retry against committed state.
 				tx.Abort()
@@ -144,7 +145,7 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 					return ingestStat{}, err
 				}
 				tx = e.Begin()
-				if _, err := prepared[i%len(queries)].Collect(tx, params); err != nil {
+				if _, err := prepared[i%len(queries)].CollectCtx(ctx, tx, params); err != nil {
 					tx.Abort()
 					return ingestStat{}, err
 				}

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func run(t *testing.T, e *core.Engine, src string, params query.Params) [][]any 
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	rows, err := pr.Collect(tx, params)
+	rows, err := pr.CollectCtx(context.Background(), tx, params)
 	if err != nil {
 		tx.Abort()
 		t.Fatalf("run %q: %v", src, err)
@@ -216,12 +217,12 @@ func TestCypherRunsUnderJITAndParallel(t *testing.T) {
 	pr, _ := query.Prepare(e, plan)
 	tx := e.Begin()
 	defer tx.Abort()
-	want, err := pr.Collect(tx, nil)
+	want, err := pr.CollectCtx(context.Background(), tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var par []query.Row
-	if err := pr.RunParallel(tx, nil, 2, func(r query.Row) bool { par = append(par, r); return true }); err != nil {
+	if err := pr.RunParallelCtx(context.Background(), tx, nil, 2, func(r query.Row) bool { par = append(par, r); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(par) != len(want) {

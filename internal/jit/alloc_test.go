@@ -3,6 +3,7 @@
 package jit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestLabelScanAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := j.Compile(rarePlan())
+		c, err := j.CompileCtx(context.Background(), rarePlan())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -122,18 +123,18 @@ func TestCacheCollisionKeepsBothQueries(t *testing.T) {
 	j, _ := New(e)
 	p1 := &query.Plan{Root: &query.NodeScan{Label: "Person"}}
 	p2 := &query.Plan{Root: &query.Limit{Input: &query.NodeScan{Label: "Person"}, N: 3}}
-	if _, err := j.Compile(p1); err != nil {
+	if _, err := j.CompileCtx(context.Background(), p1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Compile(p2); err != nil {
+	if _, err := j.CompileCtx(context.Background(), p2); err != nil {
 		t.Fatal(err)
 	}
 	j.InvalidateSession()
-	c1, err := j.Compile(p1)
+	c1, err := j.CompileCtx(context.Background(), p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := j.Compile(p2)
+	c2, err := j.CompileCtx(context.Background(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestCacheCollisionKeepsBothQueries(t *testing.T) {
 	tx := e.Begin()
 	defer tx.Abort()
 	n := 0
-	if _, err := j.Run(tx, p2, nil, func(query.Row) bool { n++; return true }); err != nil {
+	if _, err := j.RunCtx(context.Background(), tx, p2, nil, func(query.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {

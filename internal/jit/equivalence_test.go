@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,13 +84,13 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		tx := e.Begin()
-		want, err := pr.Collect(tx, nil)
+		want, err := pr.CollectCtx(context.Background(), tx, nil)
 		if err != nil {
 			tx.Abort()
 			t.Fatalf("plan %d interp: %v\n%s", i, err, plan.Signature())
 		}
 		var got []query.Row
-		if _, err := j.Run(tx, plan, nil, func(r query.Row) bool {
+		if _, err := j.RunCtx(context.Background(), tx, plan, nil, func(r query.Row) bool {
 			got = append(got, r)
 			return true
 		}); err != nil {

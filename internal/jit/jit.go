@@ -3,8 +3,6 @@ package jit
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,26 +63,15 @@ func (j *Engine) InvalidateSession() {
 	j.mu.Unlock()
 }
 
-// Compile produces (or fetches) the compiled form of a plan. The paper's
-// flow: derive the query identifier, look up the persistent hash map; on
-// a hit, link the stored code; otherwise generate IR, run the
-// optimization cascade, lower, and persist.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) Compile(plan *query.Plan) (*Compiled, error) {
-	return j.CompileCtx(context.Background(), plan)
-}
-
-// CompileCtx is Compile with a cancellation context, checked at every
-// stage boundary (cache lookup, codegen, pass cascade, lowering). The
-// adaptive executor uses it so that cancelling a query also cancels its
-// background compilation instead of leaving a goroutine finishing work
-// nobody will use.
+// CompileCtx produces (or fetches) the compiled form of a plan. The
+// paper's flow: derive the query identifier, look up the persistent hash
+// map; on a hit, link the stored code; otherwise generate IR, run the
+// optimization cascade, lower, and persist. The context is checked at
+// every stage boundary (cache lookup, codegen, pass cascade, lowering).
+// The adaptive executor relies on that so that cancelling a query also
+// cancels its background compilation instead of leaving a goroutine
+// finishing work nobody will use.
 func (j *Engine) CompileCtx(ctx context.Context, plan *query.Plan) (*Compiled, error) {
-	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		ctx = context.Background()
-	}
 	ctx, sp := trace.StartSpan(ctx, "jit.compile", trace.KindJIT)
 	c, err := j.compileCtx(ctx, plan)
 	if c != nil {
@@ -230,24 +217,13 @@ type RunStats struct {
 	}
 }
 
-// Run executes the plan in JIT mode within tx: compile (or fetch), run
-// the compiled pipeline single-threaded, then the breaker tail.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) Run(tx *core.Tx, plan *query.Plan, params query.Params, emit func(query.Row) bool) (RunStats, error) {
-	return j.RunCtx(context.Background(), tx, plan, params, emit)
-}
-
-// RunCtx is Run with a cancellation context. The compiled pipeline drives
-// the same transaction-level iterators as the interpreter, so a cancelled
-// context aborts mid-scan with per-record granularity and RunCtx returns
-// ctx.Err().
+// RunCtx executes the plan in JIT mode within tx: compile (or fetch), run
+// the compiled pipeline single-threaded, then the breaker tail. The
+// compiled pipeline drives the same transaction-level iterators as the
+// interpreter, so a cancelled context aborts mid-scan with per-record
+// granularity and RunCtx returns ctx.Err().
 func (j *Engine) RunCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
-	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		cctx = context.Background()
-	}
 	c, err := j.CompileCtx(cctx, plan)
 	if err != nil {
 		return st, err
@@ -256,13 +232,11 @@ func (j *Engine) RunCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, par
 	st.FromCache = c.FromCache
 	st.Compiled = true
 
-	bound, err := query.BindParams(j.core, params)
+	ctx, err := query.NewCtx(cctx, j.core, tx, params)
 	if err != nil {
 		return st, err
 	}
-	prev := tx.WithContext(cctx)
-	defer tx.WithContext(prev)
-	ctx := &query.Ctx{E: j.core, Tx: tx, Params: bound, Context: cctx}
+	defer ctx.Detach()
 
 	_, esp := trace.StartSpan(cctx, "jit.exec", trace.KindJIT)
 	esp.SetAttr("from_cache", c.FromCache)
@@ -292,53 +266,29 @@ func (j *Engine) runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) b
 	return c.Plan.RunTail(ctx, collected, emit)
 }
 
-// RunAdaptive executes the plan with the paper's adaptive strategy
-// (§6.2, Fig 3): morsels are processed by the AOT interpreter while a
+// RunAdaptiveCtx executes the plan with the paper's adaptive strategy
+// (§6.2, Fig 3): the morsel loop starts on the AOT interpreter while a
 // background goroutine compiles the pipeline; once compilation finishes,
-// the task function is swapped and the remaining morsels run compiled.
-// Plans that cannot be parallelized fall back to Run (JIT).
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) RunAdaptive(tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
-	return j.RunAdaptiveCtx(context.Background(), tx, plan, params, workers, emit)
-}
-
-// RunAdaptiveCtx is RunAdaptive with a cancellation context: workers stop
-// claiming morsels, the background compilation is cancelled at its next
-// stage boundary, no goroutine is left behind, and the call returns
-// ctx.Err().
+// the task function is redirected and the remaining morsels run compiled.
+// Plans that cannot be parallelized fall back to RunCtx (JIT). On a
+// cancellation the background compilation stops at its next stage
+// boundary, no goroutine is left behind, and the call returns ctx.Err().
 func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
 	mp, ok := query.SplitForMorsels(plan)
 	if !ok {
 		return j.RunCtx(cctx, tx, plan, params, emit)
 	}
-	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		cctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	bound, err := query.BindParams(j.core, params)
+	ctx, err := query.NewCtx(cctx, j.core, tx, params)
 	if err != nil {
 		return st, err
 	}
-	prev := tx.WithContext(cctx)
-	defer tx.WithContext(prev)
-	// The adaptive span parents the background jit.compile span (it
-	// compiles under cctx), so a trace shows exactly when the tier switch
-	// became possible.
+	defer ctx.Detach()
+	// The adaptive span parents the workers' spans and the background
+	// jit.compile span (it compiles under cctx), so a trace shows exactly
+	// when the tier switch became possible.
 	cctx, asp := trace.StartSpan(cctx, "jit.adaptive", trace.KindJIT)
-	asp.SetAttr("workers", int64(workers))
-	ctx := &query.Ctx{E: j.core, Tx: tx, Params: bound, Context: cctx}
-
-	var nchunks uint64
-	if _, isRel := mp.Leaf.(*query.RelScan); isRel {
-		nchunks = query.MorselCount(j.core.Rels().MaxID(), j.core.Rels().ChunkCap())
-	} else {
-		nchunks = query.MorselCount(j.core.Nodes().MaxID(), j.core.Nodes().ChunkCap())
-	}
+	ctx.Context = cctx
 
 	// Already-linked code is used directly; otherwise compilation runs in
 	// the background and the pointer swap is the paper's "redirecting the
@@ -366,78 +316,25 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		}()
 	}
 
-	// Streamed rows reach the caller's emit one at a time under emitMu.
-	// With a tail to run, each worker gathers its own tuples and the
-	// parts are joined once the workers are done: the tail sorts or
-	// aggregates, so their order carries no meaning.
-	streaming := len(mp.Tail) == 0
-	var emitMu sync.Mutex
-	var stopped atomic.Bool
-	stream := func(t query.Tuple) (bool, error) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if stopped.Load() {
-			return false, nil
-		}
-		if !emit(query.ToRow(t)) {
-			stopped.Store(true)
-			return false, nil
-		}
-		return true, nil
-	}
-	parts := make([][]query.Tuple, workers)
 	var interpMorsels, compiledMorsels atomic.Int64
-
 	start := time.Now()
-	var next atomic.Uint64
-	var firstErr query.FirstError
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			collect := stream
-			if !streaming {
-				var mine []query.Tuple
-				collect = func(t query.Tuple) (bool, error) {
-					mine = append(mine, append(query.Tuple(nil), t...))
-					return true, nil
+	err = mp.RunMorsels(ctx, workers, emit, func(out query.Sink) (query.MorselTask, error) {
+		var morsel uint64
+		interp, err := mp.PipelineRunner(ctx, &morsel, out)
+		var exec *Exec
+		return func(m uint64) error {
+			if prog := compiledProg.Load(); prog != nil {
+				if exec == nil {
+					exec = prog.NewExec()
 				}
-				defer func() { parts[w] = mine }()
+				compiledMorsels.Add(1)
+				return exec.Run(ctx, m, out)
 			}
-			var chunk uint64
-			interp, err := mp.PipelineRunner(ctx, &chunk, collect)
-			if err != nil {
-				firstErr.Set(err)
-				return
-			}
-			var exec *Exec
-			for {
-				c := next.Add(1) - 1
-				if c >= nchunks || stopped.Load() || firstErr.Pending() || cctx.Err() != nil {
-					return
-				}
-				if prog := compiledProg.Load(); prog != nil {
-					if exec == nil {
-						exec = prog.NewExec()
-					}
-					compiledMorsels.Add(1)
-					if err := exec.Run(ctx, c, collect); err != nil {
-						firstErr.Set(err)
-						return
-					}
-					continue
-				}
-				interpMorsels.Add(1)
-				chunk = c
-				if err := interp(); err != nil {
-					firstErr.Set(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+			interpMorsels.Add(1)
+			morsel = m
+			return interp()
+		}, err
+	})
 	// Don't block on a compilation that is still running when the query
 	// was cancelled — it observes the same context and exits on its own;
 	// compileDone is buffered so its send never blocks either way.
@@ -460,25 +357,8 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		j.tel.Switchovers.Inc()
 		asp.SetAttr("switchover", true)
 	}
-
-	if err := cctx.Err(); err != nil {
-		asp.SetError(err)
-		asp.End()
-		return st, err
-	}
-	if err := firstErr.Err(); err != nil {
-		asp.SetError(err)
-		asp.End()
-		return st, err
-	}
-	if !streaming {
-		if err := mp.RunTail(ctx, slices.Concat(parts...), emit); err != nil {
-			asp.SetError(err)
-			asp.End()
-			return st, err
-		}
-	}
 	st.ExecTime = time.Since(start)
+	asp.SetError(err)
 	asp.End()
-	return st, nil
+	return st, err
 }

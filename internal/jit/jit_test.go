@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -170,12 +171,12 @@ func TestJITMatchesInterpreter(t *testing.T) {
 			}
 			tx := e.Begin()
 			defer tx.Abort()
-			want, err := pr.Collect(tx, params)
+			want, err := pr.CollectCtx(context.Background(), tx, params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []query.Row
-			st, err := j.Run(tx, plan, params, func(r query.Row) bool {
+			st, err := j.RunCtx(context.Background(), tx, plan, params, func(r query.Row) bool {
 				got = append(got, r)
 				return true
 			})
@@ -211,12 +212,12 @@ func TestJITAdaptiveMatchesInterpreter(t *testing.T) {
 	pr, _ := query.Prepare(e, plan)
 	tx := e.Begin()
 	defer tx.Abort()
-	want, err := pr.Collect(tx, nil)
+	want, err := pr.CollectCtx(context.Background(), tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []query.Row
-	st, err := j.RunAdaptive(tx, plan, nil, 4, func(r query.Row) bool {
+	st, err := j.RunAdaptiveCtx(context.Background(), tx, plan, nil, 4, func(r query.Row) bool {
 		got = append(got, r)
 		return true
 	})
@@ -245,12 +246,12 @@ func TestAdaptiveSwitchesToCompiled(t *testing.T) {
 	e, _ := buildGraph(t, core.DRAM)
 	j, _ := New(e)
 	plan := &query.Plan{Root: &query.NodeScan{Label: "Person"}}
-	if _, err := j.Compile(plan); err != nil {
+	if _, err := j.CompileCtx(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
 	defer tx.Abort()
-	st, err := j.RunAdaptive(tx, plan, nil, 2, func(query.Row) bool { return true })
+	st, err := j.RunAdaptiveCtx(context.Background(), tx, plan, nil, 2, func(query.Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestJITUpdatePlans(t *testing.T) {
 		Props: []query.PropSpec{{Key: "age", Val: &query.Const{Val: 99}}},
 	}}
 	tx := e.Begin()
-	if _, err := j.Run(tx, plan, query.Params{"id": int64(persons[3])}, func(query.Row) bool { return true }); err != nil {
+	if _, err := j.RunCtx(context.Background(), tx, plan, query.Params{"id": int64(persons[3])}, func(query.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -282,7 +283,7 @@ func TestJITUpdatePlans(t *testing.T) {
 	pr, _ := query.Prepare(e, check)
 	tx2 := e.Begin()
 	defer tx2.Abort()
-	rows, err := pr.Collect(tx2, query.Params{"id": int64(persons[3])})
+	rows, err := pr.CollectCtx(context.Background(), tx2, query.Params{"id": int64(persons[3])})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestJITUpdatePlans(t *testing.T) {
 	}}
 	tx3 := e.Begin()
 	n := 0
-	if _, err := j.Run(tx3, cr, query.Params{"t": "hi"}, func(query.Row) bool { n++; return true }); err != nil {
+	if _, err := j.RunCtx(context.Background(), tx3, cr, query.Params{"t": "hi"}, func(query.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx3.Commit(); err != nil {
@@ -321,7 +322,7 @@ func TestJITIndexScan(t *testing.T) {
 	tx := e.Begin()
 	defer tx.Abort()
 	var got []query.Row
-	if _, err := j.Run(tx, plan, query.Params{"p": int64(123)}, func(r query.Row) bool {
+	if _, err := j.RunCtx(context.Background(), tx, plan, query.Params{"p": int64(123)}, func(r query.Row) bool {
 		got = append(got, r)
 		return true
 	}); err != nil {
@@ -337,14 +338,14 @@ func TestCompileCacheHitsMemoryAndPMem(t *testing.T) {
 	j, _ := New(e)
 	plan := plansUnderTest()["filter-project"]
 
-	c1, err := j.Compile(plan)
+	c1, err := j.CompileCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1.FromCache {
 		t.Error("first compilation reported a cache hit")
 	}
-	c2, err := j.Compile(plan)
+	c2, err := j.CompileCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestCompileCacheHitsMemoryAndPMem(t *testing.T) {
 	// Simulate a session restart: in-memory cache gone, persistent cache
 	// serves the serialized IR.
 	j.InvalidateSession()
-	c3, err := j.Compile(plan)
+	c3, err := j.CompileCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestCompileCacheHitsMemoryAndPMem(t *testing.T) {
 	tx := e.Begin()
 	defer tx.Abort()
 	n := 0
-	if _, err := j.Run(tx, plan, nil, func(query.Row) bool { n++; return true }); err != nil {
+	if _, err := j.RunCtx(context.Background(), tx, plan, nil, func(query.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 25 {
@@ -392,7 +393,7 @@ func TestPersistentCacheSurvivesCrash(t *testing.T) {
 	}
 	j, _ := New(e)
 	plan := &query.Plan{Root: &query.NodeScan{Label: "Person"}}
-	if _, err := j.Compile(plan); err != nil {
+	if _, err := j.CompileCtx(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
 	dev := e.Device()
@@ -408,7 +409,7 @@ func TestPersistentCacheSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := j2.Compile(plan)
+	c, err := j2.CompileCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestPersistentCacheSurvivesCrash(t *testing.T) {
 	tx := e2.Begin()
 	defer tx.Abort()
 	n := 0
-	if _, err := j2.Run(tx, plan, nil, func(query.Row) bool { n++; return true }); err != nil {
+	if _, err := j2.RunCtx(context.Background(), tx, plan, nil, func(query.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 50 {
@@ -435,7 +436,7 @@ func TestJITRejectsJoins(t *testing.T) {
 		LKey:  &query.IDOf{Col: 0},
 		RKey:  &query.IDOf{Col: 0},
 	}}
-	if _, err := j.Compile(plan); err == nil {
+	if _, err := j.CompileCtx(context.Background(), plan); err == nil {
 		t.Error("compiling a join plan succeeded")
 	}
 }
@@ -445,11 +446,11 @@ func TestCompileTimeGrowsWithOperators(t *testing.T) {
 	j, _ := New(e)
 	small := &query.Plan{Root: &query.NodeScan{Label: "Person"}}
 	big := plansUnderTest()["two-hop"]
-	cs, err := j.Compile(small)
+	cs, err := j.CompileCtx(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := j.Compile(big)
+	cb, err := j.CompileCtx(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestJITOnPMemEngine(t *testing.T) {
 	tx := e.Begin()
 	defer tx.Abort()
 	var got []query.Row
-	if _, err := j.Run(tx, plan, query.Params{"p": int64(10)}, func(r query.Row) bool {
+	if _, err := j.RunCtx(context.Background(), tx, plan, query.Params{"p": int64(10)}, func(r query.Row) bool {
 		got = append(got, r)
 		return true
 	}); err != nil {
@@ -508,9 +509,11 @@ func TestCreateSetReturnSeesOwnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func(*core.Tx, func(query.Row) bool) error{
-		"interpreter": func(tx *core.Tx, emit func(query.Row) bool) error { return pr.Run(tx, nil, emit) },
+		"interpreter": func(tx *core.Tx, emit func(query.Row) bool) error {
+			return pr.RunCtx(context.Background(), tx, nil, emit)
+		},
 		"jit": func(tx *core.Tx, emit func(query.Row) bool) error {
-			_, err := j.Run(tx, plan, nil, emit)
+			_, err := j.RunCtx(context.Background(), tx, plan, nil, emit)
 			return err
 		},
 	} {

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,13 +24,12 @@ func runProgram(t *testing.T, e *core.Engine, fn *Fn, params query.Params) []que
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := query.BindParams(e, params)
+	tx := e.Begin()
+	defer tx.Abort()
+	ctx, err := query.NewCtx(context.Background(), e, tx, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := e.Begin()
-	defer tx.Abort()
-	ctx := &query.Ctx{E: e, Tx: tx, Params: bound}
 	var out []query.Tuple
 	exec := prog.NewExec()
 	err = exec.Run(ctx, 0, func(tp query.Tuple) (bool, error) {

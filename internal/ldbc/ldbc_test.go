@@ -1,6 +1,7 @@
 package ldbc
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestAllSRQueriesRunOnAllEngines(t *testing.T) {
 
 				tx := e.Begin()
 				defer tx.Abort()
-				interp, err := pr.Collect(tx, params)
+				interp, err := pr.CollectCtx(context.Background(), tx, params)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +128,7 @@ func TestAllSRQueriesRunOnAllEngines(t *testing.T) {
 				// JIT must agree with the interpreter on the full result
 				// multiset (order may differ only within OrderBy ties).
 				var jitRows []query.Row
-				if _, err := j.Run(tx, plan, params, func(r query.Row) bool {
+				if _, err := j.RunCtx(context.Background(), tx, plan, params, func(r query.Row) bool {
 					jitRows = append(jitRows, r)
 					return true
 				}); err != nil {
@@ -142,7 +143,7 @@ func TestAllSRQueriesRunOnAllEngines(t *testing.T) {
 
 				// Parallel interpretation must agree too.
 				var parRows int
-				if err := pr.RunParallel(tx, params, 4, func(query.Row) bool { parRows++; return true }); err != nil {
+				if err := pr.RunParallelCtx(context.Background(), tx, params, 4, func(query.Row) bool { parRows++; return true }); err != nil {
 					t.Fatal(err)
 				}
 				if parRows != len(interp) {
@@ -163,7 +164,7 @@ func TestSRPlansReturnPlausibleResults(t *testing.T) {
 	pr, _ := query.Prepare(e, plan)
 	tx := e.Begin()
 	defer tx.Abort()
-	rows, err := pr.Collect(tx, pg.SRParams(QueryID{1, ""}))
+	rows, err := pr.CollectCtx(context.Background(), tx, pg.SRParams(QueryID{1, ""}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestSRPlansReturnPlausibleResults(t *testing.T) {
 	plan2, _ := SRPlan(QueryID{2, "post"}, true)
 	pr2, _ := query.Prepare(e, plan2)
 	// Pick a hub person (low id: power-law author assignment) to have posts.
-	rows2, err := pr2.Collect(tx, query.Params{"id": int64(0)})
+	rows2, err := pr2.CollectCtx(context.Background(), tx, query.Params{"id": int64(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestSRPlansReturnPlausibleResults(t *testing.T) {
 	// SR4 on a known post returns its content.
 	plan4, _ := SRPlan(QueryID{4, "post"}, true)
 	pr4, _ := query.Prepare(e, plan4)
-	rows4, err := pr4.Collect(tx, query.Params{"id": int64(3)})
+	rows4, err := pr4.CollectCtx(context.Background(), tx, query.Params{"id": int64(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestAllIUQueriesMutateEngine(t *testing.T) {
 
 			// Interpreted execution.
 			tx := e.Begin()
-			if _, err := pr.Collect(tx, pg.IUParams(q)); err != nil {
+			if _, err := pr.CollectCtx(context.Background(), tx, pg.IUParams(q)); err != nil {
 				tx.Abort()
 				t.Fatal(err)
 			}
@@ -237,7 +238,7 @@ func TestAllIUQueriesMutateEngine(t *testing.T) {
 			// JIT execution with fresh parameters.
 			relsBefore = e.RelCount()
 			tx2 := e.Begin()
-			if _, err := j.Run(tx2, plan, pg.IUParams(q), func(query.Row) bool { return true }); err != nil {
+			if _, err := j.RunCtx(context.Background(), tx2, plan, pg.IUParams(q), func(query.Row) bool { return true }); err != nil {
 				tx2.Abort()
 				t.Fatal(err)
 			}
@@ -293,7 +294,7 @@ func TestDiskWorkloadMirrorsEngine(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			params := pg.SRParams(q)
 			tx := e.Begin()
-			rows, err := pr.Collect(tx, params)
+			rows, err := pr.CollectCtx(context.Background(), tx, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +395,7 @@ func TestLabelFirstExpandsMatchFilterAfterRead(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				params := pg.SRParams(q)
 				tx := e.Begin()
-				want, err := ref.Collect(tx, params)
+				want, err := ref.CollectCtx(context.Background(), tx, params)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -409,14 +410,16 @@ func TestLabelFirstExpandsMatchFilterAfterRead(t *testing.T) {
 					return rows
 				}
 				modes := map[string][]query.Row{
-					"interpret": collect(func(emit func(query.Row) bool) error { return pr.Run(tx, params, emit) }),
-					"parallel":  collect(func(emit func(query.Row) bool) error { return pr.RunParallel(tx, params, 3, emit) }),
+					"interpret": collect(func(emit func(query.Row) bool) error { return pr.RunCtx(context.Background(), tx, params, emit) }),
+					"parallel": collect(func(emit func(query.Row) bool) error {
+						return pr.RunParallelCtx(context.Background(), tx, params, 3, emit)
+					}),
 					"jit": collect(func(emit func(query.Row) bool) error {
-						_, err := j.Run(tx, plan, params, emit)
+						_, err := j.RunCtx(context.Background(), tx, plan, params, emit)
 						return err
 					}),
 					"adaptive": collect(func(emit func(query.Row) bool) error {
-						_, err := j.RunAdaptive(tx, plan, params, 3, emit)
+						_, err := j.RunAdaptiveCtx(context.Background(), tx, plan, params, 3, emit)
 						return err
 					}),
 				}

@@ -1,6 +1,5 @@
 // Golden fixture for the ctx-threading pass: library code must thread
-// the caller's context instead of constructing one or calling the
-// legacy non-Ctx entry points.
+// the caller's context instead of constructing one.
 package fixture
 
 import (
@@ -19,15 +18,11 @@ func badTODO(pr *query.Prepared, tx *core.Tx) error {
 	return pr.RunCtx(context.TODO(), tx, nil, nil) // want ctx-threading
 }
 
-func badLegacy(pr *query.Prepared, tx *core.Tx) error {
-	return pr.Run(tx, nil, func(query.Row) bool { return true }) // want ctx-threading
-}
-
 func good(ctx context.Context, pr *query.Prepared, tx *core.Tx) error {
 	return pr.RunCtx(ctx, tx, nil, nil)
 }
 
-//poseidonlint:ignore ctx-threading fixture stand-in for a documented legacy shim
-func annotatedShim(pr *query.Prepared, tx *core.Tx) error {
-	return pr.Run(tx, nil, func(query.Row) bool { return true })
+//poseidonlint:ignore ctx-threading fixture stand-in for a connection-root context
+func annotatedRoot(pr *query.Prepared, tx *core.Tx) error {
+	return pr.RunCtx(context.Background(), tx, nil, nil)
 }

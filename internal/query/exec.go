@@ -113,10 +113,11 @@ type Ctx struct {
 	E      *core.Engine
 	Tx     *core.Tx
 	Params map[string]storage.Value
-	// Context is the cancellation context of the run (nil on the legacy
-	// entry points). Scans observe it through the transaction; operators
-	// that replay materialized tuples check it directly.
+	// Context is the cancellation context of the run. Scans observe it
+	// through the transaction; operators that replay materialized tuples
+	// check it directly.
 	Context context.Context
+	prev    context.Context // the transaction's own, restored by Detach
 
 	// linked is the Prepared's; a Ctx built outside one (the JIT engine's)
 	// has none and compiles the expressions of what it links afresh.
@@ -162,43 +163,36 @@ func (c *Ctx) err() error {
 	return c.Context.Err()
 }
 
-// BindParams encodes parameter values (interning strings).
-func BindParams(e *core.Engine, params Params) (map[string]storage.Value, error) {
-	out := make(map[string]storage.Value, len(params))
+// NewCtx starts one execution in tx — the preamble every mode shares: it
+// encodes the parameters (interning strings) and attaches cctx to the
+// transaction, so a cancellation mid-scan aborts it (discarding any
+// uncommitted writes). The caller defers Detach.
+func NewCtx(cctx context.Context, e *core.Engine, tx *core.Tx, params Params) (*Ctx, error) {
+	bound := make(map[string]storage.Value, len(params))
 	for k, v := range params {
 		val, err := e.EncodeValue(v)
 		if err != nil {
 			return nil, fmt.Errorf("query: param %s: %w", k, err)
 		}
-		out[k] = val
+		bound[k] = val
 	}
-	return out, nil
+	return &Ctx{E: e, Tx: tx, Params: bound, Context: cctx, prev: tx.WithContext(cctx)}, nil
 }
 
-// Run executes the plan in interpretation mode within tx, calling emit
-// for every result row until exhaustion or emit returns false.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (pr *Prepared) Run(tx *core.Tx, params Params, emit func(Row) bool) error {
-	return pr.RunCtx(context.Background(), tx, params, emit)
-}
+// Detach ends the execution NewCtx started: the transaction gets back the
+// context it had before.
+func (c *Ctx) Detach() { c.Tx.WithContext(c.prev) }
 
-// RunCtx is Run with a cancellation context. The context is attached to
-// the transaction for the duration of the run, so a cancellation mid-scan
-// aborts the transaction (discarding any uncommitted writes) and RunCtx
-// returns ctx.Err().
+// RunCtx executes the plan in interpretation mode within tx, calling emit
+// for every result row until exhaustion or emit returns false. On a
+// cancellation it returns ctx.Err().
 func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit func(Row) bool) error {
-	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		ctx = context.Background()
-	}
-	bound, err := BindParams(pr.E, params)
+	qctx, err := NewCtx(ctx, pr.E, tx, params)
 	if err != nil {
 		return err
 	}
-	prev := tx.WithContext(ctx)
-	defer tx.WithContext(prev)
-	qctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: ctx, linked: pr.linked}
+	defer qctx.Detach()
+	qctx.linked = pr.linked
 	terminal := func(t Tuple) (bool, error) {
 		if err := qctx.err(); err != nil {
 			return false, err
@@ -210,13 +204,6 @@ func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit
 		return err
 	}
 	return run()
-}
-
-// Collect executes the plan and gathers all rows.
-//
-//poseidonlint:ignore ctx-threading legacy convenience shim over CollectCtx, kept for pre-session callers (CHANGES.md migration table)
-func (pr *Prepared) Collect(tx *core.Tx, params Params) ([]Row, error) {
-	return pr.CollectCtx(context.Background(), tx, params)
 }
 
 // CollectCtx executes the plan under ctx and gathers all rows.

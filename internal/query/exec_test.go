@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -71,7 +72,7 @@ func runPlan(t *testing.T, e *core.Engine, p *Plan, params Params) []Row {
 	}
 	tx := e.Begin()
 	defer tx.Abort()
-	rows, err := pr.Collect(tx, params)
+	rows, err := pr.CollectCtx(context.Background(), tx, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestIndexScanPlan(t *testing.T) {
 	pr, _ := Prepare(e, bad)
 	tx := e.Begin()
 	defer tx.Abort()
-	if _, err := pr.Collect(tx, nil); err == nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, nil); err == nil {
 		t.Error("index scan without index succeeded")
 	}
 }
@@ -297,7 +298,7 @@ func TestUpdatePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	if _, err := pr.Collect(tx, Params{"id": int64(persons[0])}); err != nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, Params{"id": int64(persons[0])}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -321,7 +322,7 @@ func TestUpdatePlans(t *testing.T) {
 	cn2 := &Plan{Root: &CreateNode{Label: "Comment", Props: []PropSpec{{Key: "text", Val: &Param{Name: "t"}}}}}
 	pr2, _ := Prepare(e, cn2)
 	tx2 := e.Begin()
-	rows2, err := pr2.Collect(tx2, Params{"t": "hello"})
+	rows2, err := pr2.CollectCtx(context.Background(), tx2, Params{"t": "hello"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestUpdatePlans(t *testing.T) {
 	delPlan := &Plan{Root: &Delete{Input: &NodeByID{Param: "id"}, Col: 0}}
 	pr3, _ := Prepare(e, delPlan)
 	tx3 := e.Begin()
-	if _, err := pr3.Collect(tx3, Params{"id": int64(posts[2])}); err != nil {
+	if _, err := pr3.CollectCtx(context.Background(), tx3, Params{"id": int64(posts[2])}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx3.Commit(); err != nil {
@@ -438,12 +439,12 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 	tx := e.Begin()
 	defer tx.Abort()
-	seq, err := pr.Collect(tx, nil)
+	seq, err := pr.CollectCtx(context.Background(), tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var par []Row
-	if err := pr.RunParallel(tx, nil, 4, func(r Row) bool { par = append(par, r); return true }); err != nil {
+	if err := pr.RunParallelCtx(context.Background(), tx, nil, 4, func(r Row) bool { par = append(par, r); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != 100 || len(par) != len(seq) {
@@ -482,7 +483,7 @@ func TestRunParallelWithBreakerTail(t *testing.T) {
 	tx := e.Begin()
 	defer tx.Abort()
 	var rows []Row
-	if err := pr.RunParallel(tx, nil, 4, func(r Row) bool { rows = append(rows, r); return true }); err != nil {
+	if err := pr.RunParallelCtx(context.Background(), tx, nil, 4, func(r Row) bool { rows = append(rows, r); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 || rows[0][0].Int() != 1999 || rows[4][0].Int() != 1995 {
@@ -502,7 +503,7 @@ func TestRunParallelFallsBackForUpdates(t *testing.T) {
 	}
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()
-	if err := pr.RunParallel(tx, Params{"id": int64(persons[1])}, 4, func(Row) bool { return true }); err != nil {
+	if err := pr.RunParallelCtx(context.Background(), tx, Params{"id": int64(persons[1])}, 4, func(Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -516,7 +517,7 @@ func TestUnboundParamErrors(t *testing.T) {
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()
 	defer tx.Abort()
-	if _, err := pr.Collect(tx, nil); err == nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, nil); err == nil {
 		t.Error("unbound parameter did not error")
 	}
 }
@@ -531,7 +532,7 @@ func TestBadPlanErrors(t *testing.T) {
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()
 	defer tx.Abort()
-	if _, err := pr.Collect(tx, nil); !errors.Is(err, ErrBadPlan) {
+	if _, err := pr.CollectCtx(context.Background(), tx, nil); !errors.Is(err, ErrBadPlan) {
 		t.Errorf("Expand over rel column = %v, want ErrBadPlan", err)
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestNodeLookupOperator(t *testing.T) {
 	pr, _ := Prepare(e, bad)
 	tx := e.Begin()
 	defer tx.Abort()
-	if _, err := pr.Collect(tx, Params{"person": int64(persons[0])}); err == nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, Params{"person": int64(persons[0])}); err == nil {
 		t.Error("NodeLookup without index succeeded")
 	}
 }
@@ -63,7 +64,7 @@ func TestCreateRelOperatorInQueryPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	rows, err := pr.Collect(tx, Params{"who": "person0", "whom": "person4"})
+	rows, err := pr.CollectCtx(context.Background(), tx, Params{"who": "person0", "whom": "person4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestDeleteRelViaPlan(t *testing.T) {
 	}}
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()
-	if _, err := pr.Collect(tx, Params{"id": int64(persons[0])}); err != nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, Params{"id": int64(persons[0])}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -204,7 +205,7 @@ func TestSetPropsOnRelColumn(t *testing.T) {
 	}}
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()
-	if _, err := pr.Collect(tx, Params{"id": int64(persons[1])}); err != nil {
+	if _, err := pr.CollectCtx(context.Background(), tx, Params{"id": int64(persons[1])}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -20,25 +20,22 @@ import (
 // tuples. The same machinery powers the adaptive JIT execution (§6.2),
 // which swaps the per-morsel task function once compilation finishes.
 
-// FirstError keeps the first error reported by a pool of workers.
+// firstError keeps the first error reported by a pool of workers.
 // atomic.Value cannot hold it directly: CompareAndSwap panics when two
 // workers race with different concrete error types (write-conflict
 // aborts vs wrapped index errors, say), so the error travels boxed in
 // one fixed type.
-type FirstError struct {
+type firstError struct {
 	p atomic.Pointer[firstErrorBox]
 }
 
 type firstErrorBox struct{ err error }
 
-// Set records err if no error has been recorded yet.
-func (f *FirstError) Set(err error) { f.p.CompareAndSwap(nil, &firstErrorBox{err}) }
+func (f *firstError) set(err error) { f.p.CompareAndSwap(nil, &firstErrorBox{err}) }
 
-// Pending reports whether an error has been recorded.
-func (f *FirstError) Pending() bool { return f.p.Load() != nil }
+func (f *firstError) pending() bool { return f.p.Load() != nil }
 
-// Err returns the recorded error, or nil.
-func (f *FirstError) Err() error {
+func (f *firstError) err() error {
 	if b := f.p.Load(); b != nil {
 		return b.err
 	}
@@ -357,46 +354,29 @@ func (mp *MorselPlan) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) err
 	return run()
 }
 
-// RunParallel executes the plan with morsel-driven parallelism using the
-// given number of workers (0 = GOMAXPROCS). Plans that cannot be
-// parallelized fall back to single-threaded interpretation. Result order
-// is nondeterministic across morsels.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (pr *Prepared) RunParallel(tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
-	return pr.RunParallelCtx(context.Background(), tx, params, workers, emit)
-}
+// MorselTask processes one morsel for one worker, pushing what the
+// pipeline produces into the sink the worker was built over.
+type MorselTask func(morsel uint64) error
 
-// RunParallelCtx is RunParallel with a cancellation context: workers stop
-// claiming morsels once the context is cancelled, the in-flight morsels
-// drain (the shared transaction observes the context and aborts), every
-// worker goroutine exits, and the call returns ctx.Err().
-func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
-	mp, ok := SplitForMorsels(pr.Plan)
-	if !ok {
-		return pr.RunCtx(cctx, tx, params, emit)
-	}
-	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		cctx = context.Background()
-	}
+// RunMorsels is the morsel task loop (§6.1, the paper's Fig 3), written
+// once for every engine: workers goroutines (0 = GOMAXPROCS) claim the
+// leaf table's morsels from a shared counter and hand each to their own
+// task — newTask builds one per worker over the worker's sink. The
+// interpreter's task runs the pipeline's closure cascade; the adaptive
+// executor's redirects to compiled code once that exists. A streaming
+// plan's rows reach emit one at a time; with a tail to run, the workers'
+// tuples are gathered and the tail runs over them single-threaded. Workers
+// stop claiming once emit returns false, a task fails or ctx.Context is
+// cancelled; every goroutine has exited when the call returns.
+func (mp *MorselPlan) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask func(out Sink) (MorselTask, error)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	bound, err := BindParams(pr.E, params)
-	if err != nil {
-		return err
-	}
-	prev := tx.WithContext(cctx)
-	defer tx.WithContext(prev)
-	ctx := &Ctx{E: pr.E, Tx: tx, Params: bound, Context: cctx, linked: pr.linked}
-
-	var nchunks uint64
+	tbl := ctx.E.Nodes()
 	if _, isRel := mp.Leaf.(*RelScan); isRel {
-		nchunks = MorselCount(pr.E.Rels().MaxID(), pr.E.Rels().ChunkCap())
-	} else {
-		nchunks = MorselCount(pr.E.Nodes().MaxID(), pr.E.Nodes().ChunkCap())
+		tbl = ctx.E.Rels()
 	}
+	nmorsels := MorselCount(tbl.MaxID(), tbl.ChunkCap())
 
 	// Streamed rows reach the caller's emit one at a time under emitMu.
 	// With a tail to run, each worker gathers its own tuples and the
@@ -419,13 +399,14 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 	}
 	parts := make([][]Tuple, workers)
 
-	// With tracing on, each worker gets its own span under the caller's
-	// query.parallel span, carrying the number of morsels it claimed —
-	// the skew between workers is the load-balance signal. parent is nil
-	// with tracing off and every span call no-ops.
-	parent := trace.FromContext(cctx)
+	// With tracing on, each worker gets its own span under the caller's,
+	// carrying the number of morsels it claimed — the skew between workers
+	// is the load-balance signal. parent is nil with tracing off and every
+	// span call no-ops.
+	parent := trace.FromContext(ctx.Context)
+	parent.SetAttr("workers", int64(workers))
 	var next atomic.Uint64
-	var firstErr FirstError
+	var failed firstError
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -447,39 +428,54 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 				}
 				defer func() { parts[w] = mine }()
 			}
-			var chunk uint64
-			run, err := mp.PipelineRunner(ctx, &chunk, collect)
-			if err != nil {
-				wsp.SetError(err)
-				firstErr.Set(err)
-				return
-			}
-			for {
-				c := next.Add(1) - 1
-				if c >= nchunks || stopped.Load() || firstErr.Pending() || cctx.Err() != nil {
+			task, err := newTask(collect)
+			for err == nil {
+				m := next.Add(1) - 1
+				if m >= nmorsels || stopped.Load() || failed.pending() || ctx.err() != nil {
 					return
 				}
-				chunk = c
 				morsels++
-				if err := run(); err != nil {
-					wsp.SetError(err)
-					firstErr.Set(err)
-					return
-				}
+				err = task(m)
 			}
+			wsp.SetError(err)
+			failed.set(err)
 		}()
 	}
 	wg.Wait()
 	// Cancellation wins over secondary errors (a worker racing the abort
 	// may surface ErrTxDone first).
-	if err := cctx.Err(); err != nil {
+	if err := ctx.err(); err != nil {
 		return err
 	}
-	if err := firstErr.Err(); err != nil {
+	if err := failed.err(); err != nil {
 		return err
 	}
 	if streaming {
 		return nil
 	}
 	return mp.RunTail(ctx, slices.Concat(parts...), emit)
+}
+
+// RunParallelCtx executes the plan with morsel-driven parallelism: the
+// morsel loop over the interpreter's pipeline. Plans that cannot be
+// parallelized fall back to single-threaded interpretation. Result order
+// is nondeterministic across morsels. Once the context is cancelled the
+// in-flight morsels drain (the shared transaction observes the context
+// and aborts) and the call returns ctx.Err().
+func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
+	mp, ok := SplitForMorsels(pr.Plan)
+	if !ok {
+		return pr.RunCtx(cctx, tx, params, emit)
+	}
+	ctx, err := NewCtx(cctx, pr.E, tx, params)
+	if err != nil {
+		return err
+	}
+	defer ctx.Detach()
+	ctx.linked = pr.linked
+	return mp.RunMorsels(ctx, workers, emit, func(out Sink) (MorselTask, error) {
+		var morsel uint64
+		run, err := mp.PipelineRunner(ctx, &morsel, out)
+		return func(m uint64) error { morsel = m; return run() }, err
+	})
 }

@@ -350,7 +350,7 @@ func (c *conn) handleRun(r *wire.Run) bool {
 		rspan.End()
 		return c.reply(errorFrame(aerr))
 	}
-	//poseidonlint:ignore lifecycle sessFor caches the session per connection; conn.Close releases both cached sessions
+	//poseidonlint:ignore lifecycle sessFor caches the session per connection; conn.Close releases all four (one per mode, created lazily)
 	sess := c.sessFor(mode)
 	params := query.Params(r.Params)
 

@@ -7,6 +7,7 @@ package poseidon
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,7 +55,7 @@ func TestDeviceImageSaveLoadReopen(t *testing.T) {
 		Input: &query.IndexScan{Label: "Person", Key: "name", Value: &query.Param{Name: "n"}},
 		Cols:  []query.Expr{&query.IDOf{Col: 0}},
 	}}
-	rows, err := db2.Query(plan, query.Params{"n": "alice"})
+	rows, err := db2.QueryCtx(context.Background(), plan, query.Params{"n": "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}

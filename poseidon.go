@@ -34,8 +34,9 @@
 //		rows.Scan(&name)
 //	}
 //
-// Every entry point has a context-carrying variant (QueryCtx, ExecCtx,
-// CypherCtx, ...); cancelling the context — or exceeding a deadline —
+// Every entry point that runs a statement takes a context, which must be
+// non-nil (QueryCtx, ExecCtx, CypherCtx, ... are one-shots over a
+// throw-away Session); cancelling the context — or exceeding a deadline —
 // aborts execution between records in all four execution modes,
 // including the morsel-parallel and JIT-compiled ones, and rolls the
 // transaction back.
@@ -86,7 +87,7 @@ const (
 	PersistentIndex = index.Persistent
 )
 
-// ExecMode selects how DB.Query executes a plan.
+// ExecMode selects how a statement's plan is executed.
 type ExecMode int
 
 // Execution modes (§6).
@@ -232,52 +233,35 @@ func (db *DB) CreateIndex(label, key string, kind IndexKind) error {
 	return nil
 }
 
-// Query runs a plan in a fresh read-only transaction with the default
+// QueryCtx runs a plan in a fresh read-only transaction with the default
 // (Interpret) mode and returns all rows decoded to Go values. Plans
 // containing updates are rejected with ErrUpdatePlan — the transaction
-// is always rolled back, so the updates would silently vanish; use Exec
-// instead.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Query(plan *query.Plan, params query.Params) ([][]any, error) {
-	return db.QueryModeCtx(context.Background(), plan, params, Interpret)
-}
-
-// QueryCtx is Query with a context: cancellation aborts execution
-// between records and rolls the transaction back.
+// is always rolled back, so the updates would silently vanish; use
+// ExecCtx instead. Cancelling ctx aborts execution between records and
+// rolls the transaction back.
 func (db *DB) QueryCtx(ctx context.Context, plan *query.Plan, params query.Params) ([][]any, error) {
 	return db.QueryModeCtx(ctx, plan, params, Interpret)
 }
 
-// QueryMode runs a plan with an explicit execution mode. Like Query it
-// rejects update plans with ErrUpdatePlan.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) QueryMode(plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.QueryModeCtx(context.Background(), plan, params, mode)
-}
-
-// QueryModeCtx is QueryMode with a context.
+// QueryModeCtx is QueryCtx with an explicit execution mode. Like every
+// one-shot it runs in a throw-away Session, which owns the implicit
+// transaction: one-shots get the tracing and rollback bookkeeping of any
+// other statement.
 func (db *DB) QueryModeCtx(ctx context.Context, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
-	if plan.HasUpdates() {
-		return nil, ErrUpdatePlan
+	stmt, err := db.PreparePlan(plan)
+	if err != nil {
+		return nil, err
 	}
-	tx := db.engine.Begin()
-	defer tx.Abort()
-	return db.QueryTxCtx(ctx, tx, plan, params, mode)
+	s := db.NewSession(SessionConfig{Mode: mode})
+	defer s.Close()
+	return s.QueryAll(ctx, stmt, params)
 }
 
-// QueryTx runs a plan inside an existing transaction, so updates observe
-// and join the transaction's effects; committing remains the caller's
-// job.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) QueryTx(tx *Tx, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.QueryTxCtx(context.Background(), tx, plan, params, mode)
-}
-
-// QueryTxCtx is QueryTx with a context. On cancellation the transaction
-// is aborted mid-scan and the context's error returned.
+// QueryTxCtx runs a plan inside an existing transaction, so updates
+// observe and join the transaction's effects; committing remains the
+// caller's job. On cancellation the transaction is aborted mid-scan and
+// the context's error returned. It owns no transaction, so it opens no
+// session: with tracing on it is traced under the span ctx carries, if any.
 func (db *DB) QueryTxCtx(ctx context.Context, tx *Tx, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
 	stmt, err := db.PreparePlan(plan)
 	if err != nil {
@@ -320,78 +304,47 @@ func (db *DB) decodeRow(r query.Row) ([]any, error) {
 	return out, nil
 }
 
-// Exec runs an update plan inside a fresh transaction and commits it,
-// returning the number of result rows.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Exec(plan *query.Plan, params query.Params) (int, error) {
-	return db.ExecCtx(context.Background(), plan, params)
-}
-
-// ExecCtx is Exec with a context. A cancelled context rolls the
+// ExecCtx runs an update plan inside a fresh transaction and commits it,
+// returning the number of result rows. A cancelled context rolls the
 // transaction back — partially applied updates never commit.
 func (db *DB) ExecCtx(ctx context.Context, plan *query.Plan, params query.Params) (int, error) {
 	stmt, err := db.PreparePlan(plan)
 	if err != nil {
 		return 0, err
 	}
-	tx := db.engine.Begin()
-	n := 0
-	if err := stmt.run(ctx, tx, params, Interpret, db.workers, func(query.Row) bool { n++; return true }); err != nil {
-		tx.Abort()
-		return 0, err
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	return n, nil
+	s := db.NewSession(SessionConfig{})
+	defer s.Close()
+	return s.Exec(ctx, stmt, params)
 }
 
-// Cypher parses and runs a Cypher-like statement (the paper's §1 "we
+// CypherCtx parses and runs a Cypher-like statement (the paper's §1 "we
 // support Cypher-like navigational queries") in its own transaction,
 // committing updates. Values are decoded to Go types. Statements go
 // through the prepared-statement cache, so repeating one costs a single
 // parse/plan (see CacheStats).
 //
-//	rows, err := db.Cypher(`MATCH (p:Person {name: $n})-[:knows]->(f)
-//	                        RETURN f.name ORDER BY f.name`, query.Params{"n": "ada"})
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Cypher(src string, params query.Params) ([][]any, error) {
-	return db.CypherModeCtx(context.Background(), src, params, Interpret)
-}
-
-// CypherCtx is Cypher with a context.
+//	rows, err := db.CypherCtx(ctx, `MATCH (p:Person {name: $n})-[:knows]->(f)
+//	                                RETURN f.name ORDER BY f.name`, query.Params{"n": "ada"})
 func (db *DB) CypherCtx(ctx context.Context, src string, params query.Params) ([][]any, error) {
 	return db.CypherModeCtx(ctx, src, params, Interpret)
 }
 
-// CypherMode runs a Cypher-like statement with an explicit execution
-// mode. Read-only statements may use any mode; updates run reliably under
-// Interpret and JIT.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) CypherMode(src string, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.CypherModeCtx(context.Background(), src, params, mode)
-}
-
-// CypherModeCtx is CypherMode with a context: cancellation aborts the
-// statement's transaction, committing nothing.
-func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params, mode ExecMode) ([][]any, error) {
+// CypherModeCtx is CypherCtx with an explicit execution mode. Read-only
+// statements may use any mode; updates run reliably under Interpret and
+// JIT. Cancellation aborts the statement's transaction, committing
+// nothing.
+func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params, mode ExecMode) (rows [][]any, err error) {
 	stmt, err := db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	tx := db.engine.Begin()
-	rows, err := db.collect(ctx, tx, stmt, params, mode, db.workers)
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	s := db.NewSession(SessionConfig{Mode: mode})
+	defer s.Close()
+	err = s.implicit(ctx, "session.exec", true, func(cctx context.Context, tx *Tx) error {
+		rows, err = db.collect(cctx, tx, stmt, params, mode, db.workers)
+		return err
+	})
+	return rows, err
 }
 
 // Explain describes how a plan would execute: its signature (the
@@ -408,7 +361,7 @@ func (db *DB) Explain(plan *query.Plan) string {
 	} else {
 		b.WriteString("pipeline:  not single-chain (join): interpreter only\n")
 	}
-	if c, err := db.jit.Compile(plan); err == nil {
+	if c, err := db.jit.CompileCtx(context.Background(), plan); err == nil {
 		fmt.Fprintf(&b, "jit:       compiled in %v (cache hit: %v)\n", c.CompileTime, c.FromCache)
 	} else {
 		fmt.Fprintf(&b, "jit:       not compilable (%v)\n", err)

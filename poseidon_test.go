@@ -1,6 +1,7 @@
 package poseidon
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -65,7 +66,7 @@ func TestQuickstartAllModes(t *testing.T) {
 			db := openTestDB(t, mode)
 			seedSocial(t, db)
 			for _, em := range []ExecMode{Interpret, Parallel, JIT, Adaptive} {
-				rows, err := db.QueryMode(friendsPlan(), query.Params{"who": "alice"}, em)
+				rows, err := db.QueryModeCtx(context.Background(), friendsPlan(), query.Params{"who": "alice"}, em)
 				if err != nil {
 					t.Fatalf("mode %d: %v", em, err)
 				}
@@ -87,7 +88,7 @@ func TestIndexedQuery(t *testing.T) {
 		Input: &query.IndexScan{Label: "Person", Key: "name", Value: &query.Param{Name: "n"}},
 		Cols:  []query.Expr{&query.Prop{Col: 0, Key: "age"}},
 	}}
-	rows, err := db.Query(plan, query.Params{"n": "carol"})
+	rows, err := db.QueryCtx(context.Background(), plan, query.Params{"n": "carol"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestExecAndCounts(t *testing.T) {
 	if db.NodeCount() != 3 || db.RelCount() != 2 {
 		t.Fatalf("counts = %d/%d", db.NodeCount(), db.RelCount())
 	}
-	n, err := db.Exec(&query.Plan{Root: &query.CreateNode{
+	n, err := db.ExecCtx(context.Background(), &query.Plan{Root: &query.CreateNode{
 		Label: "Person",
 		Props: []query.PropSpec{{Key: "name", Val: &query.Param{Name: "n"}}},
 	}}, query.Params{"n": "dave"})
@@ -140,7 +141,7 @@ func TestCrashRecoveryThroughFacade(t *testing.T) {
 	if props["name"] != "alice" {
 		t.Errorf("props after crash = %v", props)
 	}
-	rows, err := db2.Query(friendsPlan(), query.Params{"who": "alice"})
+	rows, err := db2.QueryCtx(context.Background(), friendsPlan(), query.Params{"who": "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSnapshotIsolationThroughFacade(t *testing.T) {
 		Input: &query.NodeByID{Param: "id"},
 		Cols:  []query.Expr{&query.Prop{Col: 0, Key: "age"}},
 	}}
-	rows, err := db.QueryTx(reader, agePlan, query.Params{"id": int64(alice)}, Interpret)
+	rows, err := db.QueryTxCtx(context.Background(), reader, agePlan, query.Params{"id": int64(alice)}, Interpret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSnapshotIsolationThroughFacade(t *testing.T) {
 		t.Errorf("old reader sees age %v, want 30", rows[0][0])
 	}
 	reader.Abort()
-	rows, _ = db.Query(agePlan, query.Params{"id": int64(alice)})
+	rows, _ = db.QueryCtx(context.Background(), agePlan, query.Params{"id": int64(alice)})
 	if rows[0][0] != int64(31) {
 		t.Errorf("new reader sees age %v, want 31", rows[0][0])
 	}
@@ -197,11 +198,11 @@ func TestParallelMatchesInterpretOnLargerData(t *testing.T) {
 		},
 		Cols: []query.Expr{&query.Prop{Col: 0, Key: "v"}},
 	}}
-	a, err := db.QueryMode(plan, nil, Interpret)
+	a, err := db.QueryModeCtx(context.Background(), plan, nil, Interpret)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.QueryMode(plan, nil, Parallel)
+	b, err := db.QueryModeCtx(context.Background(), plan, nil, Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,22 +223,22 @@ func TestParallelMatchesInterpretOnLargerData(t *testing.T) {
 
 func TestCypherFacade(t *testing.T) {
 	db := openTestDB(t, PMem)
-	if _, err := db.Cypher(`CREATE (p:Person {name: 'ada', age: 36})`, nil); err != nil {
+	if _, err := db.CypherCtx(context.Background(), `CREATE (p:Person {name: 'ada', age: 36})`, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Cypher(`CREATE (p:Person {name: 'bob', age: 25})`, nil); err != nil {
+	if _, err := db.CypherCtx(context.Background(), `CREATE (p:Person {name: 'bob', age: 25})`, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateIndex("Person", "name", HybridIndex); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Cypher(
+	if _, err := db.CypherCtx(context.Background(),
 		`MATCH (a:Person {name: $a}), (b:Person {name: $b}) CREATE (a)-[:knows {since: 2020}]->(b)`,
 		query.Params{"a": "ada", "b": "bob"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []ExecMode{Interpret, JIT, Adaptive} {
-		rows, err := db.CypherMode(
+		rows, err := db.CypherModeCtx(context.Background(),
 			`MATCH (a:Person)-[r:knows]->(b) WHERE r.since >= 2020 RETURN a.name, b.name, r.since`,
 			nil, mode)
 		if err != nil {
@@ -254,7 +255,7 @@ func TestCypherFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	rows, err := db2.Cypher(`MATCH (p:Person) RETURN COUNT(*)`, nil)
+	rows, err := db2.CypherCtx(context.Background(), `MATCH (p:Person) RETURN COUNT(*)`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +266,10 @@ func TestCypherFacade(t *testing.T) {
 
 func TestCypherErrorsSurface(t *testing.T) {
 	db := openTestDB(t, DRAM)
-	if _, err := db.Cypher(`MATCH (p RETURN p`, nil); err == nil {
+	if _, err := db.CypherCtx(context.Background(), `MATCH (p RETURN p`, nil); err == nil {
 		t.Error("syntax error not surfaced")
 	}
-	if _, err := db.Cypher(`MATCH (p:Person) RETURN q.name`, nil); err == nil {
+	if _, err := db.CypherCtx(context.Background(), `MATCH (p:Person) RETURN q.name`, nil); err == nil {
 		t.Error("unknown variable not surfaced")
 	}
 }
@@ -279,7 +280,7 @@ func TestCypherUpdatesUnderJIT(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A standalone multi-create compiled and executed by the JIT.
-	if _, err := db.CypherMode(
+	if _, err := db.CypherModeCtx(context.Background(),
 		`CREATE (f:Forum {title: 'g'})-[:hasModerator]->(p:Person {name: 'mod'})`,
 		nil, JIT); err != nil {
 		t.Fatal(err)
@@ -288,15 +289,15 @@ func TestCypherUpdatesUnderJIT(t *testing.T) {
 		t.Fatalf("counts = %d/%d", db.NodeCount(), db.RelCount())
 	}
 	// A matched create under JIT (IU-style).
-	if _, err := db.CypherMode(`CREATE (q:Person {name: 'solo'})`, nil, JIT); err != nil {
+	if _, err := db.CypherModeCtx(context.Background(), `CREATE (q:Person {name: 'solo'})`, nil, JIT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CypherMode(
+	if _, err := db.CypherModeCtx(context.Background(),
 		`MATCH (a:Person {name: 'mod'}), (b:Person {name: 'solo'}) CREATE (a)-[:knows]->(b)`,
 		nil, JIT); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Cypher(`MATCH (a:Person {name: 'mod'})-[:knows]->(b) RETURN b.name`, nil)
+	rows, err := db.CypherCtx(context.Background(), `MATCH (a:Person {name: 'mod'})-[:knows]->(b) RETURN b.name`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

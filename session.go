@@ -23,9 +23,10 @@ var ErrSessionClosed = errors.New("poseidon: session is closed")
 var ErrSessionLimit = errors.New("poseidon: session transaction limit reached")
 
 // ErrUpdatePlan is returned when an update plan reaches a read-only
-// entry point (Query, QueryMode, Session.Query): their transaction is
-// always rolled back, so the updates would silently vanish. Use Exec,
-// Session.Exec, or QueryTx with an explicitly committed transaction.
+// entry point (QueryCtx, QueryModeCtx, Session.Query, Session.QueryAll):
+// their transaction is always rolled back, so the updates would silently
+// vanish. Use ExecCtx, Session.Exec, or QueryTxCtx with an explicitly
+// committed transaction.
 var ErrUpdatePlan = errors.New("poseidon: plan contains updates but this entry point always rolls back its transaction; use Exec (or QueryTx and commit yourself)")
 
 // SessionConfig pins per-session execution defaults.
@@ -53,7 +54,8 @@ type SessionConfig struct {
 // cursors — so no work can leak past it. Sessions are cheap; open one
 // per request or unit of work. A session must not be used from multiple
 // goroutines concurrently, but any number of sessions can share a DB and
-// its prepared-statement cache.
+// its prepared-statement cache. The context passed to a session method
+// must be non-nil; use context.Background() when there is none to thread.
 type Session struct {
 	db  *DB
 	cfg SessionConfig
@@ -96,21 +98,6 @@ func (s *Session) Begin() (*Tx, error) {
 	return tx, nil
 }
 
-// track registers a transaction the session should reap on Close,
-// enforcing the same MaxTxs bound as Begin.
-func (s *Session) track(tx *core.Tx) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSessionClosed
-	}
-	if s.cfg.MaxTxs > 0 && len(s.txs) >= s.cfg.MaxTxs {
-		return ErrSessionLimit
-	}
-	s.txs[tx] = struct{}{}
-	return nil
-}
-
 // release forgets a transaction that has ended.
 func (s *Session) release(tx *core.Tx) {
 	s.mu.Lock()
@@ -147,10 +134,6 @@ func (s *Session) Close() error {
 // context applies the session's default deadline when ctx has none of
 // its own. The returned cancel must be called when execution ends.
 func (s *Session) context(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
-		ctx = context.Background()
-	}
 	if s.cfg.Timeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			return context.WithTimeout(ctx, s.cfg.Timeout)
@@ -187,25 +170,28 @@ func (s *Session) LastProfile() *trace.Profile {
 }
 
 // open starts the session's bookkeeping around one statement: its
-// deadline, its span with the core.begin child, and a tracked implicit
-// transaction. The returned end rolls the transaction back (a no-op once
-// it has committed) and closes the rest; refused, open leaves nothing.
+// deadline, its span with the core.begin child, and an implicit
+// transaction begun like an explicit one — under the session's lock, so a
+// concurrent Close either refuses the statement or reaps its transaction.
+// The returned end rolls the transaction back (a no-op once it has
+// committed) and closes the rest; refused, open leaves nothing.
 func (s *Session) open(ctx context.Context, name string) (context.Context, *core.Tx, func(), error) {
 	cctx, cancelTimeout := s.context(ctx)
 	cctx, span := s.startSpan(cctx, name)
 	bsp := span.Child("core.begin", trace.KindCommit)
-	tx := s.db.engine.Begin()
+	tx, err := s.Begin()
 	bsp.End()
+	if err != nil {
+		span.SetError(err)
+		cancelTimeout()
+		span.End()
+		return nil, nil, nil, err
+	}
 	end := func() {
 		tx.Abort()
 		s.release(tx)
 		cancelTimeout()
 		span.End()
-	}
-	if err := s.track(tx); err != nil {
-		span.SetError(err)
-		end()
-		return nil, nil, nil, err
 	}
 	return cctx, tx, end, nil
 }
@@ -230,19 +216,43 @@ func (s *Session) Query(ctx context.Context, stmt *Stmt, params query.Params) (*
 	}), nil
 }
 
+// implicit is the lifecycle of an implicit transaction whose statement
+// finishes inside the call: open it, run body in it, commit when asked and
+// body succeeded, roll back otherwise. (A Query cursor outlives the call
+// and ends its snapshot through open's end.)
+func (s *Session) implicit(ctx context.Context, name string, commit bool, body func(context.Context, *Tx) error) error {
+	cctx, tx, end, err := s.open(ctx, name)
+	if err != nil {
+		return err
+	}
+	defer end()
+	span := trace.FromContext(cctx) // open's; nil with tracing off
+	if commit && span != nil {
+		// Commit runs after stmt.run restores the tx context, so the
+		// span must ride the transaction itself for the commit spans to
+		// find it.
+		tx.WithContext(cctx)
+	}
+	err = body(cctx, tx)
+	if err == nil && commit {
+		err = tx.Commit()
+	}
+	span.SetError(err)
+	return err
+}
+
 // QueryAll is Query for callers that want the whole decoded result: same
 // snapshot, checks, Timeout and rollback, but the statement runs on the
 // caller's goroutine — nothing streams, so no producer hands rows over.
-func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) ([][]any, error) {
+func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) (rows [][]any, err error) {
 	if stmt.plan.HasUpdates() {
 		return nil, ErrUpdatePlan
 	}
-	cctx, tx, end, err := s.open(ctx, "session.query")
-	if err != nil {
-		return nil, err
-	}
-	defer end()
-	return s.db.collect(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers)
+	err = s.implicit(ctx, "session.query", false, func(cctx context.Context, tx *Tx) error {
+		rows, err = s.db.collect(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers)
+		return err
+	})
+	return rows, err
 }
 
 // Exec runs a statement — typically containing updates — in a fresh
@@ -250,34 +260,23 @@ func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params)
 // result rows. On any error, including ctx cancellation, the
 // transaction is rolled back and nothing becomes visible.
 func (s *Session) Exec(ctx context.Context, stmt *Stmt, params query.Params) (int, error) {
-	cctx, tx, end, err := s.open(ctx, "session.exec")
-	if err != nil {
-		return 0, err
-	}
-	defer end()
-	span := trace.FromContext(cctx) // open's; nil with tracing off
-	if span != nil {
-		// Commit runs after stmt.run restores the tx context, so the
-		// span must ride the transaction itself for the commit spans to
-		// find it.
-		tx.WithContext(cctx)
-	}
-	n := 0
 	mode := s.cfg.Mode
 	if mode == Parallel || mode == Adaptive {
 		// Morsel workers share one transaction; updates stay on the
 		// single-threaded interpreter for deterministic write ordering.
 		mode = Interpret
 	}
-	if err := stmt.run(cctx, tx, params, mode, s.cfg.Workers, func(query.Row) bool { n++; return true }); err != nil {
-		span.SetError(err)
+	n := 0
+	err := s.implicit(ctx, "session.exec", true, func(cctx context.Context, tx *Tx) error {
+		err := stmt.run(cctx, tx, params, mode, s.cfg.Workers, func(query.Row) bool { n++; return true })
+		if err == nil {
+			trace.FromContext(cctx).SetAttr("rows_affected", int64(n))
+		}
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err := tx.Commit(); err != nil {
-		span.SetError(err)
-		return 0, err
-	}
-	span.SetAttr("rows_affected", int64(n))
 	return n, nil
 }
 

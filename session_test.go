@@ -21,14 +21,14 @@ func TestStmtCacheSingleParse(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedSocial(t, db)
 	src := `MATCH (p:Person {name: $n}) RETURN p.age`
-	if _, err := db.Cypher(src, query.Params{"n": "alice"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), src, query.Params{"n": "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Cypher(src, query.Params{"n": "bob"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), src, query.Params{"n": "bob"}); err != nil {
 		t.Fatal(err)
 	}
 	// Same statement, reformatted: the fingerprint normalizes it.
-	if _, err := db.Cypher("match  (p:Person\n{name: $n})  return p.age", query.Params{"n": "carol"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), "match  (p:Person\n{name: $n})  return p.age", query.Params{"n": "carol"}); err != nil {
 		t.Fatal(err)
 	}
 	st := db.CacheStats()
@@ -125,10 +125,10 @@ func TestUpdateGuard(t *testing.T) {
 	create := &query.Plan{Root: &query.CreateNode{Label: "Person", Props: []query.PropSpec{
 		{Key: "name", Val: &query.Const{Val: "ghost"}},
 	}}}
-	if _, err := db.Query(create, nil); !errors.Is(err, ErrUpdatePlan) {
+	if _, err := db.QueryCtx(context.Background(), create, nil); !errors.Is(err, ErrUpdatePlan) {
 		t.Fatalf("Query: err = %v, want ErrUpdatePlan", err)
 	}
-	if _, err := db.QueryMode(create, nil, Parallel); !errors.Is(err, ErrUpdatePlan) {
+	if _, err := db.QueryModeCtx(context.Background(), create, nil, Parallel); !errors.Is(err, ErrUpdatePlan) {
 		t.Fatalf("QueryMode: err = %v, want ErrUpdatePlan", err)
 	}
 	sess := db.NewSession(SessionConfig{})
@@ -144,7 +144,7 @@ func TestUpdateGuard(t *testing.T) {
 		t.Fatalf("a rejected update leaked: %d nodes", db.NodeCount())
 	}
 	// The same plan commits through the update paths.
-	if n, err := db.Exec(create, nil); err != nil || n != 1 {
+	if n, err := db.ExecCtx(context.Background(), create, nil); err != nil || n != 1 {
 		t.Fatalf("Exec: n=%d err=%v", n, err)
 	}
 	if n, err := sess.Exec(context.Background(), stmt, nil); err != nil || n != 1 {
@@ -162,7 +162,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedPeople(t, db, 1000)
 	plan := scanAllPlan()
-	want, err := db.Query(plan, nil)
+	want, err := db.QueryCtx(context.Background(), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

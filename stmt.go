@@ -88,12 +88,13 @@ func (db *DB) CacheStats() CacheStats { return db.stmts.stats() }
 // rows to emit. The context cancels execution between records.
 //
 // This is the single funnel every execution path goes through —
-// facade shims, sessions and streaming cursors alike — which makes it
-// the one place query telemetry is observed. With telemetry disabled
-// (db.tel == nil) the statement runs with zero instrumentation.
+// materializing session calls, streaming cursors and QueryTxCtx alike —
+// which makes it the one place query telemetry is observed. With
+// telemetry disabled (db.tel == nil) the statement runs with zero
+// instrumentation.
 func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMode, workers int, emit func(query.Row) bool) error {
-	tel, tracer := s.db.tel, s.db.tracer
-	if tel == nil && tracer == nil {
+	tel := s.db.tel
+	if tel == nil && s.db.tracer == nil {
 		_, err := s.runInner(ctx, tx, params, mode, workers, emit)
 		return err
 	}
@@ -101,18 +102,11 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 	if queryText == "" {
 		queryText = s.prepared.Sig
 	}
-	// Request tracing: continue the caller's trace (server wire span or
-	// session span) or, on a bare context with tracing enabled, root a
-	// fresh trace here so legacy facade paths are traced too.
-	var span *trace.Span
+	// Request tracing continues the caller's trace: the session's span,
+	// a root or the child of the server's wire span.
 	var traceID string
-	if tracer != nil {
-		if parent := trace.FromContext(ctx); parent != nil {
-			span = parent.Child("stmt.run", trace.KindSession)
-			ctx = trace.ContextWithSpan(ctx, span)
-		} else {
-			ctx, span = tracer.Start(ctx, "stmt.run", trace.KindSession)
-		}
+	ctx, span := trace.StartSpan(ctx, "stmt.run", trace.KindSession)
+	if span != nil {
 		span.SetAttr("query", queryText)
 		span.SetAttr("mode", mode.String())
 		traceID = trace.FormatID(span.TraceID())
@@ -153,7 +147,6 @@ func (s *Stmt) runInner(ctx context.Context, tx *Tx, params query.Params, mode E
 		return st, err
 	case Parallel:
 		ectx, esp := trace.StartSpan(ctx, "query.parallel", trace.KindExec)
-		esp.SetAttr("workers", int64(workers))
 		err := s.prepared.RunParallelCtx(ectx, tx, params, workers, emit)
 		esp.SetError(err)
 		esp.End()

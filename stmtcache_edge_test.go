@@ -23,7 +23,7 @@ func newEdgeDB(t *testing.T, cacheSize int) *DB {
 		`CREATE (b:Person {id: 2, name: 'bob', age: 25})`,
 		`CREATE (c:Person {id: 3, name: 'cleo', age: 41})`,
 	} {
-		if _, err := db.Cypher(src, nil); err != nil {
+		if _, err := db.CypherCtx(context.Background(), src, nil); err != nil {
 			t.Fatalf("seed %q: %v", src, err)
 		}
 	}
