@@ -156,52 +156,58 @@ func (sh *shell) cypher(src string) error {
 var errQuit = fmt.Errorf("quit")
 
 // shellTelemetry instruments the shell's DB so :metrics has data; the
-// 50ms threshold keeps the slow-query log to statements a human would
+// 50ms threshold keeps the slow-query view to statements a human would
 // actually call slow at interactive scale. Tracing retains every trace
 // (sample rate 1) because an interactive shell issues statements at
 // human rates — :profile and :trace always have the last one.
 var shellTelemetry = poseidon.TelemetryConfig{
 	Enabled:            true,
 	SlowQueryThreshold: 50 * time.Millisecond,
-	SlowQueryLogSize:   32,
 	Trace:              poseidon.TraceConfig{Enabled: true, SampleRate: 1},
 }
 
-// printMetrics pretty-prints the DB.Metrics() snapshot and the most
-// recent slow-query traces.
+// printMetrics pretty-prints the DB.Metrics() snapshot, reading each
+// series by the name /metrics serves it under, and the most recent slow
+// queries (pinned traces; ':trace <id>' exports one).
 func printMetrics(db *poseidon.DB) error {
 	m := db.Metrics()
-	fmt.Printf("graph:      %d nodes, %d rels\n", m.Nodes, m.Rels)
+	v := func(series string) uint64 { return uint64(m.Values[series]) }
+	fmt.Printf("graph:      %d nodes, %d rels\n", v("poseidon_nodes"), v("poseidon_rels"))
 	fmt.Printf("pmem:       reads=%d writes=%d blockWrites=%d flushes=%d drains=%d cacheHit=%d cacheMiss=%d\n",
-		m.PMem.Reads, m.PMem.Writes, m.PMem.BlockWrites, m.PMem.LineFlushes, m.PMem.Drains,
-		m.PMem.CacheHits, m.PMem.CacheMisses)
-	fmt.Printf("tx:         begun=%d committed=%d active=%d\n", m.Tx.Begun, m.Tx.Commits, m.Tx.Active)
-	if len(m.Tx.Aborts) > 0 {
-		fmt.Print("aborts:    ")
-		for _, reason := range []string{"explicit", "write_conflict", "validation", "cancelled", "commit_failed"} {
-			if n := m.Tx.Aborts[reason]; n > 0 {
-				fmt.Printf(" %s=%d", reason, n)
-			}
-		}
-		fmt.Println()
+		v("poseidon_pmem_reads_total"), v("poseidon_pmem_writes_total"), v("poseidon_pmem_block_writes_total"),
+		v("poseidon_pmem_line_flushes_total"), v("poseidon_pmem_drains_total"),
+		v("poseidon_pmem_cache_hits_total"), v("poseidon_pmem_cache_misses_total"))
+	fmt.Printf("tx:         begun=%d committed=%d active=%d\n",
+		v("poseidon_tx_begun_total"), v("poseidon_tx_commits_total"), v("poseidon_txs_active"))
+	fmt.Print("aborts:    ")
+	for r := 0; r < core.NumAbortReasons; r++ {
+		reason := core.AbortReason(r).String()
+		fmt.Printf(" %s=%d", reason, v(`poseidon_tx_aborts_total{reason="`+reason+`"}`))
 	}
-	if w := m.Tx.ChainWalk; w.Count > 0 {
+	fmt.Println()
+	if w := m.Histograms["poseidon_mvto_chain_walk_length"]; w.Count > 0 {
 		fmt.Printf("mvto:       %d chain walks, p50=%.1f p95=%.1f versions\n",
 			w.Count, w.Quantile(0.50), w.Quantile(0.95))
 	}
-	fmt.Printf("queries:    %d total, %d errors, %d rows streamed, %d slow\n",
-		m.Query.Count, m.Query.Errors, m.Query.Rows, m.Query.Slow)
-	if len(m.Query.ByMode) > 0 {
-		fmt.Printf("  by mode:  %v\n", m.Query.ByMode)
+	lat := m.Histograms["poseidon_query_duration_seconds"]
+	fmt.Printf("queries:    %d total, %d errors, %d rows streamed, %d slow\n", lat.Count,
+		v("poseidon_query_errors_total"), v("poseidon_query_rows_total"), v("poseidon_slow_queries_total"))
+	fmt.Print("  by mode: ")
+	for mode := poseidon.Interpret; mode <= poseidon.Adaptive; mode++ {
+		fmt.Printf(" %v=%d", mode, v(`poseidon_queries_total{mode="`+mode.String()+`"}`))
 	}
-	if l := m.Query.Latency; l.Count > 0 {
-		fmt.Printf("  latency:  p50=%.3fms p95=%.3fms\n", l.Quantile(0.50)*1e3, l.Quantile(0.95)*1e3)
+	fmt.Println()
+	if lat.Count > 0 {
+		fmt.Printf("  latency:  p50=%.3fms p95=%.3fms\n", lat.Quantile(0.50)*1e3, lat.Quantile(0.95)*1e3)
 	}
 	fmt.Printf("jit:        %d compiles, cache hits mem=%d persist=%d, morsels interp=%d compiled=%d, switchovers=%d\n",
-		m.JIT.Compiles, m.JIT.CodeCacheMemHits, m.JIT.CodeCachePersistHits,
-		m.JIT.MorselsInterpreted, m.JIT.MorselsCompiled, m.JIT.Switchovers)
+		v("poseidon_jit_compiles_total"),
+		v(`poseidon_jit_code_cache_hits_total{tier="memory"}`), v(`poseidon_jit_code_cache_hits_total{tier="persistent"}`),
+		v(`poseidon_jit_morsels_total{path="interpreted"}`), v(`poseidon_jit_morsels_total{path="compiled"}`),
+		v("poseidon_jit_adaptive_switchovers_total"))
 	fmt.Printf("stmt cache: %d cached, %d hits, %d misses, %d evictions\n",
-		m.StmtCache.Size, m.StmtCache.Hits, m.StmtCache.Misses, m.StmtCache.Evictions)
+		v("poseidon_stmt_cache_size"), v("poseidon_stmt_cache_hits_total"),
+		v("poseidon_stmt_cache_misses_total"), v("poseidon_stmt_cache_evictions_total"))
 
 	slow := db.SlowQueries()
 	if len(slow) == 0 {
@@ -209,19 +215,16 @@ func printMetrics(db *poseidon.DB) error {
 		return nil
 	}
 	fmt.Printf("slow log:   %d most recent (threshold %v):\n", len(slow), db.SlowQueryThreshold())
-	for i, q := range slow {
+	for i, p := range slow {
 		if i == 5 {
 			fmt.Printf("  ... %d more\n", len(slow)-5)
 			break
 		}
-		link := ""
-		if q.TraceID != "" {
-			link = "  trace=" + q.TraceID
-		}
-		fmt.Printf("  [%s] %v total (compile %v, exec %v) rows=%d mode=%s  %s%s\n",
-			q.Start.Format("15:04:05"), q.Total.Round(time.Microsecond),
-			q.Compile.Round(time.Microsecond), q.Execute.Round(time.Microsecond),
-			q.Rows, q.Mode, q.Query, link)
+		run := p.Stage("stmt.run")
+		compile, _ := run.Attr("compile_ns").(int64)
+		fmt.Printf("  trace=%s %v total (compile %v) rows=%v mode=%v  %v\n",
+			p.TraceID, p.Total.Round(time.Microsecond), time.Duration(compile).Round(time.Microsecond),
+			run.Attr("rows"), run.Attr("mode"), run.Attr("query"))
 	}
 	return nil
 }

@@ -12,10 +12,9 @@
 // (neither is part of the paper).
 //
 // -json writes a machine-readable result (schema poseidon-bench/v1):
-// the configuration, every regenerated figure with mean/p50/p95/min/max
-// per cell, and a final telemetry snapshot from a probe workload on an
-// instrumented DB. -checkjson validates such a file and exits — CI uses
-// the pair as its smoke contract.
+// the configuration and every regenerated figure with
+// mean/p50/p95/min/max per cell. -checkjson validates such a file's
+// structure and exits — CI uses the pair as its smoke contract.
 //
 // Absolute times depend on the simulated device latencies; the shapes
 // (who wins, by roughly what factor) are the reproduction target. See
@@ -25,7 +24,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +32,6 @@ import (
 
 	"poseidon"
 	"poseidon/internal/bench"
-	"poseidon/internal/core"
 	"poseidon/internal/query"
 )
 
@@ -59,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "checkjson:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("checkjson: %s ok (%d figures, metrics present)\n", *checkPath, len(r.Figures))
+		fmt.Printf("checkjson: %s ok (%d figures)\n", *checkPath, len(r.Figures))
 		return
 	}
 
@@ -123,25 +120,15 @@ func main() {
 	}
 }
 
-// writeResult assembles the machine-readable result: the collected
-// figures plus a telemetry snapshot from the probe workload, validated
-// before it touches disk so a wiring regression fails the run itself.
+// writeResult assembles the machine-readable result from the collected
+// figures, validated before it touches disk.
 func writeResult(path string, opts bench.Options, figures []*bench.Table) error {
-	metrics, err := telemetryProbe()
-	if err != nil {
-		return fmt.Errorf("telemetry probe: %w", err)
-	}
-	rawMetrics, err := json.Marshal(metrics)
-	if err != nil {
-		return err
-	}
 	r := &bench.Result{
 		Schema:      bench.ResultSchema,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		Config:      opts,
 		Figures:     figures,
-		Metrics:     rawMetrics,
 	}
 	if err := r.Validate(); err != nil {
 		return err
@@ -151,64 +138,6 @@ func writeResult(path string, opts bench.Options, figures []*bench.Table) error 
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// telemetryProbe runs a small deterministic mixed workload on a fresh
-// instrumented PMem DB and returns its metrics snapshot. The workload
-// guarantees every counter the validator requires is nonzero: committed
-// writes, a forced write-write conflict, queries in all four execution
-// modes (so the JIT compiles) and a statement-cache miss.
-func telemetryProbe() (*poseidon.Metrics, error) {
-	db, err := poseidon.Open(poseidon.Config{
-		Mode:     poseidon.PMem,
-		PoolSize: 128 << 20,
-		Telemetry: poseidon.TelemetryConfig{
-			Enabled:            true,
-			SlowQueryThreshold: time.Millisecond,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-
-	tx := db.Begin()
-	ids := make([]uint64, 32)
-	for i := range ids {
-		if ids[i], err = tx.CreateNode("Person", map[string]any{"name": fmt.Sprintf("p%02d", i), "age": int64(20 + i)}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 1; i < len(ids); i++ {
-		if _, err := tx.CreateRel(ids[i-1], ids[i], "knows", nil); err != nil {
-			return nil, err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-
-	// Forced write-write conflict: the abort counters must move.
-	t1, t2 := db.Begin(), db.Begin()
-	if err := t1.SetNodeProps(ids[0], map[string]any{"age": int64(99)}); err != nil {
-		return nil, err
-	}
-	if err := t2.SetNodeProps(ids[0], map[string]any{"age": int64(98)}); !errors.Is(err, core.ErrAborted) {
-		return nil, fmt.Errorf("expected write-write conflict, got %v", err)
-	}
-	if err := t1.Commit(); err != nil {
-		return nil, err
-	}
-
-	ctx := context.Background()
-	src := `MATCH (p:Person) RETURN p.name`
-	for _, mode := range []poseidon.ExecMode{poseidon.Interpret, poseidon.Parallel, poseidon.JIT, poseidon.Adaptive} {
-		if _, err := db.CypherModeCtx(ctx, src, nil, mode); err != nil {
-			return nil, fmt.Errorf("mode %v: %w", mode, err)
-		}
-	}
-	m := db.Metrics()
-	return &m, nil
 }
 
 // traceFigure measures request-tracing overhead through the public

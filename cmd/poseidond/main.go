@@ -73,7 +73,7 @@ func main() {
 	traceOn := flag.Bool("trace", false, "enable request tracing (spans wire→commit; export at /debug/traces)")
 	traceSample := flag.Float64("trace-sample", 0.1, "tail-sampling keep probability for unremarkable traces")
 	traceRing := flag.Int("trace-ring", 0, "retained-trace ring size (0 = default 256)")
-	traceSlow := flag.Duration("trace-slow", 0, "pin traces at least this slow (0 = slow-query threshold)")
+	traceSlow := flag.Duration("trace-slow", 0, "slow-query threshold: count statements and pin traces at least this slow (0 = 100ms)")
 	flag.Parse()
 
 	execMode, err := parseMode(*mode)
@@ -91,12 +91,12 @@ func main() {
 		Workers:  *workers,
 		Shards:   *shards,
 		Telemetry: poseidon.TelemetryConfig{
-			Enabled: true,
+			Enabled:            true,
+			SlowQueryThreshold: *traceSlow,
 			Trace: poseidon.TraceConfig{
-				Enabled:       *traceOn,
-				RingSize:      *traceRing,
-				SampleRate:    *traceSample,
-				SlowThreshold: *traceSlow,
+				Enabled:    *traceOn,
+				RingSize:   *traceRing,
+				SampleRate: *traceSample,
 			},
 		},
 	})

@@ -10,39 +10,17 @@ import (
 // bump on any incompatible change to Result/Table/TableRow.
 const ResultSchema = "poseidon-bench/v1"
 
-// Result is the machine-readable form of a bench run: the configuration,
-// every regenerated figure with full timing distributions, and the final
-// DB.Metrics() telemetry snapshot of the probe workload. Metrics stays a
-// raw message here so this package does not import the root poseidon
-// package (the repository-root benchmarks import bench in turn).
+// Result is the machine-readable form of a bench run: the configuration
+// and every regenerated figure with full timing distributions.
 type Result struct {
-	Schema      string          `json:"schema"`
-	GeneratedAt string          `json:"generated_at"` // RFC 3339
-	GoVersion   string          `json:"go_version"`
-	Config      Options         `json:"config"`
-	Figures     []*Table        `json:"figures"`
-	Metrics     json.RawMessage `json:"metrics,omitempty"`
+	Schema      string   `json:"schema"`
+	GeneratedAt string   `json:"generated_at"` // RFC 3339
+	GoVersion   string   `json:"go_version"`
+	Config      Options  `json:"config"`
+	Figures     []*Table `json:"figures"`
 }
 
-// requiredCounters are the metrics-snapshot fields a healthy bench run
-// can never leave at zero: the telemetry probe commits transactions,
-// forces an abort, JIT-compiles, misses the statement cache once and
-// runs queries, so a zero here means the wiring regressed, not that the
-// workload was small. Paths use the snapshot's JSON field names.
-var requiredCounters = [][]string{
-	{"pmem", "Reads"},
-	{"pmem", "Writes"},
-	{"tx", "begun"},
-	{"tx", "commits"},
-	{"jit", "compiles"},
-	{"stmt_cache", "Misses"},
-	{"query", "count"},
-	{"query", "rows"},
-	{"query", "latency", "count"},
-}
-
-// Validate checks structural sanity and, when a metrics snapshot is
-// attached, that every required counter is nonzero.
+// Validate checks structural sanity.
 func (r *Result) Validate() error {
 	if r.Schema != ResultSchema {
 		return fmt.Errorf("bench: schema %q, want %q", r.Schema, ResultSchema)
@@ -71,81 +49,19 @@ func (r *Result) Validate() error {
 			}
 		}
 	}
-	if len(r.Metrics) > 0 {
-		if err := validateMetrics(r.Metrics); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// ValidateJSON parses a serialized Result and validates it, requiring
-// the metrics snapshot to be present (the CI smoke contract).
+// ValidateJSON parses a serialized Result and validates it (the CI
+// smoke contract). Unknown fields are ignored, so results written when
+// the schema still carried a telemetry snapshot keep validating.
 func ValidateJSON(data []byte) (*Result, error) {
 	var r Result
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("bench: malformed result JSON: %w", err)
 	}
-	if len(r.Metrics) == 0 {
-		return nil, fmt.Errorf("bench: result has no metrics snapshot")
-	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	return &r, nil
-}
-
-func validateMetrics(raw json.RawMessage) error {
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("bench: malformed metrics snapshot: %w", err)
-	}
-	if enabled, _ := m["enabled"].(bool); !enabled {
-		return fmt.Errorf("bench: metrics snapshot taken with telemetry disabled")
-	}
-	for _, path := range requiredCounters {
-		v, err := lookupNumber(m, path)
-		if err != nil {
-			return err
-		}
-		if v <= 0 {
-			return fmt.Errorf("bench: required counter %v is zero", path)
-		}
-	}
-	// At least one abort must have been recorded: the probe forces a
-	// write-write conflict.
-	tx, _ := m["tx"].(map[string]any)
-	aborts, ok := tx["aborts"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("bench: metrics snapshot missing tx.aborts")
-	}
-	var total float64
-	for _, v := range aborts {
-		if n, ok := v.(float64); ok {
-			total += n
-		}
-	}
-	if total <= 0 {
-		return fmt.Errorf("bench: no aborts recorded despite forced conflict")
-	}
-	return nil
-}
-
-// lookupNumber walks nested JSON objects along path.
-func lookupNumber(m map[string]any, path []string) (float64, error) {
-	var cur any = m
-	for _, key := range path {
-		obj, ok := cur.(map[string]any)
-		if !ok {
-			return 0, fmt.Errorf("bench: metrics path %v: not an object at %q", path, key)
-		}
-		if cur, ok = obj[key]; !ok {
-			return 0, fmt.Errorf("bench: metrics path %v: missing %q", path, key)
-		}
-	}
-	n, ok := cur.(float64)
-	if !ok {
-		return 0, fmt.Errorf("bench: metrics path %v: not a number", path)
-	}
-	return n, nil
 }

@@ -7,17 +7,6 @@ import (
 	"time"
 )
 
-// goodMetrics is a minimal metrics snapshot satisfying every required
-// counter, shaped like poseidon.Metrics' JSON encoding.
-const goodMetrics = `{
-  "enabled": true,
-  "pmem": {"Reads": 100, "Writes": 50, "BlockWrites": 10},
-  "tx": {"begun": 7, "commits": 5, "aborts": {"write_conflict": 1}, "active": 0},
-  "query": {"count": 4, "rows": 12, "latency": {"count": 4, "sum": 0.1}},
-  "jit": {"compiles": 2},
-  "stmt_cache": {"Hits": 1, "Misses": 3}
-}`
-
 func goodResult() *Result {
 	row := TableRow{Query: "sr1"}
 	row.set("pmem-s", Dist{Mean: 10, P50: 9, P95: 14, Min: 8, Max: 15})
@@ -27,7 +16,6 @@ func goodResult() *Result {
 		GoVersion:   "go1.22",
 		Config:      Options{Persons: 60, Runs: 2, Seed: 42, PoolSize: 1 << 30},
 		Figures:     []*Table{{Name: "Fig 5", Columns: []string{"pmem-s"}, Rows: []TableRow{row}}},
-		Metrics:     json.RawMessage(goodMetrics),
 	}
 }
 
@@ -47,18 +35,6 @@ func TestResultValidateRejects(t *testing.T) {
 		{"no figures", func(r *Result) { r.Figures = nil }, "no figures"},
 		{"empty row", func(r *Result) { r.Figures[0].Rows[0].Cells = nil }, "no cells"},
 		{"negative cell", func(r *Result) { r.Figures[0].Rows[0].Cells["pmem-s"] = -1 }, "cell"},
-		{"telemetry off", func(r *Result) {
-			r.Metrics = json.RawMessage(strings.Replace(goodMetrics, `"enabled": true`, `"enabled": false`, 1))
-		}, "disabled"},
-		{"zero counter", func(r *Result) {
-			r.Metrics = json.RawMessage(strings.Replace(goodMetrics, `"compiles": 2`, `"compiles": 0`, 1))
-		}, "zero"},
-		{"missing counter", func(r *Result) {
-			r.Metrics = json.RawMessage(strings.Replace(goodMetrics, `"compiles"`, `"kompiles"`, 1))
-		}, "missing"},
-		{"no aborts", func(r *Result) {
-			r.Metrics = json.RawMessage(strings.Replace(goodMetrics, `{"write_conflict": 1}`, `{}`, 1))
-		}, "abort"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,10 +69,10 @@ func TestValidateJSONMalformed(t *testing.T) {
 	if _, err := ValidateJSON([]byte(`{"schema": `)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	// Well-formed but missing metrics: the CI contract requires them.
+	// Well-formed but empty: the CI contract requires figures.
 	data, _ := json.Marshal(&Result{Schema: ResultSchema})
 	if _, err := ValidateJSON(data); err == nil {
-		t.Error("metrics-less result accepted")
+		t.Error("figure-less result accepted")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // path. They must only ever travel as pointers and be used through
 // their nil-safe methods.
 var telemetryHandles = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true, "SlowQueryLog": true,
+	"Counter": true, "Gauge": true, "Histogram": true,
 }
 
 // trace handle types follow the same contract: a nil *trace.Tracer or

@@ -229,9 +229,8 @@ func TestAdmissionQueueFull(t *testing.T) {
 		t.Fatalf("overflow RUN err = %v, want QUEUE_FULL", err)
 	}
 
-	m := db.Metrics()
-	if m.Server == nil || m.Server.AdmissionRejects == 0 {
-		t.Fatalf("admission_rejects not counted: %+v", m.Server)
+	if n := db.Metrics().Values["poseidon_admission_rejects"]; n == 0 {
+		t.Fatal("poseidon_admission_rejects not counted")
 	}
 
 	// Releasing the slot un-wedges admission.
@@ -308,12 +307,13 @@ func TestDisconnectReleasesResources(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m := db.Metrics()
-		if m.Server != nil && m.Server.InflightStmts == 0 && m.Server.ConnsOpen == 0 {
+		m := db.Metrics().Values
+		inflight, conns := m["poseidon_inflight_stmts"], m["poseidon_conns_open"]
+		if inflight == 0 && conns == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slot/conn not released after disconnect: %+v", m.Server)
+			t.Fatalf("slot/conn not released after disconnect: inflight=%v conns=%v", inflight, conns)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -422,11 +422,11 @@ func TestServerMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := db.Metrics()
-	if m.Server == nil {
-		t.Fatal("Metrics().Server missing")
+	if _, ok := m.Values["poseidon_conns_open"]; !ok {
+		t.Fatal("Metrics() misses the series RegisterServer registered")
 	}
 	for _, typ := range []string{"hello", "run", "pull"} {
-		h, ok := m.Server.MsgLatency[typ]
+		h, ok := m.Histograms[`poseidon_server_message_seconds{type="`+typ+`"}`]
 		if !ok || h.Count == 0 {
 			t.Errorf("no %s latency observations: %+v", typ, h)
 		}

@@ -181,11 +181,6 @@ func (h *Histogram) writePrometheus(w *strings.Builder, name, labels string) {
 		}
 		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, le, b.Count)
 	}
-	if labels != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, snap.Sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, snap.Count)
-	} else {
-		fmt.Fprintf(w, "%s_sum %g\n", name, snap.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, snap.Count)
-	}
+	fmt.Fprintf(w, "%s %g\n", seriesName(name+"_sum", labels), snap.Sum)
+	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labels), snap.Count)
 }

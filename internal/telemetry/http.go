@@ -18,15 +18,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// DebugMux returns a mux with the metrics endpoint at /metrics and the
-// standard pprof handlers under /debug/pprof/.
-func (r *Registry) DebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	MountPprof(mux)
-	return mux
-}
-
 // MountPprof wires the standard pprof handlers under /debug/pprof/ on
 // mux. The routes are registered explicitly rather than via the
 // net/http/pprof side-effect import so they land on this mux, not

@@ -1,7 +1,8 @@
 // Package telemetry is the engine-wide measurement substrate: a
 // low-overhead metrics core (sharded atomic counters, gauges and
-// fixed-bucket histograms), per-query stage traces, a slow-query log and
-// a Prometheus-text exposition endpoint.
+// fixed-bucket histograms), a registry that snapshots every series, and
+// a Prometheus-text exposition endpoint. Per-request records (stage
+// timings, the slow-query view) belong to internal/trace.
 //
 // Every metric type has a true no-op path: the nil pointer. A disabled
 // engine simply never constructs a Registry, every subsystem holds nil
@@ -157,17 +158,30 @@ func (r *Registry) Histogram(name, help string, bounds []uint64, unit float64, l
 	return h
 }
 
+// list copies the family list so rendering runs outside the lock; nil
+// on a nil registry.
+func (r *Registry) list() []*family {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*family(nil), r.families...)
+}
+
+// seriesName renders a series the way /metrics prints it: the name,
+// then the label set in braces when there is one.
+func seriesName(name, labels string) string {
+	if labels == "" {
+		return name
+	}
+	return name + "{" + labels + "}"
+}
+
 // WritePrometheus renders every registered family in the text exposition
 // format (version 0.0.4), in registration order.
 func (r *Registry) WritePrometheus(w *strings.Builder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	for _, f := range fams {
+	for _, f := range r.list() {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.samples {
@@ -175,13 +189,37 @@ func (r *Registry) WritePrometheus(w *strings.Builder) {
 				s.hist.writePrometheus(w, f.name, s.labels)
 				continue
 			}
-			if s.labels != "" {
-				fmt.Fprintf(w, "%s{%s} %s\n", f.name, s.labels, formatValue(s.value()))
+			fmt.Fprintf(w, "%s %s\n", seriesName(f.name, s.labels), formatValue(s.value()))
+		}
+	}
+}
+
+// Snapshot is a point-in-time copy of every registered series, keyed as
+// /metrics prints it (`poseidon_tx_aborts_total{reason="validation"}`).
+// Values holds the counters and gauges; Histograms holds one entry per
+// histogram series under the family name (plus labels), whose Count and
+// Sum are the exposition's _count and _sum lines.
+type Snapshot struct {
+	Values     map[string]float64           `json:"values"`
+	Histograms map[string]HistogramSnapshot `json:"histograms"`
+}
+
+// Snapshot reads every registered series once (none on a nil registry).
+// It walks the same list WritePrometheus renders, so a series registered
+// once reaches both.
+func (r *Registry) Snapshot() Snapshot {
+	out := Snapshot{Values: map[string]float64{}, Histograms: map[string]HistogramSnapshot{}}
+	for _, f := range r.list() {
+		for _, s := range f.samples {
+			key := seriesName(f.name, s.labels)
+			if s.hist != nil {
+				out.Histograms[key] = s.hist.Snapshot()
 			} else {
-				fmt.Fprintf(w, "%s %s\n", f.name, formatValue(s.value()))
+				out.Values[key] = s.value()
 			}
 		}
 	}
+	return out
 }
 
 // formatValue renders a float without the exponent noise %v produces for

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -80,7 +81,6 @@ func TestNilHandlesNoAllocs(t *testing.T) {
 		c *Counter
 		g *Gauge
 		h *Histogram
-		l *SlowQueryLog
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -91,8 +91,6 @@ func TestNilHandlesNoAllocs(t *testing.T) {
 		_ = g.Value()
 		h.Observe(42)
 		h.ObserveDuration(time.Millisecond)
-		_ = l.MaybeRecord(QueryTrace{Total: time.Hour})
-		_ = l.Entries()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil telemetry handles allocated %v times per op", allocs)
@@ -117,32 +115,8 @@ func TestNilRegistryConstructors(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("nil registry must render nothing")
 	}
-}
-
-func TestSlowQueryLogRing(t *testing.T) {
-	l := NewSlowQueryLog(time.Millisecond, 3)
-	if l.MaybeRecord(QueryTrace{Query: "fast", Total: time.Microsecond}) {
-		t.Fatal("sub-threshold trace must not be recorded")
-	}
-	for i := 0; i < 5; i++ {
-		rec := l.MaybeRecord(QueryTrace{Query: string(rune('a' + i)), Total: time.Second})
-		if !rec {
-			t.Fatalf("trace %d not recorded", i)
-		}
-	}
-	got := l.Entries()
-	if len(got) != 3 {
-		t.Fatalf("ring kept %d entries, want 3", len(got))
-	}
-	// Newest first: e, d, c.
-	want := []string{"e", "d", "c"}
-	for i, w := range want {
-		if got[i].Query != w {
-			t.Fatalf("entry %d = %q, want %q", i, got[i].Query, w)
-		}
-	}
-	if l.Recorded() != 5 {
-		t.Fatalf("recorded = %d, want 5", l.Recorded())
+	if snap := r.Snapshot(); len(snap.Values)+len(snap.Histograms) != 0 || snap.Values["x"] != 0 {
+		t.Fatalf("nil registry snapshot = %+v, want empty and readable", snap)
 	}
 }
 
@@ -180,6 +154,18 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	// The snapshot carries the same series under the names printed above.
+	snap := r.Snapshot()
+	for series, want := range map[string]float64{
+		"app_ops_total": 7, `app_fail_total{reason="timeout"}`: 1, `app_fail_total{reason="conflict"}`: 0, "app_active": 3,
+	} {
+		if got, ok := snap.Values[series]; !ok || got != want {
+			t.Errorf("snapshot %s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	if hs := snap.Histograms["app_latency_seconds"]; hs.Count != 2 || len(snap.Histograms) != 1 || len(snap.Values) != 4 {
+		t.Errorf("snapshot histograms = %+v, values = %v", snap.Histograms, snap.Values)
+	}
 	// HELP/TYPE must appear exactly once per family even with two series.
 	if strings.Count(out, "# TYPE app_fail_total counter") != 1 {
 		t.Fatalf("TYPE emitted more than once per family:\n%s", out)
@@ -189,7 +175,10 @@ func TestPrometheusExposition(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("h_ops_total", "ops").Add(2)
-	srv := httptest.NewServer(r.DebugMux())
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", r.Handler())
+	MountPprof(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

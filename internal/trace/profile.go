@@ -77,6 +77,33 @@ func BuildProfile(tr *Trace) *Profile {
 	return p
 }
 
+// Stage returns the named stage, or nil when no such span ran.
+func (p *Profile) Stage(name string) *Stage {
+	if p == nil {
+		return nil
+	}
+	for i := range p.Stages {
+		if p.Stages[i].Name == name {
+			return &p.Stages[i]
+		}
+	}
+	return nil
+}
+
+// Attr returns the stage's value for key; nil when the stage (nil-safe)
+// carries none.
+func (s *Stage) Attr(key string) any {
+	if s == nil {
+		return nil
+	}
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
+}
+
 func firstStart(tr *Trace, name string) time.Time {
 	for i := range tr.Spans {
 		if tr.Spans[i].Name == name {

@@ -115,6 +115,7 @@ type Config struct {
 	// the outcome is known.
 	SampleRate float64
 	// SlowThreshold pins traces at least this slow (default 25ms).
+	// Negative pins nothing for slowness; errored traces still pin.
 	SlowThreshold time.Duration
 }
 
@@ -145,7 +146,7 @@ func New(cfg Config) *Tracer {
 	if cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	if cfg.SlowThreshold <= 0 {
+	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = 25 * time.Millisecond
 	}
 	t := &Tracer{
@@ -353,7 +354,7 @@ func (s *Span) End() {
 
 // finish applies tail sampling and offers the trace to the ring.
 func (t *Tracer) finish(tr *Trace, sink func(*Trace)) {
-	tr.Pinned = tr.Err != "" || tr.Duration >= t.slowThreshold
+	tr.Pinned = tr.Err != "" || (t.slowThreshold > 0 && tr.Duration >= t.slowThreshold)
 	if sink != nil {
 		sink(tr)
 	}

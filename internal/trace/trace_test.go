@@ -127,6 +127,22 @@ func TestTailSamplingKeepsErroredAndSlow(t *testing.T) {
 	}
 }
 
+// TestNegativeSlowThresholdPinsOnlyErrors: a negative threshold means
+// nothing is slow — New used to turn it into the 25ms default.
+func TestNegativeSlowThresholdPinsOnlyErrors(t *testing.T) {
+	tr := New(Config{SampleRate: 0.0001, SlowThreshold: -1})
+	long := &Trace{ID: 1, Duration: time.Hour}
+	tr.finish(long, nil)
+	if long.Pinned {
+		t.Fatal("hour-long trace pinned for slowness under a negative threshold")
+	}
+	failed := &Trace{ID: 2, Err: "conflict"}
+	tr.finish(failed, nil)
+	if !failed.Pinned || tr.Trace(2) == nil {
+		t.Fatal("errored trace not pinned/retained")
+	}
+}
+
 func TestRingSampledNeverEvictsPinned(t *testing.T) {
 	r := newRing(4)
 	for i := 0; i < 4; i++ {

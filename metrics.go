@@ -14,34 +14,43 @@ import (
 )
 
 // TelemetryConfig enables and tunes the engine-wide measurement
-// substrate: metrics (exposed through DB.Metrics and the Prometheus
-// endpoint), per-query stage traces, and the slow-query log. When
-// Enabled is false (the default), the engine holds nil metric handles
-// everywhere and the hot paths pay a single branch — no allocation, no
-// atomic write.
+// substrate. It has two halves with one job each: the metrics registry
+// (Enabled — every series, read through DB.Metrics or the Prometheus
+// endpoint) and request tracing (Trace — one record per request, read
+// through DB.Traces, DB.SlowQueries and /debug/traces). When both are
+// off (the default), the engine holds nil handles everywhere and the hot
+// paths pay a single branch — no allocation, no atomic write.
 type TelemetryConfig struct {
-	// Enabled turns telemetry on.
+	// Enabled turns the metrics registry on.
 	Enabled bool
-	// SlowQueryThreshold is the total-latency threshold above which a
-	// query's full stage trace is retained (default 100ms; negative
-	// disables the slow-query log while keeping metrics).
+	// SlowQueryThreshold is the one definition of "slow": a statement at
+	// least this slow counts in poseidon_slow_queries_total, and a
+	// request trace at least this slow is pinned in the trace ring and
+	// listed by DB.SlowQueries. Default 100ms; negative means nothing is
+	// slow (errored traces still pin).
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize bounds the slow-query ring buffer (default 64).
-	SlowQueryLogSize int
 	// Trace enables per-request span tracing (see TraceConfig). It is
 	// independent of Enabled: tracing can run without the metrics
 	// registry, and vice versa.
 	Trace TraceConfig
 }
 
-// defaultSlowQueryThreshold applies when TelemetryConfig leaves it 0.
-const defaultSlowQueryThreshold = 100 * time.Millisecond
+// slowThreshold resolves SlowQueryThreshold: the default for 0, and 0
+// ("nothing is slow") for a negative value.
+func (c TelemetryConfig) slowThreshold() time.Duration {
+	switch {
+	case c.SlowQueryThreshold == 0:
+		return 100 * time.Millisecond
+	case c.SlowQueryThreshold < 0:
+		return 0
+	}
+	return c.SlowQueryThreshold
+}
 
-// dbTelemetry bundles the registry, the facade-level metric handles and
-// the slow-query log. A nil *dbTelemetry is the disabled state.
+// dbTelemetry bundles the registry and the facade-level metric handles.
+// A nil *dbTelemetry is the disabled state.
 type dbTelemetry struct {
-	reg  *telemetry.Registry
-	slow *telemetry.SlowQueryLog
+	reg *telemetry.Registry
 
 	// Facade (query/session) handles.
 	queriesTotal   [4]*telemetry.Counter // indexed by ExecMode
@@ -50,15 +59,6 @@ type dbTelemetry struct {
 	slowQueries    *telemetry.Counter
 	queryLatency   *telemetry.Histogram
 	sessionsActive *telemetry.Gauge
-
-	// Lower-layer handles are kept here too so Metrics() can snapshot
-	// them without reaching into the subsystems.
-	coreTel core.Telemetry
-	jitTel  jit.Telemetry
-
-	// server holds the network-front-door handles once RegisterServer
-	// has been called (nil on an in-process-only DB).
-	server *ServerTelemetry
 }
 
 // newDBTelemetry builds the registry, registers every metric family in
@@ -68,15 +68,10 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 	if !cfg.Enabled {
 		return nil
 	}
-	threshold := cfg.SlowQueryThreshold
-	if threshold == 0 {
-		threshold = defaultSlowQueryThreshold
-	}
 	reg := telemetry.NewRegistry()
-	t := &dbTelemetry{
-		reg:  reg,
-		slow: telemetry.NewSlowQueryLog(threshold, cfg.SlowQueryLogSize),
-	}
+	t := &dbTelemetry{reg: reg}
+	var coreTel core.Telemetry
+	var jitTel jit.Telemetry
 
 	// PMem device counters are sampled from the device's own atomics at
 	// scrape time — re-exporting them costs the hot path nothing.
@@ -95,11 +90,11 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 	reg.CounterFunc("poseidon_pmem_crashes_total", "Simulated power failures.", stats.Crashes.Load)
 
 	// MVTO transaction counters.
-	t.coreTel.TxBegun = reg.Counter("poseidon_tx_begun_total", "Transactions started.")
-	t.coreTel.TxCommits = reg.Counter("poseidon_tx_commits_total", "Transactions committed (including read-only).")
+	coreTel.TxBegun = reg.Counter("poseidon_tx_begun_total", "Transactions started.")
+	coreTel.TxCommits = reg.Counter("poseidon_tx_commits_total", "Transactions committed (including read-only).")
 	for r := 0; r < core.NumAbortReasons; r++ {
 		reason := core.AbortReason(r)
-		t.coreTel.TxAborts[r] = reg.Counter("poseidon_tx_aborts_total",
+		coreTel.TxAborts[r] = reg.Counter("poseidon_tx_aborts_total",
 			"Transactions aborted, by MVTO reason.",
 			telemetry.Label{Key: "reason", Value: reason.String()})
 	}
@@ -146,7 +141,7 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 			}
 			return float64(max) * float64(len(st)) / float64(total)
 		})
-	t.coreTel.ChainWalk = reg.Histogram("poseidon_mvto_chain_walk_length",
+	coreTel.ChainWalk = reg.Histogram("poseidon_mvto_chain_walk_length",
 		"Versions inspected per DRAM version-chain lookup.",
 		telemetry.LengthBuckets(64), 1)
 
@@ -163,20 +158,20 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 		func() uint64 { _, _, sp := db.engine.GroupCommitStats(); return sp })
 
 	// JIT compiler counters.
-	t.jitTel.Compiles = reg.Counter("poseidon_jit_compiles_total", "Full plan compilations (both cache tiers missed).")
-	t.jitTel.CompileTime = reg.Histogram("poseidon_jit_compile_seconds",
+	jitTel.Compiles = reg.Counter("poseidon_jit_compiles_total", "Full plan compilations (both cache tiers missed).")
+	jitTel.CompileTime = reg.Histogram("poseidon_jit_compile_seconds",
 		"Full-compilation wall time.", telemetry.LatencyBuckets(), 1e9)
-	t.jitTel.MemHits = reg.Counter("poseidon_jit_code_cache_hits_total",
+	jitTel.MemHits = reg.Counter("poseidon_jit_code_cache_hits_total",
 		"Code-cache hits, by tier.", telemetry.Label{Key: "tier", Value: "memory"})
-	t.jitTel.PersistHits = reg.Counter("poseidon_jit_code_cache_hits_total",
+	jitTel.PersistHits = reg.Counter("poseidon_jit_code_cache_hits_total",
 		"Code-cache hits, by tier.", telemetry.Label{Key: "tier", Value: "persistent"})
-	t.jitTel.MorselsInterpreted = reg.Counter("poseidon_jit_morsels_total",
+	jitTel.MorselsInterpreted = reg.Counter("poseidon_jit_morsels_total",
 		"Morsels processed by the adaptive executor, by path.",
 		telemetry.Label{Key: "path", Value: "interpreted"})
-	t.jitTel.MorselsCompiled = reg.Counter("poseidon_jit_morsels_total",
+	jitTel.MorselsCompiled = reg.Counter("poseidon_jit_morsels_total",
 		"Morsels processed by the adaptive executor, by path.",
 		telemetry.Label{Key: "path", Value: "compiled"})
-	t.jitTel.Switchovers = reg.Counter("poseidon_jit_adaptive_switchovers_total",
+	jitTel.Switchovers = reg.Counter("poseidon_jit_adaptive_switchovers_total",
 		"Adaptive runs that flipped from interpretation to compiled code mid-query.")
 
 	// Statement cache, sampled at scrape time from its own counters.
@@ -210,16 +205,16 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 	reg.GaugeFunc("poseidon_rels", "Occupied relationship slots (all versions).",
 		func() float64 { return float64(db.engine.RelCount()) })
 
-	db.engine.SetTelemetry(t.coreTel)
-	db.jit.SetTelemetry(t.jitTel)
+	db.engine.SetTelemetry(coreTel)
+	db.jit.SetTelemetry(jitTel)
 	return t
 }
 
 // observeQuery records one statement execution: mode and latency
-// counters, row/error accounting, and — over the threshold — the full
-// stage trace in the slow-query log.
-func (t *dbTelemetry) observeQuery(queryText, traceID string, mode ExecMode, start time.Time,
-	total, prep time.Duration, st jit.RunStats, rows int64, delta pmem.StatsSnapshot, err error) {
+// counters, row/error accounting, and the slow-query count against the
+// DB's threshold (0 = nothing is slow). The per-statement breakdown is
+// the request trace's job (see SlowQueries).
+func (t *dbTelemetry) observeQuery(mode ExecMode, total, slow time.Duration, rows int64, err error) {
 	if t == nil {
 		return
 	}
@@ -231,28 +226,7 @@ func (t *dbTelemetry) observeQuery(queryText, traceID string, mode ExecMode, sta
 	if err != nil {
 		t.queryErrors.Inc()
 	}
-	execTime := st.ExecTime
-	if execTime == 0 {
-		execTime = total
-	}
-	trace := telemetry.QueryTrace{
-		Query:      queryText,
-		TraceID:    traceID,
-		Mode:       mode.String(),
-		Start:      start,
-		Total:      total,
-		Parse:      prep,
-		Compile:    st.CompileTime,
-		Execute:    execTime,
-		FromCache:  st.FromCache,
-		Rows:       rows,
-		PMemReads:  delta.Reads,
-		PMemWrites: delta.Writes,
-	}
-	if err != nil {
-		trace.Err = err.Error()
-	}
-	if t.slow.MaybeRecord(trace) {
+	if slow > 0 && total >= slow {
 		t.slowQueries.Inc()
 	}
 }
@@ -316,154 +290,20 @@ func (db *DB) RegisterServer(version string, msgTypes []string) *ServerTelemetry
 			telemetry.LatencyBuckets(), 1e9,
 			telemetry.Label{Key: "type", Value: mt})
 	}
-	if db.tel != nil {
-		db.tel.server = st
-	}
 	return st
 }
 
-// ServerMetrics is the network-server slice of a Metrics snapshot,
-// present once RegisterServer has been called on an instrumented DB.
-type ServerMetrics struct {
-	ConnsOpen        int64                                  `json:"conns_open"`
-	InflightStmts    int64                                  `json:"inflight_stmts"`
-	AdmissionRejects uint64                                 `json:"admission_rejects"`
-	MsgLatency       map[string]telemetry.HistogramSnapshot `json:"msg_latency"`
-}
-
-// TxMetrics is the MVTO transaction slice of a Metrics snapshot.
-type TxMetrics struct {
-	Begun   uint64            `json:"begun"`
-	Commits uint64            `json:"commits"`
-	Aborts  map[string]uint64 `json:"aborts"` // by reason
-	Active  int               `json:"active"`
-	// ChainWalk is the distribution of versions inspected per DRAM
-	// version-chain lookup (§5.2).
-	ChainWalk telemetry.HistogramSnapshot `json:"chain_walk"`
-}
-
-// QueryMetrics is the statement-execution slice of a Metrics snapshot.
-type QueryMetrics struct {
-	Count   uint64                      `json:"count"`
-	ByMode  map[string]uint64           `json:"by_mode"`
-	Errors  uint64                      `json:"errors"`
-	Rows    uint64                      `json:"rows"`
-	Slow    uint64                      `json:"slow"`
-	Latency telemetry.HistogramSnapshot `json:"latency"`
-}
-
-// JITMetrics is the compiler slice of a Metrics snapshot.
-type JITMetrics struct {
-	Compiles             uint64                      `json:"compiles"`
-	CompileTime          telemetry.HistogramSnapshot `json:"compile_time"`
-	CodeCacheMemHits     uint64                      `json:"code_cache_mem_hits"`
-	CodeCachePersistHits uint64                      `json:"code_cache_persist_hits"`
-	MorselsInterpreted   uint64                      `json:"morsels_interpreted"`
-	MorselsCompiled      uint64                      `json:"morsels_compiled"`
-	Switchovers          uint64                      `json:"switchovers"`
-}
-
-// ShardMetrics is one core shard's slice of a Metrics snapshot.
-type ShardMetrics struct {
-	// Commits counts commits whose lock set included the shard.
-	Commits uint64 `json:"commits"`
-	// LockWaitNs is the cumulative wait for the shard's commit lock.
-	LockWaitNs uint64 `json:"lock_wait_ns"`
-	// LockContended counts commit-lock acquisitions that found the lock
-	// held (TryLock misses) — a scheduling-independent contention measure.
-	LockContended uint64 `json:"lock_contended"`
-	// Inserts counts records placed in the shard at operation time.
-	Inserts uint64 `json:"inserts"`
-}
-
-// Metrics is a structured snapshot of every engine counter. PMem device
-// stats, statement-cache stats, graph sizes and shard stats are live
-// regardless of TelemetryConfig.Enabled; the rest require telemetry
-// (Enabled reports which case this snapshot is).
-type Metrics struct {
-	Enabled        bool               `json:"enabled"`
-	PMem           pmem.StatsSnapshot `json:"pmem"`
-	Tx             TxMetrics          `json:"tx"`
-	Query          QueryMetrics       `json:"query"`
-	JIT            JITMetrics         `json:"jit"`
-	StmtCache      CacheStats         `json:"stmt_cache"`
-	SessionsActive int64              `json:"sessions_active"`
-	Nodes          uint64             `json:"nodes"`
-	Rels           uint64             `json:"rels"`
-	// Shards holds per-shard contention and balance counters; its length
-	// is the engine's configured shard count.
-	Shards []ShardMetrics `json:"shards"`
-	// CrossShardCommits counts commits spanning more than one shard.
-	CrossShardCommits uint64 `json:"cross_shard_commits"`
-	// Server holds the network-server counters when a front door has
-	// registered itself (see RegisterServer); nil otherwise.
-	Server *ServerMetrics `json:"server,omitempty"`
-}
-
-// Metrics returns a structured snapshot of the engine's counters. It is
-// valid on a telemetry-disabled DB too: the always-on subsystem stats
-// (pmem device, statement cache, graph sizes) are filled and Enabled is
-// false.
-func (db *DB) Metrics() Metrics {
-	m := Metrics{
-		PMem:      db.engine.Device().Stats.Snapshot(),
-		StmtCache: db.stmts.stats(),
-		Nodes:     db.engine.NodeCount(),
-		Rels:      db.engine.RelCount(),
+// Metrics returns the registry's own snapshot: every series /metrics
+// prints, under the name and labels it prints them with, so a series
+// registered once (newDBTelemetry, RegisterServer, installTracer) reaches
+// both readers. On a telemetry-disabled DB the snapshot is empty; the
+// always-on figures are one call on their owner (Device().Stats.Snapshot,
+// CacheStats, Engine().NodeCount/RelCount, Engine().ShardStatsSnapshot).
+func (db *DB) Metrics() telemetry.Snapshot {
+	if db.tel == nil {
+		return telemetry.Snapshot{}
 	}
-	m.Tx.Active = db.engine.ActiveTxs()
-	shardStats, cross := db.engine.ShardStatsSnapshot()
-	m.Shards = make([]ShardMetrics, len(shardStats))
-	for s, st := range shardStats {
-		m.Shards[s] = ShardMetrics{
-			Commits: st.Commits, LockWaitNs: st.LockWaitNs,
-			LockContended: st.LockContended, Inserts: st.HomeInserts,
-		}
-	}
-	m.CrossShardCommits = cross
-	t := db.tel
-	if t == nil {
-		return m
-	}
-	m.Enabled = true
-	m.SessionsActive = t.sessionsActive.Value()
-	m.Tx.Begun = t.coreTel.TxBegun.Value()
-	m.Tx.Commits = t.coreTel.TxCommits.Value()
-	m.Tx.Aborts = make(map[string]uint64, core.NumAbortReasons)
-	for r := 0; r < core.NumAbortReasons; r++ {
-		m.Tx.Aborts[core.AbortReason(r).String()] = t.coreTel.TxAborts[r].Value()
-	}
-	m.Tx.ChainWalk = t.coreTel.ChainWalk.Snapshot()
-	m.Query.ByMode = make(map[string]uint64, len(t.queriesTotal))
-	for mode := Interpret; mode <= Adaptive; mode++ {
-		v := t.queriesTotal[mode].Value()
-		m.Query.ByMode[mode.String()] = v
-		m.Query.Count += v
-	}
-	m.Query.Errors = t.queryErrors.Value()
-	m.Query.Rows = t.rowsStreamed.Value()
-	m.Query.Slow = t.slowQueries.Value()
-	m.Query.Latency = t.queryLatency.Snapshot()
-	m.JIT.Compiles = t.jitTel.Compiles.Value()
-	m.JIT.CompileTime = t.jitTel.CompileTime.Snapshot()
-	m.JIT.CodeCacheMemHits = t.jitTel.MemHits.Value()
-	m.JIT.CodeCachePersistHits = t.jitTel.PersistHits.Value()
-	m.JIT.MorselsInterpreted = t.jitTel.MorselsInterpreted.Value()
-	m.JIT.MorselsCompiled = t.jitTel.MorselsCompiled.Value()
-	m.JIT.Switchovers = t.jitTel.Switchovers.Value()
-	if sv := t.server; sv != nil {
-		sm := &ServerMetrics{
-			ConnsOpen:        sv.ConnsOpen.Value(),
-			InflightStmts:    sv.InflightStmts.Value(),
-			AdmissionRejects: sv.AdmissionRejects.Value(),
-			MsgLatency:       make(map[string]telemetry.HistogramSnapshot, len(sv.MsgLatency)),
-		}
-		for mt, h := range sv.MsgLatency {
-			sm.MsgLatency[mt] = h.Snapshot()
-		}
-		m.Server = sm
-	}
-	return m
+	return db.tel.reg.Snapshot()
 }
 
 // MetricsHandler returns an http.Handler serving the Prometheus text
@@ -492,20 +332,28 @@ func (db *DB) DebugMux() *http.ServeMux {
 	return mux
 }
 
-// SlowQueries returns the retained slow-query traces, newest first, or
-// nil when telemetry is disabled.
-func (db *DB) SlowQueries() []telemetry.QueryTrace {
-	if db.tel == nil {
+// SlowQueries is the slow-query log: the retained request traces at
+// least SlowQueryThreshold long, newest first, as per-stage profiles (the
+// stmt.run stage carries query text, mode, rows, prepare_ns, compile_ns
+// and the device read/write delta; jit.compile and jit.exec split the JIT
+// modes' time). It is a view over the trace ring, so it needs tracing: a
+// DB with metrics on and tracing off counts poseidon_slow_queries_total
+// but has no rows.
+func (db *DB) SlowQueries() []*trace.Profile {
+	if db.slow <= 0 {
 		return nil
 	}
-	return db.tel.slow.Entries()
+	var out []*trace.Profile
+	traces := db.tracer.Traces()
+	for i := len(traces) - 1; i >= 0; i-- {
+		if traces[i].Duration >= db.slow {
+			out = append(out, trace.BuildProfile(traces[i]))
+		}
+	}
+	return out
 }
 
-// SlowQueryThreshold reports the active slow-query threshold (0 when
-// telemetry is disabled).
-func (db *DB) SlowQueryThreshold() time.Duration {
-	if db.tel == nil {
-		return 0
-	}
-	return db.tel.slow.Threshold()
-}
+// SlowQueryThreshold reports the active slow-query threshold: 0 when
+// nothing counts as slow (telemetry and tracing both off, or a negative
+// configured threshold).
+func (db *DB) SlowQueryThreshold() time.Duration { return db.slow }

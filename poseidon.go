@@ -53,6 +53,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"poseidon/internal/core"
 	"poseidon/internal/cypher"
@@ -132,9 +133,9 @@ type Config struct {
 	// StmtCacheSize bounds the shared prepared-statement LRU cache
 	// (0 = default 256, negative = unbounded).
 	StmtCacheSize int
-	// Telemetry enables engine-wide metrics, query-stage tracing and the
-	// slow-query log (see TelemetryConfig). Off by default: the hot paths
-	// then pay a single nil-check branch.
+	// Telemetry enables the metrics registry and request tracing (see
+	// TelemetryConfig). Off by default: the hot paths then pay a single
+	// nil-check branch.
 	Telemetry TelemetryConfig
 }
 
@@ -149,6 +150,7 @@ type DB struct {
 	stmts   *stmtCache
 	tel     *dbTelemetry  // nil when telemetry is disabled
 	tracer  *trace.Tracer // nil when request tracing is disabled
+	slow    time.Duration // resolved SlowQueryThreshold; 0 = nothing is slow
 }
 
 // Tx is a snapshot-isolated MVTO transaction. See core.Tx for the full
@@ -175,16 +177,7 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	j, err := jit.New(e)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	db := &DB{engine: e, jit: j, workers: cfg.Workers, stmts: newStmtCache(stmtCacheCap(cfg))}
-	db.tracer = newTracer(cfg.Telemetry)
-	db.tel = newDBTelemetry(db, cfg.Telemetry)
-	db.installTracer()
-	return db, nil
+	return newDB(e, cfg)
 }
 
 // Reopen attaches to the device of a previously opened PMem database,
@@ -195,13 +188,22 @@ func Reopen(dev *pmem.Device, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDB(e, cfg)
+}
+
+// newDB wraps an opened engine: JIT, statement cache, and the telemetry
+// and tracing handles (each nil when its half of cfg.Telemetry is off).
+func newDB(e *core.Engine, cfg Config) (*DB, error) {
 	j, err := jit.New(e)
 	if err != nil {
 		e.Close()
 		return nil, err
 	}
 	db := &DB{engine: e, jit: j, workers: cfg.Workers, stmts: newStmtCache(stmtCacheCap(cfg))}
-	db.tracer = newTracer(cfg.Telemetry)
+	if tc := cfg.Telemetry; tc.Enabled || tc.Trace.Enabled {
+		db.slow = tc.slowThreshold()
+	}
+	db.tracer = newTracer(cfg.Telemetry.Trace, db.slow)
 	db.tel = newDBTelemetry(db, cfg.Telemetry)
 	db.installTracer()
 	return db, nil

@@ -423,7 +423,10 @@ func TestSessionCloseTruncatesMultiBatchRows(t *testing.T) {
 // transactions, and frees capacity when one ends.
 func TestSessionMaxTxs(t *testing.T) {
 	db := openTestDB(t, DRAM)
-	seedSocial(t, db)
+	// More rows than the producer can hand over unread (one batch in the
+	// channel, one in its hands): it stays parked, and its transaction
+	// live, until the cursor is closed below.
+	seedPeople(t, db, 4*rowsBatchSize)
 	sess := db.NewSession(SessionConfig{MaxTxs: 2})
 	defer sess.Close()
 
@@ -431,7 +434,10 @@ func TestSessionMaxTxs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmt := mustPrepare(t, db, `MATCH (p:Person) RETURN p.name`)
+	stmt, err := db.PreparePlan(scanAllPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := sess.Query(context.Background(), stmt, nil) // second tx
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"poseidon/internal/cypher"
 	"poseidon/internal/jit"
+	"poseidon/internal/pmem"
 	"poseidon/internal/query"
 	"poseidon/internal/trace"
 )
@@ -89,8 +90,9 @@ func (db *DB) CacheStats() CacheStats { return db.stmts.stats() }
 //
 // This is the single funnel every execution path goes through —
 // materializing session calls, streaming cursors and QueryTxCtx alike —
-// which makes it the one place query telemetry is observed. With
-// telemetry disabled (db.tel == nil) the statement runs with zero
+// which makes it the one place a statement is observed: counters into
+// the registry, the per-statement breakdown onto the stmt.run span. With
+// telemetry and tracing disabled the statement runs with zero
 // instrumentation.
 func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMode, workers int, emit func(query.Row) bool) error {
 	tel := s.db.tel
@@ -98,21 +100,14 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 		_, err := s.runInner(ctx, tx, params, mode, workers, emit)
 		return err
 	}
-	queryText := s.text
-	if queryText == "" {
-		queryText = s.prepared.Sig
-	}
 	// Request tracing continues the caller's trace: the session's span,
 	// a root or the child of the server's wire span.
-	var traceID string
 	ctx, span := trace.StartSpan(ctx, "stmt.run", trace.KindSession)
-	if span != nil {
-		span.SetAttr("query", queryText)
-		span.SetAttr("mode", mode.String())
-		traceID = trace.FormatID(span.TraceID())
-	}
 	stats := &s.db.engine.Device().Stats
-	pre := stats.Snapshot()
+	var pre pmem.StatsSnapshot
+	if span != nil {
+		pre = stats.Snapshot()
+	}
 	var rows atomic.Int64 // parallel workers may race on emit's wrapper
 	counted := func(r query.Row) bool {
 		rows.Add(1)
@@ -121,16 +116,28 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 	start := time.Now()
 	st, err := s.runInner(ctx, tx, params, mode, workers, counted)
 	total := time.Since(start)
-	span.SetAttr("rows", rows.Load())
-	if st.CompileTime > 0 {
-		span.SetAttr("compile_ns", int64(st.CompileTime))
+	if span != nil {
+		queryText := s.text
+		if queryText == "" {
+			queryText = s.prepared.Sig
+		}
+		span.SetAttr("query", queryText)
+		span.SetAttr("mode", mode.String())
+		span.SetAttr("rows", rows.Load())
+		span.SetAttr("prepare_ns", int64(s.prepTime))
+		if st.CompileTime > 0 {
+			span.SetAttr("compile_ns", int64(st.CompileTime))
+		}
+		// The device delta over-attributes under concurrency (other
+		// queries share the device); it is a locality signal, not an
+		// exact charge.
+		delta := stats.Snapshot().Sub(pre)
+		span.SetAttr("pmem_reads", int64(delta.Reads))
+		span.SetAttr("pmem_writes", int64(delta.Writes))
 	}
 	span.SetError(err)
 	span.End()
-	// The device delta over-attributes under concurrency (other queries
-	// share the device); it is a locality signal, not an exact charge.
-	tel.observeQuery(queryText, traceID, mode, start, total, s.prepTime, st,
-		rows.Load(), stats.Snapshot().Sub(pre), err)
+	tel.observeQuery(mode, total, s.db.slow, rows.Load(), err)
 	return err
 }
 

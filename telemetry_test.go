@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +14,13 @@ import (
 
 	"poseidon/internal/core"
 	"poseidon/internal/query"
+	"poseidon/internal/telemetry"
+	"poseidon/internal/trace"
 )
 
-// openTelemetryDB opens a PMem database with telemetry on and an
-// aggressive slow-query threshold so traces are actually recorded.
-func openTelemetryDB(t *testing.T) *DB {
+// openTelemetryDB opens a PMem database with metrics on and a threshold
+// every statement crosses; trace adds request tracing (zero = off).
+func openTelemetryDB(t *testing.T, trace TraceConfig) *DB {
 	t.Helper()
 	db, err := Open(Config{
 		Mode:     PMem,
@@ -25,7 +28,7 @@ func openTelemetryDB(t *testing.T) *DB {
 		Telemetry: TelemetryConfig{
 			Enabled:            true,
 			SlowQueryThreshold: time.Nanosecond,
-			SlowQueryLogSize:   16,
+			Trace:              trace,
 		},
 	})
 	if err != nil {
@@ -96,7 +99,7 @@ func mixedWorkload(t *testing.T, db *DB) {
 // MVTO-abort, JIT, statement-cache and query-latency families all carry
 // plausible values.
 func TestMetricsEndToEnd(t *testing.T) {
-	db := openTelemetryDB(t)
+	db := openTelemetryDB(t, TraceConfig{})
 	mixedWorkload(t, db)
 
 	srv := httptest.NewServer(db.DebugMux())
@@ -155,41 +158,226 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The structured snapshot must agree with the workload too.
+	// The 1ns threshold makes every statement slow, and the counter says
+	// so by a compare; the slow rows are pinned traces, so with tracing
+	// off there are none.
+	if n := db.Metrics().Values["poseidon_slow_queries_total"]; n < 5 {
+		t.Errorf("poseidon_slow_queries_total = %v, want every statement (>= 5)", n)
+	}
+	if rows := db.SlowQueries(); len(rows) != 0 {
+		t.Errorf("SlowQueries() = %d rows with tracing off, want none", len(rows))
+	}
+}
+
+// TestMetricsSnapshotIsTheScrape: DB.Metrics() and /metrics read one
+// registry, so they agree series for series — labelled series, histogram
+// _count/_sum, the families RegisterServer and installTracer add after
+// open, and a series this test registers itself, declared once.
+func TestMetricsSnapshotIsTheScrape(t *testing.T) {
+	db := openTelemetryDB(t, TraceConfig{Enabled: true})
+	st := db.RegisterServer("test", []string{"run"})
+	st.ConnsOpen.Add(2)
+	st.Observe("run", time.Millisecond)
+	db.tel.reg.Counter("poseidon_test_extra_total", "Registered by the test.",
+		telemetry.Label{Key: "k", Value: "v"}).Add(3)
+	mixedWorkload(t, db)
+
+	rec := httptest.NewRecorder()
+	db.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	m := db.Metrics()
-	if !m.Enabled {
-		t.Fatal("Metrics().Enabled = false on an enabled DB")
+	if len(m.Values) < 40 || len(m.Histograms) < 4 {
+		t.Fatalf("snapshot has %d values and %d histograms, want the whole registry", len(m.Values), len(m.Histograms))
 	}
-	if m.Tx.Commits == 0 || m.Tx.Begun == 0 {
-		t.Errorf("tx metrics = %+v, want nonzero begun/commits", m.Tx)
+	histKey := func(series, suffix string) string { // name_count{l="v"} -> name{l="v"}
+		name, labels, labelled := strings.Cut(series, "{")
+		base, ok := strings.CutSuffix(name, suffix)
+		if !ok {
+			return ""
+		}
+		if labelled {
+			return base + "{" + labels
+		}
+		return base
 	}
-	if m.Tx.Aborts["write_conflict"] == 0 {
-		t.Errorf("aborts = %v, want a write_conflict", m.Tx.Aborts)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "_bucket{") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		series := line[:i]
+		scraped, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape line %q: %v", line, err)
+		}
+		got, ok := m.Values[series]
+		if h, isHist := m.Histograms[histKey(series, "_count")]; !ok && isHist {
+			got, ok, series = float64(h.Count), true, histKey(series, "_count")
+		} else if h, isHist := m.Histograms[histKey(series, "_sum")]; !ok && isHist {
+			got, ok, series = h.Sum, true, histKey(series, "_sum")
+		}
+		// Reading poseidon_nodes/_rels loads from the device, so the
+		// device counters alone move between the two reads.
+		moved := strings.HasPrefix(series, "poseidon_pmem_") && got > scraped
+		if !ok {
+			t.Errorf("/metrics serves %s, Metrics() has no such series", series)
+		} else if got != scraped && !moved {
+			t.Errorf("%s: /metrics %v, Metrics() %v", series, scraped, got)
+		}
+		seen[series] = true
 	}
-	if m.JIT.Compiles == 0 {
-		t.Error("JIT compiles = 0 after JIT query")
+	for series := range m.Values {
+		if !seen[series] {
+			t.Errorf("Metrics() has %s, /metrics does not serve it", series)
+		}
 	}
-	if m.Query.Count < 5 || m.Query.Latency.Count < 5 {
-		t.Errorf("query count %d / latency count %d, want >= 5", m.Query.Count, m.Query.Latency.Count)
+	for series := range m.Histograms {
+		if !seen[series] {
+			t.Errorf("Metrics() has histogram %s, /metrics does not serve it", series)
+		}
 	}
-	if m.Query.Rows == 0 {
-		t.Error("rows streamed = 0")
+	for series, want := range map[string]float64{
+		`poseidon_test_extra_total{k="v"}`: 3,
+		"poseidon_conns_open":              2,
+	} {
+		if m.Values[series] != want {
+			t.Errorf("%s = %v, want %v", series, m.Values[series], want)
+		}
 	}
-	if m.PMem.Reads == 0 || m.PMem.Writes == 0 {
-		t.Error("pmem stats empty")
+	if m.Values["poseidon_traces_started_total"] == 0 || m.Histograms[`poseidon_server_message_seconds{type="run"}`].Count != 1 {
+		t.Errorf("tracer/server families missing from snapshot: traces_started=%v", m.Values["poseidon_traces_started_total"])
 	}
-	if m.Nodes == 0 || m.Rels == 0 {
-		t.Error("graph size gauges empty")
+}
+
+// TestSlowQueriesAreTraces: the slow-query log is a view over the trace
+// ring. Under a 1ns threshold every request is a row: it resolves to a
+// retained trace, carries what the old log's row carried (query, mode,
+// rows, a compile/execute split for the JIT modes), failures included,
+// newest first and never more than the ring holds.
+func TestSlowQueriesAreTraces(t *testing.T) {
+	const ring = 8
+	db := openTelemetryDB(t, TraceConfig{Enabled: true, RingSize: ring})
+	seedSocial(t, db)
+	ctx := context.Background()
+	src := `MATCH (p:Person) RETURN p.name`
+	run := func(mode ExecMode) {
+		t.Helper()
+		if _, err := db.CypherModeCtx(ctx, src, nil, mode); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+	}
+	for i := 0; i < ring; i++ { // overflow the ring before the rows under test
+		run(Interpret)
+	}
+	// Adaptive before JIT: with the plan not yet in the code cache the
+	// adaptive run compiles in the background and records it.
+	modes := []ExecMode{Interpret, Parallel, Adaptive, JIT}
+	for _, mode := range modes {
+		run(mode)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := db.CypherModeCtx(cancelled, src, nil, Interpret); err == nil {
+		t.Fatal("statement under a cancelled context succeeded")
 	}
 
-	// The 1ns threshold makes every query slow: the log must hold traces
-	// with a mode and a total.
-	slow := db.SlowQueries()
-	if len(slow) == 0 {
-		t.Fatal("slow-query log empty despite 1ns threshold")
+	rows := db.SlowQueries()
+	if len(rows) != ring {
+		t.Fatalf("%d slow rows, want the ring's %d", len(rows), ring)
 	}
-	if slow[0].Total <= 0 || slow[0].Mode == "" || slow[0].Query == "" {
-		t.Errorf("slow trace incomplete: %+v", slow[0])
+	for i, p := range rows {
+		id, err := trace.ParseID(p.TraceID)
+		if err != nil || db.Tracer().Trace(id) == nil {
+			t.Errorf("row %d: trace %q does not resolve (%v)", i, p.TraceID, err)
+		}
+		if p.Total <= 0 {
+			t.Errorf("row %d: total %v", i, p.Total)
+		}
+	}
+	if rows[0].Err == "" {
+		t.Errorf("newest row is not the failed statement: %+v", rows[0])
+	}
+	for i, mode := range modes {
+		p := rows[len(modes)-i] // newest first, after the failure
+		st := p.Stage("stmt.run")
+		if st.Attr("query") != src || st.Attr("mode") != mode.String() || st.Attr("rows") != int64(3) {
+			t.Errorf("%v row: stmt.run = %+v", mode, st)
+		}
+		if _, ok := st.Attr("prepare_ns").(int64); !ok {
+			t.Errorf("%v row: no prepare_ns on stmt.run: %+v", mode, st)
+		}
+		if reads, _ := st.Attr("pmem_reads").(int64); reads <= 0 {
+			t.Errorf("%v row: pmem_reads = %v", mode, st.Attr("pmem_reads"))
+		}
+		if mode != JIT && mode != Adaptive {
+			continue
+		}
+		exec := p.Stage("jit.exec")
+		if mode == Adaptive {
+			exec = p.Stage("jit.adaptive")
+		}
+		compile := p.Stage("jit.compile")
+		if compile == nil || exec == nil || exec.Total <= 0 {
+			t.Errorf("%v row: no compile/execute split: %+v", mode, p.Stages)
+		} else if _, ok := compile.Attr("compile_ns").(int64); !ok {
+			t.Errorf("%v row: jit.compile carries no compile_ns: %+v", mode, compile)
+		}
+	}
+	if n := db.Metrics().Values["poseidon_slow_queries_total"]; n != float64(ring+len(modes)+1) {
+		t.Errorf("poseidon_slow_queries_total = %v, want %d", n, ring+len(modes)+1)
+	}
+}
+
+// TestNegativeSlowThresholdPinsNothing: a negative SlowQueryThreshold
+// means nothing is slow — no slow count, no slow rows, and no trace
+// pinned for slowness at some other threshold (the tracer used to read
+// any value <= 0 as its own 25ms default). Errors still pin.
+func TestNegativeSlowThresholdPinsNothing(t *testing.T) {
+	db, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20, Telemetry: TelemetryConfig{
+		Enabled:            true,
+		SlowQueryThreshold: -1,
+		Trace:              TraceConfig{Enabled: true, SampleRate: 1e-9},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	seedPeople(t, db, 4*rowsBatchSize)
+	stmt, err := db.PreparePlan(scanAllPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession(SessionConfig{})
+	defer sess.Close()
+	// A request 30ms long: the producer parks on the unread cursor, so
+	// the session's span stays open until Close.
+	rows, err := sess.Query(context.Background(), stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p := sess.LastProfile(); p == nil || p.Total < 30*time.Millisecond {
+		t.Fatalf("request not 30ms long: %+v", p)
+	}
+	if got := db.Traces(); len(got) != 0 {
+		t.Errorf("%d traces retained with nothing slow and a ~0 sample rate; pinned=%v", len(got), got[0].Pinned)
+	}
+	if db.SlowQueryThreshold() != 0 || db.SlowQueries() != nil {
+		t.Errorf("threshold %v, %d slow rows; want 0 and none", db.SlowQueryThreshold(), len(db.SlowQueries()))
+	}
+	if n := db.Metrics().Values["poseidon_slow_queries_total"]; n != 0 {
+		t.Errorf("poseidon_slow_queries_total = %v, want 0", n)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sess.QueryAll(cancelled, stmt, nil); err == nil {
+		t.Fatal("statement under a cancelled context succeeded")
+	}
+	if got := db.Traces(); len(got) != 1 || got[0].Err == "" {
+		t.Errorf("errored trace not pinned: %d retained", len(got))
 	}
 }
 
@@ -215,7 +403,7 @@ func scrapeValue(body, name string) (float64, bool) {
 // query workers — meaningful under -race — and checks the counters add
 // up.
 func TestTelemetryParallelQueryHammer(t *testing.T) {
-	db := openTelemetryDB(t)
+	db := openTelemetryDB(t, TraceConfig{})
 	seedSocial(t, db)
 	stmt, err := db.Prepare(`MATCH (p:Person) RETURN p.name`)
 	if err != nil {
@@ -239,34 +427,37 @@ func TestTelemetryParallelQueryHammer(t *testing.T) {
 	}
 	wg.Wait()
 	m := db.Metrics()
-	if m.Query.Count != workers*perWorker {
-		t.Errorf("query count = %d, want %d", m.Query.Count, workers*perWorker)
+	var count float64
+	for mode := Interpret; mode <= Adaptive; mode++ {
+		count += m.Values[`poseidon_queries_total{mode="`+mode.String()+`"}`]
 	}
-	if m.Query.Latency.Count != workers*perWorker {
-		t.Errorf("latency observations = %d, want %d", m.Query.Latency.Count, workers*perWorker)
+	if count != workers*perWorker {
+		t.Errorf("query count = %v, want %d", count, workers*perWorker)
+	}
+	if n := m.Histograms["poseidon_query_duration_seconds"].Count; n != workers*perWorker {
+		t.Errorf("latency observations = %d, want %d", n, workers*perWorker)
 	}
 	// 3 visible persons per query.
-	if want := uint64(workers * perWorker * 3); m.Query.Rows != want {
-		t.Errorf("rows = %d, want %d", m.Query.Rows, want)
+	if got := m.Values["poseidon_query_rows_total"]; got != workers*perWorker*3 {
+		t.Errorf("rows = %v, want %d", got, workers*perWorker*3)
 	}
-	if m.SessionsActive != 0 {
-		t.Errorf("sessions gauge = %d after all closed, want 0", m.SessionsActive)
+	if got := m.Values["poseidon_sessions_active"]; got != 0 {
+		t.Errorf("sessions gauge = %v after all closed, want 0", got)
 	}
 }
 
-// TestDisabledTelemetryZeroCost asserts the disabled path: Metrics()
-// still works (always-on stats filled), the endpoint answers 503, and
-// the per-query instrumentation adds zero allocations.
+// TestDisabledTelemetryZeroCost asserts the disabled path: Metrics() is
+// empty (the always-on stats stay one call on their owner), the endpoint
+// answers 503, and the per-query instrumentation adds zero allocations.
 func TestDisabledTelemetryZeroCost(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedSocial(t, db)
 
-	m := db.Metrics()
-	if m.Enabled {
-		t.Fatal("Metrics().Enabled = true on a disabled DB")
+	if m := db.Metrics(); len(m.Values)+len(m.Histograms) != 0 {
+		t.Fatalf("Metrics() on a disabled DB = %+v, want empty", m)
 	}
-	if m.PMem.Writes == 0 || m.Nodes == 0 {
-		t.Errorf("always-on stats empty on disabled DB: %+v", m)
+	if db.Device().Stats.Snapshot().Writes == 0 || db.Engine().NodeCount() == 0 {
+		t.Error("always-on stats empty on disabled DB")
 	}
 	if db.SlowQueries() != nil {
 		t.Error("SlowQueries() non-nil on disabled DB")

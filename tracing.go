@@ -18,32 +18,23 @@ type TraceConfig struct {
 	// RingSize bounds the retained-trace ring (default 256).
 	RingSize int
 	// SampleRate is the probability an unremarkable trace is retained
-	// after it finishes — tail sampling, so errored and slow traces are
-	// always kept regardless (default 0.1).
+	// after it finishes — tail sampling, so errored traces and traces at
+	// least TelemetryConfig.SlowQueryThreshold long are always kept
+	// regardless (default 0.1).
 	SampleRate float64
-	// SlowThreshold pins traces at least this slow. Defaults to the
-	// telemetry SlowQueryThreshold so slow-query log entries and pinned
-	// traces agree on "slow".
-	SlowThreshold time.Duration
 }
 
 // newTracer builds the DB's tracer, or nil when tracing is disabled.
-func newTracer(cfg TelemetryConfig) *trace.Tracer {
-	if !cfg.Trace.Enabled {
+// slow is the DB's resolved threshold; trace.New reads 0 as "default",
+// so "nothing is slow" travels as a negative value.
+func newTracer(cfg TraceConfig, slow time.Duration) *trace.Tracer {
+	if !cfg.Enabled {
 		return nil
 	}
-	slow := cfg.Trace.SlowThreshold
 	if slow == 0 {
-		slow = cfg.SlowQueryThreshold
-		if slow == 0 {
-			slow = defaultSlowQueryThreshold
-		}
+		slow = -1
 	}
-	return trace.New(trace.Config{
-		RingSize:      cfg.Trace.RingSize,
-		SampleRate:    cfg.Trace.SampleRate,
-		SlowThreshold: slow,
-	})
+	return trace.New(trace.Config{RingSize: cfg.RingSize, SampleRate: cfg.SampleRate, SlowThreshold: slow})
 }
 
 // installTracer pushes the trace handle into the engine layers that
