@@ -39,10 +39,10 @@ func main() {
 	fmt.Println("query signature (the code-cache key):")
 	fmt.Printf("  %s\n\n", plan.Signature())
 
-	// Show the IR the codegen visitor produces and what the pass cascade
-	// does to it.
-	mp, _ := query.SplitPipeline(plan)
-	fn, err := jit.Compile(mp, false)
+	// Show the IR the codegen visitor produces for the plan's pipeline —
+	// one program, its scan driven morsel by morsel whoever runs it — and
+	// what the pass cascade does to it.
+	fn, err := jit.Compile(plan.Split())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func main() {
 	// Adaptive execution: morsels start interpreted; once background
 	// compilation finishes, the task function is swapped (§6.2 Fig 3).
 	// Cancelling ctx would stop the workers between morsels and abandon
-	// the background compilation at its next stage boundary.
+	// the background compilation before it starts.
 	j2, _ := jit.New(e) // fresh engine: empty in-memory cache
 	j2.InvalidateSession()
 	st, err := j2.RunAdaptiveCtx(ctx, tx, plan, params, 4, func(query.Row) bool { return true })

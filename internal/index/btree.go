@@ -144,18 +144,17 @@ type Tree struct {
 	bulkLeaves map[uint64]struct{}
 }
 
-// Options configures tree creation.
-type Options struct {
-	// InnerArenaBytes sizes the private DRAM pool for inner nodes (and
-	// leaves, for the Volatile kind). Default 8 MiB for Hybrid (inner
-	// nodes only), 64 MiB for Volatile (all nodes).
-	InnerArenaBytes int
-}
+// Options configures tree creation. It has no settings.
+type Options struct{}
+
+// Sizes of a tree's private DRAM pool: a Hybrid tree keeps its inner
+// nodes there, a Volatile tree every node.
+const (
+	hybridArenaBytes   = 8 << 20
+	volatileArenaBytes = 64 << 20
+)
 
 func newInnerPool(size int) (*pmemobj.Pool, error) {
-	if size == 0 {
-		size = 8 << 20
-	}
 	dev := pmem.New(pmem.Config{Name: "index-dram", Size: size})
 	return pmemobj.Create(dev, pmemobj.Options{})
 }
@@ -167,17 +166,13 @@ func Create(kind Kind, pool *pmemobj.Pool, opts Options) (*Tree, error) {
 	t := &Tree{kind: kind}
 	switch kind {
 	case Volatile:
-		size := opts.InnerArenaBytes
-		if size == 0 {
-			size = 64 << 20
-		}
-		p, err := newInnerPool(size)
+		p, err := newInnerPool(volatileArenaBytes)
 		if err != nil {
 			return nil, err
 		}
 		t.leafPool, t.innerPool = p, p
 	case Hybrid:
-		p, err := newInnerPool(opts.InnerArenaBytes)
+		p, err := newInnerPool(hybridArenaBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +237,7 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 		t.height = int(d.ReadU64(hdr + ihHeight))
 		t.count = t.countLeafChain()
 	case Hybrid:
-		p, err := newInnerPool(opts.InnerArenaBytes)
+		p, err := newInnerPool(hybridArenaBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -116,13 +116,16 @@ func TestLabelScanAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec := c.Full.NewExec()
+		exec := c.Prog.NewExec()
 		ctx := &query.Ctx{E: e, Tx: tx}
 		rows := 0
 		sink := func(query.Tuple) (bool, error) { rows++; return true, nil }
+		morsels := query.MorselCount(e.Nodes().MaxID(), e.Nodes().ChunkCap())
 		allocs := testing.AllocsPerRun(10, func() {
-			if err := exec.Run(ctx, 0, sink); err != nil {
-				t.Fatal(err)
+			for m := uint64(0); m < morsels; m++ {
+				if err := exec.Run(ctx, m, sink); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if rows != 11*rareNodes {
@@ -142,8 +145,8 @@ func TestLabelScanAllocBudget(t *testing.T) {
 func TestMorselInterpreterAllocsIgnoreRejectedNodes(t *testing.T) {
 	passAllocs := func(common int) float64 {
 		e, _, _ := rareGraph(t, rareNodes, common)
-		mp, ok := query.SplitForMorsels(rarePlan())
-		if !ok {
+		mp := rarePlan().Split()
+		if !mp.Morsels() {
 			t.Fatal("plan does not split into morsels")
 		}
 		tx := e.Begin()

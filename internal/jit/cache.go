@@ -144,30 +144,28 @@ func splitBlob(blob []byte) (string, []byte, bool) {
 	return string(blob[8 : 8+n]), blob[8+n:], true
 }
 
-// codeBundle is the serialized form of a compilation: both pipeline
-// variants (full scan and morsel-driven). A compact custom codec keeps
-// relinking far cheaper than recompiling — the property that makes the
-// persistent code cache worthwhile (§6.2).
-type codeBundle struct {
-	Full   *Fn
-	Morsel *Fn
-}
+// irFormat names the serialized form of a compilation — one optimized IR
+// function in the codec below, opcodes by their number in ir.go — and is
+// part of every cache key, so code persisted in another format is never
+// found, let alone linked.
+const irFormat = "ir2|"
 
-func encodeBundle(b *codeBundle) ([]byte, error) {
+// encodeFn serializes a function. A compact custom codec keeps relinking
+// far cheaper than recompiling — the property that makes the persistent
+// code cache worthwhile (§6.2).
+func encodeFn(f *Fn) []byte {
 	var w irWriter
-	w.fn(b.Full)
-	w.fn(b.Morsel)
-	return w.buf, nil
+	w.fn(f)
+	return w.buf
 }
 
-func decodeBundle(data []byte) (*codeBundle, error) {
+func decodeFn(data []byte) (*Fn, error) {
 	r := irReader{buf: data}
-	full := r.fn()
-	morsel := r.fn()
+	f := r.fn()
 	if r.err != nil {
-		return nil, fmt.Errorf("jit: decode code bundle: %w", r.err)
+		return nil, fmt.Errorf("jit: decode code blob: %w", r.err)
 	}
-	return &codeBundle{Full: full, Morsel: morsel}, nil
+	return f, nil
 }
 
 // --- compact IR codec (varint-based) ---

@@ -62,17 +62,9 @@ func randomFn(rng *rand.Rand) *Fn {
 func TestIRCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		bundle := &codeBundle{Full: randomFn(rng), Morsel: randomFn(rng)}
-		blob, err := encodeBundle(bundle)
-		if err != nil {
-			return false
-		}
-		got, err := decodeBundle(blob)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(bundle.Full, got.Full) &&
-			reflect.DeepEqual(bundle.Morsel, got.Morsel)
+		fn := randomFn(rng)
+		got, err := decodeFn(encodeFn(fn))
+		return err == nil && reflect.DeepEqual(fn, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -81,14 +73,10 @@ func TestIRCodecRoundTripProperty(t *testing.T) {
 
 func TestIRCodecRejectsCorruptBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	bundle := &codeBundle{Full: randomFn(rng), Morsel: randomFn(rng)}
-	blob, err := encodeBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeFn(randomFn(rng))
 	// Truncations must error, not panic or return garbage silently.
 	for _, n := range []int{0, 1, len(blob) / 2, len(blob) - 1} {
-		if _, err := decodeBundle(blob[:n]); err == nil {
+		if _, err := decodeFn(blob[:n]); err == nil {
 			t.Errorf("truncation to %d bytes decoded successfully", n)
 		}
 	}

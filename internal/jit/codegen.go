@@ -122,35 +122,28 @@ type gen struct {
 	types  map[Reg]valueType
 	consts map[storage.Value]Reg
 	params map[string]Reg
-	chunk  bool // pipeline driven by a chunk morsel (OpLoadChunk leaf)
 }
 
-// Compile translates the streaming pipeline of a plan into an IR
-// function. When morsel is true, the leaf scan iterates a single chunk
-// provided by the execution machine (adaptive/parallel mode); otherwise
-// the generated function scans the whole table.
-func Compile(mp *query.MorselPlan, morsel bool) (*Fn, error) {
-	// Build the leaf-first operator chain of the pipeline subtree.
-	var ops []query.Op
-	for cur := mp.Pipeline; cur != nil; cur = childOf(cur) {
-		ops = append(ops, cur)
+// Compile translates the streaming pipeline of a plan — the split's
+// operators below the cut — into an IR function. A table scan at the leaf
+// iterates the morsel the execution machine was handed (OpLoadChunk), so
+// one program serves a single worker looping over the table's morsels and
+// many workers sharing them. Plans with a join are not compilable: the
+// build side is a pipeline of its own.
+func Compile(sp *query.Split) (*Fn, error) {
+	if sp.Join {
+		return nil, fmt.Errorf("%w: plan contains a join", ErrUnsupported)
 	}
-	// Reverse to leaf-first.
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-
 	g := &gen{
 		b:      newBuilder("pipeline"),
 		types:  make(map[Reg]valueType),
 		consts: make(map[storage.Value]Reg),
 		params: make(map[string]Reg),
-		chunk:  morsel,
 	}
 	body := g.b.newBlock("pipeline.start")
 	g.b.jump(body)
 	g.b.setBlock(body)
-	if err := g.genFrom(ops, 0); err != nil {
+	if err := g.genFrom(sp.Ops[:sp.Cut], 0); err != nil {
 		return nil, err
 	}
 	g.b.ret()
@@ -159,43 +152,6 @@ func Compile(mp *query.MorselPlan, morsel bool) (*Fn, error) {
 		return nil, err
 	}
 	return fn, nil
-}
-
-func childOf(op query.Op) query.Op {
-	type childer interface{ Child() query.Op }
-	if c, ok := op.(childer); ok {
-		return c.Child()
-	}
-	return queryChild(op)
-}
-
-// queryChild mirrors query.Op's unexported child(); re-derived here from
-// the concrete operator types.
-func queryChild(op query.Op) query.Op {
-	switch o := op.(type) {
-	case *query.Expand:
-		return o.Input
-	case *query.CreateNode:
-		return o.Input
-	case *query.GetNode:
-		return o.Input
-	case *query.NodeLookup:
-		return o.Input
-	case *query.Filter:
-		return o.Input
-	case *query.Project:
-		return o.Input
-	case *query.Limit:
-		return o.Input
-	case *query.CreateRel:
-		return o.Input
-	case *query.SetProps:
-		return o.Input
-	case *query.Delete:
-		return o.Input
-	default:
-		return nil
-	}
 }
 
 // genFrom generates ops[k] and, inline within its body, everything above
@@ -259,13 +215,9 @@ func (g *gen) genEmit() error {
 func (g *gen) genNodeScan(o *query.NodeScan, ops []query.Op, k int) error {
 	b := g.b
 	it := b.iter()
-	if g.chunk {
-		chunkV := b.val()
-		b.emit(Instr{Op: OpLoadChunk, Dst: chunkV, A: NoReg, B: NoReg})
-		b.emit(Instr{Op: OpIterChunkInit, Dst: it, A: chunkV, B: NoReg, Sym: o.Label})
-	} else {
-		b.emit(Instr{Op: OpIterNodesInit, Dst: it, A: NoReg, B: NoReg, Sym: o.Label})
-	}
+	chunkV := b.val()
+	b.emit(Instr{Op: OpLoadChunk, Dst: chunkV, A: NoReg, B: NoReg})
+	b.emit(Instr{Op: OpIterChunkInit, Dst: it, A: chunkV, B: NoReg, Sym: o.Label})
 	var genErr error
 	b.whileLoop("nodescan", func() Reg {
 		c := b.val()
@@ -285,13 +237,9 @@ func (g *gen) genNodeScan(o *query.NodeScan, ops []query.Op, k int) error {
 func (g *gen) genRelScan(o *query.RelScan, ops []query.Op, k int) error {
 	b := g.b
 	it := b.iter()
-	if g.chunk {
-		chunkV := b.val()
-		b.emit(Instr{Op: OpLoadChunk, Dst: chunkV, A: NoReg, B: NoReg})
-		b.emit(Instr{Op: OpIterRelChunkInit, Dst: it, A: chunkV, B: NoReg, Sym: o.Label})
-	} else {
-		b.emit(Instr{Op: OpIterRelsInit, Dst: it, A: NoReg, B: NoReg, Sym: o.Label})
-	}
+	chunkV := b.val()
+	b.emit(Instr{Op: OpLoadChunk, Dst: chunkV, A: NoReg, B: NoReg})
+	b.emit(Instr{Op: OpIterRelChunkInit, Dst: it, A: chunkV, B: NoReg, Sym: o.Label})
 	var genErr error
 	b.whileLoop("relscan", func() Reg {
 		c := b.val()

@@ -70,12 +70,21 @@ func randomPlan(rng *rand.Rand) *query.Plan {
 	return &query.Plan{Root: op}
 }
 
+// TestRandomPlansJITMatchesInterpreter runs each random plan through every
+// executor — compiled, morsel-parallel and adaptive at 1, 2 and 4 workers,
+// the adaptive ones with the session's code dropped (the run starts
+// interpreted and switches) and with it warm — over a table of several
+// morsels, and compares with the interpreter's answer.
 func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
-	e, _ := buildGraph(t, core.DRAM)
+	e, _ := buildRing(t, core.DRAM, 1100)
+	if m := query.MorselCount(e.Nodes().MaxID(), e.Nodes().ChunkCap()); m < 4 {
+		t.Fatalf("the table has %d morsels, the test needs at least 4", m)
+	}
 	j, err := New(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(20260705))
 	for i := 0; i < 60; i++ {
 		plan := randomPlan(rng)
@@ -83,69 +92,145 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		type executor struct {
+			name string
+			run  func(*core.Tx, func(query.Row) bool) error
+		}
+		adaptive := func(workers int) func(*core.Tx, func(query.Row) bool) error {
+			return func(tx *core.Tx, emit func(query.Row) bool) error {
+				_, err := j.RunAdaptiveCtx(ctx, tx, plan, nil, workers, emit)
+				return err
+			}
+		}
+		execs := []executor{{"jit", func(tx *core.Tx, emit func(query.Row) bool) error {
+			_, err := j.RunCtx(ctx, tx, plan, nil, emit)
+			return err
+		}}}
+		for _, workers := range []int{1, 2, 4} {
+			execs = append(execs,
+				executor{fmt.Sprintf("parallel/%d", workers), func(tx *core.Tx, emit func(query.Row) bool) error {
+					return pr.RunParallelCtx(ctx, tx, nil, workers, emit)
+				}},
+				executor{fmt.Sprintf("adaptive/%d/cold", workers), func(tx *core.Tx, emit func(query.Row) bool) error {
+					j.InvalidateSession()
+					return adaptive(workers)(tx, emit)
+				}},
+				executor{fmt.Sprintf("adaptive/%d/warm", workers), adaptive(workers)})
+		}
+
 		tx := e.Begin()
-		want, err := pr.CollectCtx(context.Background(), tx, nil)
+		want, err := pr.CollectCtx(ctx, tx, nil)
 		if err != nil {
 			tx.Abort()
 			t.Fatalf("plan %d interp: %v\n%s", i, err, plan.Signature())
 		}
-		var got []query.Row
-		if _, err := j.RunCtx(context.Background(), tx, plan, nil, func(r query.Row) bool {
-			got = append(got, r)
-			return true
-		}); err != nil {
+		unlimited, err := query.Prepare(e, &query.Plan{Root: withoutLimits(plan.Root)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := unlimited.CollectCtx(ctx, tx, nil)
+		if err != nil {
 			tx.Abort()
-			t.Fatalf("plan %d jit: %v\n%s", i, err, plan.Signature())
+			t.Fatalf("plan %d without limits: %v\n%s", i, err, plan.Signature())
+		}
+		for _, ex := range execs {
+			var got []query.Row
+			// Unlocked: the drivers call emit from one goroutine at a time.
+			if err := ex.run(tx, func(r query.Row) bool {
+				got = append(got, r)
+				return true
+			}); err != nil {
+				tx.Abort()
+				t.Fatalf("plan %d %s: %v\n%s", i, ex.name, err, plan.Signature())
+			}
+			// Plans without Limit must match as multisets. A Limit keeps
+			// whichever tuples arrive first, so with one the rows must
+			// come from the unlimited plan's, and their count must match
+			// unless a Filter above the Limit makes it depend on the pick
+			// (every person has two knows edges each way: an Expand's
+			// fan-out does not).
+			if limit, filtered := limitShape(plan); limit {
+				if !filtered && len(got) != len(want) {
+					t.Fatalf("plan %d (limit): %s %d rows, interp %d\n%s",
+						i, ex.name, len(got), len(want), plan.Signature())
+				}
+				if !subMultiset(got, all) {
+					t.Fatalf("plan %d (limit): %s returned rows the unlimited plan does not\n%s",
+						i, ex.name, plan.Signature())
+				}
+				continue
+			}
+			if !equalMultiset(got, want) {
+				t.Fatalf("plan %d: %s differs (%d vs %d rows)\n%s",
+					i, ex.name, len(got), len(want), plan.Signature())
+			}
 		}
 		tx.Abort()
-
-		// Plans without Limit must match as multisets; Limit makes result
-		// choice order-dependent, so compare counts only there.
-		if hasLimit(plan.Root) {
-			if len(got) != len(want) {
-				t.Fatalf("plan %d (limit): jit %d rows, interp %d\n%s",
-					i, len(got), len(want), plan.Signature())
-			}
-			continue
-		}
-		if !equalMultiset(got, want) {
-			t.Fatalf("plan %d differs (%d vs %d rows)\n%s",
-				i, len(got), len(want), plan.Signature())
-		}
 	}
 }
 
-func hasLimit(op query.Op) bool {
-	for cur := op; cur != nil; cur = childOf(cur) {
-		if _, ok := cur.(*query.Limit); ok {
-			return true
+// limitShape reports whether the plan has a Limit and whether a Filter
+// sits above its lowest one.
+func limitShape(p *query.Plan) (limit, filtered bool) {
+	for _, op := range p.Split().Ops {
+		switch op.(type) {
+		case *query.Limit:
+			limit = true
+		case *query.Filter:
+			filtered = filtered || limit
 		}
 	}
-	return false
+	return limit, filtered
 }
 
-func equalMultiset(a, b []query.Row) bool {
-	if len(a) != len(b) {
-		return false
+// withoutLimits copies a randomPlan tree, leaving its Limits out.
+func withoutLimits(op query.Op) query.Op {
+	switch o := op.(type) {
+	case *query.Limit:
+		return withoutLimits(o.Input)
+	case *query.Filter:
+		c := *o
+		c.Input = withoutLimits(o.Input)
+		return &c
+	case *query.Expand:
+		c := *o
+		c.Input = withoutLimits(o.Input)
+		return &c
+	case *query.GetNode:
+		c := *o
+		c.Input = withoutLimits(o.Input)
+		return &c
+	case *query.Project:
+		c := *o
+		c.Input = withoutLimits(o.Input)
+		return &c
 	}
+	return op
+}
+
+func rowKey(r query.Row) string {
+	s := ""
+	for _, v := range r {
+		s += fmt.Sprintf("%d/%d|", v.Type, v.Raw)
+	}
+	return s
+}
+
+// subMultiset reports whether every row of a occurs in b at least as often.
+func subMultiset(a, b []query.Row) bool {
 	count := map[string]int{}
-	key := func(r query.Row) string {
-		s := ""
-		for _, v := range r {
-			s += fmt.Sprintf("%d/%d|", v.Type, v.Raw)
-		}
-		return s
+	for _, r := range b {
+		count[rowKey(r)]++
 	}
 	for _, r := range a {
-		count[key(r)]++
-	}
-	for _, r := range b {
-		count[key(r)]--
-	}
-	for _, c := range count {
-		if c != 0 {
+		k := rowKey(r)
+		if count[k]--; count[k] < 0 {
 			return false
 		}
 	}
 	return true
+}
+
+func equalMultiset(a, b []query.Row) bool {
+	return len(a) == len(b) && subMultiset(a, b)
 }

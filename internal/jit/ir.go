@@ -73,16 +73,14 @@ const (
 	OpGetNode // dst(node) = GetNode(id from val A); Aux2 dst2(val bool) = found
 
 	// Iterators.
-	OpIterNodesInit // dst(iter) over all node chunks; Sym = label filter
-	OpIterRelsInit  // dst(iter) over all rel chunks; Sym = label filter
-	OpIterChunkInit // dst(iter) over node chunk (val A); Sym = label filter
-	OpIterRelChunkInit
-	OpIterOutRels // dst(iter) over out-rels of node A; Sym = label filter
-	OpIterInRels  // dst(iter) over in-rels of node A; Sym = label filter
-	OpIterIndex   // dst(iter) over index (Sym="label\x00key") hits for val A
-	OpIterNext    // dst(val bool) = advance iter A
-	OpIterNodeGet // dst(node) = current node of iter A
-	OpIterRelGet  // dst(rel) = current rel of iter A
+	OpIterChunkInit    // dst(iter) over the nodes of morsel (val A); Sym = label filter
+	OpIterRelChunkInit // dst(iter) over the rels of morsel (val A); Sym = label filter
+	OpIterOutRels      // dst(iter) over out-rels of node A; Sym = label filter
+	OpIterInRels       // dst(iter) over in-rels of node A; Sym = label filter
+	OpIterIndex        // dst(iter) over index (Sym="label\x00key") hits for val A
+	OpIterNext         // dst(val bool) = advance iter A
+	OpIterNodeGet      // dst(node) = current node of iter A
+	OpIterRelGet       // dst(rel) = current rel of iter A
 
 	// Updates (IU queries) — call the MVTO transaction methods.
 	OpCreateNode // dst(node); Sym = label; Pairs = props from val regs
@@ -222,9 +220,8 @@ var opNames = map[Opcode]string{
 	OpNodeLabelEq: "node.labeleq", OpRelLabelEq: "rel.labeleq",
 	OpRelSrcID: "rel.src", OpRelDstID: "rel.dst", OpRelOtherID: "rel.other",
 	OpGetNode:       "getnode",
-	OpIterNodesInit: "iter.nodes", OpIterRelsInit: "iter.rels", OpIterChunkInit: "iter.chunk",
-	OpIterRelChunkInit: "iter.relchunk",
-	OpIterOutRels:      "iter.outrels", OpIterInRels: "iter.inrels",
+	OpIterChunkInit: "iter.chunk", OpIterRelChunkInit: "iter.relchunk",
+	OpIterOutRels: "iter.outrels", OpIterInRels: "iter.inrels",
 	OpIterIndex: "iter.index", OpIterNext: "iter.next",
 	OpIterNodeGet: "iter.nodeget", OpIterRelGet: "iter.relget",
 	OpCreateNode: "create.node", OpCreateRel: "create.rel",

@@ -2,7 +2,6 @@ package jit
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +29,12 @@ type Engine struct {
 
 // Compiled is a ready-to-run compilation result.
 type Compiled struct {
-	Sig    string
-	Plan   *query.MorselPlan
-	Full   *Program // full-scan pipeline (single-threaded execution)
-	Morsel *Program // chunk-driven pipeline (adaptive/parallel execution)
+	Sig   string
+	Split *query.Split
+	// Prog is the plan's pipeline. Over a table scan one Run covers one
+	// morsel, whoever drives it — the single worker of a JIT run or the
+	// workers of an adaptive one; any other access path runs whole.
+	Prog *Program
 
 	// CompileTime is the wall time of codegen + passes + lowering (or
 	// just relinking, when the code came from the persistent cache).
@@ -66,11 +67,11 @@ func (j *Engine) InvalidateSession() {
 // CompileCtx produces (or fetches) the compiled form of a plan. The
 // paper's flow: derive the query identifier, look up the persistent hash
 // map; on a hit, link the stored code; otherwise generate IR, run the
-// optimization cascade, lower, and persist. The context is checked at
-// every stage boundary (cache lookup, codegen, pass cascade, lowering).
-// The adaptive executor relies on that so that cancelling a query also
-// cancels its background compilation instead of leaving a goroutine
-// finishing work nobody will use.
+// optimization cascade, lower, and persist. The context is checked before
+// the persistent lookup and before compiling: the adaptive executor relies
+// on that so that cancelling a query also cancels its background
+// compilation instead of leaving a goroutine finishing work nobody will
+// use.
 func (j *Engine) CompileCtx(ctx context.Context, plan *query.Plan) (*Compiled, error) {
 	ctx, sp := trace.StartSpan(ctx, "jit.compile", trace.KindJIT)
 	c, err := j.compileCtx(ctx, plan)
@@ -94,24 +95,17 @@ func (j *Engine) compileCtx(ctx context.Context, plan *query.Plan) (*Compiled, e
 		return c, nil
 	}
 	j.mu.Unlock()
-
-	mp, ok := query.SplitPipeline(plan)
-	if !ok {
-		return nil, fmt.Errorf("%w: plan contains a join", ErrUnsupported)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	start := time.Now()
-	if blob, hit := j.cache.lookup(sig); hit {
-		bundle, err := decodeBundle(blob)
-		if err == nil {
-			full, err1 := Lower(bundle.Full)
-			morsel, err2 := Lower(bundle.Morsel)
-			if err1 == nil && err2 == nil {
+	if blob, hit := j.cache.lookup(irFormat + sig); hit {
+		// A corrupt cache entry falls through to recompilation.
+		if fn, err := decodeFn(blob); err == nil {
+			if prog, err := Lower(fn); err == nil {
 				c := &Compiled{
-					Sig: sig, Plan: mp, Full: full, Morsel: morsel,
+					Sig: sig, Split: plan.Split(), Prog: prog,
 					CompileTime: time.Since(start), FromCache: true,
 				}
 				j.remember(c)
@@ -120,77 +114,38 @@ func (j *Engine) compileCtx(ctx context.Context, plan *query.Plan) (*Compiled, e
 				return c, nil
 			}
 		}
-		// A corrupt or stale cache entry falls through to recompilation.
-	}
-
-	fullFn, err := Compile(mp, false)
-	if err != nil {
-		return nil, err
-	}
-	morselFn, err := Compile(mp, true)
-	if err != nil {
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stats := Optimize(fullFn)
-	Optimize(morselFn)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	full, err := Lower(fullFn)
+	c, err := j.CompileUncached(plan)
 	if err != nil {
 		return nil, err
 	}
-	morsel, err := Lower(morselFn)
-	if err != nil {
-		return nil, err
-	}
-	c := &Compiled{
-		Sig: sig, Plan: mp, Full: full, Morsel: morsel,
-		CompileTime: time.Since(start), Stats: stats,
-	}
-	if blob, err := encodeBundle(&codeBundle{Full: fullFn, Morsel: morselFn}); err == nil {
-		_ = j.cache.store(sig, blob) // cache-full is non-fatal
-	}
-	j.remember(c)
-	j.tel.Compiles.Inc()
-	j.tel.CompileTime.ObserveDuration(c.CompileTime)
+	_ = j.cache.store(irFormat+sig, encodeFn(c.Prog.fn)) // cache-full is non-fatal
 	trace.FromContext(ctx).SetAttr("source", "compile")
 	return c, nil
 }
 
-// CompileUncached always performs the full compilation (codegen, pass
-// cascade, lowering), bypassing both the in-memory and the persistent
-// cache. Benchmarks use it to measure the cold-code path.
+// CompileUncached always performs the full compilation, bypassing both
+// the in-memory and the persistent cache (benchmarks use it to measure the
+// cold-code path). It is the one place the stages are chained: codegen
+// over the plan's split, the pass cascade, lowering. The result is
+// remembered for the session.
 func (j *Engine) CompileUncached(plan *query.Plan) (*Compiled, error) {
-	sig := plan.Signature()
-	mp, ok := query.SplitPipeline(plan)
-	if !ok {
-		return nil, fmt.Errorf("%w: plan contains a join", ErrUnsupported)
-	}
 	start := time.Now()
-	fullFn, err := Compile(mp, false)
+	sp := plan.Split()
+	fn, err := Compile(sp)
 	if err != nil {
 		return nil, err
 	}
-	morselFn, err := Compile(mp, true)
-	if err != nil {
-		return nil, err
-	}
-	stats := Optimize(fullFn)
-	Optimize(morselFn)
-	full, err := Lower(fullFn)
-	if err != nil {
-		return nil, err
-	}
-	morsel, err := Lower(morselFn)
+	stats := Optimize(fn)
+	prog, err := Lower(fn)
 	if err != nil {
 		return nil, err
 	}
 	c := &Compiled{
-		Sig: sig, Plan: mp, Full: full, Morsel: morsel,
+		Sig: plan.Signature(), Split: sp, Prog: prog,
 		CompileTime: time.Since(start), Stats: stats,
 	}
 	j.remember(c)
@@ -241,16 +196,26 @@ func (j *Engine) RunCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, par
 	_, esp := trace.StartSpan(cctx, "jit.exec", trace.KindJIT)
 	esp.SetAttr("from_cache", c.FromCache)
 	start := time.Now()
-	err = j.runCompiled(c, ctx, emit)
+	err = runCompiled(c, ctx, emit)
 	st.ExecTime = time.Since(start)
 	esp.SetError(err)
 	esp.End()
 	return st, err
 }
 
-func (j *Engine) runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) bool) error {
-	exec := c.Full.NewExec()
-	if len(c.Plan.Tail) == 0 {
+// runCompiled runs the compiled pipeline and the tail on its output. A
+// scanned table goes through the morsel loop with this one worker; any
+// other access path is a single Run, here.
+func runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) bool) error {
+	sp := c.Split
+	if sp.Scan {
+		return sp.RunMorsels(ctx, 1, emit, func(out query.Sink) (query.MorselTask, error) {
+			exec := c.Prog.NewExec()
+			return func(m uint64) error { return exec.Run(ctx, m, out) }, nil
+		})
+	}
+	exec := c.Prog.NewExec()
+	if sp.Cut == len(sp.Ops) {
 		// Streaming: emit rows directly from the compiled pipeline.
 		sink := func(t query.Tuple) (bool, error) { return emit(query.ToRow(t)), nil }
 		return exec.Run(ctx, 0, sink)
@@ -263,20 +228,21 @@ func (j *Engine) runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) b
 	if err := exec.Run(ctx, 0, sink); err != nil {
 		return err
 	}
-	return c.Plan.RunTail(ctx, collected, emit)
+	return sp.RunTail(ctx, collected, emit)
 }
 
 // RunAdaptiveCtx executes the plan with the paper's adaptive strategy
 // (§6.2, Fig 3): the morsel loop starts on the AOT interpreter while a
 // background goroutine compiles the pipeline; once compilation finishes,
 // the task function is redirected and the remaining morsels run compiled.
-// Plans that cannot be parallelized fall back to RunCtx (JIT). On a
-// cancellation the background compilation stops at its next stage
-// boundary, no goroutine is left behind, and the call returns ctx.Err().
+// A plan the workers may not share (Split.Morsels) has no loop to adapt
+// and is RunCtx. On a cancellation the background compilation stops before
+// its next stage, no goroutine is left behind, and the call returns
+// ctx.Err().
 func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
-	mp, ok := query.SplitForMorsels(plan)
-	if !ok {
+	mp := plan.Split()
+	if !mp.Morsels() {
 		return j.RunCtx(cctx, tx, plan, params, emit)
 	}
 	ctx, err := query.NewCtx(cctx, j.core, tx, params)
@@ -300,7 +266,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 	pre := j.mem[sig]
 	j.mu.Unlock()
 	if pre != nil {
-		compiledProg.Store(pre.Morsel)
+		compiledProg.Store(pre.Prog)
 		compileDone <- pre
 	} else {
 		go func() {
@@ -311,7 +277,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 				compileDone <- nil
 				return
 			}
-			compiledProg.Store(c.Morsel)
+			compiledProg.Store(c.Prog)
 			compileDone <- c
 		}()
 	}

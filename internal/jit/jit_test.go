@@ -13,6 +13,11 @@ import (
 
 // buildGraph creates a small social graph shared by the JIT tests.
 func buildGraph(t *testing.T, mode core.Mode) (*core.Engine, []uint64) {
+	return buildRing(t, mode, 500)
+}
+
+// buildRing creates n persons, each knowing the next and the seventh next.
+func buildRing(t *testing.T, mode core.Mode, n int) (*core.Engine, []uint64) {
 	t.Helper()
 	e, err := core.Open(core.Config{Mode: mode, PoolSize: 128 << 20})
 	if err != nil {
@@ -21,7 +26,7 @@ func buildGraph(t *testing.T, mode core.Mode) (*core.Engine, []uint64) {
 	t.Cleanup(e.Close)
 	bl := e.NewBulkLoader()
 	var persons []uint64
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		id, err := bl.AddNode("Person", map[string]any{
 			"pid": int64(i), "age": int64(20 + i%50),
 		})
@@ -30,10 +35,10 @@ func buildGraph(t *testing.T, mode core.Mode) (*core.Engine, []uint64) {
 		}
 		persons = append(persons, id)
 	}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		// Ring plus shortcuts: person i knows i+1 and i+7.
-		bl.AddRel(persons[i], persons[(i+1)%500], "knows", map[string]any{"w": int64(i)})
-		bl.AddRel(persons[i], persons[(i+7)%500], "knows", nil)
+		bl.AddRel(persons[i], persons[(i+1)%n], "knows", map[string]any{"w": int64(i)})
+		bl.AddRel(persons[i], persons[(i+7)%n], "knows", nil)
 	}
 	if err := bl.Finish(); err != nil {
 		t.Fatal(err)
@@ -454,9 +459,9 @@ func TestCompileTimeGrowsWithOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.Full.fn.NumInstrs() <= cs.Full.fn.NumInstrs() {
+	if cb.Prog.fn.NumInstrs() <= cs.Prog.fn.NumInstrs() {
 		t.Errorf("bigger plan compiled to fewer instructions: %d vs %d",
-			cb.Full.fn.NumInstrs(), cs.Full.fn.NumInstrs())
+			cb.Prog.fn.NumInstrs(), cs.Prog.fn.NumInstrs())
 	}
 }
 

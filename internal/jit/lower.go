@@ -380,10 +380,9 @@ func lowerInstr(in Instr) (stepFn, error) {
 			return true
 		}, nil
 
-	case OpIterNodesInit, OpIterChunkInit, OpIterRelsInit, OpIterRelChunkInit:
+	case OpIterChunkInit, OpIterRelChunkInit:
 		lc := &lazyCode{name: in.Sym}
-		chunked := in.Op == OpIterChunkInit || in.Op == OpIterRelChunkInit
-		rel := in.Op == OpIterRelsInit || in.Op == OpIterRelChunkInit
+		rel := in.Op == OpIterRelChunkInit
 		return func(m *machine) bool {
 			tbl := m.ctx.E.Nodes()
 			if rel {
@@ -391,10 +390,8 @@ func lowerInstr(in Instr) (stepFn, error) {
 			}
 			var from, to uint64 // an unknown label scans nothing
 			code, ok := lc.get(m.ctx.E)
-			if ok && chunked {
+			if ok {
 				from, to = query.MorselRange(uint64(m.vals[a].Int()), tbl.ChunkCap())
-			} else if ok {
-				to = tbl.MaxID()
 			}
 			if rel {
 				iterAt[core.RelTableIter](m, dst).Reset(m.ctx.Tx, from, to, code)
@@ -626,8 +623,8 @@ func (p *Program) NewExec() *Exec {
 	}
 }
 
-// Run executes the pipeline: full-scan pipelines ignore chunk; morsel
-// pipelines scan only the given chunk.
+// Run executes the pipeline once: over morsel chunk of the table when its
+// leaf is a scan, whole — chunk ignored — from any other access path.
 func (e *Exec) Run(ctx *query.Ctx, chunk uint64, emit query.Sink) error {
 	m := &e.m
 	m.ctx, m.emit, m.chunk, m.err = ctx, emit, chunk, nil

@@ -225,8 +225,7 @@ func TestLowerConstStrInternsLazily(t *testing.T) {
 func TestProgramStringsInSignDump(t *testing.T) {
 	// The IR printer must name every opcode used by a realistic pipeline.
 	plan := plansUnderTest()["two-hop"]
-	mp, _ := query.SplitPipeline(plan)
-	fn, _ := Compile(mp, true)
+	fn, _ := Compile(plan.Split())
 	dump := fn.String()
 	for _, tok := range []string{"loadchunk", "iter.chunk", "iter.outrels", "getnode", "rel.dst", "cmp"} {
 		if !strings.Contains(dump, tok) {

@@ -13,7 +13,7 @@ import (
 	"poseidon/internal/trace"
 )
 
-// The morsel loop is written once (query.MorselPlan.RunMorsels) and
+// The morsel loop is written once (query.Split.RunMorsels) and
 // driven with two tasks: the interpreter's pipeline and compiled code.
 // These tests run its contract — early stop, first error, cancellation —
 // through both, over a plan that streams and one with a tail.
@@ -37,21 +37,21 @@ func driverPlans() map[string]*query.Plan {
 // taskMakers builds the two per-worker tasks the driver is handed in
 // production: the interpreter's closure cascade and the compiled morsel
 // program.
-var taskMakers = map[string]func(*testing.T, *Engine, *query.Plan, *query.MorselPlan, *query.Ctx) func(query.Sink) (query.MorselTask, error){
-	"interpreter": func(_ *testing.T, _ *Engine, _ *query.Plan, mp *query.MorselPlan, ctx *query.Ctx) func(query.Sink) (query.MorselTask, error) {
+var taskMakers = map[string]func(*testing.T, *Engine, *query.Plan, *query.Split, *query.Ctx) func(query.Sink) (query.MorselTask, error){
+	"interpreter": func(_ *testing.T, _ *Engine, _ *query.Plan, mp *query.Split, ctx *query.Ctx) func(query.Sink) (query.MorselTask, error) {
 		return func(out query.Sink) (query.MorselTask, error) {
 			var morsel uint64
 			run, err := mp.PipelineRunner(ctx, &morsel, out)
 			return func(m uint64) error { morsel = m; return run() }, err
 		}
 	},
-	"compiled": func(t *testing.T, j *Engine, plan *query.Plan, _ *query.MorselPlan, ctx *query.Ctx) func(query.Sink) (query.MorselTask, error) {
+	"compiled": func(t *testing.T, j *Engine, plan *query.Plan, _ *query.Split, ctx *query.Ctx) func(query.Sink) (query.MorselTask, error) {
 		c, err := j.CompileCtx(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(out query.Sink) (query.MorselTask, error) {
-			exec := c.Morsel.NewExec()
+			exec := c.Prog.NewExec()
 			return func(m uint64) error { return exec.Run(ctx, m, out) }, nil
 		}
 	},
@@ -73,8 +73,8 @@ func forEachDriverCase(t *testing.T, body func(t *testing.T, cancel context.Canc
 	for taskName, maker := range taskMakers {
 		for planName, plan := range driverPlans() {
 			t.Run(taskName+"/"+planName, func(t *testing.T) {
-				mp, ok := query.SplitForMorsels(plan)
-				if !ok {
+				mp := plan.Split()
+				if !mp.Morsels() {
 					t.Fatal("plan does not split into morsels")
 				}
 				cctx, cancel := context.WithCancel(context.Background())

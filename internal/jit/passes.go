@@ -362,7 +362,7 @@ func renameDst(f *Fn, op Opcode) Reg {
 		r := Reg(f.NumRels)
 		f.NumRels++
 		return r
-	case OpIterNodesInit, OpIterRelsInit, OpIterChunkInit, OpIterRelChunkInit,
+	case OpIterChunkInit, OpIterRelChunkInit,
 		OpIterOutRels, OpIterInRels, OpIterIndex:
 		r := Reg(f.NumIters)
 		f.NumIters++

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"poseidon/internal/query"
 	"poseidon/internal/storage"
 )
 
@@ -123,7 +122,7 @@ func TestDCEKeepsSideEffects(t *testing.T) {
 	f := fnOf(4, &Block{
 		Name: "b",
 		Instrs: []Instr{
-			{Op: OpIterNodesInit, Dst: 0, A: NoReg, B: NoReg},
+			{Op: OpIterChunkInit, Dst: 0, A: NoReg, B: NoReg},
 			{Op: OpIterNext, Dst: 0, A: 0, B: NoReg}, // dst unused but impure
 		},
 		Kind: TermRet,
@@ -198,7 +197,7 @@ func TestUnrollDuplicatesSimpleLoopBody(t *testing.T) {
 	f := &Fn{
 		Name: "t", NumVals: 4, NumNodes: 2, NumIters: 1,
 		Blocks: []*Block{
-			{Name: "entry", Instrs: []Instr{{Op: OpIterNodesInit, Dst: 0, A: NoReg, B: NoReg}}, Kind: TermJump, To: 1},
+			{Name: "entry", Instrs: []Instr{{Op: OpIterChunkInit, Dst: 0, A: NoReg, B: NoReg}}, Kind: TermJump, To: 1},
 			{Name: "header", Instrs: []Instr{{Op: OpIterNext, Dst: 0, A: 0, B: NoReg}}, Kind: TermBranch, Cond: 0, To: 2, Else: 3},
 			{Name: "body", Instrs: []Instr{{Op: OpIterNodeGet, Dst: 0, A: 0, B: NoReg}}, Kind: TermJump, To: 1},
 			{Name: "exit", Kind: TermRet},
@@ -229,7 +228,7 @@ func TestUnrollSkipsEmittingBodies(t *testing.T) {
 	f := &Fn{
 		Name: "t", NumVals: 4, NumNodes: 2, NumIters: 1,
 		Blocks: []*Block{
-			{Name: "entry", Instrs: []Instr{{Op: OpIterNodesInit, Dst: 0, A: NoReg, B: NoReg}}, Kind: TermJump, To: 1},
+			{Name: "entry", Instrs: []Instr{{Op: OpIterChunkInit, Dst: 0, A: NoReg, B: NoReg}}, Kind: TermJump, To: 1},
 			{Name: "header", Instrs: []Instr{{Op: OpIterNext, Dst: 0, A: 0, B: NoReg}}, Kind: TermBranch, Cond: 0, To: 2, Else: 3},
 			{Name: "body", Instrs: []Instr{
 				{Op: OpIterNodeGet, Dst: 0, A: 0, B: NoReg},
@@ -245,11 +244,7 @@ func TestUnrollSkipsEmittingBodies(t *testing.T) {
 
 func TestOptimizeShrinksGeneratedCode(t *testing.T) {
 	plan := plansUnderTest()["two-hop"]
-	mp, ok := query.SplitPipeline(plan)
-	if !ok {
-		t.Fatal("split failed")
-	}
-	fn, err := Compile(mp, false)
+	fn, err := Compile(plan.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +270,12 @@ func TestOptimizeShrinksGeneratedCode(t *testing.T) {
 
 func TestIRStringAndVerify(t *testing.T) {
 	plan := plansUnderTest()["filter-project"]
-	mp, _ := query.SplitPipeline(plan)
-	fn, err := Compile(mp, false)
+	fn, err := Compile(plan.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := fn.String()
-	for _, want := range []string{"iter.nodes", "node.prop", "emit", "br ", "jump "} {
+	for _, want := range []string{"loadchunk", "iter.chunk", "node.prop", "emit", "br ", "jump "} {
 		if !strings.Contains(text, want) {
 			t.Errorf("IR dump missing %q:\n%s", want, text)
 		}
@@ -294,18 +288,5 @@ func TestIRStringAndVerify(t *testing.T) {
 	fn.Blocks[0].To = 999
 	if err := fn.Verify(); err == nil {
 		t.Error("Verify accepted an out-of-range jump")
-	}
-}
-
-func TestMorselVariantUsesChunkLeaf(t *testing.T) {
-	plan := &query.Plan{Root: &query.NodeScan{Label: "Person"}}
-	mp, _ := query.SplitPipeline(plan)
-	full, _ := Compile(mp, false)
-	morsel, _ := Compile(mp, true)
-	if !strings.Contains(morsel.String(), "loadchunk") {
-		t.Error("morsel variant lacks loadchunk")
-	}
-	if strings.Contains(full.String(), "loadchunk") {
-		t.Error("full variant unexpectedly chunk-driven")
 	}
 }

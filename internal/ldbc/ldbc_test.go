@@ -328,7 +328,7 @@ func TestDiskWorkloadMirrorsEngine(t *testing.T) {
 // relationship labels were pushed down into the adjacency read: walk the
 // whole list, then drop the other labels with a filter. It returns the
 // rewritten operator and its tuple width.
-func filterAfterRead(t *testing.T, op query.Op) (query.Op, int) {
+func filterAfterRead(t *testing.T, op query.Op) (_ query.Op, w int) {
 	t.Helper()
 	switch o := op.(type) {
 	case *query.NodeScan, *query.IndexScan:
@@ -339,29 +339,26 @@ func filterAfterRead(t *testing.T, op query.Op) (query.Op, int) {
 			Input: &query.Expand{Input: in, Col: o.Col, Dir: o.Dir},
 			Pred:  &query.HasLabel{Col: w, Label: o.RelLabel},
 		}, w + 1
-	}
-	var in query.Op
-	switch o := op.(type) {
+	// Every other operator is copied onto its rewritten input.
 	case *query.Filter:
-		in = o.Input
+		c := *o
+		c.Input, w = filterAfterRead(t, o.Input)
+		return &c, w
 	case *query.GetNode:
-		in = o.Input
+		c := *o
+		c.Input, w = filterAfterRead(t, o.Input)
+		return &c, w + 1
 	case *query.OrderBy:
-		in = o.Input
+		c := *o
+		c.Input, w = filterAfterRead(t, o.Input)
+		return &c, w
 	case *query.Project:
-		in = o.Input
-	default:
-		t.Fatalf("filterAfterRead: unexpected operator %T in an SR plan", op)
+		c := *o
+		c.Input, w = filterAfterRead(t, o.Input)
+		return &c, w
 	}
-	in, w := filterAfterRead(t, in)
-	if _, grows := op.(*query.GetNode); grows {
-		w++
-	}
-	out, err := query.CloneWithInput(op, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, w
+	t.Fatalf("filterAfterRead: unexpected operator %T in an SR plan", op)
+	return nil, 0
 }
 
 // TestLabelFirstExpandsMatchFilterAfterRead: on every SR query — SR3

@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -63,10 +64,11 @@ type Op interface {
 }
 
 // Plan is a graph-algebra expression tree, handled by pointer only and
-// immutable once its signature has been asked for.
+// immutable once its signature or split has been asked for.
 type Plan struct {
-	Root Op
-	sig  atomic.Pointer[string] // Signature, formatted once: every run asks
+	Root  Op
+	sig   atomic.Pointer[string] // Signature, formatted once: every run asks
+	split atomic.Pointer[Split]  // Split, likewise
 }
 
 // Signature returns the query identifier used as the key of the
@@ -84,30 +86,87 @@ func (p *Plan) Signature() string {
 	return s
 }
 
-// HasUpdates reports whether the plan contains operators that modify the
-// graph (CreateNode, CreateRel, SetProps, Delete) on any branch,
-// including the build side of joins. The facade uses it to reject update
-// plans on read-only entry points, whose transaction is always rolled
-// back.
-func (p *Plan) HasUpdates() bool {
-	if p == nil || p.Root == nil {
-		return false
-	}
-	return opHasUpdates(p.Root)
+// Split is what every executor asks of a plan, worked out once: the
+// operator chain, where the streaming pipeline ends, and the facts that
+// decide who may run it.
+type Split struct {
+	// Ops is the chain from the access path up to the root (a join is
+	// followed down its streamed, left side). Ops[:Cut] is the pipeline —
+	// what a morsel worker or a compiled program runs — and Ops[Cut:] the
+	// tail, run single-threaded over what the pipeline produced. The cut
+	// is at the first pipeline breaker above the leaf; over a table scan a
+	// Limit cuts as well, so that it counts once and not once per worker
+	// or morsel.
+	Ops []Op
+	Cut int
+	// Scan: the leaf is a NodeScan or RelScan, which runs morsel by morsel.
+	Scan bool
+	// Updates: an operator modifies the graph (CreateNode, CreateRel,
+	// SetProps, Delete), on either side of a join. The facade keeps such
+	// plans off read-only entry points, whose transaction is rolled back,
+	// and off the morsel workers, which share one transaction.
+	Updates bool
+	// Join: the plan holds a HashJoin, whose build side is a pipeline of
+	// its own — nothing the code generator handles.
+	Join bool
 }
 
-func opHasUpdates(op Op) bool {
+// Split returns the plan's split.
+func (p *Plan) Split() *Split {
+	if sp := p.split.Load(); sp != nil {
+		return sp
+	}
+	sp := &Split{}
+	for cur := p.Root; cur != nil; cur = cur.child() {
+		sp.Ops = append(sp.Ops, cur)
+		sp.note(cur)
+	}
+	slices.Reverse(sp.Ops)
+	switch sp.Ops[0].(type) {
+	case *NodeScan, *RelScan:
+		sp.Scan = true
+	}
+	sp.Cut = len(sp.Ops)
+	for i, op := range sp.Ops {
+		if _, limit := op.(*Limit); isBreaker(op) || limit && sp.Scan {
+			sp.Cut = i
+			break
+		}
+	}
+	p.split.Store(sp)
+	return sp
+}
+
+// note records what op means for who may run the plan.
+func (sp *Split) note(op Op) {
 	switch o := op.(type) {
 	case *CreateNode, *CreateRel, *SetProps, *Delete:
-		return true
+		sp.Updates = true
 	case *HashJoin:
-		return opHasUpdates(o.Left) || opHasUpdates(o.Right)
+		sp.Join = true
+		for cur := o.Right; cur != nil; cur = cur.child() {
+			sp.note(cur)
+		}
 	}
-	if c := op.child(); c != nil {
-		return opHasUpdates(c)
-	}
-	return false
 }
+
+// isBreaker reports whether the operator must see all input tuples before
+// emitting (a pipeline breaker in the §6.1 sense).
+func isBreaker(op Op) bool {
+	switch op.(type) {
+	case *OrderBy, *CountAgg, *Distinct, *HashJoin:
+		return true
+	default:
+		return false
+	}
+}
+
+// Morsels reports whether morsel workers may run the pipeline in
+// parallel: a table scan feeds it and nothing in the plan writes or joins.
+func (sp *Split) Morsels() bool { return sp.Scan && !sp.Updates && !sp.Join }
+
+// HasUpdates reports whether the plan modifies the graph.
+func (p *Plan) HasUpdates() bool { return p.Split().Updates }
 
 // --- access paths ---
 

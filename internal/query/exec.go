@@ -87,7 +87,7 @@ type Prepared struct {
 
 // linked is what Prepare compiles once, so that a run links only its own
 // state: the evaluators of the operators' expressions, keyed by the plan's
-// expression nodes (the morsel and tail rewrites share them), and the
+// expression nodes (a split plan's halves link the same nodes), and the
 // dictionary references of its label and key strings. It is a Prepared's,
 // never the plan's: codes are one engine's, a Plan may be prepared on many.
 type linked struct {
@@ -123,6 +123,18 @@ type Ctx struct {
 	// has none and compiles the expressions of what it links afresh.
 	linked
 	preparing bool // Prepare's own Ctx records what it builds
+
+	// src links one half of a split plan. Set on a copy of the run's Ctx
+	// (see under), never on one that workers share.
+	src *source
+}
+
+// source stands in for a subtree: where buildOp reaches the operator
+// below, it links link instead — a morsel's scan for the pipeline's leaf,
+// the gathered tuples for the pipeline under the tail.
+type source struct {
+	below Op
+	link  func(out Sink) (func() error, error)
 }
 
 // expr and pred return the evaluator of an operator's expression or
@@ -239,6 +251,9 @@ func tupleToRow(t Tuple) Row {
 // wraps the downstream sink; access paths return the pipeline driver.
 // It creates only the state of one run; evaluators and codes come from ctx.
 func buildOp(op Op, ctx *Ctx, out Sink) (func() error, error) {
+	if s := ctx.src; s != nil && op == s.below {
+		return s.link(out)
+	}
 	switch o := op.(type) {
 	case *NodeScan:
 		return buildNodeScan(o, ctx, out)
@@ -276,10 +291,6 @@ func buildOp(op Op, ctx *Ctx, out Sink) (func() error, error) {
 		return buildSetProps(o, ctx, out)
 	case *Delete:
 		return buildDelete(o, ctx, out)
-	case *chunkScan:
-		return buildChunkScan(o, ctx, out)
-	case *tupleSource:
-		return buildTupleSource(o, ctx, out)
 	default:
 		return nil, fmt.Errorf("%w: unknown operator %T", ErrBadPlan, op)
 	}

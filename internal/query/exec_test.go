@@ -498,8 +498,8 @@ func TestRunParallelFallsBackForUpdates(t *testing.T) {
 		Col:   0,
 		Props: []PropSpec{{Key: "age", Val: &Const{Val: 50}}},
 	}}
-	if _, ok := SplitForMorsels(p); ok {
-		t.Error("update plan reported parallelizable")
+	if sp := p.Split(); !sp.Updates || sp.Morsels() {
+		t.Errorf("update plan reported parallelizable: %+v", sp)
 	}
 	pr, _ := Prepare(e, p)
 	tx := e.Begin()

@@ -2,10 +2,8 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,110 +40,6 @@ func (f *firstError) err() error {
 	return nil
 }
 
-// MorselPlan is a plan split for morsel-driven execution.
-type MorselPlan struct {
-	// Pipeline is the streaming subtree: leaf scan up to (excluding) the
-	// first pipeline breaker.
-	Pipeline Op
-	// Tail holds the remaining operators root-first; empty if the whole
-	// plan streams.
-	Tail []Op
-	// Leaf is the plan's access path, a *NodeScan or *RelScan.
-	Leaf Op
-}
-
-// isBreaker reports whether the operator must see all input tuples before
-// emitting (a pipeline breaker in the §6.1 sense).
-func isBreaker(op Op) bool {
-	switch op.(type) {
-	case *OrderBy, *CountAgg, *Distinct, *HashJoin:
-		return true
-	default:
-		return false
-	}
-}
-
-// hasUpdates reports whether the subtree contains update operators, which
-// must not run concurrently on a shared transaction.
-func hasUpdates(op Op) bool {
-	for cur := op; cur != nil; cur = cur.child() {
-		switch cur.(type) {
-		case *CreateNode, *CreateRel, *SetProps, *Delete:
-			return true
-		case *HashJoin:
-			return true // child() only walks the left side
-		}
-	}
-	return false
-}
-
-// SplitForMorsels decomposes a plan for parallel execution. It returns
-// ok=false when the plan cannot be parallelized: the access path is not a
-// table scan, the plan contains updates, or a join.
-func SplitForMorsels(p *Plan) (*MorselPlan, bool) {
-	if p == nil || p.Root == nil || hasUpdates(p.Root) {
-		return nil, false
-	}
-	var chain []Op // root first
-	for cur := p.Root; cur != nil; cur = cur.child() {
-		chain = append(chain, cur)
-	}
-	leaf := chain[len(chain)-1]
-	switch leaf.(type) {
-	case *NodeScan, *RelScan:
-	default:
-		return nil, false
-	}
-	// Find the breaker closest to the leaf.
-	split := -1
-	for i, op := range chain {
-		if isBreaker(op) {
-			split = i
-		}
-	}
-	mp := &MorselPlan{Leaf: leaf}
-	if split == -1 {
-		mp.Pipeline = p.Root
-	} else {
-		mp.Pipeline = chain[split].child()
-		mp.Tail = chain[:split+1]
-	}
-	return mp, true
-}
-
-// SplitPipeline decomposes any single-chain plan into its streaming
-// pipeline and breaker tail, without the parallelizability restrictions
-// of SplitForMorsels. The JIT compiler (§6.2) compiles the pipeline into
-// one function and leaves breakers to the materializing tail. Plans
-// containing joins return ok=false (the join build side is a separate
-// pipeline).
-func SplitPipeline(p *Plan) (*MorselPlan, bool) {
-	if p == nil || p.Root == nil {
-		return nil, false
-	}
-	var chain []Op
-	for cur := p.Root; cur != nil; cur = cur.child() {
-		if _, isJoin := cur.(*HashJoin); isJoin {
-			return nil, false
-		}
-		chain = append(chain, cur)
-	}
-	split := -1
-	for i, op := range chain {
-		if isBreaker(op) {
-			split = i
-		}
-	}
-	mp := &MorselPlan{Leaf: chain[len(chain)-1]}
-	if split == -1 {
-		mp.Pipeline = p.Root
-	} else {
-		mp.Pipeline = chain[split].child()
-		mp.Tail = chain[:split+1]
-	}
-	return mp, true
-}
-
 // MorselGrain is the number of record slots per morsel. Finer than a
 // table chunk so even laptop-scale tables expose enough parallelism for
 // the §6.1 task model (the paper pins morsels to tasks the same way).
@@ -178,176 +72,54 @@ func MorselRange(m, chunkCap uint64) (from, to uint64) {
 	return from, to
 }
 
-// --- internal operators used by the parallel machinery ---
-
-// chunkScan is a NodeScan/RelScan restricted to one chunk; the chunk
-// index is read through a pointer so a worker can reuse its compiled
-// pipeline across morsels.
-type chunkScan struct {
-	label string
-	rel   bool
-	chunk *uint64
+// under returns a copy of the run's Ctx that links link where buildOp
+// reaches the operator below; the plan's operators are linked as they
+// stand, whichever half of the split runs.
+func (ctx *Ctx) under(below Op, link func(out Sink) (func() error, error)) *Ctx {
+	c := *ctx
+	c.src = &source{below, link}
+	return &c
 }
 
-func (o *chunkScan) sig(b *strings.Builder) {
-	fmt.Fprintf(b, "chunkScan(%s,%v)", o.label, o.rel)
-}
-func (o *chunkScan) child() Op { return nil }
-
-// tupleSource replays materialized tuples into a pipeline (used to feed
-// the tail operators).
-type tupleSource struct {
-	tuples []Tuple
-}
-
-func (o *tupleSource) sig(b *strings.Builder) { b.WriteString("tupleSource") }
-func (o *tupleSource) child() Op              { return nil }
-
-func buildChunkScan(o *chunkScan, ctx *Ctx, out Sink) (func() error, error) {
-	return buildScan(o.label, o.rel, o.chunk, ctx, out)
-}
-
-func buildTupleSource(o *tupleSource, ctx *Ctx, out Sink) (func() error, error) {
-	return func() error {
-		for i, t := range o.tuples {
-			if i&1023 == 0 {
-				if err := ctx.err(); err != nil {
-					return err
-				}
-			}
-			cont, err := out(t)
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
-		}
-		return nil
-	}, nil
-}
-
-// CloneWithInput shallow-copies a pipeline operator with a new input.
-func CloneWithInput(op Op, in Op) (Op, error) {
-	switch o := op.(type) {
-	case *Expand:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *GetNode:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *NodeLookup:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *CreateNode:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *Filter:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *Project:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *Limit:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *OrderBy:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *Distinct:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *CountAgg:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *CreateRel:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *SetProps:
-		c := *o
-		c.Input = in
-		return &c, nil
-	case *Delete:
-		c := *o
-		c.Input = in
-		return &c, nil
-	default:
-		return nil, fmt.Errorf("%w: cannot re-root %T", ErrBadPlan, op)
-	}
-}
-
-// rebuildOnLeaf clones the subtree rooted at root, substituting newLeaf
-// for its access path.
-func rebuildOnLeaf(root Op, newLeaf Op) (Op, error) {
-	if root.child() == nil {
-		return newLeaf, nil
-	}
-	in, err := rebuildOnLeaf(root.child(), newLeaf)
-	if err != nil {
-		return nil, err
-	}
-	return CloneWithInput(root, in)
-}
-
-// PipelineRunner builds an interpreter instance of the morsel pipeline
-// for one worker. The returned run function executes the pipeline on the
-// chunk currently stored in *chunk.
-func (mp *MorselPlan) PipelineRunner(ctx *Ctx, chunk *uint64, out Sink) (func() error, error) {
-	leaf := &chunkScan{chunk: chunk}
-	switch l := mp.Leaf.(type) {
+// PipelineRunner builds an interpreter instance of the pipeline for one
+// worker. Over a table scan the returned run function executes it on the
+// morsel currently stored in *morsel; any other access path runs whole.
+func (sp *Split) PipelineRunner(ctx *Ctx, morsel *uint64, out Sink) (func() error, error) {
+	linker := ctx
+	switch l := sp.Ops[0].(type) {
 	case *NodeScan:
-		leaf.label = l.Label
+		linker = ctx.under(l, func(out Sink) (func() error, error) { return buildScan(l.Label, false, morsel, ctx, out) })
 	case *RelScan:
-		leaf.label = l.Label
-		leaf.rel = true
-	default:
-		return nil, fmt.Errorf("%w: unsupported morsel leaf %T", ErrBadPlan, mp.Leaf)
+		linker = ctx.under(l, func(out Sink) (func() error, error) { return buildScan(l.Label, true, morsel, ctx, out) })
 	}
-	root, err := rebuildOnLeaf(mp.Pipeline, leaf)
-	if err != nil {
-		return nil, err
-	}
-	return buildOp(root, ctx, out)
+	return buildOp(sp.Ops[sp.Cut-1], linker, out)
 }
 
-// RunTail executes the tail operators over materialized tuples.
-func (mp *MorselPlan) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) error {
+// RunTail executes the tail operators over the tuples the pipeline
+// produced: they are replayed in the pipeline's place.
+func (sp *Split) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) error {
 	terminal := func(t Tuple) (bool, error) {
 		if err := ctx.err(); err != nil {
 			return false, err
 		}
 		return emit(tupleToRow(t)), nil
 	}
-	if len(mp.Tail) == 0 {
-		for _, t := range tuples {
-			if cont, err := terminal(t); err != nil || !cont {
-				return err
+	replay := func(out Sink) (func() error, error) {
+		return func() error {
+			for i, t := range tuples {
+				if i&1023 == 0 {
+					if err := ctx.err(); err != nil {
+						return err
+					}
+				}
+				if cont, err := out(t); err != nil || !cont {
+					return err
+				}
 			}
-		}
-		return nil
+			return nil
+		}, nil
 	}
-	// Rebuild only the tail chain (root-first in mp.Tail) over the
-	// materialized tuples; the pipeline below it already ran.
-	root := Op(&tupleSource{tuples: tuples})
-	for i := len(mp.Tail) - 1; i >= 0; i-- {
-		var err error
-		root, err = CloneWithInput(mp.Tail[i], root)
-		if err != nil {
-			return err
-		}
-	}
-	run, err := buildOp(root, ctx, terminal)
+	run, err := buildOp(sp.Ops[len(sp.Ops)-1], ctx.under(sp.Ops[sp.Cut-1], replay), terminal)
 	if err != nil {
 		return err
 	}
@@ -359,30 +131,40 @@ func (mp *MorselPlan) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) err
 type MorselTask func(morsel uint64) error
 
 // RunMorsels is the morsel task loop (§6.1, the paper's Fig 3), written
-// once for every engine: workers goroutines (0 = GOMAXPROCS) claim the
-// leaf table's morsels from a shared counter and hand each to their own
-// task — newTask builds one per worker over the worker's sink. The
-// interpreter's task runs the pipeline's closure cascade; the adaptive
-// executor's redirects to compiled code once that exists. A streaming
+// once for every engine, over a plan whose leaf is a table scan: workers
+// goroutines (0 = GOMAXPROCS) claim the table's morsels from a shared
+// counter and hand each to their own task — newTask builds one per worker
+// over the worker's sink. The interpreter's task runs the pipeline's
+// closure cascade; the adaptive executor's redirects to compiled code once
+// that exists; a JIT run is one worker over compiled code. A streaming
 // plan's rows reach emit one at a time; with a tail to run, the workers'
 // tuples are gathered and the tail runs over them single-threaded. Workers
-// stop claiming once emit returns false, a task fails or ctx.Context is
-// cancelled; every goroutine has exited when the call returns.
-func (mp *MorselPlan) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask func(out Sink) (MorselTask, error)) error {
+// stop claiming once emit returns false, the tuples a Limit at the cut asks
+// for are gathered, a task fails or ctx.Context is cancelled; every
+// goroutine has exited when the call returns.
+func (sp *Split) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask func(out Sink) (MorselTask, error)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tbl := ctx.E.Nodes()
-	if _, isRel := mp.Leaf.(*RelScan); isRel {
+	if _, isRel := sp.Ops[0].(*RelScan); isRel {
 		tbl = ctx.E.Rels()
 	}
 	nmorsels := MorselCount(tbl.MaxID(), tbl.ChunkCap())
 
 	// Streamed rows reach the caller's emit one at a time under emitMu.
 	// With a tail to run, each worker gathers its own tuples and the
-	// parts are joined once the workers are done: the tail sorts or
-	// aggregates, so their order carries no meaning.
-	streaming := len(mp.Tail) == 0
+	// parts are joined once the workers are done: the tail sorts,
+	// aggregates or cuts off, so their order carries no meaning. A Limit
+	// at the cut needs no more than its N tuples, whoever gathers them.
+	streaming := sp.Cut == len(sp.Ops)
+	var want int64
+	if !streaming {
+		if l, ok := sp.Ops[sp.Cut].(*Limit); ok {
+			want = int64(l.N)
+		}
+	}
+	var gathered atomic.Int64
 	var emitMu sync.Mutex
 	var stopped atomic.Bool
 	stream := func(t Tuple) (bool, error) {
@@ -424,6 +206,10 @@ func (mp *MorselPlan) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, new
 				var mine []Tuple
 				collect = func(t Tuple) (bool, error) {
 					mine = append(mine, append(Tuple(nil), t...))
+					if want > 0 && gathered.Add(1) >= want {
+						stopped.Store(true)
+						return false, nil
+					}
 					return true, nil
 				}
 				defer func() { parts[w] = mine }()
@@ -453,18 +239,18 @@ func (mp *MorselPlan) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, new
 	if streaming {
 		return nil
 	}
-	return mp.RunTail(ctx, slices.Concat(parts...), emit)
+	return sp.RunTail(ctx, slices.Concat(parts...), emit)
 }
 
 // RunParallelCtx executes the plan with morsel-driven parallelism: the
-// morsel loop over the interpreter's pipeline. Plans that cannot be
-// parallelized fall back to single-threaded interpretation. Result order
-// is nondeterministic across morsels. Once the context is cancelled the
-// in-flight morsels drain (the shared transaction observes the context
-// and aborts) and the call returns ctx.Err().
+// morsel loop over the interpreter's pipeline. A plan the workers may not
+// share (Split.Morsels) is one task, interpreted on the caller's goroutine.
+// Result order is nondeterministic across morsels. Once the context is
+// cancelled the in-flight morsels drain (the shared transaction observes
+// the context and aborts) and the call returns ctx.Err().
 func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
-	mp, ok := SplitForMorsels(pr.Plan)
-	if !ok {
+	sp := pr.Plan.Split()
+	if !sp.Morsels() {
 		return pr.RunCtx(cctx, tx, params, emit)
 	}
 	ctx, err := NewCtx(cctx, pr.E, tx, params)
@@ -473,9 +259,9 @@ func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Par
 	}
 	defer ctx.Detach()
 	ctx.linked = pr.linked
-	return mp.RunMorsels(ctx, workers, emit, func(out Sink) (MorselTask, error) {
+	return sp.RunMorsels(ctx, workers, emit, func(out Sink) (MorselTask, error) {
 		var morsel uint64
-		run, err := mp.PipelineRunner(ctx, &morsel, out)
+		run, err := sp.PipelineRunner(ctx, &morsel, out)
 		return func(m uint64) error { morsel = m; return run() }, err
 	})
 }

@@ -332,9 +332,9 @@ func (db *DB) CypherCtx(ctx context.Context, src string, params query.Params) ([
 }
 
 // CypherModeCtx is CypherCtx with an explicit execution mode. Read-only
-// statements may use any mode; updates run reliably under Interpret and
-// JIT. Cancellation aborts the statement's transaction, committing
-// nothing.
+// statements may use any mode; updates run compiled under JIT and on the
+// interpreter under every other mode (see executor in stmt.go). Cancellation
+// aborts the statement's transaction, committing nothing.
 func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params, mode ExecMode) (rows [][]any, err error) {
 	stmt, err := db.Prepare(src)
 	if err != nil {
@@ -350,29 +350,41 @@ func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params
 }
 
 // Explain describes how a plan would execute: its signature (the
-// compiled-code cache key), whether the JIT can compile it, and how the
-// morsel-driven executor would split it.
+// compiled-code cache key), the split into streaming pipeline and tail,
+// whether the JIT can compile it, and the executor each mode's statement
+// runs on (executor in stmt.go — the rule the runs themselves follow).
 //
 //poseidonlint:ignore ctx-threading synchronous diagnostic helper; the compile probe is bounded and usually a code-cache hit
 func (db *DB) Explain(plan *query.Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "signature: %s\n", plan.Signature())
-	if mp, ok := query.SplitPipeline(plan); ok {
-		fmt.Fprintf(&b, "pipeline:  %s\n", (&query.Plan{Root: mp.Pipeline}).Signature())
-		fmt.Fprintf(&b, "tail ops:  %d (materializing breaker and everything above it)\n", len(mp.Tail))
-	} else {
+	sp := plan.Split()
+	if sp.Join {
 		b.WriteString("pipeline:  not single-chain (join): interpreter only\n")
+	} else {
+		fmt.Fprintf(&b, "pipeline:  %s\n", (&query.Plan{Root: sp.Ops[sp.Cut-1]}).Signature())
+		fmt.Fprintf(&b, "tail ops:  %d (the operator that cuts the pipeline and everything above it)\n", len(sp.Ops)-sp.Cut)
 	}
-	if c, err := db.jit.CompileCtx(context.Background(), plan); err == nil {
+	c, err := db.jit.CompileCtx(context.Background(), plan)
+	if err == nil {
 		fmt.Fprintf(&b, "jit:       compiled in %v (cache hit: %v)\n", c.CompileTime, c.FromCache)
 	} else {
 		fmt.Fprintf(&b, "jit:       not compilable (%v)\n", err)
 	}
-	if _, ok := query.SplitForMorsels(plan); ok {
-		b.WriteString("parallel:  morsel-driven scan\n")
+	if sp.Morsels() {
+		b.WriteString("morsels:   morsel-driven scan\n")
 	} else {
-		b.WriteString("parallel:  single-threaded (point access or updates)\n")
+		b.WriteString("morsels:   none: one task (point access, updates or join)\n")
 	}
+	b.WriteString("executor: ")
+	for _, mode := range []ExecMode{Interpret, Parallel, JIT, Adaptive} {
+		ex := executor(mode, sp)
+		if mode == Adaptive && ex == JIT && err != nil {
+			ex = Interpret // runInner's fallback: the compiler said no
+		}
+		fmt.Fprintf(&b, " %s→%s", mode, ex)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }
 

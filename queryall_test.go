@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"poseidon/internal/core"
+	"poseidon/internal/jit"
 	"poseidon/internal/query"
 )
 
@@ -310,5 +311,121 @@ func TestExplainPipelineSignature(t *testing.T) {
 	out := db.Explain(plan)
 	if !strings.Contains(out, "signature: "+whole+"\n") || !strings.Contains(out, "pipeline:  "+inner+"\n") {
 		t.Fatalf("Explain does not print signature %q and pipeline %q:\n%s", whole, inner, out)
+	}
+}
+
+// TestLimitCountsOnceInEveryMode: a LIMIT over a scan of many morsels is
+// answered once — not once per worker or per morsel — in all four modes at
+// 1, 2 and 4 workers, through the cursor and QueryAll alike, and stops the
+// scan early: LIMIT 3 reads a prefix of the table, not the table.
+func TestLimitCountsOnceInEveryMode(t *testing.T) {
+	db := openTestDB(t, DRAM)
+	const people = 8000
+	seedPeople(t, db, people)
+	eng := db.Engine()
+	if m := query.MorselCount(eng.Nodes().MaxID(), eng.Nodes().ChunkCap()); m < 16 {
+		t.Fatalf("the table has %d morsels, the test needs at least 16", m)
+	}
+	ctx := context.Background()
+	deviceReads := func(run func()) uint64 {
+		before := db.Device().Stats.Snapshot().Reads
+		run()
+		return db.Device().Stats.Snapshot().Reads - before
+	}
+	whole := deviceReads(func() {
+		if rows, err := db.CypherCtx(ctx, `MATCH (p:Person) RETURN p.v`, nil); err != nil || len(rows) != people {
+			t.Fatalf("full scan: %d rows, err %v", len(rows), err)
+		}
+	})
+	for _, em := range allModes {
+		for _, workers := range []int{1, 2, 4} {
+			sess := db.NewSession(SessionConfig{Mode: em, Workers: workers})
+			for limit, want := range map[int]int{3: 3, 100: 100, people + 5: people} {
+				stmt := mustPrepare(t, db, fmt.Sprintf(`MATCH (p:Person) RETURN p.v LIMIT %d`, limit))
+				var all [][]any
+				reads := deviceReads(func() {
+					var err error
+					if all, err = sess.QueryAll(ctx, stmt, nil); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if len(all) != want {
+					t.Errorf("%v, %d workers: LIMIT %d returned %d rows, want %d", em, workers, limit, len(all), want)
+				}
+				// At most one morsel per worker is in flight when the third
+				// tuple arrives: a third of 16+ morsels at 4 workers.
+				if limit == 3 && reads > whole/2 {
+					t.Errorf("%v, %d workers: LIMIT 3 made %d device reads, the whole scan %d: the early stop is gone", em, workers, reads, whole)
+				}
+				rows, err := sess.Query(ctx, stmt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed := 0
+				for rows.Next() {
+					streamed++
+				}
+				if err := rows.Close(); err != nil || streamed != want {
+					t.Errorf("%v, %d workers: cursor over LIMIT %d: %d rows, err %v, want %d", em, workers, limit, streamed, err, want)
+				}
+			}
+			sess.Close()
+		}
+	}
+}
+
+// TestAdaptiveAnswersWhatInterpretAnswers: a join is nothing the compiler
+// handles. Interpret, Parallel and Adaptive answer it alike — Adaptive is
+// a superset of Interpret — and only the explicit JIT mode refuses; Explain
+// names the executor each mode's run picked.
+func TestAdaptiveAnswersWhatInterpretAnswers(t *testing.T) {
+	db := openTestDB(t, DRAM)
+	seedSocial(t, db)
+	join := &query.Plan{Root: &query.Project{
+		Input: &query.HashJoin{
+			Left:  &query.NodeScan{Label: "Person"},
+			Right: &query.NodeScan{Label: "Person"},
+			LKey:  &query.Prop{Col: 0, Key: "age"},
+			RKey:  &query.Prop{Col: 0, Key: "age"},
+		},
+		Cols: []query.Expr{&query.Prop{Col: 0, Key: "name"}, &query.Prop{Col: 1, Key: "name"}},
+	}}
+	stmt, err := db.PreparePlan(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]any
+	for _, em := range allModes {
+		sess := db.NewSession(SessionConfig{Mode: em})
+		got, err := sess.QueryAll(context.Background(), stmt, nil)
+		sess.Close()
+		if em == JIT {
+			if !errors.Is(err, jit.ErrUnsupported) {
+				t.Errorf("explicit JIT over a join: err = %v, want ErrUnsupported", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", em, err)
+		}
+		sort.Slice(got, func(i, j int) bool { return fmt.Sprint(got[i]) < fmt.Sprint(got[j]) })
+		if em == Interpret {
+			if want = got; len(want) != 3 {
+				t.Fatalf("the self-join on age returned %v, want one row per person", want)
+			}
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v returned %v, Interpret %v", em, got, want)
+		}
+	}
+	if out := db.Explain(join); !strings.Contains(out, "interpret→interpret parallel→interpret jit→jit adaptive→interpret") {
+		t.Errorf("Explain of a join names other executors:\n%s", out)
+	}
+	for src, executors := range map[string]string{
+		`MATCH (p:Person) RETURN p.name`:  "interpret→interpret parallel→parallel jit→jit adaptive→adaptive",
+		`MATCH (p:Person) SET p.seen = 1`: "interpret→interpret parallel→interpret jit→jit adaptive→interpret",
+	} {
+		if out, err := db.ExplainCypher(src); err != nil || !strings.Contains(out, executors) {
+			t.Errorf("Explain of %q: err %v, want executors %q in:\n%s", src, err, executors, out)
+		}
 	}
 }

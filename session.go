@@ -260,15 +260,9 @@ func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params)
 // result rows. On any error, including ctx cancellation, the
 // transaction is rolled back and nothing becomes visible.
 func (s *Session) Exec(ctx context.Context, stmt *Stmt, params query.Params) (int, error) {
-	mode := s.cfg.Mode
-	if mode == Parallel || mode == Adaptive {
-		// Morsel workers share one transaction; updates stay on the
-		// single-threaded interpreter for deterministic write ordering.
-		mode = Interpret
-	}
 	n := 0
 	err := s.implicit(ctx, "session.exec", true, func(cctx context.Context, tx *Tx) error {
-		err := stmt.run(cctx, tx, params, mode, s.cfg.Workers, func(query.Row) bool { n++; return true })
+		err := stmt.run(cctx, tx, params, s.cfg.Mode, s.cfg.Workers, func(query.Row) bool { n++; return true })
 		if err == nil {
 			trace.FromContext(cctx).SetAttr("rows_affected", int64(n))
 		}

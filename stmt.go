@@ -2,6 +2,7 @@ package poseidon
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -141,17 +142,31 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 	return err
 }
 
-// runInner dispatches to the mode's executor, returning the JIT cost
-// breakdown when one exists (zero for the interpreted modes).
+// executor is the one rule for who runs a plan under a mode; every
+// run and Explain read it. Interpret and JIT are taken at their word.
+// Parallel and Adaptive drive morsels, which takes a table scan to cut into
+// them and a plan the workers can share one transaction over
+// (query.Split.Morsels): updates are interpreted, single-threaded, for a
+// deterministic write order, and so is a join or a point read under
+// Parallel. Adaptive compiles a read it cannot drive by morsels — JIT, with
+// one difference: what the compiler rejects is interpreted (see runInner).
+func executor(mode ExecMode, sp *query.Split) ExecMode {
+	if (mode != Parallel && mode != Adaptive) || sp.Morsels() {
+		return mode
+	}
+	if mode == Adaptive && !sp.Updates && !sp.Join {
+		return JIT
+	}
+	return Interpret
+}
+
+// runInner dispatches to the statement's executor under mode, returning
+// the JIT cost breakdown when one exists (zero for the interpreted modes).
 func (s *Stmt) runInner(ctx context.Context, tx *Tx, params query.Params, mode ExecMode, workers int, emit func(query.Row) bool) (jit.RunStats, error) {
 	var st jit.RunStats
-	switch mode {
+	switch executor(mode, s.plan.Split()) {
 	case Interpret:
-		ectx, esp := trace.StartSpan(ctx, "query.interpret", trace.KindExec)
-		err := s.prepared.RunCtx(ectx, tx, params, emit)
-		esp.SetError(err)
-		esp.End()
-		return st, err
+		return st, s.interpret(ctx, tx, params, emit)
 	case Parallel:
 		ectx, esp := trace.StartSpan(ctx, "query.parallel", trace.KindExec)
 		err := s.prepared.RunParallelCtx(ectx, tx, params, workers, emit)
@@ -160,10 +175,24 @@ func (s *Stmt) runInner(ctx context.Context, tx *Tx, params query.Params, mode E
 		return st, err
 	case JIT:
 		// jit.RunCtx creates its own compile/exec spans from ctx.
-		return s.db.jit.RunCtx(ctx, tx, s.plan, params, emit)
+		st, err := s.db.jit.RunCtx(ctx, tx, s.plan, params, emit)
+		if mode == Adaptive && errors.Is(err, jit.ErrUnsupported) {
+			// Adaptive answers whatever Interpret answers. The compiler
+			// refuses before a row is emitted, so nothing runs twice.
+			return st, s.interpret(ctx, tx, params, emit)
+		}
+		return st, err
 	case Adaptive:
 		return s.db.jit.RunAdaptiveCtx(ctx, tx, s.plan, params, workers, emit)
 	default:
 		return st, fmt.Errorf("poseidon: unknown execution mode %d", mode)
 	}
+}
+
+func (s *Stmt) interpret(ctx context.Context, tx *Tx, params query.Params, emit func(query.Row) bool) error {
+	ectx, esp := trace.StartSpan(ctx, "query.interpret", trace.KindExec)
+	err := s.prepared.RunCtx(ectx, tx, params, emit)
+	esp.SetError(err)
+	esp.End()
+	return err
 }
