@@ -13,7 +13,8 @@ import (
 // schedules must keep every read path — Lookup, LookupFirst, Contains,
 // Range, Scan, Len — and the physical leaf chain (WalkLeaves) in exact
 // agreement with a map-based oracle, and the tree structurally sound
-// (CheckIntegrity) at every point.
+// (CheckIntegrity) at every point — including right after every arena
+// doubling.
 
 // treeOracle is the reference model: key -> set of ids.
 type treeOracle map[int64]map[uint64]bool
@@ -111,7 +112,9 @@ func verifyAgreement(t *testing.T, tree *Tree, o treeOracle, keySpace int64) {
 	}
 }
 
-func runAgreement(t *testing.T, kind Kind, seed int64, steps int) {
+// runAgreement runs steps random operations over keys [0, 40) and ids
+// [0, idSpace) and returns how often the tree's arena doubled.
+func runAgreement(t *testing.T, kind Kind, seed int64, steps int, idSpace int) int {
 	pool, dev := newPMemPool(t, 64<<20)
 	tree, err := Create(kind, pool, Options{})
 	if err != nil {
@@ -125,7 +128,8 @@ func runAgreement(t *testing.T, kind Kind, seed int64, steps int) {
 	bulk := !dev.StrictFlush()
 	o := treeOracle{}
 	rng := rand.New(rand.NewSource(seed))
-	const keySpace, idSpace = 40, 6
+	const keySpace = 40
+	arena, grows := tree.innerDev, 0
 
 	for i := 0; i < steps; i++ {
 		k := rng.Int63n(keySpace)
@@ -162,6 +166,8 @@ func runAgreement(t *testing.T, kind Kind, seed int64, steps int) {
 			if err != nil {
 				t.Fatal(err)
 			}
+		case kind == Volatile:
+			// A Volatile tree cannot be reopened.
 		default:
 			// Reopen from the persistent header; every insert and delete
 			// was persisted, so the oracle stays exact.
@@ -169,21 +175,34 @@ func runAgreement(t *testing.T, kind Kind, seed int64, steps int) {
 			if tree, err = Open(kind, pool, tree.Offset(), Options{}); err != nil {
 				t.Fatalf("step %d: reopen: %v", i, err)
 			}
+			arena = tree.innerDev
 		}
-		if (i+1)%150 == 0 {
+		if tree.innerDev != arena {
+			arena, grows = tree.innerDev, grows+1
+			verifyAgreement(t, tree, o, keySpace)
+		} else if (i+1)%(steps/6) == 0 {
 			verifyAgreement(t, tree, o, keySpace)
 		}
 	}
 	verifyAgreement(t, tree, o, keySpace)
 	tree.Close()
+	return grows
 }
 
 func TestTreeAgreementRandomized(t *testing.T) {
-	for _, kind := range []Kind{Hybrid, Persistent} {
+	for _, kind := range []Kind{Volatile, Hybrid, Persistent} {
 		t.Run(kind.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					runAgreement(t, kind, seed, 900)
+					if kind != Volatile {
+						runAgreement(t, kind, seed, 900, 6)
+						return
+					}
+					// Thousands of live entries: the arena holding every
+					// node doubles at least three times from its first size.
+					if grows := runAgreement(t, kind, seed, 6000, 400); grows < 3 {
+						t.Fatalf("arena doubled %d times, want at least 3", grows)
+					}
 				})
 			}
 		})

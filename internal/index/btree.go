@@ -23,6 +23,7 @@
 package index
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -70,6 +71,7 @@ var ErrDeltaImage = errors.New("index: image uses the removed delta layer; rebui
 // the 512-byte allocator class together with the 64-byte block header.
 const (
 	nodeBytes = 448
+	nodeBlock = 512 // nodeBytes plus the allocator's 64-byte block header
 
 	// Leaf layout.
 	lfNext    = 0  // next leaf offset (0 = end of chain)
@@ -128,7 +130,7 @@ type Tree struct {
 	durable  bool // flush leaf writes
 
 	// Inner nodes live here: same as leafPool for Persistent, a private
-	// DRAM pool otherwise.
+	// DRAM pool (the arena) otherwise. grow swaps both under mu.
 	innerPool *pmemobj.Pool
 	innerDev  *pmem.Device
 
@@ -142,21 +144,24 @@ type Tree struct {
 	// bulkLeaves, when non-nil, collects leaf offsets persistLeaf would
 	// have flushed so InsertMany can persist each touched leaf once.
 	bulkLeaves map[uint64]struct{}
+
+	closed bool // Close ran: a grown arena stays out of the pool registry
 }
 
 // Options configures tree creation. It has no settings.
 type Options struct{}
 
-// Sizes of a tree's private DRAM pool: a Hybrid tree keeps its inner
-// nodes there, a Volatile tree every node.
-const (
-	hybridArenaBytes   = 8 << 20
-	volatileArenaBytes = 64 << 20
-)
+// A tree's arena — the private DRAM pool holding a Hybrid tree's inner
+// nodes and a Volatile tree's every node — is sized by use: Create starts
+// it at minArenaBytes, Open at twice what the rebuilt inner levels take,
+// and alloc doubles a full one. Nothing but Alloc's own transaction logs
+// there, which snapshots at most a free-list head and a block header.
+const minArenaBytes = 64 << 10
 
-func newInnerPool(size int) (*pmemobj.Pool, error) {
+func newArena(size int) (*pmemobj.Pool, error) {
 	dev := pmem.New(pmem.Config{Name: "index-dram", Size: size})
-	return pmemobj.Create(dev, pmemobj.Options{})
+	logCap := pmemobj.LogHeaderBytes + pmemobj.SnapshotCost(8) + pmemobj.SnapshotCost(64)
+	return pmemobj.Create(dev, pmemobj.Options{LogCap: logCap})
 }
 
 // Create builds an empty tree. For Hybrid and Persistent kinds, leaves
@@ -165,19 +170,15 @@ func newInnerPool(size int) (*pmemobj.Pool, error) {
 func Create(kind Kind, pool *pmemobj.Pool, opts Options) (*Tree, error) {
 	t := &Tree{kind: kind}
 	switch kind {
-	case Volatile:
-		p, err := newInnerPool(volatileArenaBytes)
+	case Volatile, Hybrid:
+		p, err := newArena(minArenaBytes)
 		if err != nil {
 			return nil, err
 		}
 		t.leafPool, t.innerPool = p, p
-	case Hybrid:
-		p, err := newInnerPool(hybridArenaBytes)
-		if err != nil {
-			return nil, err
+		if kind == Hybrid {
+			t.leafPool, t.durable = pool, true
 		}
-		t.leafPool, t.innerPool = pool, p
-		t.durable = true
 	case Persistent:
 		t.leafPool, t.innerPool = pool, pool
 		t.durable = true
@@ -187,7 +188,7 @@ func Create(kind Kind, pool *pmemobj.Pool, opts Options) (*Tree, error) {
 	t.leafDev = t.leafPool.Device()
 	t.innerDev = t.innerPool.Device()
 
-	leaf, err := t.leafPool.Alloc(nodeBytes)
+	leaf, err := t.alloc(t.leafPool)
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +238,6 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 		t.height = int(d.ReadU64(hdr + ihHeight))
 		t.count = t.countLeafChain()
 	case Hybrid:
-		p, err := newInnerPool(hybridArenaBytes)
-		if err != nil {
-			return nil, err
-		}
-		t.innerPool, t.innerDev = p, p.Device()
 		if err := t.rebuildInner(); err != nil {
 			return nil, err
 		}
@@ -249,15 +245,61 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 	return t, nil
 }
 
-// Close unregisters the tree's private DRAM pool (a Hybrid tree's inner
-// nodes, a Volatile tree's everything) so a dropped tree's arena can be
-// collected. The shared leaf pool belongs to the caller and is never
-// closed. Idempotent; the tree itself stays usable, so readers still
-// holding it are unaffected.
+// Close unregisters the tree's arena (a Hybrid tree's inner nodes, a
+// Volatile tree's everything) so a dropped tree's arena can be collected.
+// The shared leaf pool belongs to the caller and is never closed.
+// Idempotent; the tree itself stays usable, so readers still holding it
+// are unaffected.
 func (t *Tree) Close() {
-	if t.kind != Persistent {
-		t.innerPool.Close()
+	if t.kind == Persistent {
+		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	t.innerPool.Close()
+}
+
+// alloc allocates a node in p, first doubling the arena if p is the
+// arena and full. The caller holds t.mu for writing or owns t alone.
+func (t *Tree) alloc(p *pmemobj.Pool) (uint64, error) {
+	off, err := p.Alloc(nodeBytes)
+	if t.kind == Persistent || p != t.innerPool || !errors.Is(err, pmemobj.ErrOutOfMemory) {
+		return off, err
+	}
+	if err := t.grow(); err != nil {
+		return 0, fmt.Errorf("index: doubling the DRAM arena: %w", err)
+	}
+	return t.innerPool.Alloc(nodeBytes)
+}
+
+// grow copies the arena into a device twice its size and re-attaches the
+// copy in its place. Offsets survive the copy, so a split's remembered
+// path stays valid, and readers (under t.mu.RLock) never see the swap.
+// The copy keeps the pool's UUID, so it replaces the old pool in the
+// pmemobj registry — or stays out of it once the tree is closed.
+func (t *Tree) grow() error {
+	var img bytes.Buffer
+	img.Grow(t.innerDev.Size() + 16)
+	if err := t.innerDev.Save(&img); err != nil {
+		return err
+	}
+	dev := pmem.New(pmem.Config{Name: t.innerDev.Name(), Size: 2 * t.innerDev.Size()})
+	if err := dev.Load(&img); err != nil {
+		return err
+	}
+	p, err := pmemobj.Open(dev)
+	if err != nil {
+		return err
+	}
+	if t.closed {
+		p.Close()
+	}
+	if t.leafPool == t.innerPool {
+		t.leafPool, t.leafDev = p, dev
+	}
+	t.innerPool, t.innerDev = p, dev
+	return nil
 }
 
 // Offset returns the persistent header offset (0 for volatile trees).
@@ -520,7 +562,7 @@ func (t *Tree) insertLocked(e entry) error {
 	// Split the leaf: move the upper half to a fresh right sibling. The
 	// new leaf is fully persisted before the old leaf links to it, so a
 	// crash can only leak the new block, never break the chain.
-	right, err := t.leafPool.Alloc(nodeBytes)
+	right, err := t.alloc(t.leafPool)
 	if err != nil {
 		return err
 	}
@@ -611,7 +653,7 @@ func (t *Tree) insertUpward(path []pathEnt, sep entry, right uint64) error {
 			return nil
 		}
 		// Split the inner node around its middle separator, which moves up.
-		newRight, err := t.innerPool.Alloc(nodeBytes)
+		newRight, err := t.alloc(t.innerPool)
 		if err != nil {
 			return err
 		}
@@ -649,7 +691,7 @@ func (t *Tree) insertUpward(path []pathEnt, sep entry, right uint64) error {
 	}
 
 	// Root split: grow the tree by one level.
-	newRoot, err := t.innerPool.Alloc(nodeBytes)
+	newRoot, err := t.alloc(t.innerPool)
 	if err != nil {
 		return err
 	}
@@ -709,8 +751,9 @@ func (t *Tree) countLeafChain() uint64 {
 }
 
 // rebuildInner reconstructs the DRAM inner levels of a Hybrid tree from
-// the persistent leaf chain — the §7.4 recovery path. Complexity is one
-// sequential pass over the leaves plus O(#leaves) DRAM work.
+// the persistent leaf chain into a fresh arena sized from the leaf count
+// — the §7.4 recovery path. Complexity is one sequential pass over the
+// leaves plus O(#leaves) DRAM work.
 //
 //pmem:deferred-flush Hybrid-only recovery path: innerDev is the volatile DRAM pool, so flushing is meaningless
 func (t *Tree) rebuildInner() error {
@@ -734,6 +777,19 @@ func (t *Tree) rebuildInner() error {
 		leaf = t.leafNext(leaf)
 	}
 	t.count = c
+	nodes := 0
+	for n := len(level); n > 1; nodes += n {
+		n = (n + innerCap) / (innerCap + 1) // the level above n nodes
+	}
+	size := minArenaBytes
+	for size < 2*nodes*nodeBlock {
+		size *= 2
+	}
+	p, err := newArena(size)
+	if err != nil {
+		return err
+	}
+	t.innerPool, t.innerDev = p, p.Device()
 	if len(level) == 0 {
 		// All leaves empty: point the root at the first leaf.
 		t.root = first
@@ -752,7 +808,7 @@ func (t *Tree) rebuildInner() error {
 				end = len(level)
 			}
 			group := level[i:end]
-			node, err := t.innerPool.Alloc(nodeBytes)
+			node, err := t.alloc(t.innerPool)
 			if err != nil {
 				return err
 			}
