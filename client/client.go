@@ -115,8 +115,9 @@ func Dial(addr string, opts Options) (*Conn, error) {
 }
 
 func (c *Conn) handshakeHello() error {
-	// Preference order: v2 (trace metadata) first, v1 for old servers.
-	if err := wire.WriteClientHandshake(c.bw, wire.Version2, wire.Version1); err != nil {
+	// Preference order: v3 (pull-all RUN) first, then v2 (trace
+	// metadata), v1 for old servers.
+	if err := wire.WriteClientHandshake(c.bw, wire.Version3, wire.Version2, wire.Version1); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -258,8 +259,8 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	return &Stmt{ID: uint32(id), HasUpdates: upd, text: text}, nil
 }
 
-// run issues RUN and returns its SUCCESS metadata.
-func (c *Conn) run(stmt *Stmt, text string, params map[string]any) (map[string]any, error) {
+// newRun builds one RUN and roots its client span.
+func (c *Conn) newRun(stmt *Stmt, text string, params map[string]any) (*wire.Run, *trace.Span) {
 	r := &wire.Run{Text: text, Params: params, Mode: wire.ModeDefault}
 	if stmt != nil {
 		r.StmtID = stmt.ID
@@ -273,10 +274,59 @@ func (c *Conn) run(stmt *Stmt, text string, params map[string]any) (map[string]a
 			sp.SetAttr("text", stmt.text)
 		}
 	}
+	return r, sp
+}
+
+// run issues RUN and returns its SUCCESS metadata.
+func (c *Conn) run(stmt *Stmt, text string, params map[string]any) (map[string]any, error) {
+	r, sp := c.newRun(stmt, text, params)
 	meta, err := c.request(r)
 	sp.SetError(err)
 	sp.End()
 	return meta, err
+}
+
+// statement runs one statement to completion and returns its records and
+// the metadata of the SUCCESS that ended it. Against a Version3 server
+// that is one exchange: a pull-all RUN, answered by the records and the
+// final SUCCESS. Older servers answer RUN with SUCCESS{streaming} and the
+// records take a PULL(-1) of their own.
+func (c *Conn) statement(stmt *Stmt, text string, params map[string]any) (rows [][]any, meta map[string]any, err error) {
+	r, sp := c.newRun(stmt, text, params)
+	if c.version >= wire.Version3 {
+		r.PullAll = true
+		if err = c.send(r); err == nil {
+			rows, meta, err = c.result()
+		}
+	} else if meta, err = c.request(r); err == nil {
+		if streaming, _ := meta["streaming"].(bool); streaming {
+			rows, err = c.pullAll()
+		}
+	}
+	sp.SetError(err)
+	sp.End()
+	return rows, meta, err
+}
+
+// result reads RECORDs until the SUCCESS that ends a result, returning
+// the records and that SUCCESS's metadata.
+func (c *Conn) result() ([][]any, map[string]any, error) {
+	var rows [][]any
+	for {
+		m, err := c.recv()
+		if err != nil {
+			return nil, nil, err
+		}
+		switch t := m.(type) {
+		case *wire.Record:
+			rows = append(rows, t.Values)
+		case *wire.Success:
+			return rows, t.Meta, nil
+		default:
+			c.broken = true
+			return nil, nil, fmt.Errorf("client: unexpected %s in result stream", wire.MsgName(m.Type()))
+		}
+	}
 }
 
 // pullAll drains the open result with PULL(-1).
@@ -284,28 +334,16 @@ func (c *Conn) pullAll() ([][]any, error) {
 	if err := c.send(&wire.Pull{N: -1}); err != nil {
 		return nil, err
 	}
-	var rows [][]any
-	for {
-		m, err := c.recv()
-		if err != nil {
-			return nil, err
-		}
-		switch t := m.(type) {
-		case *wire.Record:
-			rows = append(rows, t.Values)
-		case *wire.Success:
-			return rows, nil
-		default:
-			c.broken = true
-			return nil, fmt.Errorf("client: unexpected %s in result stream", wire.MsgName(m.Type()))
-		}
-	}
+	rows, _, err := c.result()
+	return rows, err
 }
 
 // Run starts a streaming statement by text without pulling any
 // records: the server holds an admission slot until PullAll or a
-// DISCARD/RESET releases it. Most callers want Query/QueryText; Run
-// exists for callers that interleave pulling with other work.
+// DISCARD/RESET releases it. It is the one call that keeps a result open
+// on the server; Query/QueryText/Exec/ExecText take one exchange per
+// statement. Run exists for callers that interleave pulling with other
+// work.
 func (c *Conn) Run(text string, params map[string]any) error {
 	meta, err := c.run(nil, text, params)
 	if err != nil {
@@ -322,29 +360,16 @@ func (c *Conn) PullAll() ([][]any, error) { return c.pullAll() }
 
 // Query runs a prepared read statement and returns all rows. Inside an
 // explicit transaction the statement observes the transaction's
-// uncommitted effects.
+// uncommitted effects. An update in auto-commit returns no rows.
 func (c *Conn) Query(stmt *Stmt, params map[string]any) ([][]any, error) {
-	meta, err := c.run(stmt, "", params)
-	if err != nil {
-		return nil, err
-	}
-	if streaming, _ := meta["streaming"].(bool); !streaming {
-		// Update statement in auto-commit: no result to pull.
-		return nil, nil
-	}
-	return c.pullAll()
+	rows, _, err := c.statement(stmt, "", params)
+	return rows, err
 }
 
 // QueryText is Query for one-shot statement text (no PREPARE).
 func (c *Conn) QueryText(text string, params map[string]any) ([][]any, error) {
-	meta, err := c.run(nil, text, params)
-	if err != nil {
-		return nil, err
-	}
-	if streaming, _ := meta["streaming"].(bool); !streaming {
-		return nil, nil
-	}
-	return c.pullAll()
+	rows, _, err := c.statement(nil, text, params)
+	return rows, err
 }
 
 // Exec runs a prepared statement for effect. Outside a transaction an
@@ -352,36 +377,24 @@ func (c *Conn) QueryText(text string, params map[string]any) ([][]any, error) {
 // one (or for a read statement) the result is drained and its row
 // count returned.
 func (c *Conn) Exec(stmt *Stmt, params map[string]any) (int64, error) {
-	meta, err := c.run(stmt, "", params)
-	if err != nil {
-		return 0, err
-	}
-	if streaming, _ := meta["streaming"].(bool); streaming {
-		rows, err := c.pullAll()
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
-	}
-	n, _ := meta["rows_affected"].(int64)
-	return n, nil
+	return affected(c.statement(stmt, "", params))
 }
 
 // ExecText is Exec for one-shot statement text (no PREPARE).
 func (c *Conn) ExecText(text string, params map[string]any) (int64, error) {
-	meta, err := c.run(nil, text, params)
+	return affected(c.statement(nil, text, params))
+}
+
+// affected is Exec's count: an auto-committed update reports its rows
+// affected, anything else the records it returned.
+func affected(rows [][]any, meta map[string]any, err error) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if streaming, _ := meta["streaming"].(bool); streaming {
-		rows, err := c.pullAll()
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
+	if n, ok := meta["rows_affected"].(int64); ok {
+		return n, nil
 	}
-	n, _ := meta["rows_affected"].(int64)
-	return n, nil
+	return int64(len(rows)), nil
 }
 
 // Sys runs a "sys:<name>" introspection statement and returns its

@@ -13,8 +13,11 @@
 // With -trace every request carries a propagated trace ID; the report
 // lists the top-5 slowest ops per class with their IDs (look them up at
 // the server's /debug/traces or via "sys:trace:<id>") and verifies the
-// server can still export them, counting trace_export_failures in the
-// error taxonomy.
+// server can still export them after the run, counting
+// trace_export_failures in the error taxonomy. The server pins only
+// traces that were slow on its side of the connection; an op that was
+// slow on the client's side alone is kept only while ring churn spares
+// it.
 //
 // Closed loop by default: each client issues its next request as soon
 // as the previous one completes; -think inserts an exponentially

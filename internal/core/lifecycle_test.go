@@ -53,9 +53,10 @@ func heapInuse() uint64 {
 	return ms.HeapInuse
 }
 
-// Every hybrid shard tree owns a private 8 MiB DRAM pool for its inner
-// nodes, registered with pmemobj; Close must hand them back, or each
-// closed engine pins them for the life of the process.
+// Every hybrid shard tree owns a private DRAM arena for its inner nodes —
+// 64 KiB at creation, doubled as the tree grows — registered with
+// pmemobj; Close must hand them back, or each closed engine pins them for
+// the life of the process.
 func TestCloseReleasesIndexPools(t *testing.T) {
 	const engines, poolSize = 20, 16 << 20
 	basePools, baseHeap := pmemobj.Registered(), heapInuse()
@@ -74,9 +75,10 @@ func TestCloseReleasesIndexPools(t *testing.T) {
 	if got := pmemobj.Registered(); got != basePools {
 		t.Errorf("%d pools registered after closing %d engines, want the baseline %d", got, engines, basePools)
 	}
-	// One engine is its device plus two inner-node pools; twenty leaked
-	// pool pairs are five times that.
-	const oneEngine = poolSize + 2*(8<<20)
+	// One engine is its device plus two 64 KiB inner-node arenas (four
+	// people never grow them); twenty leaked engines are ten times the
+	// bound.
+	const oneEngine = poolSize + 2*(64<<10)
 	if grown := int64(heapInuse()) - int64(baseHeap); grown > 2*oneEngine {
 		t.Errorf("heap in use grew by %d MiB over %d closed engines, want at most one engine's worth (%d MiB)",
 			grown>>20, engines, oneEngine>>20)

@@ -54,6 +54,9 @@ type conn struct {
 	nextStmt uint32
 	helloed  bool
 
+	// writeRecord writes one RECORD frame; built once per connection.
+	writeRecord func([]any) error
+
 	// version is the wire version the handshake negotiated.
 	version uint32
 	// wireSpan is the server.run root span of the currently streaming
@@ -71,7 +74,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		base = context.Background()
 	}
 	ctx, cancel := context.WithCancel(base)
-	return &conn{
+	c := &conn{
 		srv:     s,
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, 16<<10),
@@ -81,6 +84,10 @@ func newConn(s *Server, nc net.Conn) *conn {
 		defMode: s.cfg.Mode,
 		stmts:   make(map[uint32]*poseidon.Stmt),
 	}
+	c.writeRecord = func(vals []any) error {
+		return wire.WriteMessage(c.bw, &wire.Record{Values: vals})
+	}
+	return c
 }
 
 // shutdown force-closes the connection from the drain path.
@@ -353,6 +360,14 @@ func (c *conn) handleRun(r *wire.Run) bool {
 	//poseidonlint:ignore lifecycle sessFor caches the session per connection; conn.Close releases all four (one per mode, created lazily)
 	sess := c.sessFor(mode)
 	params := query.Params(r.Params)
+	if r.PullAll {
+		// The whole response is written under the statement deadline and
+		// flushed before the deadline is lifted: a client that stops
+		// reading is cut off — and its admission slot freed — when its
+		// statement would have timed out.
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.StmtTimeout))
+		defer c.nc.SetWriteDeadline(time.Time{})
+	}
 
 	// Inside an explicit transaction every statement — reads and
 	// updates alike — joins it; committing stays with the client.
@@ -366,11 +381,15 @@ func (c *conn) handleRun(r *wire.Run) bool {
 		}
 		c.rows = rows
 		c.wireSpan = rspan
+		if r.PullAll {
+			return c.handlePull(&wire.Pull{N: -1}) && c.bw.Flush() == nil
+		}
 		return c.reply(&wire.Success{Meta: map[string]any{"streaming": true}})
 	}
 
 	// Auto-commit: updates run to completion and commit before the
-	// SUCCESS; reads open a streaming result the client PULLs.
+	// SUCCESS; a pull-all read streams its records from this goroutine;
+	// any other read opens a result the client PULLs.
 	if stmt.Plan().HasUpdates() {
 		n, err := sess.Exec(ctx, stmt, params)
 		c.srv.release()
@@ -383,6 +402,9 @@ func (c *conn) handleRun(r *wire.Run) bool {
 			"rows_affected": int64(n),
 			"committed":     true,
 		}})
+	}
+	if r.PullAll {
+		return c.queryEach(ctx, sess, stmt, params, rspan)
 	}
 	rows, err := sess.Query(ctx, stmt, params)
 	if err != nil {
@@ -397,6 +419,28 @@ func (c *conn) handleRun(r *wire.Run) bool {
 	c.wireSpan = rspan
 	return c.reply(&wire.Success{Meta: map[string]any{"streaming": true}})
 }
+
+// queryEach answers a pull-all auto-commit read on the connection
+// goroutine: each record goes straight into the connection's buffered
+// writer as the statement produces it — TCP backpressure, not a cursor,
+// bounds what the server holds — and the SUCCESS or ERROR that ends the
+// result follows. The wire span stays open until that frame is flushed.
+func (c *conn) queryEach(ctx context.Context, sess *poseidon.Session, stmt *poseidon.Stmt, params query.Params, rspan *trace.Span) bool {
+	err := sess.QueryEach(ctx, stmt, params, c.writeRecord)
+	c.srv.release()
+	rspan.SetError(err)
+	defer rspan.End()
+	final := wire.Message(resultDone)
+	if err != nil {
+		final = errorFrame(err)
+	}
+	// After a failed write the writer's error is sticky: the final frame
+	// fails too and the connection closes.
+	return c.reply(final) && c.bw.Flush() == nil
+}
+
+// resultDone is the SUCCESS that ends an exhausted result.
+var resultDone = &wire.Success{Meta: map[string]any{"has_more": false}}
 
 // handleSys serves the sys:* introspection statements added alongside
 // protocol v2 (plain RUN text, so they work over v1 framing too).
@@ -477,7 +521,7 @@ func (c *conn) handlePull(p *wire.Pull) bool {
 			if err != nil {
 				return c.reply(errorFrame(err))
 			}
-			return c.reply(&wire.Success{Meta: map[string]any{"has_more": false}})
+			return c.reply(resultDone)
 		}
 		vals, err := c.rows.Values()
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,10 @@ type Server struct {
 
 	draining atomic.Bool
 
+	// ldbcPlans holds every "ldbc:" statement's plan, built in New and
+	// read-only after.
+	ldbcPlans map[ldbcName]*query.Plan
+
 	mu        sync.Mutex
 	closed    bool
 	listeners map[net.Listener]struct{}
@@ -115,12 +120,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: Config.DB is required")
 	}
 	cfg.fill()
+	plans, err := buildLDBCPlans()
+	if err != nil {
+		return nil, err
+	}
 	return &Server{
 		cfg:       cfg,
 		db:        cfg.DB,
 		tel:       cfg.DB.RegisterServer(cfg.Version, wire.RequestNames()),
 		slots:     make(chan struct{}, cfg.MaxInflight),
 		waiters:   make(chan struct{}, cfg.MaxQueue),
+		ldbcPlans: plans,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}, nil
@@ -233,7 +243,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // admit takes an in-flight slot, waiting up to QueueTimeout in the
 // bounded queue; beyond either bound the request is shed with
 // errQueueFull. A successful admit registers with the drain barrier.
+// Every call's wait, admitted or shed, is observed in
+// poseidon_admission_wait_seconds.
 func (s *Server) admit(ctx context.Context) error {
+	start := time.Now()
+	defer func() { s.tel.AdmissionWait.ObserveDuration(time.Since(start)) }()
 	acquired := false
 	select {
 	case s.slots <- struct{}{}:
@@ -286,9 +300,11 @@ func (s *Server) release() {
 // workload statement served from the built-in plan registry (the
 // LDBC SR/IU queries are algebra plans, not Cypher — exposing them by
 // name is what lets remote load harnesses drive the paper's workload).
+// Either way the statement comes from the DB's prepared-statement
+// cache, which CreateIndex purges.
 func (s *Server) prepare(text string) (*poseidon.Stmt, error) {
 	if name, ok := strings.CutPrefix(text, "ldbc:"); ok {
-		plan, err := ldbcPlan(name)
+		plan, err := s.ldbcPlan(name)
 		if err != nil {
 			return nil, err
 		}
@@ -297,39 +313,48 @@ func (s *Server) prepare(text string) (*poseidon.Stmt, error) {
 	return s.db.Prepare(text)
 }
 
-// ldbcPlan parses "sr1", "sr2-post", "iu6" style workload names.
-func ldbcPlan(name string) (*query.Plan, error) {
-	kind, rest := "", ""
-	switch {
-	case strings.HasPrefix(name, "sr"):
-		kind, rest = "sr", name[2:]
-	case strings.HasPrefix(name, "iu"):
-		kind, rest = "iu", name[2:]
-	default:
-		return nil, fmt.Errorf("unknown ldbc statement %q (want sr<N>[-post|-cmt] or iu<N>)", name)
-	}
-	num, variant := rest, ""
-	if i := strings.IndexByte(rest, '-'); i >= 0 {
-		num, variant = rest[:i], rest[i+1:]
-	}
-	if variant != "" && variant != "post" && variant != "cmt" {
-		return nil, fmt.Errorf("unknown ldbc variant %q", variant)
-	}
-	n := 0
-	for _, ch := range num {
-		if ch < '0' || ch > '9' {
-			return nil, fmt.Errorf("bad ldbc query number %q", num)
+// ldbcName is a parsed workload statement name. Plans are keyed by it,
+// not by the text, so "sr01" and "sr1" name the same plan.
+type ldbcName struct {
+	iu bool
+	q  ldbc.QueryID
+}
+
+// buildLDBCPlans builds the plan of every statement in the workload
+// registry (ldbc.SRQueries and ldbc.IUQueries).
+func buildLDBCPlans() (map[ldbcName]*query.Plan, error) {
+	plans := make(map[ldbcName]*query.Plan)
+	for _, q := range ldbc.SRQueries() {
+		plan, err := ldbc.SRPlan(q, true)
+		if err != nil {
+			return nil, err
 		}
-		n = n*10 + int(ch-'0')
+		plans[ldbcName{q: q}] = plan
 	}
-	q := ldbc.QueryID{Num: n, Variant: variant}
-	if kind == "sr" {
-		return ldbc.SRPlan(q, true)
+	for _, q := range ldbc.IUQueries() {
+		plan, err := ldbc.IUPlan(q, true)
+		if err != nil {
+			return nil, err
+		}
+		plans[ldbcName{iu: true, q: q}] = plan
 	}
-	if variant != "" {
-		return nil, fmt.Errorf("iu statements have no variant")
+	return plans, nil
+}
+
+// ldbcPlan returns the registry plan of a workload statement name:
+// "sr1", "sr2-post", "iu6", …
+func (s *Server) ldbcPlan(name string) (*query.Plan, error) {
+	rest, sr := strings.CutPrefix(name, "sr")
+	iu := false
+	if !sr {
+		rest, iu = strings.CutPrefix(name, "iu")
 	}
-	return ldbc.IUPlan(q, true)
+	num, variant, _ := strings.Cut(rest, "-")
+	n, err := strconv.Atoi(num)
+	if plan := s.ldbcPlans[ldbcName{iu: iu, q: ldbc.QueryID{Num: n, Variant: variant}}]; (sr || iu) && err == nil && plan != nil {
+		return plan, nil
+	}
+	return nil, fmt.Errorf("unknown ldbc statement %q (want sr<N>[-post|-cmt] or iu<N>)", name)
 }
 
 // errorFrame maps an execution error to its wire ERROR frame.

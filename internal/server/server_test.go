@@ -232,6 +232,18 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if n := db.Metrics().Values["poseidon_admission_rejects"]; n == 0 {
 		t.Fatal("poseidon_admission_rejects not counted")
 	}
+	// The shed RUN waited out QueueTimeout: one wait observation lies
+	// above every bucket bound below it.
+	wait := db.Metrics().Histograms["poseidon_admission_wait_seconds"]
+	var below uint64
+	for _, b := range wait.Buckets {
+		if b.UpperBound < (30 * time.Millisecond).Seconds() {
+			below = b.Count
+		}
+	}
+	if wait.Count-below == 0 {
+		t.Fatalf("no admission wait observed at or above QueueTimeout: %+v", wait)
+	}
 
 	// Releasing the slot un-wedges admission.
 	if _, err := holder.PullAll(); err != nil {
@@ -412,8 +424,10 @@ func TestConflictMapsToConflictCode(t *testing.T) {
 	}
 }
 
-// TestServerMetricsSurface checks the per-message latency histograms
-// and gauges appear in DB.Metrics after traffic.
+// TestServerMetricsSurface checks the per-message latency histograms,
+// the admission wait histogram and the gauges appear in DB.Metrics after
+// traffic: a one-exchange QueryText, and a held cursor pulled with
+// PullAll.
 func TestServerMetricsSurface(t *testing.T) {
 	db, _, addr := startServer(t, Config{})
 	seedOne(t, db)
@@ -421,9 +435,19 @@ func TestServerMetricsSurface(t *testing.T) {
 	if _, err := c.QueryText(`MATCH (p:Person) RETURN p.name`, nil); err != nil {
 		t.Fatal(err)
 	}
+	if m := db.Metrics(); m.Histograms[`poseidon_server_message_seconds{type="pull"}`].Count != 0 {
+		t.Fatal("a QueryText against a Version3 server sent a PULL")
+	}
+	holdSlot(t, c)
+	if _, err := c.PullAll(); err != nil {
+		t.Fatal(err)
+	}
 	m := db.Metrics()
 	if _, ok := m.Values["poseidon_conns_open"]; !ok {
 		t.Fatal("Metrics() misses the series RegisterServer registered")
+	}
+	if h := m.Histograms["poseidon_admission_wait_seconds"]; h.Count != 2 {
+		t.Errorf("admission wait observed %d times for two RUNs", h.Count)
 	}
 	for _, typ := range []string{"hello", "run", "pull"} {
 		h, ok := m.Histograms[`poseidon_server_message_seconds{type="`+typ+`"}`]

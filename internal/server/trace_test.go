@@ -61,10 +61,10 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v != wire.Version2 {
-		t.Fatalf("negotiated version = %d, want %d", v, wire.Version2)
+	if v := c.ProtocolVersion(); v != wire.LatestVersion {
+		t.Fatalf("negotiated version = %d, want %d", v, wire.LatestVersion)
 	}
-	if p, _ := c.ServerInfo()["protocol"].(int64); p != int64(wire.Version2) {
+	if p, _ := c.ServerInfo()["protocol"].(int64); p != int64(wire.LatestVersion) {
 		t.Fatalf("HELLO protocol meta = %v", c.ServerInfo()["protocol"])
 	}
 
@@ -119,7 +119,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Error("no core.commit span in propagated trace")
 	}
 
-	// A streaming read seals its trace when the result is drained.
+	// A one-exchange read seals its trace once its last frame is written.
 	if _, err := c.QueryText(`MATCH (p:Person) RETURN p.name`, nil); err != nil {
 		t.Fatal(err)
 	}

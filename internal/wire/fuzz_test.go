@@ -17,6 +17,8 @@ func seedFrames() [][]byte {
 		&Run{StmtID: 1, Mode: ModeDefault, Params: map[string]any{"id": int64(7), "s": "x"}},
 		&Run{Text: "ldbc:iu2", Params: map[string]any{"nested": []any{map[string]any{"k": int64(1)}}}},
 		&Run{StmtID: 2, Mode: 1, Params: map[string]any{}, Trace: &TraceContext{TraceID: 0xdeadbeef, SpanID: 0xcafe}},
+		&Run{Text: "ldbc:sr2-post", Mode: ModeDefault, Params: map[string]any{"id": int64(9)}, PullAll: true},
+		&Run{StmtID: 3, Mode: 2, Params: map[string]any{}, Trace: &TraceContext{TraceID: 1, SpanID: 2}, PullAll: true},
 		&Pull{N: -1},
 		&Discard{}, &Begin{}, &Commit{}, &Rollback{}, &Reset{}, &Goodbye{},
 		&Success{Meta: map[string]any{"has_more": true, "rows_affected": int64(3)}},
@@ -67,6 +69,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	// well-formed HELLO base.
 	f.Add(frameWith(MsgHello, append(helloBase("h"), 0x7F)))
 	f.Add(frameWith(MsgHello, append(helloBase("h"), metaTagTrace, 0x01, 0x02)))
+	// Hostile RUN metadata: a repeated pull-all entry, and pull-all ahead
+	// of the trace entry.
+	runBase, err := (&Run{StmtID: 1, Params: map[string]any{}}).encodeBody(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frameWith(MsgRun, append(append([]byte{}, runBase...), metaTagPullAll, metaTagPullAll)))
+	f.Add(frameWith(MsgRun, appendTraceMeta(append(append([]byte{}, runBase...), metaTagPullAll), &TraceContext{TraceID: 1})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Cap the fuzz frame limit well below MaxMessage so the harness
 		// itself stays cheap; the incremental check is the same code path.
@@ -102,7 +112,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzHandshake pushes arbitrary bytes through both handshake readers.
 func FuzzHandshake(f *testing.F) {
 	var ok bytes.Buffer
-	if err := WriteClientHandshake(&ok, Version2, Version1, 3); err != nil {
+	if err := WriteClientHandshake(&ok, Version3, Version2, Version1, 4); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ok.Bytes())

@@ -49,12 +49,12 @@ func ReadClientHandshake(r io.Reader) ([4]uint32, error) {
 }
 
 // supported reports whether this build speaks version v.
-func supported(v uint32) bool { return v == Version1 || v == Version2 }
+func supported(v uint32) bool { return v >= Version1 && v <= LatestVersion }
 
 // ChooseVersion picks the first candidate the server supports (the
 // client lists candidates in preference order), or 0. An old client
 // offering only Version1 therefore still gets Version1 from a
-// Version2-capable server.
+// Version3-capable server.
 func ChooseVersion(candidates [4]uint32) uint32 {
 	for _, v := range candidates {
 		if supported(v) {

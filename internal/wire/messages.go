@@ -39,10 +39,18 @@ type TraceContext struct {
 	SpanID  uint64
 }
 
-// metaTagTrace introduces the optional trace-context metadata entry.
-// Further optional entries get new tags; decoders reject tags they do
-// not know so a corrupted stream cannot be silently misparsed.
-const metaTagTrace byte = 0x01
+// Optional metadata entries follow a body's fixed fields, each opened by
+// its tag, in ascending tag order and at most once each. Decoders reject
+// a tag they do not know, a repeated entry and entries out of order, so a
+// corrupted stream cannot be silently misparsed.
+const (
+	// metaTagTrace introduces the trace-context entry (HELLO and RUN,
+	// Version2+): 16 bytes of trace and span ID.
+	metaTagTrace byte = 0x01
+	// metaTagPullAll introduces the pull-all entry (RUN only, Version3+).
+	// It has no payload: its presence is the flag.
+	metaTagPullAll byte = 0x02
+)
 
 // Prepare parses and plans a statement once. Text is Cypher, or an
 // "ldbc:<name>" workload statement the server resolves from its
@@ -62,6 +70,11 @@ type Run struct {
 	// Trace is the optional trace-context metadata entry (Version2+);
 	// see Hello.Trace for the compatibility contract.
 	Trace *TraceContext
+	// PullAll is the optional pull-all metadata entry (Version3+): the
+	// server answers with the whole result — a read's RECORDs, then the
+	// SUCCESS or ERROR that ends it — instead of SUCCESS{streaming} and
+	// an open result to PULL. The same compatibility contract as Trace.
+	PullAll bool
 }
 
 // ModeDefault in Run.Mode means "use the session's default mode".
@@ -142,28 +155,36 @@ func appendTraceMeta(buf []byte, tc *TraceContext) []byte {
 	return binary.BigEndian.AppendUint64(buf, tc.SpanID)
 }
 
-// decodeTraceMeta consumes the optional trace-context entry. No
-// remaining bytes means no entry; anything else must be a well-formed
-// entry or the message is malformed.
-func decodeTraceMeta(d *decoder) (*TraceContext, error) {
-	if d.remaining() == 0 {
-		return nil, nil
+// decodeMeta consumes a body's optional metadata entries, whose tags the
+// message knows up to maxTag. No remaining bytes means no entries (the v1
+// body shape); anything else must be well-formed entries in ascending tag
+// order, each at most once, or the message is malformed.
+func decodeMeta(d *decoder, maxTag byte) (tc *TraceContext, pullAll bool, err error) {
+	var last byte
+	for d.remaining() > 0 {
+		tag, _ := d.byte()
+		switch {
+		case tag == 0 || tag > maxTag:
+			return nil, false, fmt.Errorf("%w: unknown metadata tag 0x%02x", ErrMalformed, tag)
+		case tag == last:
+			return nil, false, fmt.Errorf("%w: duplicate metadata entry 0x%02x", ErrMalformed, tag)
+		case tag < last:
+			return nil, false, fmt.Errorf("%w: metadata entry 0x%02x out of order", ErrMalformed, tag)
+		}
+		last = tag
+		if tag == metaTagPullAll {
+			pullAll = true
+			continue
+		}
+		tc = &TraceContext{}
+		if tc.TraceID, err = d.u64(); err != nil {
+			return nil, false, fmt.Errorf("%w: truncated trace metadata", ErrMalformed)
+		}
+		if tc.SpanID, err = d.u64(); err != nil {
+			return nil, false, fmt.Errorf("%w: truncated trace metadata", ErrMalformed)
+		}
 	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if tag != metaTagTrace {
-		return nil, fmt.Errorf("%w: unknown metadata tag 0x%02x", ErrMalformed, tag)
-	}
-	tc := &TraceContext{}
-	if tc.TraceID, err = d.u64(); err != nil {
-		return nil, fmt.Errorf("%w: truncated trace metadata", ErrMalformed)
-	}
-	if tc.SpanID, err = d.u64(); err != nil {
-		return nil, fmt.Errorf("%w: truncated trace metadata", ErrMalformed)
-	}
-	return tc, nil
+	return tc, pullAll, nil
 }
 
 func (m *Hello) encodeBody(buf []byte) ([]byte, error) {
@@ -188,7 +209,11 @@ func (m *Run) encodeBody(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendTraceMeta(buf, m.Trace), nil
+	buf = appendTraceMeta(buf, m.Trace)
+	if m.PullAll {
+		buf = append(buf, metaTagPullAll)
+	}
+	return buf, nil
 }
 
 func (m *Pull) encodeBody(buf []byte) ([]byte, error) {
@@ -265,7 +290,7 @@ func DecodeMessage(typ byte, body []byte) (Message, error) {
 		h := &Hello{}
 		if h.UserAgent, err = d.str(); err == nil {
 			if h.Mode, err = d.byte(); err == nil {
-				h.Trace, err = decodeTraceMeta(d)
+				h.Trace, _, err = decodeMeta(d, metaTagTrace)
 			}
 		}
 		m = h
@@ -281,7 +306,7 @@ func DecodeMessage(typ byte, body []byte) (Message, error) {
 			if ru.Text, err = d.str(); err == nil {
 				if ru.Mode, err = d.byte(); err == nil {
 					if ru.Params, err = decodeParams(d); err == nil {
-						ru.Trace, err = decodeTraceMeta(d)
+						ru.Trace, ru.PullAll, err = decodeMeta(d, metaTagPullAll)
 					}
 				}
 			}

@@ -60,11 +60,12 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
 		offer  []uint32
-		choose uint32 // what a Version2-capable server picks
+		choose uint32 // what a Version3-capable server picks
 	}{
-		{"new client, new server", []uint32{Version2, Version1}, Version2},
+		{"new client, new server", []uint32{Version3, Version2, Version1}, Version3},
+		{"v2 client, new server", []uint32{Version2, Version1}, Version2},
 		{"old client, new server", []uint32{Version1}, Version1},
-		{"future client with fallback", []uint32{99, Version2, Version1}, Version2},
+		{"future client with fallback", []uint32{99, Version3, Version2, Version1}, Version3},
 		{"future-only client", []uint32{99, 98}, 0},
 	}
 	for _, tt := range cases {
@@ -90,12 +91,65 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 	if v, err := ReadServerHandshake(&s2c); err != nil || v != Version1 {
 		t.Fatalf("new client rejected v1 server: %d, %v", v, err)
 	}
-	// And a v2 choice is accepted too.
-	s2c.Reset()
-	if err := WriteServerHandshake(&s2c, Version2); err != nil {
+	// And v2 and v3 choices are accepted too.
+	for _, want := range []uint32{Version2, Version3} {
+		s2c.Reset()
+		if err := WriteServerHandshake(&s2c, want); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := ReadServerHandshake(&s2c); err != nil || v != want {
+			t.Fatalf("new client rejected v%d server: %d, %v", want, v, err)
+		}
+	}
+}
+
+// TestPullAllRoundTrip: a v3 RUN survives encode→decode with and without
+// each of its two metadata entries.
+func TestPullAllRoundTrip(t *testing.T) {
+	tc := &TraceContext{TraceID: 7, SpanID: 8}
+	for _, m := range []*Run{
+		{Text: "ldbc:sr1", Mode: ModeDefault, Params: map[string]any{"id": int64(1)}, PullAll: true},
+		{StmtID: 3, Mode: 0, Params: map[string]any{}, Trace: tc, PullAll: true},
+		{StmtID: 3, Mode: 0, Params: map[string]any{}, Trace: tc},
+		{StmtID: 3, Mode: 0, Params: map[string]any{}},
+	} {
+		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip: got %#v want %#v", got, m)
+		}
+	}
+}
+
+// TestRunMetadataMalformed: RUN's metadata entries come in ascending tag
+// order, each at most once; an unknown tag, a repeated entry and the two
+// entries swapped are ErrMalformed. HELLO knows no pull-all entry.
+func TestRunMetadataMalformed(t *testing.T) {
+	base, err := (&Run{StmtID: 1, Params: map[string]any{}}).encodeBody(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := ReadServerHandshake(&s2c); err != nil || v != Version2 {
-		t.Fatalf("new client rejected v2 server: %d, %v", v, err)
+	trace := appendTraceMeta(nil, &TraceContext{TraceID: 1, SpanID: 2})
+	cat := func(parts ...[]byte) []byte {
+		out := append([]byte{}, base...)
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	pull := []byte{metaTagPullAll}
+	cases := map[string][]byte{
+		"unknown tag":            cat([]byte{metaTagPullAll + 1}),
+		"tag zero":               cat([]byte{0}),
+		"duplicate pull-all":     cat(pull, pull),
+		"duplicate trace":        cat(trace, trace),
+		"pull-all before trace":  cat(pull, trace),
+		"unknown after pull-all": cat(trace, pull, []byte{0x7F}),
+	}
+	for name, body := range cases {
+		if _, err := DecodeMessage(MsgRun, body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+	if _, err := DecodeMessage(MsgHello, append(helloBase("x"), metaTagPullAll)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("hello with pull-all: got %v, want ErrMalformed", err)
 	}
 }

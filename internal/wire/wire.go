@@ -17,7 +17,8 @@
 //
 //	HELLO     open the connection's session (user agent, default mode)
 //	PREPARE   parse/plan a statement once, returning a connection-local id
-//	RUN       execute a prepared or ad-hoc statement (auto-commit or in tx)
+//	RUN       execute a prepared or ad-hoc statement (auto-commit or in tx);
+//	          with the pull-all entry (v3) the response carries the result
 //	PULL n    stream up to n records of the open result (n<0 = all)
 //	DISCARD   drop the rest of the open result
 //	BEGIN     start an explicit transaction owned by the connection
@@ -27,7 +28,8 @@
 //	GOODBYE   close cleanly
 //
 // The server answers every request with SUCCESS (plus zero or more
-// RECORD frames before the SUCCESS that ends a PULL) or with a typed
+// RECORD frames before the SUCCESS that ends a PULL, or a pull-all RUN)
+// or with a typed
 // ERROR carrying a machine-readable code (see the Code* constants);
 // QUEUE_FULL and DRAINING are the admission-control shed signals
 // clients are expected to handle by backing off or reconnecting.
@@ -49,9 +51,15 @@ const Version1 uint32 = 1
 // it after negotiating v2.
 const Version2 uint32 = 2
 
+// Version3 adds the optional pull-all metadata entry on RUN (see
+// Run.PullAll): the server answers such a RUN with the whole result —
+// RECORDs, then the SUCCESS or ERROR that ends it — so a statement is
+// one request and one response instead of RUN, then PULL.
+const Version3 uint32 = 3
+
 // LatestVersion is the highest version this build speaks; clients offer
 // [LatestVersion … Version1] in preference order.
-const LatestVersion = Version2
+const LatestVersion = Version3
 
 // MaxMessage caps the accumulated body size of a single message. The
 // decoder enforces it incrementally while reading chunks, so a

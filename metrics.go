@@ -233,10 +233,10 @@ func (t *dbTelemetry) observeQuery(mode ExecMode, total, slow time.Duration, row
 
 // ServerTelemetry is the handle set a network front door (poseidond)
 // records into: connection and in-flight-statement gauges, the
-// admission-control reject counter, and one latency histogram per
-// request message type. The handles are nil-safe — a server on a
-// telemetry-disabled DB records into no-ops — so the server code never
-// branches on whether telemetry is on.
+// admission-control reject counter and wait histogram, and one latency
+// histogram per request message type. The handles are nil-safe — a
+// server on a telemetry-disabled DB records into no-ops — so the server
+// code never branches on whether telemetry is on.
 type ServerTelemetry struct {
 	// ConnsOpen gauges currently open client connections
 	// (poseidon_conns_open).
@@ -248,6 +248,9 @@ type ServerTelemetry struct {
 	// AdmissionRejects counts requests shed with QUEUE_FULL
 	// (poseidon_admission_rejects).
 	AdmissionRejects *telemetry.Counter
+	// AdmissionWait observes how long each RUN waited for an in-flight
+	// slot, admitted or shed (poseidon_admission_wait_seconds).
+	AdmissionWait *telemetry.Histogram
 	// MsgLatency holds per-request-type handle latency histograms
 	// (poseidon_server_message_seconds{type=...}).
 	MsgLatency map[string]*telemetry.Histogram
@@ -264,7 +267,8 @@ func (t *ServerTelemetry) Observe(msgType string, d time.Duration) {
 // RegisterServer registers the network-server metric series on the
 // DB's telemetry registry and returns the handles poseidond records
 // into: poseidon_conns_open, poseidon_inflight_stmts,
-// poseidon_admission_rejects, poseidon_server_message_seconds{type=...}
+// poseidon_admission_rejects, poseidon_admission_wait_seconds,
+// poseidon_server_message_seconds{type=...}
 // (one per name in msgTypes) and a constant poseidon_build_info gauge
 // carrying the build's version as a label. On a telemetry-disabled DB
 // the returned handles are valid no-ops. Call it once per DB.
@@ -277,7 +281,9 @@ func (db *DB) RegisterServer(version string, msgTypes []string) *ServerTelemetry
 		ConnsOpen:        reg.Gauge("poseidon_conns_open", "Client connections currently open on the network server."),
 		InflightStmts:    reg.Gauge("poseidon_inflight_stmts", "Statements admitted and executing on the network server."),
 		AdmissionRejects: reg.Counter("poseidon_admission_rejects", "Requests shed with QUEUE_FULL by admission control."),
-		MsgLatency:       make(map[string]*telemetry.Histogram, len(msgTypes)),
+		AdmissionWait: reg.Histogram("poseidon_admission_wait_seconds",
+			"Time a RUN waited for an in-flight slot, admitted or shed.", telemetry.LatencyBuckets(), 1e9),
+		MsgLatency: make(map[string]*telemetry.Histogram, len(msgTypes)),
 	}
 	reg.GaugeFunc("poseidon_build_info",
 		"Constant 1; the labels identify the running build.",

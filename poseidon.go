@@ -272,25 +272,54 @@ func (db *DB) QueryTxCtx(ctx context.Context, tx *Tx, plan *query.Plan, params q
 	return db.collect(ctx, tx, stmt, params, mode, db.workers)
 }
 
-// collect runs stmt in tx on the caller's goroutine and materializes the
-// decoded result: the path of every entry point that returns all rows at
-// once (the Query*/Cypher* one-shots and Session.QueryAll).
+// A rowSink receives a statement's decoded rows in order; calls never
+// overlap. An error stops the statement. (An interface, not a func: a
+// closure appending to QueryAll's result costs one more allocation per
+// statement, +1.0 sr_inproc allocs_per_op.)
+type rowSink interface {
+	row(vals []any) error
+}
+
+// rowList is the sink that materializes a result.
+type rowList [][]any
+
+func (l *rowList) row(vals []any) error {
+	*l = append(*l, vals)
+	return nil
+}
+
+// rowFunc is the sink of a caller's callback (Session.QueryEach).
+type rowFunc func([]any) error
+
+func (f rowFunc) row(vals []any) error { return f(vals) }
+
+// each runs stmt in tx on the caller's goroutine, decoding every row and
+// handing it to sink as it is produced: the one decode-and-deliver loop
+// behind every entry point that does not stream through a cursor
+// (Session.QueryEach and QueryAll, the Query*/Cypher* one-shots). A
+// decode or sink error stops the statement and is returned.
+func (db *DB) each(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int, sink rowSink) error {
+	var err error
+	runErr := stmt.run(ctx, tx, params, mode, workers, func(r query.Row) bool {
+		var vals []any
+		if vals, err = db.decodeRow(r); err == nil {
+			err = sink.row(vals)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	return runErr
+}
+
+// collect is each materializing the decoded result.
 func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int) ([][]any, error) {
-	var raw []query.Row
-	if err := stmt.run(ctx, tx, params, mode, workers, func(r query.Row) bool {
-		raw = append(raw, r)
-		return true
-	}); err != nil {
+	rows := rowList{}
+	if err := db.each(ctx, tx, stmt, params, mode, workers, &rows); err != nil {
 		return nil, err
 	}
-	out := make([][]any, len(raw))
-	for i, r := range raw {
-		var err error
-		if out[i], err = db.decodeRow(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return rows, nil
 }
 
 // decodeRow decodes a raw result row to Go values.

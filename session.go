@@ -241,18 +241,35 @@ func (s *Session) implicit(ctx context.Context, name string, commit bool, body f
 	return err
 }
 
-// QueryAll is Query for callers that want the whole decoded result: same
-// snapshot, checks, Timeout and rollback, but the statement runs on the
-// caller's goroutine — nothing streams, so no producer hands rows over.
-func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) (rows [][]any, err error) {
-	if stmt.plan.HasUpdates() {
-		return nil, ErrUpdatePlan
+// QueryEach is Query for callers that consume each decoded row as it is
+// produced: same snapshot, checks, Timeout and rollback, but no producer
+// goroutine, no cursor, nothing materialized. The statement runs from the
+// caller's goroutine and fn gets every row as the plan emits it. Calls to
+// fn never overlap and all happen before QueryEach returns, but under
+// Parallel or Adaptive over a morsel plan they are made from the morsel
+// workers, one at a time, so a blocking fn stalls every worker. An error
+// from fn stops the statement, rolls it back and is returned.
+func (s *Session) QueryEach(ctx context.Context, stmt *Stmt, params query.Params, fn func([]any) error) error {
+	return s.each(ctx, stmt, params, rowFunc(fn))
+}
+
+// QueryAll is QueryEach collecting the whole decoded result.
+func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) ([][]any, error) {
+	rows := rowList{}
+	if err := s.each(ctx, stmt, params, &rows); err != nil {
+		return nil, err
 	}
-	err = s.implicit(ctx, "session.query", false, func(cctx context.Context, tx *Tx) error {
-		rows, err = s.db.collect(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers)
-		return err
+	return rows, nil
+}
+
+// each runs a read in an implicit transaction, delivering its rows to sink.
+func (s *Session) each(ctx context.Context, stmt *Stmt, params query.Params, sink rowSink) error {
+	if stmt.plan.HasUpdates() {
+		return ErrUpdatePlan
+	}
+	return s.implicit(ctx, "session.query", false, func(cctx context.Context, tx *Tx) error {
+		return s.db.each(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers, sink)
 	})
-	return rows, err
 }
 
 // Exec runs a statement — typically containing updates — in a fresh
