@@ -1,7 +1,8 @@
 // JIT demo: shows the §6.2 machinery on one query — the generated IR
-// before and after the optimization pass cascade, the compile time, the
-// AOT-vs-JIT execution gap, the persistent code cache, and adaptive
-// execution switching from interpreted to compiled morsels mid-query.
+// before and after SimplifyCFG (the one pass that changes it), the
+// compile time, the AOT-vs-JIT execution gap, the persistent code cache,
+// and adaptive execution switching from interpreted to compiled morsels
+// mid-query.
 package main
 
 import (
@@ -41,19 +42,19 @@ func main() {
 
 	// Show the IR the codegen visitor produces for the plan's pipeline —
 	// one program, its scan driven morsel by morsel whoever runs it — and
-	// what the pass cascade does to it.
+	// what SimplifyCFG does to it.
 	fn, err := jit.Compile(plan.Split())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated IR: %d blocks, %d instructions\n", len(fn.Blocks), fn.NumInstrs())
-	stats := jit.Optimize(fn)
+	changed := jit.Optimize(fn)
 	fmt.Printf("optimized IR: %d blocks, %d instructions\n", len(fn.Blocks), fn.NumInstrs())
-	fmt.Printf("passes: %s\n\n", jit.DumpStats(stats))
+	fmt.Printf("passes: simplifycfg:%d\n\n", changed)
 	fmt.Println("optimized function:")
 	fmt.Println(fn.String())
 
-	// Compile through the engine (codegen + passes + lowering + caching).
+	// Compile through the engine (codegen + SimplifyCFG + lowering + caching).
 	j, err := jit.New(e)
 	if err != nil {
 		log.Fatal(err)

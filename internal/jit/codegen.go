@@ -457,9 +457,8 @@ func (g *gen) genProject(o *query.Project, ops []query.Op, k int) error {
 
 func (g *gen) genLimit(o *query.Limit, ops []query.Op, k int) error {
 	b := g.b
-	// Counter in a stack slot (naive codegen); mem2reg will keep it a
-	// slot here because it crosses blocks, exactly like an LLVM alloca
-	// that survives -mem2reg when its address escapes a single block.
+	// Counter in a stack slot: it is loaded in one block and stored in
+	// another, like an LLVM alloca that survives -mem2reg.
 	slot := b.slot()
 	// Allocas belong to the function entry block (§6.2 requirement 2).
 	entry := &b.fn.Blocks[0].Instrs
@@ -651,6 +650,10 @@ func (g *gen) genExpr(e query.Expr) (Reg, error) {
 			op = OpCmpBool
 		case lt == tyString && rt == tyString && (x.Op == query.Eq || x.Op == query.Ne):
 			op = OpCmpCode
+		case intConst(x.L) || intConst(x.R):
+			// Optimistic: the other side is most likely an integer too,
+			// and the guard falls back to the dynamic compare when not.
+			op = OpCmpI64Guard
 		}
 		b.emit(Instr{Op: op, Dst: dst, A: l, B: r, Aux: int(x.Op)})
 		g.types[dst] = tyBool
@@ -697,6 +700,19 @@ func (g *gen) genExpr(e query.Expr) (Reg, error) {
 	default:
 		return NoReg, fmt.Errorf("%w: expression %T", ErrUnsupported, e)
 	}
+}
+
+// intConst reports whether e is an integer literal.
+func intConst(e query.Expr) bool {
+	c, ok := e.(*query.Const)
+	if !ok {
+		return false
+	}
+	switch c.Val.(type) {
+	case int, int64:
+		return true
+	}
+	return false
 }
 
 func encodeConst(v any) (storage.Value, error) {

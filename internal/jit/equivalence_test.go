@@ -15,38 +15,77 @@ import (
 // the compiler's strongest correctness oracle — every operator, filter
 // shape and type-specialization path gets cross-checked.
 
-// randomExpr builds a random boolean predicate over a node column.
-func randomExpr(rng *rand.Rand, col int, depth int) query.Expr {
+// randomExpr builds a random boolean predicate over a node column. With
+// wide it also draws the shapes codegen has no typed comparison for:
+// TRUE/FALSE literals under And/Or/Not, float literals, parameters (bound
+// by randomParams) and node ids, on either side of a comparison. Without
+// it the draws are the ones testdata/ir.golden was generated from.
+func randomExpr(rng *rand.Rand, col int, depth int, wide bool) query.Expr {
 	if depth <= 0 || rng.Intn(3) == 0 {
+		ops := []query.CmpOp{query.Eq, query.Ne, query.Lt, query.Le, query.Gt, query.Ge}
+		if wide {
+			return &query.Cmp{Op: ops[rng.Intn(6)], L: randomOperand(rng, col), R: randomOperand(rng, col)}
+		}
 		key := []string{"pid", "age"}[rng.Intn(2)]
-		op := []query.CmpOp{query.Eq, query.Ne, query.Lt, query.Le, query.Gt, query.Ge}[rng.Intn(6)]
+		op := ops[rng.Intn(6)]
 		return &query.Cmp{
 			Op: op,
 			L:  &query.Prop{Col: col, Key: key},
 			R:  &query.Const{Val: int64(rng.Intn(80))},
 		}
 	}
+	sub := func() query.Expr {
+		if wide && rng.Intn(4) == 0 {
+			return &query.Const{Val: rng.Intn(2) == 0}
+		}
+		return randomExpr(rng, col, depth-1, wide)
+	}
 	switch rng.Intn(3) {
 	case 0:
-		return &query.And{L: randomExpr(rng, col, depth-1), R: randomExpr(rng, col, depth-1)}
+		return &query.And{L: sub(), R: sub()}
 	case 1:
-		return &query.Or{L: randomExpr(rng, col, depth-1), R: randomExpr(rng, col, depth-1)}
+		return &query.Or{L: sub(), R: sub()}
 	default:
-		return &query.Not{X: randomExpr(rng, col, depth-1)}
+		return &query.Not{X: sub()}
 	}
 }
 
-// randomPlan builds a random single-chain read plan over the test graph.
-func randomPlan(rng *rand.Rand) *query.Plan {
+// randomParams binds the parameters randomOperand draws.
+var randomParams = query.Params{"n": int64(40), "f": 33.5}
+
+// randomOperand draws one side of a wide comparison.
+func randomOperand(rng *rand.Rand, col int) query.Expr {
+	switch rng.Intn(6) {
+	case 0, 1:
+		return &query.Prop{Col: col, Key: []string{"pid", "age"}[rng.Intn(2)]}
+	case 2:
+		return &query.IDOf{Col: col}
+	case 3:
+		return &query.Param{Name: []string{"n", "f"}[rng.Intn(2)]}
+	case 4:
+		return &query.Const{Val: int64(rng.Intn(80))}
+	default:
+		return &query.Const{Val: float64(rng.Intn(80)) + 0.5}
+	}
+}
+
+// randomPlan builds a random single-chain read plan over the test graph;
+// wide widens its filters (randomExpr) and always filters the scan.
+func randomPlan(rng *rand.Rand, wide bool) *query.Plan {
 	var op query.Op = &query.NodeScan{Label: "Person"}
 	cols := 1 // current tuple width; col 0 is a node
 	nodeCols := []int{0}
 
+	if wide {
+		// Filter every scan, so each plan carries predicates of the shapes
+		// above (narrow plans filter about one in three).
+		op = &query.Filter{Input: op, Pred: randomExpr(rng, 0, 2, wide)}
+	}
 	steps := rng.Intn(4)
 	for i := 0; i < steps; i++ {
 		switch rng.Intn(4) {
 		case 0:
-			op = &query.Filter{Input: op, Pred: randomExpr(rng, nodeCols[rng.Intn(len(nodeCols))], 2)}
+			op = &query.Filter{Input: op, Pred: randomExpr(rng, nodeCols[rng.Intn(len(nodeCols))], 2, wide)}
 		case 1:
 			src := nodeCols[rng.Intn(len(nodeCols))]
 			dir := []query.Dir{query.Out, query.In}[rng.Intn(2)]
@@ -87,7 +126,7 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(20260705))
 	for i := 0; i < 60; i++ {
-		plan := randomPlan(rng)
+		plan := randomPlan(rng, true)
 		pr, err := query.Prepare(e, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -98,18 +137,18 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 		}
 		adaptive := func(workers int) func(*core.Tx, func(query.Row) bool) error {
 			return func(tx *core.Tx, emit func(query.Row) bool) error {
-				_, err := j.RunAdaptiveCtx(ctx, tx, plan, nil, workers, emit)
+				_, err := j.RunAdaptiveCtx(ctx, tx, plan, randomParams, workers, emit)
 				return err
 			}
 		}
 		execs := []executor{{"jit", func(tx *core.Tx, emit func(query.Row) bool) error {
-			_, err := j.RunCtx(ctx, tx, plan, nil, emit)
+			_, err := j.RunCtx(ctx, tx, plan, randomParams, emit)
 			return err
 		}}}
 		for _, workers := range []int{1, 2, 4} {
 			execs = append(execs,
 				executor{fmt.Sprintf("parallel/%d", workers), func(tx *core.Tx, emit func(query.Row) bool) error {
-					return pr.RunParallelCtx(ctx, tx, nil, workers, emit)
+					return pr.RunParallelCtx(ctx, tx, randomParams, workers, emit)
 				}},
 				executor{fmt.Sprintf("adaptive/%d/cold", workers), func(tx *core.Tx, emit func(query.Row) bool) error {
 					j.InvalidateSession()
@@ -119,19 +158,10 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 		}
 
 		tx := e.Begin()
-		want, err := pr.CollectCtx(ctx, tx, nil)
+		want, all, err := interpreted(ctx, e, tx, plan)
 		if err != nil {
 			tx.Abort()
-			t.Fatalf("plan %d interp: %v\n%s", i, err, plan.Signature())
-		}
-		unlimited, err := query.Prepare(e, &query.Plan{Root: withoutLimits(plan.Root)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, err := unlimited.CollectCtx(ctx, tx, nil)
-		if err != nil {
-			tx.Abort()
-			t.Fatalf("plan %d without limits: %v\n%s", i, err, plan.Signature())
+			t.Fatalf("plan %d: %v\n%s", i, err, plan.Signature())
 		}
 		for _, ex := range execs {
 			var got []query.Row
@@ -143,30 +173,85 @@ func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
 				tx.Abort()
 				t.Fatalf("plan %d %s: %v\n%s", i, ex.name, err, plan.Signature())
 			}
-			// Plans without Limit must match as multisets. A Limit keeps
-			// whichever tuples arrive first, so with one the rows must
-			// come from the unlimited plan's, and their count must match
-			// unless a Filter above the Limit makes it depend on the pick
-			// (every person has two knows edges each way: an Expand's
-			// fan-out does not).
-			if limit, filtered := limitShape(plan); limit {
-				if !filtered && len(got) != len(want) {
-					t.Fatalf("plan %d (limit): %s %d rows, interp %d\n%s",
-						i, ex.name, len(got), len(want), plan.Signature())
-				}
-				if !subMultiset(got, all) {
-					t.Fatalf("plan %d (limit): %s returned rows the unlimited plan does not\n%s",
-						i, ex.name, plan.Signature())
-				}
-				continue
-			}
-			if !equalMultiset(got, want) {
-				t.Fatalf("plan %d: %s differs (%d vs %d rows)\n%s",
-					i, ex.name, len(got), len(want), plan.Signature())
+			if err := sameAnswer(plan, got, want, all); err != nil {
+				tx.Abort()
+				t.Fatalf("plan %d: %s %v\n%s", i, ex.name, err, plan.Signature())
 			}
 		}
 		tx.Abort()
 	}
+}
+
+// FuzzRandomPlans draws a wide random plan from each seed and checks the
+// compiled program's answer against the interpreter's.
+func FuzzRandomPlans(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 20260705} {
+		f.Add(seed)
+	}
+	e, _ := buildRing(f, core.DRAM, 1100)
+	j, err := New(e)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		plan := randomPlan(rand.New(rand.NewSource(seed)), true)
+		tx := e.Begin()
+		defer tx.Abort()
+		want, all, err := interpreted(ctx, e, tx, plan)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, plan.Signature())
+		}
+		var got []query.Row
+		if _, err := j.RunCtx(ctx, tx, plan, randomParams, func(r query.Row) bool {
+			got = append(got, r)
+			return true
+		}); err != nil {
+			t.Fatalf("jit: %v\n%s", err, plan.Signature())
+		}
+		if err := sameAnswer(plan, got, want, all); err != nil {
+			t.Fatalf("jit %v\n%s", err, plan.Signature())
+		}
+	})
+}
+
+// interpreted answers a random plan with the interpreter, bound to
+// randomParams: want is the plan's rows, all those of the plan without
+// its Limits.
+func interpreted(ctx context.Context, e *core.Engine, tx *core.Tx, plan *query.Plan) (want, all []query.Row, err error) {
+	collect := func(p *query.Plan) ([]query.Row, error) {
+		pr, err := query.Prepare(e, p)
+		if err != nil {
+			return nil, err
+		}
+		return pr.CollectCtx(ctx, tx, randomParams)
+	}
+	if want, err = collect(plan); err != nil {
+		return nil, nil, fmt.Errorf("interp: %w", err)
+	}
+	if all, err = collect(&query.Plan{Root: withoutLimits(plan.Root)}); err != nil {
+		return nil, nil, fmt.Errorf("interp without limits: %w", err)
+	}
+	return want, all, nil
+}
+
+// sameAnswer checks an executor's rows against the interpreter's. Plans
+// without Limit must match as multisets. A Limit keeps whichever tuples
+// arrive first, so with one the rows must come from the unlimited plan's,
+// and their count must match unless a Filter above the Limit makes it
+// depend on the pick (every person has two knows edges each way: an
+// Expand's fan-out does not).
+func sameAnswer(plan *query.Plan, got, want, all []query.Row) error {
+	limit, filtered := limitShape(plan)
+	switch {
+	case !limit && !equalMultiset(got, want):
+		return fmt.Errorf("differs (%d vs %d rows)", len(got), len(want))
+	case limit && !filtered && len(got) != len(want):
+		return fmt.Errorf("(limit): %d rows, interp %d", len(got), len(want))
+	case limit && !subMultiset(got, all):
+		return fmt.Errorf("(limit): returned rows the unlimited plan does not")
+	}
+	return nil
 }
 
 // limitShape reports whether the plan has a Limit and whether a Filter

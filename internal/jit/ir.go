@@ -1,12 +1,12 @@
 // Package jit implements the just-in-time query compiler of §6.2: a
 // small LLVM-flavoured intermediate representation with basic blocks, a
 // produce/consume code generator that fuses a whole query pipeline into
-// one IR function, an optimization pass cascade (PromoteMemToReg,
-// SimplifyCFG, LoopUnroll, DCE, InstCombine), a backend that lowers the
-// optimized IR into specialized native Go closures (no per-operator
-// dispatch, no tuple boxing), a persistent compiled-code cache keyed by
-// the query signature, and the adaptive execution mode that interprets
-// morsels while compilation runs in the background.
+// one IR function, the one optimization pass that changes its output
+// (SimplifyCFG), a backend that lowers the optimized IR into specialized
+// native Go closures (no per-operator dispatch, no tuple boxing), a
+// persistent compiled-code cache keyed by the query signature, and the
+// adaptive execution mode that interprets morsels while compilation runs
+// in the background.
 package jit
 
 import (
@@ -38,7 +38,7 @@ const (
 	OpLoadParam // dst(val) = params[Sym]
 	OpLoadChunk // dst(val) = current morsel chunk index
 
-	// Stack slots — emitted naively by codegen, promoted by mem2reg.
+	// Stack slots — the Limit counter, which crosses blocks.
 	OpAlloca // dst(slot); Val = initial value
 	OpLoad   // dst(val) = slot[A]
 	OpStore  // slot[Dst] = val A
@@ -50,8 +50,8 @@ const (
 	OpNot // dst(val) = !A
 
 	// Comparisons: dynamic (dictionary-aware) and type-specialized
-	// variants; instcombine narrows dyn to typed forms when both operand
-	// types are known at compile time (§6.2 requirement 3).
+	// variants; codegen picks a typed form when the operand types are known
+	// at compile time (§6.2 requirement 3).
 	OpCmpDyn      // dst(val bool) = cmp(Aux=CmpOp, A, B) via CompareValues
 	OpCmpI64      // dst = cmp(Aux, A, B) as signed integers
 	OpCmpI64Guard // dst = integer compare with a runtime type guard (falls back to dyn)

@@ -36,11 +36,10 @@ type Compiled struct {
 	// workers of an adaptive one; any other access path runs whole.
 	Prog *Program
 
-	// CompileTime is the wall time of codegen + passes + lowering (or
-	// just relinking, when the code came from the persistent cache).
+	// CompileTime is the wall time of codegen, SimplifyCFG and lowering
+	// (or just relinking, when the code came from the persistent cache).
 	CompileTime time.Duration
 	FromCache   bool
-	Stats       []PassStat
 }
 
 // New creates a JIT engine, opening the persistent code cache inside the
@@ -66,8 +65,8 @@ func (j *Engine) InvalidateSession() {
 
 // CompileCtx produces (or fetches) the compiled form of a plan. The
 // paper's flow: derive the query identifier, look up the persistent hash
-// map; on a hit, link the stored code; otherwise generate IR, run the
-// optimization cascade, lower, and persist. The context is checked before
+// map; on a hit, link the stored code; otherwise generate IR, simplify
+// its control flow, lower, and persist. The context is checked before
 // the persistent lookup and before compiling: the adaptive executor relies
 // on that so that cancelling a query also cancels its background
 // compilation instead of leaving a goroutine finishing work nobody will
@@ -130,7 +129,7 @@ func (j *Engine) compileCtx(ctx context.Context, plan *query.Plan) (*Compiled, e
 // CompileUncached always performs the full compilation, bypassing both
 // the in-memory and the persistent cache (benchmarks use it to measure the
 // cold-code path). It is the one place the stages are chained: codegen
-// over the plan's split, the pass cascade, lowering. The result is
+// over the plan's split, SimplifyCFG, lowering. The result is
 // remembered for the session.
 func (j *Engine) CompileUncached(plan *query.Plan) (*Compiled, error) {
 	start := time.Now()
@@ -139,14 +138,14 @@ func (j *Engine) CompileUncached(plan *query.Plan) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := Optimize(fn)
+	Optimize(fn)
 	prog, err := Lower(fn)
 	if err != nil {
 		return nil, err
 	}
 	c := &Compiled{
 		Sig: plan.Signature(), Split: sp, Prog: prog,
-		CompileTime: time.Since(start), Stats: stats,
+		CompileTime: time.Since(start),
 	}
 	j.remember(c)
 	j.tel.Compiles.Inc()

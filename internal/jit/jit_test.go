@@ -17,7 +17,7 @@ func buildGraph(t *testing.T, mode core.Mode) (*core.Engine, []uint64) {
 }
 
 // buildRing creates n persons, each knowing the next and the seventh next.
-func buildRing(t *testing.T, mode core.Mode, n int) (*core.Engine, []uint64) {
+func buildRing(t testing.TB, mode core.Mode, n int) (*core.Engine, []uint64) {
 	t.Helper()
 	e, err := core.Open(core.Config{Mode: mode, PoolSize: 128 << 20})
 	if err != nil {

@@ -5,7 +5,7 @@ import "poseidon/internal/telemetry"
 // Telemetry holds the JIT engine's metric handles. The zero value (all
 // nil) is the disabled state; every operation on a nil handle no-ops.
 type Telemetry struct {
-	// Compiles counts full compilations (codegen + pass cascade +
+	// Compiles counts full compilations (codegen + SimplifyCFG +
 	// lowering), i.e. both cache tiers missed.
 	Compiles *telemetry.Counter
 	// CompileTime observes full-compilation wall time in nanoseconds.
