@@ -194,6 +194,11 @@ type Engine struct {
 	// (not against commits — those synchronize per shard).
 	idxDDL sync.Mutex
 
+	// refs caches one IndexRef per index (LookupIndex); setIndexTree drops
+	// an entry whenever a tree of the family changes.
+	refMu sync.RWMutex
+	refs  map[indexKey]*IndexRef
+
 	// tel holds the metric handles; the zero value (all nil) is the
 	// disabled no-op path.
 	tel Telemetry
@@ -281,6 +286,7 @@ func newEngine(cfg Config, dev *pmem.Device, pool *pmemobj.Pool) *Engine {
 		pool:    pool,
 		nShards: cfg.Shards,
 		shards:  make([]engineShard, cfg.Shards),
+		refs:    make(map[indexKey]*IndexRef),
 	}
 	e.allShards = make([]int, cfg.Shards)
 	for s := range e.allShards {
@@ -689,7 +695,7 @@ func (e *Engine) DecodeValue(v storage.Value) (any, error) {
 	case storage.TypeBool:
 		return v.Bool(), nil
 	case storage.TypeString:
-		return e.dict.Decode(v.Code())
+		return e.dict.DecodeAny(v.Code())
 	default:
 		return nil, fmt.Errorf("core: unknown value type %d", v.Type)
 	}

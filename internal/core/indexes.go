@@ -182,27 +182,41 @@ func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 			return insertErr
 		}
 	}
-	sh.idxMu.Lock()
-	if _, dup := sh.indexes[ik]; dup {
-		sh.idxMu.Unlock()
+	sh.idxMu.RLock()
+	_, dup := sh.indexes[ik]
+	sh.idxMu.RUnlock()
+	if dup { // idxDDL keeps a racing publisher out
 		return fmt.Errorf("core: index (%d,%d) already exists", ik.label, ik.key)
 	}
-	sh.indexes[ik] = tree
-	sh.idxMu.Unlock()
+	e.setIndexTree(s, ik, tree)
 	return nil
+}
+
+// setIndexTree, the only writer of the shard index maps, makes tree (nil:
+// none) shard s's tree of ik and returns the one it replaced. It then
+// drops ik's cached IndexRef: a ref built before the write cannot survive.
+func (e *Engine) setIndexTree(s int, ik indexKey, tree *index.Tree) (old *index.Tree) {
+	sh := &e.shards[s]
+	sh.idxMu.Lock()
+	if old = sh.indexes[ik]; tree != nil {
+		sh.indexes[ik] = tree
+	} else {
+		delete(sh.indexes, ik)
+	}
+	sh.idxMu.Unlock()
+	e.refMu.Lock()
+	delete(e.refs, ik)
+	e.refMu.Unlock()
+	return old
 }
 
 // unpublishIndex removes a partially created index family from every
 // shard map.
 func (e *Engine) unpublishIndex(ik indexKey) {
 	for s := range e.shards {
-		sh := &e.shards[s]
-		sh.idxMu.Lock()
-		if t := sh.indexes[ik]; t != nil {
+		if t := e.setIndexTree(s, ik, nil); t != nil {
 			t.Close()
-			delete(sh.indexes, ik)
 		}
-		sh.idxMu.Unlock()
 	}
 }
 
@@ -281,7 +295,7 @@ func (e *Engine) reopenIndexes() error {
 			case err != nil:
 				return fmt.Errorf("core: reopen index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
 			default:
-				e.shards[s].indexes[ik] = tree
+				e.setIndexTree(s, ik, tree)
 			}
 		}
 		if ok {
@@ -296,7 +310,7 @@ func (e *Engine) reopenIndexes() error {
 			if err != nil {
 				return err
 			}
-			e.shards[s].indexes[ik] = tree
+			e.setIndexTree(s, ik, tree)
 		}
 	}
 	if rewrite {
@@ -365,10 +379,19 @@ func (r *IndexRef) Delete(v storage.Value, id uint64) bool {
 }
 
 // LookupIndex returns the index for (labelCode, keyCode), if one exists.
-// The query planner uses this to turn scans into IndexScans.
+// The query planner uses this to turn scans into IndexScans. The ref is
+// cached until setIndexTree replaces one of its trees.
 func (e *Engine) LookupIndex(labelCode, keyCode uint32) (*IndexRef, bool) {
 	ik := indexKey{labelCode, keyCode}
-	ref := &IndexRef{label: labelCode, key: keyCode, nodes: e.nodes, trees: make([]*index.Tree, e.nShards)}
+	e.refMu.RLock()
+	ref := e.refs[ik]
+	e.refMu.RUnlock()
+	if ref != nil {
+		return ref, true
+	}
+	e.refMu.Lock()
+	defer e.refMu.Unlock()
+	ref = &IndexRef{label: labelCode, key: keyCode, nodes: e.nodes, trees: make([]*index.Tree, e.nShards)}
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.idxMu.RLock()
@@ -380,6 +403,7 @@ func (e *Engine) LookupIndex(labelCode, keyCode uint32) (*IndexRef, bool) {
 		ref.trees[s] = t
 	}
 	ref.kind = ref.trees[0].Kind()
+	e.refs[ik] = ref
 	return ref, true
 }
 
@@ -563,7 +587,6 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 			}
 		}
 	}
-	e.shards[s].indexes[ik].Close()
-	e.shards[s].indexes[ik] = tree
+	e.setIndexTree(s, ik, tree).Close()
 	return nil
 }

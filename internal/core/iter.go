@@ -14,11 +14,12 @@ import (
 // zero value is ready for Reset, and a pipeline keeps one per position
 // across morsels, so that its slab is reused instead of reallocated.
 
-// propSlab is the append-only arena a walker keeps the property sets of
-// its snapshots in. Snapshots own capped sub-slices of it; a slab that
-// runs out is replaced, never rewound, so a snapshot outlives the walker
-// (and any Reset of it) without a lifetime rule.
-type propSlab struct{ buf []storage.Prop }
+// PropSlab is the append-only arena a walker, or a point reader's caller
+// (Tx.GetNodeIn), keeps the property sets of its snapshots in. Snapshots
+// own capped sub-slices of it; a slab that runs out is replaced, never
+// rewound, so a snapshot outlives the walker (and any Reset of it)
+// without a lifetime rule.
+type PropSlab struct{ buf []storage.Prop }
 
 // Slabs start small — most adjacency walks of a point query return a
 // handful of properties — and double up to propSlabMax per replacement.
@@ -30,7 +31,7 @@ const (
 // free returns the slab's unused tail as the destination of one chain
 // read, first replacing a slab with less than propSlabMin room. A longer
 // chain spills to an array of its own (append semantics).
-func (s *propSlab) free() []storage.Prop {
+func (s *PropSlab) free() []storage.Prop {
 	if cap(s.buf)-len(s.buf) < propSlabMin {
 		s.buf = make([]storage.Prop, 0, min(max(2*cap(s.buf), propSlabMin), propSlabMax))
 	}
@@ -39,7 +40,7 @@ func (s *propSlab) free() []storage.Prop {
 
 // keep claims props, the result of a chain read into free(), for a
 // snapshot: the slab advances past it unless it spilled.
-func (s *propSlab) keep(props []storage.Prop) []storage.Prop {
+func (s *PropSlab) keep(props []storage.Prop) []storage.Prop {
 	if len(props) <= cap(s.buf)-len(s.buf) {
 		s.buf = s.buf[:len(s.buf)+len(props)]
 	}
@@ -95,7 +96,7 @@ type NodeIter struct {
 	slots slotWalk
 	label uint32 // 0 = all labels
 	cur   NodeSnap
-	slab  propSlab
+	slab  PropSlab
 }
 
 // Reset aims the iterator at the visible nodes with from <= id < to (the
@@ -148,7 +149,7 @@ type RelTableIter struct {
 	slots slotWalk
 	label uint32
 	cur   RelSnap
-	slab  propSlab
+	slab  PropSlab
 }
 
 // Reset is NodeIter.Reset for the relationship table.
@@ -199,7 +200,7 @@ type AdjIter struct {
 	next  uint64
 	out   bool
 	label uint32
-	slab  propSlab
+	slab  PropSlab
 }
 
 // Reset aims the iterator at the adjacency list starting at relationship

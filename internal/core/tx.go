@@ -98,7 +98,7 @@ func (e *Engine) Begin() *Tx {
 	sh.activeMu.Unlock()
 	e.beginMu.RUnlock()
 	e.tel.TxBegun.Inc()
-	return &Tx{e: e, id: id, dirty: make(map[objKey]*dirtyObj)}
+	return &Tx{e: e, id: id}
 }
 
 // Per-id accessors for the sharded MVTO state.
@@ -302,6 +302,13 @@ func (tx *Tx) GetNode(id uint64) (NodeSnap, error) {
 	if len(props) > 0 {
 		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
 	}
+	return snap, err
+}
+
+// GetNodeIn is GetNode keeping the property set in the caller's slab.
+func (tx *Tx) GetNodeIn(id uint64, slab *PropSlab) (NodeSnap, error) {
+	snap, props, err := tx.readNode(id, 0, slab.free())
+	snap.props = slab.keep(props)
 	return snap, err
 }
 
@@ -604,10 +611,18 @@ func (tx *Tx) lockNode(id uint64) (*dirtyObj, error) {
 		props: append([]storage.Prop(nil), oldProps...),
 	}
 	e.nodeChainsOf(id).getOrCreate(id).push(ver)
-	d := &dirtyObj{key: key, ver: ver, hasOld: true, oldNode: rec, oldProps: oldProps}
-	tx.dirty[key] = d
-	tx.order = append(tx.order, key)
-	return d, nil
+	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldNode: rec, oldProps: oldProps}), nil
+}
+
+// track adds d to the write set. Begin leaves the set nil, so a
+// read-only transaction never allocates one.
+func (tx *Tx) track(d *dirtyObj) *dirtyObj {
+	if tx.dirty == nil {
+		tx.dirty = make(map[objKey]*dirtyObj)
+	}
+	tx.dirty[d.key] = d
+	tx.order = append(tx.order, d.key)
+	return d
 }
 
 // writeChecksNode enforces the MVTO write rules after the lock was taken:
@@ -693,10 +708,7 @@ func (tx *Tx) lockRel(id uint64) (*dirtyObj, error) {
 		props: append([]storage.Prop(nil), oldProps...),
 	}
 	e.relChainsOf(id).getOrCreate(id).push(ver)
-	d := &dirtyObj{key: key, ver: ver, hasOld: true, oldRel: rec, oldProps: oldProps}
-	tx.dirty[key] = d
-	tx.order = append(tx.order, key)
-	return d, nil
+	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldRel: rec, oldProps: oldProps}), nil
 }
 
 // CreateNode inserts a new node. Per §5.1, the record is stored in the
@@ -747,8 +759,7 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 	ver := &version{txnID: tx.id, bts: tx.id, ets: Infinity, node: &rec, props: encProps}
 	e.nodeChainsOf(id).getOrCreate(id).push(ver)
 	key := objKey{kindNode, id}
-	tx.dirty[key] = &dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true}
-	tx.order = append(tx.order, key)
+	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
 	return id, nil
 }
 
@@ -818,8 +829,7 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	ver := &version{txnID: tx.id, bts: tx.id, ets: Infinity, rel: &rec, props: encProps}
 	e.relChainsOf(id).getOrCreate(id).push(ver)
 	key := objKey{kindRel, id}
-	tx.dirty[key] = &dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true}
-	tx.order = append(tx.order, key)
+	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
 
 	// Prepend to both adjacency lists in the DRAM dirty versions.
 	srcD.ver.node.Out = id

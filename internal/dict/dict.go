@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"poseidon/internal/pmemobj"
 )
@@ -266,12 +267,20 @@ func (d *Dict) insertLocked(tx *pmemobj.Tx, s string, h uint64) (uint64, error) 
 // the volatile DRAM cache; cold ones read the persistent reverse table
 // and populate the cache.
 func (d *Dict) Decode(code uint64) (string, error) {
+	s, err := d.DecodeAny(code)
+	str, _ := s.(string)
+	return str, err
+}
+
+// DecodeAny is Decode answering with the string boxed as the cache holds
+// it, so that a caller that wants an interface value does not box it again.
+func (d *Dict) DecodeAny(code uint64) (any, error) {
 	if s, ok := d.decodeCache.Load(code); ok {
-		return s.(string), nil
+		return s, nil
 	}
 	dev := d.pool.Device()
 	if code == 0 || code >= dev.ReadU64(d.hdr+hCount) {
-		return "", fmt.Errorf("%w: %d", ErrUnknownCode, code)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, code)
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -279,13 +288,13 @@ func (d *Dict) Decode(code uint64) (string, error) {
 	blockIdx := code / revBlockCodes
 	block := dev.ReadU64(dir + blockIdx*8)
 	if block == 0 {
-		return "", fmt.Errorf("%w: %d (missing reverse block)", ErrUnknownCode, code)
+		return nil, fmt.Errorf("%w: %d (missing reverse block)", ErrUnknownCode, code)
 	}
 	strOff := dev.ReadU64(block + (code%revBlockCodes)*8)
 	if strOff == 0 {
-		return "", fmt.Errorf("%w: %d", ErrUnknownCode, code)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, code)
 	}
-	s := d.readString(strOff)
+	var s any = d.readString(strOff)
 	d.decodeCache.Store(code, s)
 	return s, nil
 }
@@ -299,7 +308,7 @@ func (d *Dict) readString(off uint64) string {
 	}
 	buf := make([]byte, n)
 	dev.ReadBytes(off+8, buf)
-	return string(buf)
+	return unsafe.String(&buf[0], n) // buf is never written again
 }
 
 // appendString stores s in the arena and returns its offset.

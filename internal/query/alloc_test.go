@@ -69,9 +69,13 @@ func TestWarmPreparedRunLinksOnly(t *testing.T) {
 		t.Errorf("a warm run charged %d device loads, the index lookup and record read alone %d: the statement still probes the dictionary", got, want)
 	}
 
-	// BindParams' map, the Ctx, the run's closures and cascade, the index
-	// reference, the lookup's snapshots and the emitted tuple and row.
-	const budget = 17
+	// The run takes a linked instance from the Prepared's pool: no Ctx,
+	// parameter map, closure or index reference is made. What is left: the
+	// index lookup's two id slices (tree and shard fan-out), the lookup's
+	// snapshot slice and property copy, IndexScan's and Project's output
+	// tuples (each reused for every output of the run, dropped with it),
+	// the emitted row and this test's emit closure.
+	const budget = 8
 	if allocs := testing.AllocsPerRun(200, run); allocs > budget {
 		t.Errorf("a warm run allocates %.0f times, budget %d", allocs, budget)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"poseidon/internal/core"
@@ -17,6 +18,11 @@ import (
 // cross operator boundaries boxed in Datum structs and expressions are
 // evaluated through dynamic dispatch — exactly the overheads the JIT
 // backend removes.
+//
+// Retention rule: an operator writes every output into the one tuple it
+// owns and a sink sees a tuple only for the length of its call, so a sink
+// that keeps a tuple copies it (OrderBy, the HashJoin build side, the
+// morsel loop's gathering, tupleToRow at the terminal).
 
 // DatumKind tags a tuple column.
 type DatumKind uint8
@@ -39,6 +45,15 @@ type Datum struct {
 
 // Tuple is a row flowing through the pipeline.
 type Tuple []Datum
+
+// put makes *t, an operator's output tuple, in followed by ds.
+func (t *Tuple) put(in Tuple, ds ...Datum) Tuple {
+	if n := len(in) + len(ds); cap(*t) < n {
+		*t = make(Tuple, 0, n)
+	}
+	*t = append(append((*t)[:0], in...), ds...)
+	return *t
+}
 
 // Row is a finished output row of plain values.
 type Row []storage.Value
@@ -77,12 +92,22 @@ func (c *codeRef) get(e *core.Engine) (uint64, bool) {
 }
 
 // Prepared is a plan bound to an engine, ready for repeated execution.
-// It is immutable: goroutines sharing one run it without a lock.
+// Goroutines sharing one run it without a lock: each run takes a linked
+// instance of the cascade from the pool, or links one.
 type Prepared struct {
 	E    *core.Engine
 	Plan *Plan
 	Sig  string
 	linked
+	pool sync.Pool // of *instance
+}
+
+// instance is the cascade linked over its own Ctx, run after run. Between
+// runs it holds no transaction, context, tuple or row (see release).
+type instance struct {
+	ctx  Ctx
+	run  func() error
+	emit func(Row) bool
 }
 
 // linked is what Prepare compiles once, so that a run links only its own
@@ -97,15 +122,35 @@ type linked struct {
 }
 
 // Prepare validates a plan and binds it to an engine by linking the
-// cascade once against a recording Ctx. A build error is not reported
-// here: the run that reaches it fails as it always did.
+// cascade once against a recording Ctx; that link is the pool's first
+// instance. A build error is not reported here: every run that reaches it
+// fails as it always did.
 func Prepare(e *core.Engine, p *Plan) (*Prepared, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("%w: empty plan", ErrBadPlan)
 	}
-	l := linked{map[Expr]evalFn{}, map[Expr]predFn{}, map[string]*codeRef{}}
-	_, _ = buildOp(p.Root, &Ctx{E: e, linked: l, preparing: true}, nil)
-	return &Prepared{E: e, Plan: p, Sig: p.Signature(), linked: l}, nil
+	pr := &Prepared{E: e, Plan: p, Sig: p.Signature(),
+		linked: linked{map[Expr]evalFn{}, map[Expr]predFn{}, map[string]*codeRef{}}}
+	if in, err := pr.link(true); err == nil {
+		pr.pool.Put(in)
+	}
+	return pr, nil
+}
+
+// link builds an instance of the cascade; Prepare's records what it
+// builds in the Prepared's linked maps.
+func (pr *Prepared) link(preparing bool) (*instance, error) {
+	in := &instance{ctx: Ctx{E: pr.E, Params: map[string]storage.Value{}, linked: pr.linked, preparing: preparing, pooled: true}}
+	terminal := func(t Tuple) (bool, error) {
+		if err := in.ctx.err(); err != nil {
+			return false, err
+		}
+		return in.emit(tupleToRow(t)), nil
+	}
+	var err error
+	in.run, err = buildOp(pr.Plan.Root, &in.ctx, terminal)
+	in.ctx.preparing = false
+	return in, err
 }
 
 // Ctx is the per-execution state shared by all operators of a run.
@@ -123,6 +168,11 @@ type Ctx struct {
 	// has none and compiles the expressions of what it links afresh.
 	linked
 	preparing bool // Prepare's own Ctx records what it builds
+
+	// pooled marks a Prepared's instance; kept zeroes the state its
+	// operators keep, when a run returns (see keep).
+	pooled bool
+	kept   []func()
 
 	// src links one half of a split plan. Set on a copy of the run's Ctx
 	// (see under), never on one that workers share.
@@ -167,6 +217,15 @@ func (c *Ctx) code(name string) *codeRef {
 	return ref
 }
 
+// keep has a pooled instance zero *p, an operator's state, when a run
+// returns. (Keeping the state's arrays for the next run moved
+// heap_inuse_mb +14 % on sr_inproc: EXPERIMENTS.md "Prepared means linked".)
+func keep[T any](c *Ctx, p *T) {
+	if c.pooled {
+		c.kept = append(c.kept, func() { *p = *new(T) })
+	}
+}
+
 // err reports the run's cancellation state.
 func (c *Ctx) err() error {
 	if c.Context == nil {
@@ -175,23 +234,33 @@ func (c *Ctx) err() error {
 	return c.Context.Err()
 }
 
-// NewCtx starts one execution in tx — the preamble every mode shares: it
-// encodes the parameters (interning strings) and attaches cctx to the
-// transaction, so a cancellation mid-scan aborts it (discarding any
-// uncommitted writes). The caller defers Detach.
+// NewCtx starts one execution in tx; see bind. The caller defers Detach.
 func NewCtx(cctx context.Context, e *core.Engine, tx *core.Tx, params Params) (*Ctx, error) {
-	bound := make(map[string]storage.Value, len(params))
-	for k, v := range params {
-		val, err := e.EncodeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("query: param %s: %w", k, err)
-		}
-		bound[k] = val
+	c := &Ctx{E: e, Params: make(map[string]storage.Value, len(params))}
+	if err := c.bind(cctx, tx, params); err != nil {
+		return nil, err
 	}
-	return &Ctx{E: e, Tx: tx, Params: bound, Context: cctx, prev: tx.WithContext(cctx)}, nil
+	return c, nil
 }
 
-// Detach ends the execution NewCtx started: the transaction gets back the
+// bind is the preamble every mode shares: it encodes the parameters
+// (interning strings) into c.Params, which it finds empty, and attaches
+// cctx to the transaction, so a cancellation mid-scan aborts it
+// (discarding any uncommitted writes).
+func (c *Ctx) bind(cctx context.Context, tx *core.Tx, params Params) error {
+	for k, v := range params {
+		val, err := c.E.EncodeValue(v)
+		if err != nil {
+			clear(c.Params)
+			return fmt.Errorf("query: param %s: %w", k, err)
+		}
+		c.Params[k] = val
+	}
+	c.Tx, c.Context, c.prev = tx, cctx, tx.WithContext(cctx)
+	return nil
+}
+
+// Detach ends the execution bind started: the transaction gets back the
 // context it had before.
 func (c *Ctx) Detach() { c.Tx.WithContext(c.prev) }
 
@@ -199,23 +268,33 @@ func (c *Ctx) Detach() { c.Tx.WithContext(c.prev) }
 // for every result row until exhaustion or emit returns false. On a
 // cancellation it returns ctx.Err().
 func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit func(Row) bool) error {
-	qctx, err := NewCtx(ctx, pr.E, tx, params)
-	if err != nil {
-		return err
-	}
-	defer qctx.Detach()
-	qctx.linked = pr.linked
-	terminal := func(t Tuple) (bool, error) {
-		if err := qctx.err(); err != nil {
-			return false, err
+	in, _ := pr.pool.Get().(*instance)
+	if in == nil {
+		var err error
+		if in, err = pr.link(false); err != nil {
+			return err
 		}
-		return emit(tupleToRow(t)), nil
 	}
-	run, err := buildOp(pr.Plan.Root, qctx, terminal)
-	if err != nil {
+	if err := in.ctx.bind(ctx, tx, params); err != nil {
+		pr.pool.Put(in)
 		return err
 	}
-	return run()
+	in.emit = emit
+	defer pr.release(in)
+	return in.run()
+}
+
+// release ends a run: the transaction gets its context back, the
+// operators drop what they kept of the run — counts, seen-sets, output
+// tuples, iterators, slabs — and the instance goes back to the pool.
+func (pr *Prepared) release(in *instance) {
+	in.ctx.Detach()
+	for _, zero := range in.ctx.kept {
+		zero()
+	}
+	clear(in.ctx.Params)
+	in.ctx.Tx, in.ctx.Context, in.ctx.prev, in.emit = nil, nil, nil, nil
+	pr.pool.Put(in)
 }
 
 // CollectCtx executes the plan under ctx and gathers all rows.
@@ -249,7 +328,8 @@ func tupleToRow(t Tuple) Row {
 
 // buildOp recursively links the operator cascade: each pipeline operator
 // wraps the downstream sink; access paths return the pipeline driver.
-// It creates only the state of one run; evaluators and codes come from ctx.
+// It creates only per-run state, which an instance zeroes after each run
+// (see keep); evaluators and codes come from ctx.
 func buildOp(op Op, ctx *Ctx, out Sink) (func() error, error) {
 	if s := ctx.src; s != nil && op == s.below {
 		return s.link(out)
@@ -316,8 +396,12 @@ func buildScan(label string, rel bool, morsel *uint64, ctx *Ctx, out Sink) (func
 	if rel {
 		tbl = ctx.E.Rels()
 	}
-	var nodes core.NodeIter
-	var rels core.RelTableIter
+	var st struct { // one allocation
+		nodes core.NodeIter
+		rels  core.RelTableIter
+	}
+	keep(ctx, &st)
+	nodes, rels := &st.nodes, &st.rels
 	return func() error {
 		var labelCode uint32
 		if label != "" {
@@ -388,6 +472,8 @@ func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
+	var buf Tuple
+	keep(ctx, &buf)
 	return func() error {
 		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
@@ -402,7 +488,7 @@ func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
 			return err
 		}
 		for _, n := range snaps {
-			cont, err := out(Tuple{{Kind: DNode, Node: n}})
+			cont, err := out(buf.put(nil, Datum{Kind: DNode, Node: n}))
 			if err != nil {
 				return err
 			}
@@ -419,6 +505,8 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
+	var buf Tuple
+	keep(ctx, &buf)
 	createInto := func(t Tuple) (bool, error) {
 		props, err := evalPropSpecs(evals, ctx, t)
 		if err != nil {
@@ -432,10 +520,7 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 		if err != nil {
 			return false, err
 		}
-		nt := make(Tuple, len(t)+1)
-		copy(nt, t)
-		nt[len(t)] = Datum{Kind: DNode, Node: n}
-		return out(nt)
+		return out(buf.put(t, Datum{Kind: DNode, Node: n}))
 	}
 	if o.Input == nil {
 		return func() error {
@@ -450,7 +535,12 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 
 func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 	ref := ctx.code(o.RelLabel)
-	var it core.AdjIter
+	var st struct { // one allocation
+		it  core.AdjIter
+		buf Tuple
+	}
+	keep(ctx, &st)
+	it, buf := &st.it, &st.buf
 	// walk extends t by each relationship of the adjacency list at head.
 	walk := func(t Tuple, head uint64, outgoing bool, labelCode uint32) (bool, error) {
 		it.Reset(ctx.Tx, head, outgoing, labelCode)
@@ -459,12 +549,9 @@ func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 			if !ok || err != nil {
 				return err == nil, err
 			}
-			// The interpreter copies the tuple at every operator boundary —
-			// the boxing overhead compiled code avoids.
-			nt := make(Tuple, len(t)+1)
-			copy(nt, t)
-			nt[len(t)] = Datum{Kind: DRel, Rel: it.Rel()}
-			if cont, err := out(nt); !cont || err != nil {
+			// Each relationship rewrites the one output tuple (the retention
+			// rule); its Datums still carry the boxing compiled code avoids.
+			if cont, err := out(buf.put(t, Datum{Kind: DRel, Rel: it.Rel()})); !cont || err != nil {
 				return cont, err
 			}
 		}
@@ -496,6 +583,12 @@ func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
+	var st struct { // one allocation
+		slab core.PropSlab
+		buf  Tuple
+	}
+	keep(ctx, &st)
+	slab, buf := &st.slab, &st.buf
 	own := func(t Tuple) (bool, error) {
 		if o.RelCol >= len(t) || t[o.RelCol].Kind != DRel {
 			return false, fmt.Errorf("%w: GetNode column %d is not a relationship", ErrBadPlan, o.RelCol)
@@ -517,17 +610,14 @@ func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
 				target = rel.Rec.Src
 			}
 		}
-		n, err := ctx.Tx.GetNode(target)
+		n, err := ctx.Tx.GetNodeIn(target, slab)
 		if err == core.ErrNotFound {
 			return true, nil
 		}
 		if err != nil {
 			return false, err
 		}
-		nt := make(Tuple, len(t)+1)
-		copy(nt, t)
-		nt[len(t)] = Datum{Kind: DNode, Node: n}
-		return out(nt)
+		return out(buf.put(t, Datum{Kind: DNode, Node: n}))
 	}
 	return buildOp(o.Input, ctx, own)
 }
@@ -538,6 +628,8 @@ func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
+	var buf Tuple
+	keep(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
@@ -552,10 +644,7 @@ func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
 			return false, err
 		}
 		for _, n := range snaps {
-			nt := make(Tuple, len(t)+1)
-			copy(nt, t)
-			nt[len(t)] = Datum{Kind: DNode, Node: n}
-			cont, err := out(nt)
+			cont, err := out(buf.put(t, Datum{Kind: DNode, Node: n}))
 			if err != nil || !cont {
 				return cont, err
 			}
@@ -592,22 +681,27 @@ func buildProject(o *Project, ctx *Ctx, out Sink) (func() error, error) {
 		}
 		evals[i] = fn
 	}
+	var buf Tuple
+	keep(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
-		nt := make(Tuple, len(evals))
+		if buf == nil {
+			buf = make(Tuple, len(evals))
+		}
 		for i, fn := range evals {
 			v, err := fn(ctx, t)
 			if err != nil {
 				return false, err
 			}
-			nt[i] = Datum{Kind: DVal, Val: v}
+			buf[i] = Datum{Kind: DVal, Val: v}
 		}
-		return out(nt)
+		return out(buf)
 	}
 	return buildOp(o.Input, ctx, own)
 }
 
 func buildLimit(o *Limit, ctx *Ctx, out Sink) (func() error, error) {
 	n := 0
+	keep(ctx, &n)
 	own := func(t Tuple) (bool, error) {
 		if n >= o.N {
 			return false, nil
@@ -629,6 +723,7 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 		k storage.Value
 	}
 	var buf []item
+	keep(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		k, err := key(ctx, t)
 		if err != nil {
@@ -674,11 +769,15 @@ func buildDistinct(o *Distinct, ctx *Ctx, out Sink) (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[storage.Value]struct{})
+	var seen map[storage.Value]struct{}
+	keep(ctx, &seen)
 	own := func(t Tuple) (bool, error) {
 		k, err := key(ctx, t)
 		if err != nil {
 			return false, err
+		}
+		if seen == nil {
+			seen = make(map[storage.Value]struct{})
 		}
 		if _, dup := seen[k]; dup {
 			return true, nil
@@ -719,6 +818,8 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	table := make(map[storage.Value][]Tuple)
+	var buf Tuple
+	keep(ctx, &buf)
 	rightSink := func(t Tuple) (bool, error) {
 		k, err := rkey(ctx, t)
 		if err != nil {
@@ -737,10 +838,7 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 			return false, err
 		}
 		for _, rt := range table[k] {
-			nt := make(Tuple, len(t)+len(rt))
-			copy(nt, t)
-			copy(nt[len(t):], rt)
-			cont, err := out(nt)
+			cont, err := out(buf.put(t, rt...))
 			if err != nil || !cont {
 				return cont, err
 			}
@@ -752,7 +850,7 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	return func() error {
-		clear(table)
+		defer clear(table) // the copies die with the run
 		// Materialize the right side first (§6.2), then stream the left.
 		if err := rightRun(); err != nil {
 			return err
@@ -768,6 +866,8 @@ func buildCreateRel(o *CreateRel, ctx *Ctx, out Sink) (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
+	var buf Tuple
+	keep(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		if o.SrcCol >= len(t) || t[o.SrcCol].Kind != DNode ||
 			o.DstCol >= len(t) || t[o.DstCol].Kind != DNode {
@@ -785,10 +885,7 @@ func buildCreateRel(o *CreateRel, ctx *Ctx, out Sink) (func() error, error) {
 		if err != nil {
 			return false, err
 		}
-		nt := make(Tuple, len(t)+1)
-		copy(nt, t)
-		nt[len(t)] = Datum{Kind: DRel, Rel: r}
-		return out(nt)
+		return out(buf.put(t, Datum{Kind: DRel, Rel: r}))
 	}
 	return buildOp(o.Input, ctx, own)
 }
