@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -220,9 +221,11 @@ func (e *Engine) commitEpoch(order []int, members []*Tx) {
 
 // persistGroup runs the four commit steps for one lane-sized group:
 //
-//  1. Superseded committed versions are pushed into the DRAM version
-//     chains so older readers keep a consistent view after the PMem
-//     records are overwritten.
+//  1. A superseded committed version is pushed into its DRAM version
+//     chain, so that an older reader keeps a consistent view after the
+//     PMem record is overwritten — but only if such a reader can exist:
+//     some active transaction outside the group is older than the member.
+//     Dirty versions never enter a chain; they live in the write set.
 //  2. All record rewrites, property-chain writes and slot releases run in
 //     a single pmemobj undo-log transaction, so the whole group is
 //     failure-atomic (DG4; the paper's PMDK-based approach). The ranges
@@ -246,30 +249,26 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		}
 	}()
 
-	// Step 1. Deletes keep serving old readers from the PMem record
-	// itself, whose window just gets closed.
-	type pushedVer struct {
-		c *chain
-		v *version
-	}
-	var pushed []pushedVer
+	// Step 1. The horizon is the oldest active transaction outside the
+	// group, computed once and only if some member supersedes a version.
+	// A reader missing from minActive's scan has finished, or draws an id
+	// above the clock, which is at least every member's id; the members
+	// have finished reading. So when no outsider is older than a member,
+	// nobody can read what the member supersedes, and it retains nothing.
+	var horizon uint64 // 0: not computed
 	for _, tx := range members {
 		for _, key := range tx.order {
 			d := tx.dirty[key]
-			if !d.hasOld || d.isDelete {
+			if !d.supersedes() {
 				continue
 			}
-			var v *version
-			if d.key.kind == kindNode {
-				old := d.oldNode
-				v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
-			} else {
-				old := d.oldRel
-				v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
+			if horizon == 0 {
+				horizon = e.minActive(members)
 			}
-			c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
-			c.push(v)
-			pushed = append(pushed, pushedVer{c, v})
+			if horizon >= tx.id {
+				break
+			}
+			e.retain(d, tx.id)
 		}
 	}
 
@@ -322,8 +321,12 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		psp.SetAttr("shard_full_retries", int64(retries))
 	}
 	if err != nil {
-		for _, p := range pushed {
-			p.c.remove(p.v)
+		for _, tx := range members {
+			for _, key := range tx.order {
+				if horizon < tx.id && tx.dirty[key].supersedes() {
+					e.chainsOf(key).remove(key.id, tx.id)
+				}
+			}
 		}
 		e.unlockShards(order)
 		locked = false
@@ -352,15 +355,6 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		psp.SetAttr("drains", int64(d.Drains))
 	}
 	psp.End()
-
-	// The dirty versions are now redundant: the PMem records carry the
-	// committed state. Deleted objects keep a committed tombstone version
-	// out of the chain too — the PMem record serves old readers.
-	for _, tx := range members {
-		for _, key := range tx.order {
-			tx.chainsForKey(key).getOrCreate(key.id).remove(tx.dirty[key].ver)
-		}
-	}
 
 	// Step 4.
 	for _, tx := range members {
@@ -425,11 +419,36 @@ func (d *dirtyObj) oldPropHead() uint64 {
 	return d.oldRel.Props
 }
 
-func (tx *Tx) chainsForKey(key objKey) *chainTable {
-	if key.kind == kindNode {
-		return tx.e.nodeChainsOf(key.id)
+// supersedes reports whether committing d replaces a committed version
+// that an older reader could only find in a chain. Deletes keep serving
+// old readers from the PMem record itself, whose window just gets closed.
+func (d *dirtyObj) supersedes() bool { return d.hasOld && !d.isDelete }
+
+// retain pushes the committed version d supersedes, closed at ets (the
+// committer's id), into its chain and lists it for GC on the record's
+// shard. Caller holds that shard's commit lock.
+func (e *Engine) retain(d *dirtyObj, ets uint64) {
+	var v *version
+	if d.key.kind == kindNode {
+		old := d.oldNode
+		v = &version{bts: old.Bts, ets: ets, node: &old, props: d.oldProps}
+	} else {
+		old := d.oldRel
+		v = &version{bts: old.Bts, ets: ets, rel: &old, props: d.oldProps}
 	}
-	return tx.e.relChainsOf(key.id)
+	e.chainsOf(d.key).push(d.key.id, v)
+	sh := &e.shards[e.shardOf(d.key)]
+	sh.gcMu.Lock()
+	sh.retained = append(sh.retained, retainedVer{d.key, ets})
+	sh.gcPending.Add(1)
+	sh.gcMu.Unlock()
+}
+
+func (e *Engine) chainsOf(key objKey) *chainTable {
+	if key.kind == kindNode {
+		return e.nodeChainsOf(key.id)
+	}
+	return e.relChainsOf(key.id)
 }
 
 func (tx *Tx) tableFor(k objKind) *storage.Table {
@@ -509,8 +528,9 @@ func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
 	}
 }
 
-// Abort rolls the transaction back (§5.1): dirty versions are discarded,
-// write locks released, and slots of uncommitted inserts reclaimed.
+// Abort rolls the transaction back (§5.1): the write set (and with it
+// every dirty version) is discarded, write locks released, and slots of
+// uncommitted inserts reclaimed.
 func (tx *Tx) Abort() error {
 	tx.endMu.Lock()
 	defer tx.endMu.Unlock()
@@ -532,7 +552,6 @@ func (tx *Tx) abortLocked() error {
 	}
 	for i := len(tx.order) - 1; i >= 0; i-- {
 		d := tx.dirty[tx.order[i]]
-		tx.chainsForKey(d.key).getOrCreate(d.key.id).remove(d.ver)
 		if d.isInsert {
 			// The slot was persistently allocated at operation time; give
 			// it back on its shard's lane, under the shard's commit lock,
@@ -546,7 +565,6 @@ func (tx *Tx) abortLocked() error {
 			if err != nil {
 				return fmt.Errorf("core: abort: release %v %d: %w", d.key.kind, d.key.id, err)
 			}
-			tx.chainsForKey(d.key).drop(d.key.id)
 			continue
 		}
 		off := tx.recordOffset(d.key)
@@ -618,41 +636,44 @@ func (tx *Tx) enqueueGC() {
 		sh := &e.shards[e.shardOf(d.key)]
 		sh.gcMu.Lock()
 		sh.gcQueue = append(sh.gcQueue, d.key)
+		sh.gcPending.Add(1)
 		sh.gcMu.Unlock()
 	}
 }
 
-// runGC reclaims storage at transaction-level granularity. Version chains
-// are pruned against the oldest active timestamp on every transaction
-// end; physical slot reclamation (bitmap-free, DG5) runs only in
-// quiescent moments, when no transaction can be traversing the records,
-// and under every shard's commit lock, because unlinking a relationship
-// rewrites next-pointers of records in arbitrary shards.
-func (e *Engine) runGC(quiescent bool) {
-	// Fast path: nothing to collect (read-only steady state).
-	hasChains, hasQueue := false, false
+// runGC is transaction-level garbage collection (§5.3), run at every
+// transaction end and in proportion to what commits left behind: each
+// shard lists the versions its commits retained, those are pruned against
+// the oldest active timestamp, and a chain the pruning empties is dropped.
+// A shard with nothing listed costs one atomic load. Physical slot
+// reclamation (bitmap-free, DG5) runs only in quiescent moments, when no
+// transaction can be traversing the records, and under every shard's
+// commit lock, because unlinking a relationship rewrites next-pointers of
+// records in arbitrary shards.
+func (e *Engine) runGC() {
+	var minActive uint64 // 0: not computed
+	reclaim := false
 	for i := range e.shards {
 		sh := &e.shards[i]
-		if sh.nodeChains.live.Load() > 0 || sh.relChains.live.Load() > 0 {
-			hasChains = true
+		if sh.gcPending.Load() == 0 {
+			continue
 		}
 		sh.gcMu.Lock()
-		if len(sh.gcQueue) > 0 {
-			hasQueue = true
+		if len(sh.retained) > 0 && minActive == 0 {
+			minActive = e.minActive(nil)
 		}
+		sh.retained = slices.DeleteFunc(sh.retained, func(r retainedVer) bool {
+			if r.ets > minActive {
+				return false
+			}
+			e.chainsOf(r.key).prune(r.key.id, minActive)
+			return true
+		})
+		reclaim = reclaim || len(sh.gcQueue) > 0
+		sh.gcPending.Store(int64(len(sh.retained) + len(sh.gcQueue)))
 		sh.gcMu.Unlock()
 	}
-	if !hasChains && !hasQueue {
-		return
-	}
-	minActive := e.minActive()
-	if hasChains {
-		for i := range e.shards {
-			e.pruneChains(e.shards[i].nodeChains, minActive)
-			e.pruneChains(e.shards[i].relChains, minActive)
-		}
-	}
-	if !quiescent {
+	if !reclaim || e.ActiveTxs() > 0 {
 		return
 	}
 	var queue []objKey
@@ -661,6 +682,7 @@ func (e *Engine) runGC(quiescent bool) {
 		sh.gcMu.Lock()
 		queue = append(queue, sh.gcQueue...)
 		sh.gcQueue = nil
+		sh.gcPending.Store(int64(len(sh.retained)))
 		sh.gcMu.Unlock()
 	}
 	if len(queue) == 0 {
@@ -679,20 +701,6 @@ func (e *Engine) runGC(quiescent bool) {
 		if key.kind == kindNode {
 			e.reclaimNode(key.id)
 		}
-	}
-}
-
-func (e *Engine) pruneChains(t *chainTable, minActive uint64) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for id, c := range s.m {
-			if c.prune(minActive) == 0 {
-				delete(s.m, id)
-				t.live.Add(-1)
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -725,7 +733,6 @@ func (e *Engine) reclaimRel(id uint64) {
 		return
 	}
 	e.relRTSOf(id).forget(id)
-	e.relChainsOf(id).drop(id)
 }
 
 // unlinkRel removes relationship id from one adjacency list of node n.
@@ -799,5 +806,4 @@ func (e *Engine) reclaimNode(id uint64) {
 		return
 	}
 	e.nodeRTSOf(id).forget(id)
-	e.nodeChainsOf(id).drop(id)
 }

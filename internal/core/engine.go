@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -128,8 +129,14 @@ type engineShard struct {
 	nodeRTS    *rtsTable
 	relRTS     *rtsTable
 
-	gcMu    sync.Mutex
-	gcQueue []objKey
+	// GC bookkeeping, guarded by gcMu: the committed deletions awaiting
+	// physical reclamation and the versions commits retained in this
+	// shard's chains. gcPending counts both lists' entries, so transaction
+	// end skips an idle shard with one atomic load.
+	gcMu      sync.Mutex
+	gcQueue   []objKey
+	retained  []retainedVer
+	gcPending atomic.Int64
 
 	// queue batches the shard's concurrent committers into epochs (see
 	// groupcommit.go).
@@ -173,7 +180,10 @@ type Engine struct {
 	// shard's active set, and minActive takes the write side before
 	// snapshotting the clock. Without it a GC pass racing a Begin could
 	// compute a minimum past the just-drawn id and prune chain versions
-	// the new transaction is entitled to read.
+	// the new transaction is entitled to read, and a commit could miss an
+	// older reader and not retain the version it reads. A commit takes it
+	// under its shard commit locks; nothing takes a commit lock while
+	// holding it.
 	beginMu sync.RWMutex
 
 	nShards      int
@@ -573,9 +583,10 @@ func (e *Engine) ActiveTxs() int {
 	return n
 }
 
-// minActive returns the smallest active transaction timestamp across all
-// shards, or one past the current clock when no transaction is active.
-func (e *Engine) minActive() uint64 {
+// minActive returns the smallest timestamp of an active transaction not
+// in except across all shards, or one past the current clock when there
+// is none.
+func (e *Engine) minActive(except []*Tx) uint64 {
 	// Flush in-flight Begins, then snapshot the clock: any transaction
 	// missing from the scan below either finished already or drew an id
 	// after the barrier — and the latter is strictly above the ceiling.
@@ -587,7 +598,7 @@ func (e *Engine) minActive() uint64 {
 		sh := &e.shards[s]
 		sh.activeMu.Lock()
 		for ts := range sh.active {
-			if ts < min {
+			if ts < min && !slices.ContainsFunc(except, func(tx *Tx) bool { return tx.id == ts }) {
 				min = ts
 			}
 		}

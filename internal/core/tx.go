@@ -15,7 +15,7 @@ import (
 
 // Tx is an MVTO transaction (§5.1). The transaction identifier doubles as
 // its timestamp. All uncommitted state lives in DRAM (§5.2): a write
-// creates a dirty version in the volatile version chain and only commit
+// creates a dirty version in the transaction's write set and only commit
 // persists it to PMem, inside a single pmemobj transaction (DG4).
 //
 // A Tx must be used from a single goroutine; different transactions may
@@ -61,7 +61,7 @@ const maxPropWalk = 1 << 20
 // dirtyObj tracks one object written by the transaction.
 type dirtyObj struct {
 	key      objKey
-	ver      *version // DRAM dirty version, linked into the chain
+	ver      *version // DRAM dirty version, seen by this transaction only
 	isInsert bool
 	isDelete bool
 	// propsChanged records whether the property set differs from the
@@ -221,7 +221,7 @@ func (tx *Tx) finish() {
 	sh.activeMu.Lock()
 	delete(sh.active, tx.id)
 	sh.activeMu.Unlock()
-	e.runGC(e.ActiveTxs() == 0)
+	e.runGC()
 }
 
 // --- snapshots (read views) ---
@@ -394,12 +394,10 @@ func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, [
 		}
 		return NodeSnap{ID: id, Rec: rec}, props, nil
 	}
-	if c := e.nodeChainsOf(id).get(id); c != nil {
-		v, steps := c.findVisible(tx.id)
-		e.tel.ChainWalk.Observe(steps)
-		if v != nil && !v.tombstone {
-			return nodeVersionSnap(id, v, label)
-		}
+	v, steps := e.nodeChainsOf(id).find(id, tx.id)
+	e.tel.ChainWalk.Observe(steps)
+	if v != nil {
+		return nodeVersionSnap(id, v, label)
 	}
 	return NodeSnap{}, nil, ErrNotFound
 }
@@ -475,12 +473,10 @@ func (tx *Tx) readRel(id uint64, label uint32, dst []storage.Prop) (RelSnap, []s
 		}
 		return RelSnap{ID: id, Rec: rec}, props, nil
 	}
-	if c := e.relChainsOf(id).get(id); c != nil {
-		v, steps := c.findVisible(tx.id)
-		e.tel.ChainWalk.Observe(steps)
-		if v != nil && !v.tombstone {
-			return relVersionSnap(id, v, label)
-		}
+	v, steps := e.relChainsOf(id).find(id, tx.id)
+	e.tel.ChainWalk.Observe(steps)
+	if v != nil {
+		return relVersionSnap(id, v, label)
 	}
 	return RelSnap{}, nil, ErrNotFound
 }
@@ -579,8 +575,8 @@ func (tx *Tx) ScanRels(fn func(RelSnap) bool) error {
 // --- writes ---
 
 // lockNode write-locks node id via CaS on its txn-id field (§5.1) and
-// creates its DRAM dirty version. Subsequent writes by the same
-// transaction reuse the dirty version.
+// creates its DRAM dirty version in the write set. Subsequent writes by
+// the same transaction reuse the dirty version.
 func (tx *Tx) lockNode(id uint64) (*dirtyObj, error) {
 	key := objKey{kindNode, id}
 	if d, ok := tx.dirty[key]; ok {
@@ -604,13 +600,7 @@ func (tx *Tx) lockNode(id uint64) (*dirtyObj, error) {
 	}
 	oldProps := storage.ReadPropChain(e.props, rec.Props)
 	newRec := rec
-	ver := &version{
-		txnID: tx.id,
-		bts:   tx.id, ets: Infinity,
-		node:  &newRec,
-		props: append([]storage.Prop(nil), oldProps...),
-	}
-	e.nodeChainsOf(id).getOrCreate(id).push(ver)
+	ver := &version{node: &newRec, props: append([]storage.Prop(nil), oldProps...)}
 	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldNode: rec, oldProps: oldProps}), nil
 }
 
@@ -701,13 +691,7 @@ func (tx *Tx) lockRel(id uint64) (*dirtyObj, error) {
 	}
 	oldProps := storage.ReadPropChain(e.props, rec.Props)
 	newRec := rec
-	ver := &version{
-		txnID: tx.id,
-		bts:   tx.id, ets: Infinity,
-		rel:   &newRec,
-		props: append([]storage.Prop(nil), oldProps...),
-	}
-	e.relChainsOf(id).getOrCreate(id).push(ver)
+	ver := &version{rel: &newRec, props: append([]storage.Prop(nil), oldProps...)}
 	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldRel: rec, oldProps: oldProps}), nil
 }
 
@@ -756,8 +740,7 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 		Label: uint32(labelCode),
 		Out:   storage.NilID, In: storage.NilID, Props: storage.NilID,
 	}
-	ver := &version{txnID: tx.id, bts: tx.id, ets: Infinity, node: &rec, props: encProps}
-	e.nodeChainsOf(id).getOrCreate(id).push(ver)
+	ver := &version{node: &rec, props: encProps}
 	key := objKey{kindNode, id}
 	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
 	return id, nil
@@ -826,8 +809,7 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 		NextSrc: nextSrc, NextDst: nextDst,
 		Props: storage.NilID,
 	}
-	ver := &version{txnID: tx.id, bts: tx.id, ets: Infinity, rel: &rec, props: encProps}
-	e.relChainsOf(id).getOrCreate(id).push(ver)
+	ver := &version{rel: &rec, props: encProps}
 	key := objKey{kindRel, id}
 	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
 
@@ -939,7 +921,6 @@ func (tx *Tx) DeleteRel(id uint64) error {
 		return err
 	}
 	d.isDelete = true
-	d.ver.tombstone = true
 	return nil
 }
 
@@ -970,7 +951,6 @@ func (tx *Tx) DeleteNode(id uint64) error {
 		return err
 	}
 	d.isDelete = true
-	d.ver.tombstone = true
 	return nil
 }
 

@@ -1,26 +1,30 @@
 package core
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"poseidon/internal/storage"
 )
 
 // Volatile MVCC sidecars (§5.1/§5.2). Each record's persistent part
 // carries txn-id/bts/ets; the volatile part — the paper's "pointer" field
-// to the DRAM-resident dirty list, and the read timestamp rts — lives
-// here. Both are re-initialized (empty) after a restart, which §5.1
-// explicitly allows for rts.
+// to the DRAM-resident versions, and the read timestamp rts — lives here.
+// Both are re-initialized (empty) after a restart, which §5.1 explicitly
+// allows for rts.
+//
+// A dirty (uncommitted) version lives only in its transaction's write set:
+// no other transaction can see it (the record stays CAS-locked until the
+// commit's unlock), and the owner reads its own writes through tx.dirty.
+// The chains hold superseded committed versions only, and only those a
+// still-active older transaction may read (see persistGroup step 1).
 
-// version is one DRAM-resident version of a node or relationship: either
-// an uncommitted dirty version created by an in-flight transaction
-// (txnID != 0) or a superseded committed version kept for older readers
-// until garbage collection.
+// version is one DRAM-resident version of a node or relationship: the
+// dirty version of an in-flight transaction's write set, or a superseded
+// committed version kept in a chain for older readers until garbage
+// collection.
 type version struct {
-	txnID     uint64 // owner while uncommitted, 0 once superseded-committed
-	bts, ets  uint64 // visibility window once committed
-	tombstone bool   // version represents a deletion
+	bts, ets uint64 // visibility window of a committed version
 
 	node  *storage.NodeRec // exactly one of node/rel is set
 	rel   *storage.RelRec
@@ -29,35 +33,29 @@ type version struct {
 
 // visibleAt reports whether the version is visible to a reader at ts.
 func (v *version) visibleAt(ts uint64) bool {
-	return v.txnID == 0 && v.bts <= ts && ts < v.ets
-}
-
-// chain is the per-object volatile version list, newest first.
-type chain struct {
-	mu       sync.Mutex
-	versions []*version
+	return v.bts <= ts && ts < v.ets
 }
 
 const chainShards = 64
 
+// chainShard guards its chains: every chain operation runs under mu, so a
+// version is never pushed into a chain GC is dropping.
 type chainShard struct {
 	mu sync.Mutex
-	m  map[uint64]*chain
+	m  map[uint64][]*version // oldest first
 }
 
 // chainTable maps record ids to their volatile version chains. It stands
-// in for the per-record volatile pointer field of Fig 2. The live counter
-// lets transaction-end GC skip the shard sweep entirely when no volatile
-// versions exist (the common read-only steady state).
+// in for the per-record volatile pointer field of Fig 2. A chain exists
+// only while it holds a retained version: GC drops it once it is empty.
 type chainTable struct {
 	shards [chainShards]chainShard
-	live   atomic.Int64
 }
 
 func newChainTable() *chainTable {
 	t := &chainTable{}
 	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*chain)
+		t.shards[i].m = make(map[uint64][]*version)
 	}
 	return t
 }
@@ -66,95 +64,67 @@ func (t *chainTable) shard(id uint64) *chainShard {
 	return &t.shards[id%chainShards]
 }
 
-// get returns the chain for id, or nil if the object has no volatile
-// versions (the common case: read straight from PMem).
-func (t *chainTable) get(id uint64) *chain {
+// push appends v, the newest version of id. Versions of one record are
+// pushed under its shard's commit lock in commit order.
+func (t *chainTable) push(id uint64, v *version) {
 	s := t.shard(id)
 	s.mu.Lock()
-	c := s.m[id]
-	s.mu.Unlock()
-	return c
-}
-
-// getOrCreate returns the chain for id, creating it if needed.
-func (t *chainTable) getOrCreate(id uint64) *chain {
-	s := t.shard(id)
-	s.mu.Lock()
-	c := s.m[id]
-	if c == nil {
-		c = &chain{}
-		s.m[id] = c
-		t.live.Add(1)
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// drop removes an empty chain.
-func (t *chainTable) drop(id uint64) {
-	s := t.shard(id)
-	s.mu.Lock()
-	if c := s.m[id]; c != nil {
-		c.mu.Lock()
-		if len(c.versions) == 0 {
-			delete(s.m, id)
-			t.live.Add(-1)
-		}
-		c.mu.Unlock()
-	}
+	s.m[id] = append(s.m[id], v)
 	s.mu.Unlock()
 }
 
-// push prepends a version (newest first).
-func (c *chain) push(v *version) {
-	c.mu.Lock()
-	c.versions = append([]*version{v}, c.versions...)
-	c.mu.Unlock()
+// remove takes the version of id superseded by the transaction ets back
+// out of the chain (its commit failed), dropping the chain if empty.
+func (t *chainTable) remove(id, ets uint64) {
+	s := t.shard(id)
+	s.mu.Lock()
+	s.store(id, slices.DeleteFunc(s.m[id], func(v *version) bool { return v.ets == ets }))
+	s.mu.Unlock()
 }
 
-// remove deletes the exact version pointer from the chain.
-func (c *chain) remove(v *version) {
-	c.mu.Lock()
-	for i, cur := range c.versions {
-		if cur == v {
-			c.versions = append(c.versions[:i], c.versions[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
-}
-
-// findVisible returns the version visible at ts, if any. It also reports
+// find returns the version of id visible at ts, if any. It also reports
 // how many versions were inspected — the chain-walk length MVTO read
-// performance depends on (telemetry feeds it into a histogram).
-func (c *chain) findVisible(ts uint64) (*version, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, v := range c.versions {
-		if v.visibleAt(ts) {
-			return v, uint64(i + 1)
+// performance depends on (telemetry feeds it into a histogram). The walk
+// runs newest first: a recent reader finds its version soonest.
+func (t *chainTable) find(id, ts uint64) (*version, uint64) {
+	s := t.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vs := s.m[id]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].visibleAt(ts) {
+			return vs[i], uint64(len(vs) - i)
 		}
 	}
-	return nil, uint64(len(c.versions))
+	return nil, uint64(len(vs))
 }
 
-// prune drops committed versions invisible to every transaction at or
-// after minActive, returning the number of remaining versions.
-func (c *chain) prune(minActive uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.versions[:0]
-	for _, v := range c.versions {
-		if v.txnID != 0 || v.ets > minActive {
-			kept = append(kept, v)
-		}
+// prune drops the versions of id invisible to every transaction at or
+// after minActive, and the chain itself once it is empty.
+func (t *chainTable) prune(id, minActive uint64) {
+	s := t.shard(id)
+	s.mu.Lock()
+	s.store(id, slices.DeleteFunc(s.m[id], func(v *version) bool { return v.ets <= minActive }))
+	s.mu.Unlock()
+}
+
+// store sets the chain of id, deleting it when empty. (slices.DeleteFunc
+// zeroes the tail it cuts, so dropped versions become collectable.)
+// Caller holds s.mu.
+func (s *chainShard) store(id uint64, vs []*version) {
+	if len(vs) == 0 {
+		delete(s.m, id)
+		return
 	}
-	// Zero the tail so dropped versions are collectable.
-	for i := len(kept); i < len(c.versions); i++ {
-		c.versions[i] = nil
-	}
-	c.versions = kept
-	return len(kept)
+	s.m[id] = vs
+}
+
+// retainedVer names a version a commit pushed into a chain: the version
+// of key that the transaction ets superseded. GC prunes it once no active
+// transaction is older than ets.
+type retainedVer struct {
+	key objKey
+	ets uint64
 }
 
 // --- read timestamps (volatile, sharded) ---

@@ -152,7 +152,7 @@ func (d *Dict) lookupLocked(s string, h uint64) (uint64, bool) {
 		}
 		if sh == h {
 			strOff := dev.ReadU64(slot + 8)
-			if d.readString(strOff) == s {
+			if d.stringIs(strOff, s) {
 				return dev.ReadU64(slot + 16), true
 			}
 		}
@@ -309,6 +309,30 @@ func (d *Dict) readString(off uint64) string {
 	buf := make([]byte, n)
 	dev.ReadBytes(off+8, buf)
 	return unsafe.String(&buf[0], n) // buf is never written again
+}
+
+// inlineCompare is the longest stored string stringIs compares without
+// allocating.
+const inlineCompare = 64
+
+// stringIs reports whether the string stored at off is s. It makes the
+// device reads readString makes, but a string of up to inlineCompare
+// bytes is read into a stack buffer instead of a new allocation.
+func (d *Dict) stringIs(off uint64, s string) bool {
+	dev := d.pool.Device()
+	n := dev.ReadU64(off)
+	if n == 0 {
+		return s == ""
+	}
+	var small [inlineCompare]byte
+	var buf []byte
+	if n <= inlineCompare {
+		buf = small[:n]
+	} else {
+		buf = make([]byte, n)
+	}
+	dev.ReadBytes(off+8, buf)
+	return string(buf) == s
 }
 
 // appendString stores s in the arena and returns its offset.

@@ -334,3 +334,30 @@ func TestEncodeDuringBulkBatchNoDeadlock(t *testing.T) {
 		t.Fatalf("integrity violations: %v", probs)
 	}
 }
+
+// TestLookupAroundTheInlineLength: strings on both sides of the length
+// compared in a stack buffer are found again, and the in-place compare
+// rejects a string that differs only in its last byte or its length.
+func TestLookupAroundTheInlineLength(t *testing.T) {
+	d, dev := newTestDict(t, 8<<20)
+	for _, n := range []int{1, inlineCompare - 1, inlineCompare, inlineCompare + 1, 1000} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + i%26)
+		}
+		s := string(b)
+		c, err := d.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := d.Lookup(s); !ok || got != c {
+			t.Errorf("length %d: Lookup = %d, %v; want %d, true", n, got, ok, c)
+		}
+		block := dev.ReadU64(dev.ReadU64(d.hdr+hRevDirOff) + c/revBlockCodes*8)
+		off := dev.ReadU64(block + c%revBlockCodes*8)
+		b[n-1] = '#'
+		if !d.stringIs(off, s) || d.stringIs(off, string(b)) || d.stringIs(off, s[:n-1]) || d.stringIs(off, s+"a") {
+			t.Errorf("length %d: the in-place compare does not tell the stored string from its neighbours", n)
+		}
+	}
+}
