@@ -1,22 +1,19 @@
 // Command poseidonlint runs the poseidon static analyzer (internal/lint)
 // over the module: crash-consistency discipline (flush ordering,
 // undo-log coverage, torn multi-word stores — paper C4), context
-// threading, telemetry handle safety, and the CFG-based concurrency
-// passes (lock order, seqlock brackets, atomic field consistency,
-// span/rows lifecycle, wire error codes).
+// threading, and the CFG-based concurrency passes (lock order, seqlock
+// brackets, span/rows lifecycle, wire error codes).
 //
 // Usage:
 //
 //	go run ./cmd/poseidonlint ./...
 //	go run ./cmd/poseidonlint -list
-//	go run ./cmd/poseidonlint -disable ctx-threading ./internal/index
-//	go run ./cmd/poseidonlint -baseline .poseidonlint-baseline ./...
-//	go run ./cmd/poseidonlint -write-baseline .poseidonlint-baseline ./...
+//	go run ./cmd/poseidonlint -enable flush-discipline,torn-store ./internal/storage
 //	go run ./cmd/poseidonlint -sarif lint.sarif -timing -time-budget 60s ./...
 //
 // Findings print as "file:line:col: [pass] message"; the exit status is
-// 1 when any unbaselined finding remains, 2 on a fatal error, and 3
-// when -time-budget is set and the analyzer ran over it.
+// 1 when any finding remains, 2 on a fatal error, and 3 when
+// -time-budget is set and the analyzer ran over it.
 package main
 
 import (
@@ -32,15 +29,11 @@ import (
 
 func main() {
 	var (
-		enable    = flag.String("enable", "", "comma-separated passes to run (default: all)")
-		disable   = flag.String("disable", "", "comma-separated passes to skip")
-		baseline  = flag.String("baseline", "", "baseline file of grandfathered findings")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-		list      = flag.Bool("list", false, "list available passes and exit")
-		verbose   = flag.Bool("v", false, "also print baselined (suppressed) findings")
-		sarifOut  = flag.String("sarif", "", "also write unbaselined findings as SARIF 2.1.0 to this file")
-		timing    = flag.Bool("timing", false, "print per-pass wall-clock timings to stderr")
-		budget    = flag.Duration("time-budget", 0, "exit 3 if load+analysis wall-clock exceeds this duration (0 = no budget)")
+		enable   = flag.String("enable", "", "comma-separated passes to run (default: all)")
+		list     = flag.Bool("list", false, "list available passes and exit")
+		sarifOut = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
+		timing   = flag.Bool("timing", false, "print per-pass wall-clock timings to stderr")
+		budget   = flag.Duration("time-budget", 0, "exit 3 if load+analysis wall-clock exceeds this duration (0 = no budget)")
 	)
 	flag.Parse()
 
@@ -62,8 +55,7 @@ func main() {
 	}
 	loadElapsed := time.Since(start)
 
-	opts := lint.Options{Enable: splitList(*enable), Disable: splitList(*disable)}
-	findings, timings, err := lint.RunTimed(m, opts)
+	findings, timings, err := lint.RunTimed(m, lint.Options{Enable: splitList(*enable)})
 	if err != nil {
 		fatal(err)
 	}
@@ -78,36 +70,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "poseidonlint: %-22s %8.1fms\n", "total", float64(total.Microseconds())/1000)
 	}
 
-	if *writeBase != "" {
-		if err := lint.WriteBaseline(*writeBase, root, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "poseidonlint: wrote %d finding(s) to %s\n", len(findings), *writeBase)
-		return
-	}
-
-	var baselined map[string]bool
-	if *baseline != "" {
-		baselined, err = lint.ReadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fresh, old := lint.ApplyBaseline(root, findings, baselined)
-	for _, f := range fresh {
+	for _, f := range findings {
 		fmt.Println(rel(root, f))
-	}
-	if *verbose {
-		for _, f := range old {
-			fmt.Printf("%s (baselined)\n", rel(root, f))
-		}
 	}
 	if *sarifOut != "" {
 		w, err := os.Create(*sarifOut)
 		if err != nil {
 			fatal(err)
 		}
-		if err := lint.WriteSARIF(w, root, fresh); err != nil {
+		if err := lint.WriteSARIF(w, root, findings); err != nil {
 			w.Close()
 			fatal(err)
 		}
@@ -115,8 +86,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "poseidonlint: %d finding(s)\n", len(fresh))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "poseidonlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 	if *budget > 0 && total > *budget {

@@ -46,9 +46,8 @@ type BulkLoader struct {
 	// watermark advance).
 	ts uint64
 	// apps stage deferred index entries, one appender per shard.
-	apps    []bulkAppender
-	batches uint64
-	err     error
+	apps []bulkAppender
+	err  error
 	// open is set while this loader holds the engine's bulkLoading flag:
 	// from NewBulkLoader until Finish or the first failure.
 	open bool
@@ -112,7 +111,6 @@ func (b *BulkLoader) flush() {
 	}
 	b.tx.Commit()
 	b.tx = nil
-	b.batches++
 	b.publishStaged()
 }
 
@@ -122,9 +120,6 @@ func (b *BulkLoader) bump() {
 		b.flush()
 	}
 }
-
-// Batches reports how many batches have been committed so far.
-func (b *BulkLoader) Batches() uint64 { return b.batches }
 
 // stageNode defers the node's secondary-index entries to its shard's
 // appender; they are published when the batch commits.
@@ -337,7 +332,6 @@ func (b *BulkLoader) failTx(err error) error {
 	if b.tx != nil {
 		b.tx.Commit() // snapshots so far are internally consistent
 		b.tx = nil
-		b.batches++
 		b.publishStaged()
 	}
 	b.e.nodes.ResyncVolatile()

@@ -26,9 +26,6 @@ type Config struct {
 	PoolSize int
 	// Profile overrides the latency model; nil uses the mode's default.
 	Profile *pmem.Profile
-	// CacheBytes sizes the simulated CPU cache for the PMem device
-	// (default 4 MiB; ignored in DRAM mode).
-	CacheBytes int
 	// LogCap sizes the pmemobj undo log (default 4 MiB).
 	LogCap uint64
 	// Shards partitions the engine's MVTO state, secondary indexes and
@@ -43,9 +40,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.PoolSize == 0 {
 		c.PoolSize = 256 << 20
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 4 << 20
 	}
 	if c.LogCap == 0 {
 		c.LogCap = 4 << 20
@@ -73,6 +67,9 @@ func defaultShards() int {
 	}
 	return n
 }
+
+// pmemCacheBytes sizes the simulated CPU cache of a PMem-mode device.
+const pmemCacheBytes = 4 << 20
 
 // Root object layout. The lane directory extends the original layout;
 // both sizes land in the same allocator class and freshly allocated
@@ -281,7 +278,7 @@ func newDevice(cfg Config) (*pmem.Device, error) {
 		}
 		return pmem.New(pmem.Config{
 			Name: "graph-pmem", Size: cfg.PoolSize, Profile: prof,
-			CacheBytes: cfg.CacheBytes, Persistent: true,
+			CacheBytes: pmemCacheBytes, Persistent: true,
 		}), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadConfig, cfg.Mode)

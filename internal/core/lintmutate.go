@@ -1,18 +1,21 @@
 //go:build lintmutate
 
-// Seeded concurrency-discipline mutants for poseidonlint's mutation
-// test (internal/lint/mutation_test.go). Each function below plants one
-// bug from a race class the analyzer is contracted to catch; the test
-// loads the module with the lintmutate tag and fails if any mutant goes
-// unreported. The tag keeps them out of every real build.
+// Seeded mutants for poseidonlint's mutation test
+// (internal/lint/mutation_test.go). Each function below plants one bug
+// from a class a pass is contracted to catch, and every registered pass
+// owns at least one; the test loads the module with the lintmutate tag
+// and fails if any mutant goes unreported. The tag keeps them out of
+// every real build.
 package core
 
 import (
 	"context"
 	"errors"
 
+	"poseidon/internal/pmemobj"
 	"poseidon/internal/storage"
 	"poseidon/internal/trace"
+	"poseidon/internal/wire"
 )
 
 var errMutate = errors.New("lintmutate")
@@ -73,4 +76,40 @@ func (e *Engine) mutantLeakedSpan(ctx context.Context, fail bool) error {
 	}
 	sp.End()
 	return nil
+}
+
+// mutantUnflushedEts stamps a node's end timestamp and returns without
+// persisting it: a crash after the caller acknowledges the delete leaves
+// the node live. flush-discipline must flag the store.
+func (e *Engine) mutantUnflushedEts(off, ts uint64) {
+	e.dev.WriteU64(off+storage.NEts, ts)
+}
+
+// mutantWriteBeforeSnapshot writes a record word inside a transaction
+// before snapshotting it, so the undo log holds the new value and an
+// abort cannot restore the old one. tx-undo-log must flag the write.
+func (e *Engine) mutantWriteBeforeSnapshot(tx *pmemobj.Tx, off, ts uint64) error {
+	e.dev.WriteU64(off+storage.NBts, ts)
+	return tx.Snapshot(off+storage.NBts, 8)
+}
+
+// mutantTornHeader writes three header words of a record in one store,
+// outside any transaction: a crash can persist some words and not the
+// others. torn-store must flag the store.
+func (e *Engine) mutantTornHeader(off, txn, bts, ets uint64) {
+	e.dev.WriteWords(off+storage.NTxnID, []uint64{txn, bts, ets})
+	e.dev.Persist(off+storage.NTxnID, 24)
+}
+
+// mutantFreshContext hands out a context of its own instead of the
+// caller's, so cancelling the session no longer stops the work below.
+// ctx-threading must flag the construction.
+func (e *Engine) mutantFreshContext() context.Context {
+	return context.Background()
+}
+
+// mutantUncodedWireError builds a wire error with no Code, which a client
+// decodes as "" and cannot classify. wirecode must flag the literal.
+func (e *Engine) mutantUncodedWireError(err error) *wire.Error {
+	return &wire.Error{Message: err.Error()}
 }

@@ -124,8 +124,6 @@ type bufferPool struct {
 	frames []frame
 	index  map[uint64]int
 	hand   int
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 func newBufferPool(d *disk, capacity int) *bufferPool {
@@ -144,12 +142,10 @@ func newBufferPool(d *disk, capacity int) *bufferPool {
 // pid, reading it from disk on a miss.
 func (bp *bufferPool) get(pid uint64) []byte {
 	if fi, ok := bp.index[pid]; ok {
-		bp.hits.Add(1)
 		spin(bp.disk.lat.Hit)
 		bp.frames[fi].ref = true
 		return bp.frames[fi].data
 	}
-	bp.misses.Add(1)
 	fi := bp.evict()
 	f := &bp.frames[fi]
 	if f.valid {
@@ -198,13 +194,4 @@ func (bp *bufferPool) flushAll() {
 		}
 	}
 	bp.disk.fsync()
-}
-
-// HitRate returns the buffer pool hit ratio.
-func (bp *bufferPool) hitRate() float64 {
-	h, m := bp.hits.Load(), bp.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

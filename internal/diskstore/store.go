@@ -104,9 +104,6 @@ func Open(cfg Config) *Store {
 // Stats returns device operation counters.
 func (s *Store) Stats() *DiskStats { return &s.stats }
 
-// HitRate returns the buffer-pool hit rate.
-func (s *Store) HitRate() float64 { return s.pool.hitRate() }
-
 func (s *Store) encode(str string) uint64 {
 	if c, ok := s.dictFwd[str]; ok {
 		return c

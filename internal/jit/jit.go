@@ -52,9 +52,6 @@ func New(e *core.Engine) (*Engine, error) {
 	return &Engine{core: e, cache: c, mem: make(map[string]*Compiled)}, nil
 }
 
-// Core returns the wrapped graph engine.
-func (j *Engine) Core() *core.Engine { return j.core }
-
 // InvalidateSession drops the in-memory code cache (the persistent cache
 // stays, simulating a restart where code is relinked from PMem).
 func (j *Engine) InvalidateSession() {

@@ -10,9 +10,8 @@ import (
 // above. (Every entry point that runs a plan takes a context, so the
 // compiler enforces the rest.)
 var passCtxThreading = &Pass{
-	Name:    "ctx-threading",
-	Doc:     "library code must not construct context.Background()/TODO()",
-	Default: true,
+	Name: "ctx-threading",
+	Doc:  "library code must not construct context.Background()/TODO()",
 	Run: func(c *Context) {
 		if c.Pkg.Name == "main" {
 			return

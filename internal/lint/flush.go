@@ -14,9 +14,8 @@ import (
 // checks them instead). This is the static analogue of PMDK pmemcheck's
 // "stored without flush" report.
 var passFlushDiscipline = &Pass{
-	Name:    "flush-discipline",
-	Doc:     "pmem stores must be flushed on every path to return (//pmem:deferred-flush to defer to the caller)",
-	Default: true,
+	Name: "flush-discipline",
+	Doc:  "pmem stores must be flushed on every path to return (//pmem:deferred-flush to defer to the caller)",
 	Run: func(c *Context) {
 		for _, fi := range c.Kit.Funcs(c.Pkg) {
 			if fi.Deferred || fi.Ignored["flush-discipline"] {

@@ -51,28 +51,21 @@ type Kit struct {
 	m         *Module
 	pmemPath  string
 	pmobjPath string
-	telePath  string
 	tracePath string
 	wirePath  string
 	facts     map[*types.Func]*funcFacts
 	lineIgn   map[string]map[int]map[string]bool
-	// atomicFields maps struct fields that are passed by address to a
-	// sync/atomic operation anywhere in the run to the position of one
-	// such use; the atomicfield pass flags every plain access to them.
-	atomicFields map[types.Object]token.Position
 }
 
 func newKit(m *Module) *Kit {
 	k := &Kit{
-		m:            m,
-		pmemPath:     m.Path + "/internal/pmem",
-		pmobjPath:    m.Path + "/internal/pmemobj",
-		telePath:     m.Path + "/internal/telemetry",
-		tracePath:    m.Path + "/internal/trace",
-		wirePath:     m.Path + "/internal/wire",
-		facts:        map[*types.Func]*funcFacts{},
-		lineIgn:      map[string]map[int]map[string]bool{},
-		atomicFields: map[types.Object]token.Position{},
+		m:         m,
+		pmemPath:  m.Path + "/internal/pmem",
+		pmobjPath: m.Path + "/internal/pmemobj",
+		tracePath: m.Path + "/internal/trace",
+		wirePath:  m.Path + "/internal/wire",
+		facts:     map[*types.Func]*funcFacts{},
+		lineIgn:   map[string]map[int]map[string]bool{},
 	}
 	for _, pkg := range m.Pkgs {
 		k.addPackage(pkg)
@@ -111,44 +104,7 @@ func (k *Kit) addPackage(pkg *Package) {
 			k.facts[obj] = k.directFacts(pkg, fd.Body)
 		}
 	}
-	k.indexAtomicFields(pkg)
 	k.solve()
-}
-
-// indexAtomicFields records every struct field whose address is passed
-// to a sync/atomic operation in pkg. Index expressions (&s.words[i])
-// are skipped: the atomic unit there is the element, which cannot be
-// tracked statically.
-func (k *Kit) indexAtomicFields(pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if path, _, ok := k.PkgCall(pkg, call); !ok || path != "sync/atomic" {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := un.X.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-					if obj := s.Obj(); obj != nil {
-						if _, seen := k.atomicFields[obj]; !seen {
-							k.atomicFields[obj] = k.m.Fset.Position(un.Pos())
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 func (k *Kit) directFacts(pkg *Package, body *ast.BlockStmt) *funcFacts {
@@ -458,7 +414,7 @@ func (k *Kit) Funcs(pkg *Package) []FuncInfo {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			deferred, ignored := funcDirectives(pkg, fd, fd.Doc)
+			deferred, ignored := funcDirectives(fd.Doc)
 			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 			out = append(out, FuncInfo{
 				Pkg: pkg, Decl: fd, Body: fd.Body, Obj: obj,

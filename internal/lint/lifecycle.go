@@ -23,9 +23,8 @@ import (
 // by a closure) transfer ownership and are not tracked; a creation whose
 // result is discarded outright is flagged immediately.
 var passLifecycle = &Pass{
-	Name:    "lifecycle",
-	Doc:     "spans must be Ended and Rows/Session/Conn Closed on every path, or escape to a new owner",
-	Default: true,
+	Name: "lifecycle",
+	Doc:  "spans must be Ended and Rows/Session/Conn Closed on every path, or escape to a new owner",
 	Run: func(c *Context) {
 		if c.Pkg.Path == c.Kit.tracePath {
 			return // the span machinery itself

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -23,26 +21,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Pass, f.Msg)
 }
 
-// Key is the position-independent identity used for baseline matching:
-// "file: [pass] message" with the file path relative to the module root.
-// Omitting line/col keeps grandfathered findings stable across edits
-// elsewhere in the file.
-func (f Finding) Key(root string) string {
-	file := f.Pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return fmt.Sprintf("%s: [%s] %s", file, f.Pass, f.Msg)
-}
-
 // A Pass inspects one package at a time and reports findings through
 // the Reporter. Passes must tolerate partially-broken type info (stdlib
 // imports are stubs — see the package comment in load.go).
 type Pass struct {
-	Name    string
-	Doc     string
-	Run     func(c *Context)
-	Default bool // enabled unless -disable'd
+	Name string
+	Doc  string
+	Run  func(c *Context)
 }
 
 // Context is what a pass sees for one package.
@@ -70,49 +55,38 @@ func Passes() []*Pass {
 		passTxUndoLog,
 		passTornStore,
 		passCtxThreading,
-		passTelemetryNilSafety,
 		passLockOrder,
 		passSeqlock,
-		passAtomicField,
 		passLifecycle,
 		passWireCode,
 	}
 }
 
-// Options select which passes run and over which packages.
+// Options select which passes run.
 type Options struct {
-	Enable  []string // if non-empty, only these passes run
-	Disable []string // these passes are skipped
+	Enable []string // if non-empty, only these passes run; otherwise all do
 }
 
 func selected(opts Options) ([]*Pass, error) {
+	if len(opts.Enable) == 0 {
+		return Passes(), nil
+	}
 	known := map[string]*Pass{}
 	for _, p := range Passes() {
 		known[p.Name] = p
 	}
-	for _, n := range append(append([]string{}, opts.Enable...), opts.Disable...) {
+	for _, n := range opts.Enable {
 		if known[n] == nil {
 			return nil, fmt.Errorf("lint: unknown pass %q", n)
 		}
 	}
 	var out []*Pass
 	for _, p := range Passes() {
-		if len(opts.Enable) > 0 {
-			for _, n := range opts.Enable {
-				if n == p.Name {
-					out = append(out, p)
-				}
-			}
-			continue
-		}
-		skip := false
-		for _, n := range opts.Disable {
+		for _, n := range opts.Enable {
 			if n == p.Name {
-				skip = true
+				out = append(out, p)
+				break
 			}
-		}
-		if !skip && p.Default {
-			out = append(out, p)
 		}
 	}
 	return out, nil
@@ -174,9 +148,11 @@ func RunTimed(m *Module, opts Options, extra ...*Package) ([]Finding, []PassTimi
 // Two directive forms are honoured:
 //
 //	//pmem:deferred-flush <reason>
-//	    on a function's doc comment (or any line inside it): the
-//	    flush-discipline and torn-store passes skip the function — the
-//	    caller owns flushing, and the reason says why that is safe.
+//	    on a function's doc comment: the flush-discipline pass skips the
+//	    function — the caller owns flushing, and the reason says why that
+//	    is safe. It does not silence torn-store: a deferred flush does not
+//	    make a multi-word store failure-atomic, so such a function needs
+//	    its own //poseidonlint:ignore torn-store as well.
 //
 //	//poseidonlint:ignore <pass> [reason]
 //	    on a function's doc comment or on/above the offending line:
@@ -187,28 +163,24 @@ const (
 )
 
 // funcDirectives returns the deferred-flush flag and the set of passes
-// ignored for the whole function, scanning the doc comment and any
-// comment inside the function body.
-func funcDirectives(pkg *Package, fn ast.Node, doc *ast.CommentGroup) (deferred bool, ignored map[string]bool) {
+// ignored for the whole function, read from its doc comment.
+func funcDirectives(doc *ast.CommentGroup) (deferred bool, ignored map[string]bool) {
 	ignored = map[string]bool{}
-	scan := func(cg *ast.CommentGroup) {
-		if cg == nil {
-			return
+	if doc == nil {
+		return false, ignored
+	}
+	for _, c := range doc.List {
+		text := strings.TrimSpace(c.Text)
+		if strings.HasPrefix(text, dirDeferredFlush) {
+			deferred = true
 		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if strings.HasPrefix(text, dirDeferredFlush) {
-				deferred = true
-			}
-			if strings.HasPrefix(text, dirIgnore) {
-				rest := strings.Fields(strings.TrimPrefix(text, dirIgnore))
-				if len(rest) > 0 {
-					ignored[rest[0]] = true
-				}
+		if strings.HasPrefix(text, dirIgnore) {
+			rest := strings.Fields(strings.TrimPrefix(text, dirIgnore))
+			if len(rest) > 0 {
+				ignored[rest[0]] = true
 			}
 		}
 	}
-	scan(doc)
 	return deferred, ignored
 }
 
@@ -245,53 +217,4 @@ func lineDirectives(m *Module, pkg *Package) map[string]map[int]map[string]bool 
 		}
 	}
 	return out
-}
-
-// ---- baseline ----------------------------------------------------------
-
-// ReadBaseline loads a baseline file of grandfathered findings: one
-// Finding.Key per line, '#' comments and blank lines skipped.
-func ReadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out[line] = true
-	}
-	return out, nil
-}
-
-// ApplyBaseline splits findings into new ones and baselined ones.
-func ApplyBaseline(root string, findings []Finding, baseline map[string]bool) (fresh, old []Finding) {
-	for _, f := range findings {
-		if baseline[f.Key(root)] {
-			old = append(old, f)
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-	return fresh, old
-}
-
-// WriteBaseline writes all findings as a baseline file.
-func WriteBaseline(path, root string, findings []Finding) error {
-	var b strings.Builder
-	b.WriteString("# poseidonlint baseline — grandfathered findings, one per line.\n")
-	b.WriteString("# Format: path: [pass] message (line numbers omitted so edits elsewhere\n")
-	b.WriteString("# in a file do not invalidate entries). Regenerate with -write-baseline.\n")
-	seen := map[string]bool{}
-	for _, f := range findings {
-		k := f.Key(root)
-		if !seen[k] {
-			seen[k] = true
-			b.WriteString(k + "\n")
-		}
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

@@ -3,8 +3,10 @@
 // It loads every package in the module with go/parser, type-checks them
 // with go/types, and runs pluggable passes that police disciplines the
 // Go compiler cannot see: PMem flush ordering, undo-log coverage,
-// torn multi-word stores (paper C4), context threading, and nil-safe
-// telemetry handle use. cmd/poseidonlint is the CLI front end.
+// torn multi-word stores (paper C4), context threading, lock order,
+// seqlock brackets, span/rows lifecycle and wire error codes. Every pass
+// is pinned by a seeded mutant in internal/core/lintmutate.go
+// (mutation_test.go). cmd/poseidonlint is the CLI front end.
 //
 // The loader deliberately avoids golang.org/x/tools: module packages are
 // parsed and type-checked in dependency order, imports of other module
@@ -12,7 +14,7 @@
 // import (stdlib included) resolves to an empty stub package. Stubs make
 // the checker report errors for stdlib member references, but those are
 // collected and ignored — the module-internal type information the
-// passes need (receiver types of Device/Pool/Tx/telemetry calls) is
+// passes need (receiver types of Device/Pool/Tx/Span calls) is
 // still fully populated, and loading stays fast and hermetic.
 package lint
 
@@ -51,9 +53,6 @@ type Module struct {
 	byPath map[string]*Package
 	tags   map[string]bool // build tags considered satisfied
 }
-
-// ByPath returns the module package with the given import path, or nil.
-func (m *Module) ByPath(path string) *Package { return m.byPath[path] }
 
 // Load parses and type-checks every package under root (the directory
 // containing go.mod). Test files (_test.go), testdata/ directories, and

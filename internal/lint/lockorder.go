@@ -23,9 +23,8 @@ import (
 //     or a callee that may block per the interprocedural summaries)
 //     reached while a modeled write lock is held.
 var passLockOrder = &Pass{
-	Name:    "lockorder",
-	Doc:     "commitMu/idxMu/beginMu/mediaMu: ascending shard-lock order via lockShards, release on every path, no blocking calls under a lock",
-	Default: true,
+	Name: "lockorder",
+	Doc:  "commitMu/idxMu/beginMu/mediaMu: ascending shard-lock order via lockShards, release on every path, no blocking calls under a lock",
 	Run: func(c *Context) {
 		for _, fi := range c.Kit.Funcs(c.Pkg) {
 			if fi.Ignored["lockorder"] {

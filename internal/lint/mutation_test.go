@@ -10,21 +10,36 @@ import (
 )
 
 // seededMutants maps each function of internal/core/lintmutate.go to the
-// pass contracted to report it.
+// pass contracted to report it. Every registered pass owns at least one.
 var seededMutants = map[string]string{
+	"mutantUnflushedEts":          "flush-discipline",
+	"mutantWriteBeforeSnapshot":   "tx-undo-log",
+	"mutantTornHeader":            "torn-store",
+	"mutantFreshContext":          "ctx-threading",
 	"mutantDescendingLocks":       "lockorder",
 	"mutantUnbracketedRead":       "seqlock",
 	"mutantChainReadBelowBracket": "seqlock",
 	"mutantLeakedSpan":            "lifecycle",
+	"mutantUncodedWireError":      "wirecode",
 }
 
 // TestMutationCaught is the analyzer's own regression harness: the
 // module is re-loaded with the lintmutate build tag, which pulls in
-// internal/core/lintmutate.go — seeded bugs of each race class. Each
-// mutant must be reported by its pass, inside its own function, and the
-// rest of the tree must stay clean (the tag adds bugs, it must not add
-// noise).
+// internal/core/lintmutate.go — one or more seeded bugs per pass. With
+// every pass on, each mutant must be reported by its pass, inside its
+// own function, and the rest of the tree must stay clean (the tag adds
+// bugs, it must not add noise). A pass with no mutant fails the test: a
+// pass that cannot be shown to catch a real bug has not earned its lines.
 func TestMutationCaught(t *testing.T) {
+	owned := map[string]bool{}
+	for _, pass := range seededMutants {
+		owned[pass] = true
+	}
+	for _, p := range Passes() {
+		if !owned[p.Name] {
+			t.Errorf("pass %s has no seeded mutant in seededMutants", p.Name)
+		}
+	}
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +48,7 @@ func TestMutationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadTags(lintmutate): %v", err)
 	}
-	findings, err := Run(m, Options{Enable: []string{"lockorder", "seqlock", "lifecycle"}})
+	findings, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

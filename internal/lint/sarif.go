@@ -68,9 +68,8 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF renders findings as a SARIF 2.1.0 log. Baselined findings
-// should be filtered out by the caller; everything written here shows
-// up as an alert.
+// WriteSARIF renders findings as a SARIF 2.1.0 log; every finding
+// written shows up as an alert.
 func WriteSARIF(w io.Writer, root string, findings []Finding) error {
 	var rules []sarifRule
 	for _, p := range Passes() {

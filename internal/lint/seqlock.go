@@ -29,9 +29,8 @@ import (
 // must reach it lexically inside its bracket, not through a helper: the
 // pass cannot see a read it has no name for.
 var passSeqlock = &Pass{
-	Name:    "seqlock",
-	Doc:     "record reads need a Bts/Ets seqlock bracket, a TxnID CAS pin, or the shard commitMu",
-	Default: true,
+	Name: "seqlock",
+	Doc:  "record reads need a Bts/Ets seqlock bracket, a TxnID CAS pin, or the shard commitMu",
 	Run: func(c *Context) {
 		if c.Pkg.Path == c.Kit.m.Path+"/internal/storage" {
 			return // the record accessors themselves

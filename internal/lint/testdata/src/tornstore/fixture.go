@@ -38,3 +38,12 @@ func annotated(dev *pmem.Device, off uint64, words []uint64) {
 	dev.WriteWords(off, words)
 	dev.Persist(off, uint64(len(words))*8)
 }
+
+// deferredStillTorn: //pmem:deferred-flush hands flushing to the caller
+// (flush-discipline skips the function), but a later flush does not make
+// a multi-word store failure-atomic, so torn-store still reports it.
+//
+//pmem:deferred-flush the caller persists the range
+func deferredStillTorn(dev *pmem.Device, off uint64, words []uint64) {
+	dev.WriteWords(off, words) // want torn-store
+}

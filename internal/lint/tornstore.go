@@ -12,9 +12,8 @@ import "go/ast"
 // ordering argument that makes it safe. internal/pmem and
 // internal/pmemobj are exempt: they implement the atomicity protocols.
 var passTornStore = &Pass{
-	Name:    "torn-store",
-	Doc:     "multi-word persistent stores outside a transaction/MWCAS can tear on crash (C4)",
-	Default: true,
+	Name: "torn-store",
+	Doc:  "multi-word persistent stores outside a transaction/MWCAS can tear on crash (C4)",
 	Run: func(c *Context) {
 		if c.Pkg.Path == c.Kit.pmobjPath || c.Pkg.Path == c.Kit.pmemPath {
 			return

@@ -13,9 +13,8 @@ import (
 // crashes mid-commit. internal/pmemobj itself is exempt: it implements
 // the log.
 var passTxUndoLog = &Pass{
-	Name:    "tx-undo-log",
-	Doc:     "device writes inside a pmemobj transaction need prior undo-log coverage (Snapshot/NoteWrite/Alloc)",
-	Default: true,
+	Name: "tx-undo-log",
+	Doc:  "device writes inside a pmemobj transaction need prior undo-log coverage (Snapshot/NoteWrite/Alloc)",
 	Run: func(c *Context) {
 		if c.Pkg.Path == c.Kit.pmobjPath || c.Pkg.Path == c.Kit.pmemPath {
 			return

@@ -19,9 +19,8 @@ import (
 //     tag, so adding a message type cannot silently fall through a
 //     dispatch path.
 var passWireCode = &Pass{
-	Name:    "wirecode",
-	Doc:     "wire.Error needs a stable Code* constant; Msg* tag switches must be exhaustive or have a default",
-	Default: true,
+	Name: "wirecode",
+	Doc:  "wire.Error needs a stable Code* constant; Msg* tag switches must be exhaustive or have a default",
 	Run: func(c *Context) {
 		allMsgs := wireMsgTags(c.Kit)
 		for _, fi := range c.Kit.Funcs(c.Pkg) {

@@ -105,14 +105,6 @@ func (p *Pool) lane(id int) *poolLane {
 	return p.lanes[id-1]
 }
 
-// Lanes returns the number of attached undo-log lanes (excluding the
-// built-in log).
-func (p *Pool) Lanes() int {
-	p.laneMu.Lock()
-	defer p.laneMu.Unlock()
-	return len(p.lanes)
-}
-
 // Device returns the underlying device for direct data access.
 func (p *Pool) Device() *pmem.Device { return p.dev }
 

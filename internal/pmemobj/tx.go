@@ -190,9 +190,6 @@ func SnapshotCost(n uint64) uint64 { return 16 + align(n, 8) }
 // this.
 const LogHeaderBytes = logDataStart
 
-// LogFree returns the bytes remaining in this transaction's undo log.
-func (tx *Tx) LogFree() uint64 { return tx.logOff + tx.logCap - tx.logEnd }
-
 // Snapshot records the current contents of [off, off+n) in the undo log so
 // the range can be modified failure-atomically. It must be called before
 // the first modification of the range within the transaction. A range

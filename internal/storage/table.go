@@ -231,9 +231,6 @@ func (t *Table) ShardOf(id uint64) int {
 // Offset returns the table header offset for persisting in a root object.
 func (t *Table) Offset() uint64 { return t.hdr }
 
-// RecordSize returns the fixed record size in bytes.
-func (t *Table) RecordSize() uint64 { return t.recSize }
-
 // ChunkCap returns the number of record slots per chunk.
 func (t *Table) ChunkCap() uint64 { return t.chunkCap }
 
@@ -436,9 +433,9 @@ func (t *Table) EnsureShardFreeN(s, n int) error {
 }
 
 // shardFreeSlotsLocked counts free slots across shard s's chunks, stopping
-// once limit is reached. Caller holds t.mu. Unlike shardHasFreeLocked it
-// rescans the shard's whole chunk set, so it also repairs a free list that
-// lost entries to a rolled-back lane transaction.
+// once limit is reached. Caller holds t.mu. It rescans the shard's whole
+// chunk set, so it also repairs a free list that lost entries to a
+// rolled-back lane transaction.
 func (t *Table) shardFreeSlotsLocked(s, limit int) int {
 	if s < 0 || s >= t.shards {
 		return 0
@@ -472,25 +469,6 @@ func (t *Table) chunkFreeCount(chunkOff uint64) int {
 		total += 64 - mathbits.OnesCount64(bits)
 	}
 	return total
-}
-
-// shardHasFreeLocked reports whether shard s has a chunk with a free
-// slot, pruning exhausted chunks from its list. Caller holds t.mu.
-func (t *Table) shardHasFreeLocked(s int) bool {
-	if s < 0 || s >= t.shards {
-		return false
-	}
-	list := t.free[s]
-	for len(list) > 0 {
-		ci := list[len(list)-1]
-		if t.chunkFreeSlot(t.dir[ci]) >= 0 {
-			t.free[s] = list
-			return true
-		}
-		list = list[:len(list)-1]
-	}
-	t.free[s] = list
-	return false
 }
 
 // InsertAtTx marks a specific id occupied, for recovery and bulk-load
