@@ -1,10 +1,11 @@
 // Command ldbcgen generates the LDBC-SNB-like dataset, loads it into a
-// PMem engine and prints a summary: entity counts, degree statistics and
-// storage utilization. Useful for inspecting what the benchmarks run on.
+// PMem engine (ldbc.LoadCore: the bulk loader, then one index backfill
+// per workload index) and prints a summary: entity counts, degree
+// statistics, storage utilization and the load's device counts. Useful for inspecting what the benchmarks run on.
 //
 // Usage:
 //
-//	ldbcgen [-persons N] [-seed S] [-bulk] [-save FILE]
+//	ldbcgen [-persons N] [-seed S] [-save FILE]
 //
 // With -save, the engine's durable device image is written to FILE; the
 // recovery example and graphshell can load it.
@@ -26,7 +27,6 @@ func main() {
 	persons := flag.Int("persons", 1000, "number of persons (SNB ratios derive the rest)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	save := flag.String("save", "", "write the durable device image to this file")
-	bulk := flag.Bool("bulk", false, "load through the write-optimized bulk path (indexes built per batch)")
 	flag.Parse()
 
 	start := time.Now()
@@ -86,15 +86,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer e.Close()
-	load, how := ds.LoadCore, "classic (backfill) path"
-	if *bulk {
-		load, how = ds.BulkLoadCore, "bulk path (streamed, per-batch index publication)"
-	}
-	if err := load(e, true, index.Hybrid); err != nil {
+	if err := ds.LoadCore(e, true, index.Hybrid); err != nil {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nloaded into PMem engine via %s in %v\n", how, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\nloaded into PMem engine in %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("pool heap used: %.1f MiB\n", float64(e.Pool().HeapUsed())/(1<<20))
 	st := e.Device().Stats.Snapshot()
 	fmt.Printf("device during load: %d writes, %d line flushes, %d block writes, %d drains\n",

@@ -9,10 +9,9 @@
 //	poseidon-crashx [-persons N] [-ops N] [-seed S] [-mask flush|drain]
 //	                [-mix iu|ingest] [-random N] [-max N] [-replay SCHEDULE] [-q]
 //
-// The default mix commits one IU transaction at a time; -mix ingest runs
-// the write-optimized ingest stack instead (bulk base load, multi-member
-// group-commit epochs via CommitBatch), so crashes land around the epoch
-// leader's group fence.
+// The default mix commits one IU transaction at a time; -mix ingest
+// commits them in multi-member group-commit epochs via CommitBatch, so
+// crashes land around the epoch leader's group fence.
 //
 // Exit status is 0 when every explored schedule recovered to a clean
 // image, 1 on violations and 2 on usage or harness errors. Every reported
@@ -41,7 +40,7 @@ func main() {
 	maxPoints := flag.Int("max", 0, "cap exhaustive enumeration at N points (0 = all)")
 	replay := flag.String("replay", "", "re-execute one schedule ID and report")
 	shards := flag.Int("shards", 0, "engine-core shard count for run and recovery (0 = engine default)")
-	mixStr := flag.String("mix", "iu", "workload mix: iu (Tx.Commit, epochs of one) or ingest (bulk base load + multi-member CommitBatch epochs)")
+	mixStr := flag.String("mix", "iu", "workload mix: iu (Tx.Commit, epochs of one) or ingest (multi-member CommitBatch epochs)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 

@@ -94,7 +94,7 @@ func ingestIU(ctx context.Context, opts Options) (perTxn, grouped ingestStat, er
 			return ingestStat{}, err
 		}
 		defer e.Close()
-		if err := ds.BulkLoadCore(e, true, index.Hybrid); err != nil {
+		if err := ds.LoadCore(e, true, index.Hybrid); err != nil {
 			return ingestStat{}, err
 		}
 
@@ -182,8 +182,8 @@ func ingestIU(ctx context.Context, opts Options) (perTxn, grouped ingestStat, er
 }
 
 // ingestLoad times the full dataset ingest through the one-transaction-
-// per-entity baseline and through the streamed bulk loader, workload
-// indexes included in both.
+// per-entity baseline and through LoadCore (the bulk loader, then one
+// index backfill per workload index), workload indexes included in both.
 func ingestLoad(opts Options) (perTxn, bulk ingestStat, err error) {
 	persons := opts.Persons
 	if persons > 300 {
@@ -217,7 +217,7 @@ func ingestLoad(opts Options) (perTxn, bulk ingestStat, err error) {
 		return
 	}
 	bulk, err = run(func(e *core.Engine) error {
-		return ds.BulkLoadCore(e, true, index.Hybrid)
+		return ds.LoadCore(e, true, index.Hybrid)
 	})
 	return
 }

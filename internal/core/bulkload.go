@@ -4,31 +4,22 @@ import (
 	"fmt"
 	"sort"
 
-	"poseidon/internal/index"
 	"poseidon/internal/pmemobj"
 	"poseidon/internal/storage"
 )
 
 // BulkLoader performs the initial dataset load (e.g. LDBC-SNB) outside
-// the MVTO protocol: records stream through per-shard appenders and are
-// written directly, batched into large pmemobj transactions to amortize
-// logging and flush costs (DG5: group allocation). A crash mid-load
-// rolls back the current batch only.
+// the MVTO protocol: records are written directly, batched into large
+// pmemobj transactions to amortize logging and flush costs (DG5: group
+// allocation). A crash mid-load rolls back the current batch only. Every
+// record in a batch carries the same begin timestamp, drawn once when
+// the batch opens, so the recovered commit watermark moves once per
+// batch instead of once per record.
 //
-// Write-optimized ingest refinements over the naive one-record-per-
-// transaction path:
-//
-//   - One watermark advance per batch: every record in a batch carries
-//     the same begin timestamp, drawn once when the batch opens, so the
-//     recovered commit watermark moves once per batch instead of once
-//     per record.
-//   - Deferred index publication: when secondary indexes already exist,
-//     matching entries are staged in the owning shard's appender and
-//     bulk-built with Tree.InsertMany at batch commit — one leaf-flush
-//     sweep and one drain per tree per batch. A crash between the batch
-//     commit and its index publication loses only index entries, which
-//     reconcileIndexes repairs at the next Reopen (the same repair-based
-//     durability every index mutation has).
+// A BulkLoader writes no secondary-index entries: indexes are built after
+// the load, by CreateIndex's backfill (one InsertMany sweep per shard
+// tree). So NewBulkLoader refuses an engine that already has an index,
+// and CreateIndex refuses while a loader is open.
 //
 // A BulkLoader must not run concurrently with transactions: it bypasses
 // the MVTO write locks and the per-shard commit locks, and it logs
@@ -44,20 +35,11 @@ type BulkLoader struct {
 	batch int
 	// ts is the current batch's begin timestamp (the per-batch
 	// watermark advance).
-	ts uint64
-	// apps stage deferred index entries, one appender per shard.
-	apps []bulkAppender
-	err  error
+	ts  uint64
+	err error
 	// open is set while this loader holds the engine's bulkLoading flag:
 	// from NewBulkLoader until Finish or the first failure.
 	open bool
-}
-
-// bulkAppender is one shard's staging area: secondary-index entries for
-// records the current batch placed in that shard, published together at
-// batch commit.
-type bulkAppender struct {
-	entries map[indexKey][]index.Entry
 }
 
 // bulkBatch bounds a batch so its bitmap/record snapshots stay far below
@@ -67,15 +49,23 @@ const bulkBatch = 256
 // NewBulkLoader starts a bulk load session. The session excludes
 // transactions: until Finish (or the loader's first failure) Begin
 // returns transactions that fail with ErrBulkLoad, and a loader started
-// while a transaction is active or another loader is open is dead — every
-// call on it, Finish included, returns ErrBulkLoad.
+// while a transaction is active, another loader is open or a secondary
+// index exists is dead — every call on it, Finish included, returns
+// ErrBulkLoad.
 func (e *Engine) NewBulkLoader() *BulkLoader {
-	b := &BulkLoader{e: e, batch: bulkBatch, apps: make([]bulkAppender, e.nShards)}
+	b := &BulkLoader{e: e, batch: bulkBatch}
+	// idxDDL orders the index check against CreateIndex's flag check.
+	e.idxDDL.Lock()
+	defer e.idxDDL.Unlock()
+	sh0 := &e.shards[0]
+	sh0.idxMu.RLock()
+	indexed := len(sh0.indexes) > 0
+	sh0.idxMu.RUnlock()
 	// beginMu's write side waits out every Begin between its clock draw
 	// and its registration, so the check cannot miss a starting
 	// transaction, and a later Begin sees the flag.
 	e.beginMu.Lock()
-	b.open = e.ActiveTxs() == 0 && e.bulkLoading.CompareAndSwap(false, true)
+	b.open = !indexed && e.ActiveTxs() == 0 && e.bulkLoading.CompareAndSwap(false, true)
 	e.beginMu.Unlock()
 	if !b.open {
 		b.err = ErrBulkLoad
@@ -103,83 +93,19 @@ func (b *BulkLoader) ensureTx() {
 	}
 }
 
-// flush commits the open batch, if any, then publishes its staged index
-// entries.
+// flush commits the open batch, if any.
 func (b *BulkLoader) flush() {
 	if b.tx == nil {
 		return
 	}
 	b.tx.Commit()
 	b.tx = nil
-	b.publishStaged()
 }
 
 func (b *BulkLoader) bump() {
 	b.ops++
 	if b.ops >= b.batch {
 		b.flush()
-	}
-}
-
-// stageNode defers the node's secondary-index entries to its shard's
-// appender; they are published when the batch commits.
-func (b *BulkLoader) stageNode(id uint64, label uint32, props []storage.Prop) {
-	e := b.e
-	s := e.nodes.ShardOf(id)
-	sh := &e.shards[s]
-	sh.idxMu.RLock()
-	defer sh.idxMu.RUnlock()
-	if len(sh.indexes) == 0 {
-		return
-	}
-	app := &b.apps[s]
-	for _, p := range props {
-		ik := indexKey{label: label, key: p.Key}
-		if sh.indexes[ik] == nil {
-			continue
-		}
-		if app.entries == nil {
-			app.entries = make(map[indexKey][]index.Entry)
-		}
-		app.entries[ik] = append(app.entries[ik], index.Entry{Key: p.Val, ID: id})
-	}
-}
-
-// publishStaged bulk-inserts every appender's staged entries, shard by
-// shard in a deterministic order. Runs after the batch's records are
-// durable: a crash in between leaves the indexes behind the tables,
-// which reconcileIndexes repairs at the next Reopen.
-func (b *BulkLoader) publishStaged() {
-	e := b.e
-	for s := range b.apps {
-		app := &b.apps[s]
-		if len(app.entries) == 0 {
-			continue
-		}
-		iks := make([]indexKey, 0, len(app.entries))
-		for ik := range app.entries {
-			iks = append(iks, ik)
-		}
-		sort.Slice(iks, func(i, j int) bool {
-			if iks[i].label != iks[j].label {
-				return iks[i].label < iks[j].label
-			}
-			return iks[i].key < iks[j].key
-		})
-		sh := &e.shards[s]
-		sh.idxMu.RLock()
-		for _, ik := range iks {
-			t := sh.indexes[ik]
-			if t == nil {
-				continue
-			}
-			if err := t.InsertMany(app.entries[ik]); err != nil && b.err == nil {
-				b.err = fmt.Errorf("core: bulk index publication (%d,%d): %w", ik.label, ik.key, err)
-				b.release()
-			}
-		}
-		sh.idxMu.RUnlock()
-		app.entries = nil
 	}
 }
 
@@ -254,7 +180,6 @@ func (b *BulkLoader) AddNode(label string, props map[string]any) (uint64, error)
 	}
 	storage.WriteNodeRec(b.e.dev, off, &rec)
 	b.tx.NoteWrite(off, storage.NodeRecordSize)
-	b.stageNode(id, uint32(labelCode), encProps)
 	b.bump()
 	return id, nil
 }
@@ -332,7 +257,6 @@ func (b *BulkLoader) failTx(err error) error {
 	if b.tx != nil {
 		b.tx.Commit() // snapshots so far are internally consistent
 		b.tx = nil
-		b.publishStaged()
 	}
 	b.e.nodes.ResyncVolatile()
 	b.e.rels.ResyncVolatile()

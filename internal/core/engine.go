@@ -198,7 +198,8 @@ type Engine struct {
 	bulkLoading atomic.Bool
 
 	// idxDDL serializes index creation and rebuild against each other
-	// (not against commits — those synchronize per shard).
+	// and against NewBulkLoader's index check (not against commits —
+	// those synchronize per shard).
 	idxDDL sync.Mutex
 
 	// refs caches one IndexRef per index (LookupIndex); setIndexTree drops

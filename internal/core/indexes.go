@@ -95,7 +95,17 @@ func (e *Engine) writeIndexDir(ents []idxDirEnt) error {
 // backfill sees exactly the commits that happened before it and
 // commit-time maintenance (which runs under the same lock) sees the tree
 // for every commit after it. No committed entry can fall between.
+//
+// A BulkLoader writes no index entries, so CreateIndex and NewBulkLoader
+// refuse each other: while a loader is open CreateIndex returns
+// ErrBulkLoad (before touching the dictionary, whose pool lock the
+// loader's open batch holds).
 func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
+	e.idxDDL.Lock()
+	defer e.idxDDL.Unlock()
+	if e.bulkLoading.Load() {
+		return ErrBulkLoad
+	}
 	labelCode, err := e.dict.Encode(label)
 	if err != nil {
 		return err
@@ -106,8 +116,6 @@ func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
 	}
 	ik := indexKey{uint32(labelCode), uint32(keyCode)}
 
-	e.idxDDL.Lock()
-	defer e.idxDDL.Unlock()
 	sh0 := &e.shards[0]
 	sh0.idxMu.RLock()
 	_, dup := sh0.indexes[ik]
@@ -156,14 +164,16 @@ func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
 // Records locked by in-flight transactions still carry their committed
 // pre-image — the locker's commit will apply its own index delta later,
 // under this same lock. Tombstoned nodes are indexed too: their entries
-// serve older snapshots until GC drops them.
+// serve older snapshots until GC drops them. The entries go in with one
+// InsertMany, which flushes each touched leaf once per sweep instead of
+// once per entry.
 //
 //poseidonlint:ignore seqlock the whole scan runs under sh.commitMu (held for the ScanChunk closure), which excludes every writer to this shard's records
 func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 	sh := &e.shards[s]
 	sh.commitMu.Lock()
 	defer sh.commitMu.Unlock()
-	var insertErr error
+	var ents []index.Entry
 	n := e.nodes.Chunks()
 	for ci := uint64(s); ci < n; ci += uint64(e.nShards) {
 		e.nodes.ScanChunk(ci, func(id, off uint64) bool {
@@ -172,15 +182,13 @@ func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 				return true // uncommitted insert or different label
 			}
 			if v, ok := storage.PropValue(e.props, rec.Props, ik.key); ok {
-				if insertErr = tree.Insert(v, id); insertErr != nil {
-					return false
-				}
+				ents = append(ents, index.Entry{Key: v, ID: id})
 			}
 			return true
 		})
-		if insertErr != nil {
-			return insertErr
-		}
+	}
+	if err := tree.InsertMany(ents); err != nil {
+		return err
 	}
 	sh.idxMu.RLock()
 	_, dup := sh.indexes[ik]

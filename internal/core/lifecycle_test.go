@@ -264,3 +264,62 @@ func TestBeginRefusedWhileBulkLoading(t *testing.T) {
 		t.Errorf("NodeCount = %d, want 2", n)
 	}
 }
+
+// A bulk loader writes no index entries, so indexes are built after the
+// load, never beside it: CreateIndex refuses while a loader is open
+// (rather than wait on the pool lock the loader's open batch holds), and
+// a loader refuses an engine that already has an index.
+func TestCreateIndexAndBulkLoaderRefuseEachOther(t *testing.T) {
+	e := openEngine(t, core.Config{Mode: core.DRAM, PoolSize: 32 << 20, Shards: 2})
+	bl := e.NewBulkLoader()
+	id, err := bl.AddNode("Person", map[string]any{"name": "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "nick" is not in the dictionary yet: encoding it needs the pool.
+	done := make(chan error, 1)
+	go func() { done <- e.CreateIndex("Person", "nick", index.Volatile) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrBulkLoad) {
+			t.Errorf("CreateIndex during a bulk load: err = %v, want ErrBulkLoad", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("CreateIndex during a bulk load blocked instead of refusing")
+		bl.Finish()
+		<-done
+	}
+	if err := bl.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := e.CreateIndex("Person", "name", index.Volatile); err != nil {
+		t.Fatalf("CreateIndex after Finish: %v", err)
+	}
+	ref, ok := e.IndexFor("Person", "name")
+	if !ok {
+		t.Fatal("index missing after CreateIndex")
+	}
+	v, _ := e.EncodeValue("a")
+	if got := ref.Lookup(v); len(got) != 1 || got[0] != id {
+		t.Errorf("Lookup(a) = %v, want [%d]", got, id)
+	}
+
+	bl = e.NewBulkLoader()
+	if _, err := bl.AddNode("Person", map[string]any{"name": "b"}); !errors.Is(err, core.ErrBulkLoad) {
+		t.Errorf("AddNode on an indexed engine: err = %v, want ErrBulkLoad", err)
+	}
+	if err := bl.Finish(); !errors.Is(err, core.ErrBulkLoad) {
+		t.Errorf("Finish of a refused loader: err = %v, want ErrBulkLoad", err)
+	}
+	if n := e.NodeCount(); n != 1 {
+		t.Errorf("NodeCount = %d, want 1 (the refused loader wrote nothing)", n)
+	}
+	tx := e.Begin() // the refused loader left the engine open to transactions
+	if _, err := tx.CreateNode("Person", map[string]any{"name": "b"}); err != nil {
+		t.Fatalf("CreateNode after a refused loader: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

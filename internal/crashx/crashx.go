@@ -12,12 +12,13 @@
 // workload mix and the crash ordinal k. Replay re-executes exactly that
 // schedule.
 //
-// Two workload mixes are available. The default ("iu") commits one IU
-// transaction at a time through the classic per-transaction path. The
-// "ingest" mix exercises the write-optimized ingest stack: the base
-// dataset is streamed in through the bulk loader, IU transactions commit
-// in deterministic group-commit epochs through CommitBatch (so crash
-// points land before and after the epoch leader's group fence).
+// Both workload mixes load the base dataset with ldbc.LoadCore (the bulk
+// loader, then one index backfill per workload index) before the crash
+// schedule is armed. The default ("iu") then commits one IU transaction
+// at a time through Tx.Commit. The "ingest" mix commits its IU
+// transactions in deterministic group-commit epochs through CommitBatch
+// (so crash points land before and after the epoch leader's group
+// fence).
 package crashx
 
 import (
@@ -40,7 +41,7 @@ import (
 // ingest mix existed parse and replay unchanged.
 const (
 	MixIU     = ""       // one IU transaction per commit (classic path)
-	MixIngest = "ingest" // bulk base load + group-commit epochs
+	MixIngest = "ingest" // group-commit epochs
 )
 
 // Options configures an exploration run.
@@ -213,11 +214,7 @@ func newHarness(opts Options) (*harness, error) {
 	}
 	defer e.Close()
 	ds := ldbc.Generate(ldbc.Config{Persons: opts.Persons, Seed: opts.Seed})
-	load := ds.LoadCore
-	if opts.Mix == MixIngest {
-		load = ds.BulkLoadCore // base image arrives through the streamed path
-	}
-	if err := load(e, true, index.Hybrid); err != nil {
+	if err := ds.LoadCore(e, true, index.Hybrid); err != nil {
 		return nil, fmt.Errorf("crashx: load dataset: %w", err)
 	}
 

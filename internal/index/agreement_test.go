@@ -115,17 +115,11 @@ func verifyAgreement(t *testing.T, tree *Tree, o treeOracle, keySpace int64) {
 // runAgreement runs steps random operations over keys [0, 40) and ids
 // [0, idSpace) and returns how often the tree's arena doubled.
 func runAgreement(t *testing.T, kind Kind, seed int64, steps int, idSpace int) int {
-	pool, dev := newPMemPool(t, 64<<20)
+	pool, _ := newPMemPool(t, 64<<20)
 	tree, err := Create(kind, pool, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// InsertMany leaves its leaves unflushed until the end of the batch,
-	// across the drains of any mid-batch split's allocation; recovery
-	// repairs what a crash in between loses (reconcileIndexes), but strict
-	// flush checking rightly refuses to read such a line. Under
-	// POSEIDON_PMEM_STRICT the batches go through Insert instead.
-	bulk := !dev.StrictFlush()
 	o := treeOracle{}
 	rng := rand.New(rand.NewSource(seed))
 	const keySpace = 40
@@ -146,24 +140,16 @@ func runAgreement(t *testing.T, kind Kind, seed int64, steps int, idSpace int) i
 				t.Fatalf("step %d: Delete(%d,%d) = %v, oracle %v", i, k, id, got, want)
 			}
 		case p < 95:
-			// The bulk loader's path: a batch (duplicates included)
-			// persisted with one leaf sweep.
+			// Backfill's path: a batch (duplicates included) persisted
+			// with one leaf sweep. Under POSEIDON_PMEM_STRICT this also
+			// checks that no dirtied leaf is left across a drain.
 			batch := make([]Entry, 1+rng.Intn(30))
 			for j := range batch {
 				bk, bid := rng.Int63n(keySpace), uint64(rng.Intn(idSpace))
 				batch[j] = Entry{Key: iv(bk), ID: bid}
 				o.insert(bk, bid)
 			}
-			if bulk {
-				err = tree.InsertMany(batch)
-			} else {
-				for _, e := range batch {
-					if err == nil {
-						err = tree.Insert(e.Key, e.ID)
-					}
-				}
-			}
-			if err != nil {
+			if err := tree.InsertMany(batch); err != nil {
 				t.Fatal(err)
 			}
 		case kind == Volatile:

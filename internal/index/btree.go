@@ -26,7 +26,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"poseidon/internal/pmem"
@@ -142,7 +142,8 @@ type Tree struct {
 	count  uint64
 
 	// bulkLeaves, when non-nil, collects leaf offsets persistLeaf would
-	// have flushed so InsertMany can persist each touched leaf once.
+	// have flushed so InsertMany can flush each touched leaf once per
+	// sweep (flushBulk).
 	bulkLeaves map[uint64]struct{}
 
 	closed bool // Close ran: a grown arena stays out of the pool registry
@@ -263,6 +264,9 @@ func (t *Tree) Close() {
 // alloc allocates a node in p, first doubling the arena if p is the
 // arena and full. The caller holds t.mu for writing or owns t alone.
 func (t *Tree) alloc(p *pmemobj.Pool) (uint64, error) {
+	if p == t.leafPool {
+		t.flushBulk() // the allocation drains the leaf device
+	}
 	off, err := p.Alloc(nodeBytes)
 	if t.kind == Persistent || p != t.innerPool || !errors.Is(err, pmemobj.ErrOutOfMemory) {
 		return off, err
@@ -320,14 +324,34 @@ func (t *Tree) persistLeaf(off uint64) {
 		return
 	}
 	if t.bulkLeaves != nil {
-		t.bulkLeaves[off] = struct{}{} // InsertMany persists it once at the end
+		t.bulkLeaves[off] = struct{}{} // flushBulk flushes it
 		return
 	}
 	t.leafDev.Persist(off, nodeBytes)
 }
 
+// flushBulk flushes, in offset order, the leaves InsertMany has dirtied
+// since the last call. It runs before anything drains the leaf device —
+// a leaf left dirty across a Drain would read as leaked under strict
+// flush checking — and once at the end of the sweep.
+func (t *Tree) flushBulk() {
+	if len(t.bulkLeaves) == 0 {
+		return
+	}
+	offs := make([]uint64, 0, len(t.bulkLeaves))
+	for off := range t.bulkLeaves {
+		offs = append(offs, off)
+	}
+	clear(t.bulkLeaves)
+	slices.Sort(offs)
+	for _, off := range offs {
+		t.leafDev.Flush(off, nodeBytes)
+	}
+}
+
 func (t *Tree) persistInner(node uint64) {
 	if t.kind == Persistent {
+		t.flushBulk() // inner nodes share the leaf device
 		t.innerDev.Persist(node, nodeBytes)
 	}
 }
@@ -589,24 +613,22 @@ func (t *Tree) insertLocked(e entry) error {
 	return t.insertUpward(path, sep, right)
 }
 
-// InsertMany bulk-inserts entries, persisting each touched leaf once at
-// the end — one drain for the whole batch instead of one per insert. The
-// bulk loader uses it to build indexes after the primary data lands.
+// InsertMany bulk-inserts entries, flushing each touched leaf once per
+// sweep and closing the batch with one drain, instead of a persist per
+// insert. A sweep ends before every drain of the leaf device (a leaf
+// allocation; a Persistent tree's inner-node persist) and at the end of
+// the batch. CreateIndex uses it to backfill a shard's tree in one call.
 func (t *Tree) InsertMany(ents []Entry) error {
+	if len(ents) == 0 {
+		return nil // nothing to flush, so no drain either
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.durable {
 		t.bulkLeaves = make(map[uint64]struct{})
 		defer func() {
-			offs := make([]uint64, 0, len(t.bulkLeaves))
-			for off := range t.bulkLeaves {
-				offs = append(offs, off)
-			}
+			t.flushBulk()
 			t.bulkLeaves = nil
-			sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
-			for _, off := range offs {
-				t.leafDev.Flush(off, nodeBytes)
-			}
 			t.leafDev.Drain()
 		}()
 	}

@@ -7,41 +7,11 @@ import (
 	"poseidon/internal/index"
 )
 
-// BulkLoadCore streams the dataset into the engine through the
-// write-optimized bulk path. When withIndexes is set the workload
-// indexes are created up front, on the empty engine, so the bulk
-// loader's deferred per-batch publication builds them as the data lands
-// — no full backfill scan after the load. Records stream through the
-// loader's per-shard appenders with one watermark advance per batch.
-func (ds *Dataset) BulkLoadCore(e *core.Engine, withIndexes bool, kind index.Kind) error {
-	if withIndexes {
-		for _, spec := range IndexSpecs() {
-			if err := e.CreateIndex(spec[0], spec[1], kind); err != nil {
-				return err
-			}
-		}
-	}
-	bl := e.NewBulkLoader()
-	ids := make([]uint64, len(ds.Nodes))
-	for i, n := range ds.Nodes {
-		id, err := bl.AddNode(n.Label, n.Props)
-		if err != nil {
-			return fmt.Errorf("ldbc: bulk load node %d: %w", i, err)
-		}
-		ids[i] = id
-	}
-	for i, ed := range ds.Edges {
-		if _, err := bl.AddRel(ids[ed.Src], ids[ed.Dst], ed.Label, ed.Props); err != nil {
-			return fmt.Errorf("ldbc: bulk load edge %d: %w", i, err)
-		}
-	}
-	return bl.Finish()
-}
-
 // LoadCoreTx loads the dataset through the regular MVTO transaction
-// path — the ingest baseline the bulk loader is measured against. Every
-// transaction carries txOps entities (1 reproduces the one-commit-per-
-// entity worst case).
+// path — the ingest baseline LoadCore's bulk loader is measured against.
+// Indexes, when asked for, are created first and maintained by every
+// commit. Every transaction carries txOps entities (1 reproduces the
+// one-commit-per-entity worst case).
 func (ds *Dataset) LoadCoreTx(e *core.Engine, withIndexes bool, kind index.Kind, txOps int) error {
 	if txOps < 1 {
 		txOps = 1

@@ -9,38 +9,38 @@ import (
 	"poseidon/internal/storage"
 )
 
-// TestBulkLoadMatchesClassicLoad: the streamed bulk path (indexes
-// created first, entries published per batch) must produce the same
-// observable engine as the classic path (load, then index backfill).
-func TestBulkLoadMatchesClassicLoad(t *testing.T) {
+// TestLoadCoreTxMatchesBulk: the per-transaction ingest baseline
+// (indexes first, maintained by every commit) agrees with LoadCore (bulk
+// load, then index backfill) on counts and index contents. LoadCore's
+// image satisfies every persistent invariant and survives a clean close
+// and Reopen with its indexes intact.
+func TestLoadCoreTxMatchesBulk(t *testing.T) {
 	ds := Generate(Config{Persons: 40, Seed: 9})
-
-	classic, err := core.Open(core.Config{Mode: core.PMem, PoolSize: 256 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(classic.Close)
-	if err := ds.LoadCore(classic, true, index.Hybrid); err != nil {
-		t.Fatal(err)
-	}
 
 	bulk, err := core.Open(core.Config{Mode: core.PMem, PoolSize: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(bulk.Close)
-	if err := ds.BulkLoadCore(bulk, true, index.Hybrid); err != nil {
+	if err := ds.LoadCore(bulk, true, index.Hybrid); err != nil {
 		t.Fatal(err)
 	}
 
-	compareEngines(t, classic, bulk, ds)
-
-	// The bulk image must satisfy every persistent invariant.
-	rep := fsck.Check(bulk)
-	if !rep.OK() {
-		t.Fatalf("fsck after bulk load:\n%s", rep)
+	var perTx *core.Engine
+	for _, txOps := range []int{1, 64} {
+		if perTx, err = core.Open(core.Config{Mode: core.DRAM, PoolSize: 256 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(perTx.Close)
+		if err := ds.LoadCoreTx(perTx, true, index.Volatile, txOps); err != nil {
+			t.Fatal(err)
+		}
+		compareEngines(t, bulk, perTx, ds)
 	}
-	// And survive a clean close/reopen with indexes intact.
+
+	if rep := fsck.Check(bulk); !rep.OK() {
+		t.Fatalf("fsck after LoadCore:\n%s", rep)
+	}
 	dev := bulk.Device()
 	bulk.Close()
 	re, err := core.Reopen(dev, core.Config{Mode: core.PMem})
@@ -48,34 +48,7 @@ func TestBulkLoadMatchesClassicLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(re.Close)
-	compareEngines(t, classic, re, ds)
-}
-
-// TestLoadCoreTxMatchesBulk: the per-transaction ingest baseline agrees
-// with the bulk path on counts and index contents.
-func TestLoadCoreTxMatchesBulk(t *testing.T) {
-	ds := Generate(Config{Persons: 25, Seed: 17})
-
-	bulk, err := core.Open(core.Config{Mode: core.DRAM, PoolSize: 256 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bulk.Close)
-	if err := ds.BulkLoadCore(bulk, true, index.Volatile); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, txOps := range []int{1, 64} {
-		perTx, err := core.Open(core.Config{Mode: core.DRAM, PoolSize: 256 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.LoadCoreTx(perTx, true, index.Volatile, txOps); err != nil {
-			t.Fatal(err)
-		}
-		compareEngines(t, bulk, perTx, ds)
-		perTx.Close()
-	}
+	compareEngines(t, perTx, re, ds)
 }
 
 func compareEngines(t *testing.T, a, b *core.Engine, ds *Dataset) {
