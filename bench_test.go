@@ -312,3 +312,75 @@ func BenchmarkSessionQueryAllPoint(b *testing.B) {
 		}
 	}
 }
+
+// shortReadDB opens a DRAM database of 200 Person nodes, each knowing the
+// next four by number, indexed by number, and prepares the shape of the
+// benchmark's indexed short reads (LDBC SR3: a person's friends, newest
+// friendship first): IndexScan → Expand → GetNode → OrderBy → Project.
+func shortReadDB(tb testing.TB) (*DB, *Stmt) {
+	db, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(db.Close)
+	tx := db.Begin()
+	ids := make([]uint64, 200)
+	for i := range ids {
+		if ids[i], err = tx.CreateNode("Person", map[string]any{"num": int64(i), "name": fmt.Sprintf("p%d", i)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range ids {
+		for d := 1; d <= 4; d++ {
+			since := map[string]any{"since": int64(1000*i + d)}
+			if _, err := tx.CreateRel(ids[i], ids[(i+d)%len(ids)], "knows", since); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.CreateIndex("Person", "num", HybridIndex); err != nil {
+		tb.Fatal(err)
+	}
+	stmt, err := db.PreparePlan(&query.Plan{Root: &query.Project{
+		Input: &query.OrderBy{
+			Input: &query.GetNode{
+				Input: &query.Expand{
+					Input: &query.IndexScan{Label: "Person", Key: "num", Value: &query.Param{Name: "n"}},
+					Col:   0, Dir: query.Both, RelLabel: "knows",
+				},
+				RelCol: 1, End: query.Other, OtherCol: 0,
+			},
+			Key: &query.Prop{Col: 1, Key: "since"}, Desc: true,
+		},
+		Cols: []query.Expr{&query.Prop{Col: 2, Key: "num"}, &query.Prop{Col: 2, Key: "name"}, &query.Prop{Col: 1, Key: "since"}},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, stmt
+}
+
+// BenchmarkIndexedShortRead runs the short-read shape of shortReadDB
+// through Session.QueryAll: eight friends per person, so eight rows
+// through OrderBy and the result boundary per op. Run with -benchmem for
+// the read path's allocations per op.
+func BenchmarkIndexedShortRead(b *testing.B) {
+	db, stmt := shortReadDB(b)
+	sess := db.NewSession(SessionConfig{})
+	defer sess.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := sess.QueryAll(ctx, stmt, query.Params{"n": int64(i % 200)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 8 {
+			b.Fatalf("rows = %d", len(rows))
+		}
+	}
+}

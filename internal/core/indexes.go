@@ -355,13 +355,12 @@ type IndexRef struct {
 func (r *IndexRef) Kind() index.Kind { return r.kind }
 
 // Lookup returns the node ids indexed under v across all shards.
-func (r *IndexRef) Lookup(v storage.Value) []uint64 {
-	if len(r.trees) == 1 {
-		return r.trees[0].Lookup(v)
-	}
-	var ids []uint64
+func (r *IndexRef) Lookup(v storage.Value) []uint64 { return r.LookupAppend(nil, v) }
+
+// LookupAppend is Lookup appending the ids to ids.
+func (r *IndexRef) LookupAppend(ids []uint64, v storage.Value) []uint64 {
 	for _, t := range r.trees {
-		ids = append(ids, t.Lookup(v)...)
+		ids = t.LookupAppend(ids, v)
 	}
 	return ids
 }

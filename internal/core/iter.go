@@ -255,17 +255,27 @@ func (it *AdjIter) Next() (bool, error) {
 // Rel returns the current relationship.
 func (it *AdjIter) Rel() RelSnap { return it.cur }
 
-// IndexIter iterates index hits re-validated against the snapshot.
+// IndexIter iterates index hits re-validated against the snapshot. Like
+// the other walkers it is resettable and keeps its hits' property sets in
+// its slab.
 type IndexIter struct {
-	tx  *Tx
-	ids []uint64
-	pos int
-	cur NodeSnap
+	tx   *Tx
+	ids  []uint64
+	pos  int
+	cur  NodeSnap
+	slab PropSlab
 }
 
-// NewIndexIter looks up v in the index and iterates the visible hits.
-func (tx *Tx) NewIndexIter(ref *IndexRef, v storage.Value) *IndexIter {
-	return &IndexIter{tx: tx, ids: ref.Lookup(v)}
+// Reset looks up v in the index and aims the iterator at the visible
+// hits, reusing the iterator's id buffer; the zero IndexIter is ready for
+// it. Like IndexedLookup it fails in a finished transaction, hits or not.
+func (it *IndexIter) Reset(tx *Tx, ref *IndexRef, v storage.Value) error {
+	if err := tx.check(); err != nil {
+		return err
+	}
+	it.tx, it.pos = tx, 0
+	it.ids = ref.LookupAppend(it.ids[:0], v)
+	return nil
 }
 
 // Next advances to the next visible indexed node.
@@ -273,7 +283,7 @@ func (it *IndexIter) Next() (bool, error) {
 	for it.pos < len(it.ids) {
 		id := it.ids[it.pos]
 		it.pos++
-		snap, err := it.tx.GetNode(id)
+		snap, err := it.tx.GetNodeIn(id, &it.slab)
 		if err == ErrNotFound {
 			continue
 		}

@@ -168,7 +168,10 @@ func TestIndexIterValidatesSnapshot(t *testing.T) {
 	mustCommit(t, del)
 
 	// Old snapshot still sees the node via the index (chain version).
-	it := oldTx.NewIndexIter(tree, intVal(0))
+	var it IndexIter
+	if err := it.Reset(oldTx, tree, intVal(0)); err != nil {
+		t.Fatal(err)
+	}
 	n := 0
 	for {
 		ok, err := it.Next()

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"poseidon/internal/storage"
 )
@@ -127,53 +128,86 @@ type retainedVer struct {
 	ets uint64
 }
 
-// --- read timestamps (volatile, sharded) ---
+// --- read timestamps (volatile, lock-free) ---
 
-const rtsShards = 64
+// rtsBlockLen is how many consecutive record ids share one block of read
+// timestamps.
+const rtsBlockLen = 1024
 
-type rtsShard struct {
-	mu sync.Mutex
-	m  map[uint64]uint64
-}
+type rtsBlock [rtsBlockLen]atomic.Uint64
 
-// rtsTable tracks the latest reader timestamp per record (§5.1). Being
-// volatile, it resets to zero after recovery, which conservatively allows
-// the first post-restart writers to proceed.
+// rtsTable tracks the latest reader timestamp per record (§5.1, the
+// volatile rts of Fig 2): one atomic word per record id, in blocks
+// allocated on the first bump of an id in them. A reader raises the word
+// by CAS and a writer loads it — no lock on either side. Being volatile,
+// it resets to zero after recovery, which conservatively allows the first
+// post-restart writers to proceed.
 type rtsTable struct {
-	shards [rtsShards]rtsShard
+	mu  sync.Mutex                                 // serializes growing dir and installing blocks
+	dir atomic.Pointer[[]atomic.Pointer[rtsBlock]] // replaced by a longer copy to grow
 }
 
-func newRTSTable() *rtsTable {
-	t := &rtsTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]uint64)
+func newRTSTable() *rtsTable { return &rtsTable{} }
+
+// word returns id's read timestamp, or nil if its block was never
+// allocated and alloc is false. A block installed before a lookup is in
+// every directory published after it: growth copies under mu, installs
+// go into the current directory under mu.
+func (t *rtsTable) word(id uint64, alloc bool) *atomic.Uint64 {
+	i := id / rtsBlockLen
+	if dir := t.dir.Load(); dir != nil && i < uint64(len(*dir)) {
+		if b := (*dir)[i].Load(); b != nil {
+			return &b[id%rtsBlockLen]
+		}
 	}
-	return t
+	if !alloc {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dir := t.dir.Load()
+	if dir == nil || i >= uint64(len(*dir)) {
+		var old []atomic.Pointer[rtsBlock]
+		if dir != nil {
+			old = *dir
+		}
+		grown := make([]atomic.Pointer[rtsBlock], max(i+1, 2*uint64(len(old))))
+		for j := range old {
+			grown[j].Store(old[j].Load())
+		}
+		dir = &grown
+		t.dir.Store(dir)
+	}
+	b := (*dir)[i].Load()
+	if b == nil {
+		b = new(rtsBlock)
+		(*dir)[i].Store(b)
+	}
+	return &b[id%rtsBlockLen]
 }
 
 // bump raises the rts of id to ts if larger.
 func (t *rtsTable) bump(id, ts uint64) {
-	s := &t.shards[id%rtsShards]
-	s.mu.Lock()
-	if s.m[id] < ts {
-		s.m[id] = ts
+	w := t.word(id, true)
+	for {
+		cur := w.Load()
+		if cur >= ts || w.CompareAndSwap(cur, ts) {
+			return
+		}
 	}
-	s.mu.Unlock()
 }
 
 // get returns the current rts of id (0 if never read).
 func (t *rtsTable) get(id uint64) uint64 {
-	s := &t.shards[id%rtsShards]
-	s.mu.Lock()
-	v := s.m[id]
-	s.mu.Unlock()
-	return v
+	if w := t.word(id, false); w != nil {
+		return w.Load()
+	}
+	return 0
 }
 
 // forget clears the rts of id (after the record slot is reused).
 func (t *rtsTable) forget(id uint64) {
-	s := &t.shards[id%rtsShards]
-	s.mu.Lock()
-	delete(s.m, id)
-	s.mu.Unlock()
+	if w := t.word(id, false); w != nil {
+		w.Store(0)
+	}
 }

@@ -446,10 +446,12 @@ func (t *Tree) lowerBound(k storage.Value) uint64 {
 }
 
 // Lookup returns every record id stored under key k, in id order.
-func (t *Tree) Lookup(k storage.Value) []uint64 {
+func (t *Tree) Lookup(k storage.Value) []uint64 { return t.LookupAppend(nil, k) }
+
+// LookupAppend is Lookup appending the ids to out.
+func (t *Tree) LookupAppend(out []uint64, k storage.Value) []uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []uint64
 	leaf := t.lowerBound(k)
 	for leaf != 0 {
 		n := t.leafCount(leaf)

@@ -427,7 +427,10 @@ func lowerInstr(in Instr) (stepFn, error) {
 				m.err = fmt.Errorf("jit: no index on (%s, %s)", label, key)
 				return false
 			}
-			m.iters[dst] = m.ctx.Tx.NewIndexIter(tree, m.vals[a])
+			if err := iterAt[core.IndexIter](m, dst).Reset(m.ctx.Tx, tree, m.vals[a]); err != nil {
+				m.err = err
+				return false
+			}
 			return true
 		}, nil
 

@@ -401,7 +401,8 @@ func TestLabelFirstExpandsMatchFilterAfterRead(t *testing.T) {
 				}
 				collect := func(run func(emit func(query.Row) bool) error) []query.Row {
 					var rows []query.Row
-					if err := run(func(r query.Row) bool { rows = append(rows, r); return true }); err != nil {
+					var slab query.RowSlab // a row is valid for emit's call only
+					if err := run(func(r query.Row) bool { rows = append(rows, slab.Copy(r)); return true }); err != nil {
 						t.Fatal(err)
 					}
 					return rows

@@ -70,12 +70,11 @@ func TestWarmPreparedRunLinksOnly(t *testing.T) {
 	}
 
 	// The run takes a linked instance from the Prepared's pool: no Ctx,
-	// parameter map, closure or index reference is made. What is left: the
-	// index lookup's two id slices (tree and shard fan-out), the lookup's
-	// snapshot slice and property copy, IndexScan's and Project's output
-	// tuples (each reused for every output of the run, dropped with it),
-	// the emitted row and this test's emit closure.
-	const budget = 8
+	// parameter map, closure or index reference is made, the row it emits
+	// is the instance's own, and so are IndexScan's and Project's output
+	// tuples. What is left: the index lookup's id buffer and property slab
+	// (dropped with each run) and this test's emit closure.
+	const budget = 3
 	if allocs := testing.AllocsPerRun(200, run); allocs > budget {
 		t.Errorf("a warm run allocates %.0f times, budget %d", allocs, budget)
 	}

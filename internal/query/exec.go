@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,7 +22,12 @@ import (
 // Retention rule: an operator writes every output into the one tuple it
 // owns and a sink sees a tuple only for the length of its call, so a sink
 // that keeps a tuple copies it (OrderBy, the HashJoin build side, the
-// morsel loop's gathering, tupleToRow at the terminal).
+// morsel loop's gathering). The result boundary follows the same rule: a
+// Row handed to emit is valid for that call only — a pooled run writes
+// every row into one buffer of its own — so a caller that keeps rows
+// copies them: CollectCtx and the facade's cursor into a RowSlab, the
+// facade's materialized result by boxing each value, once, into its own
+// slab.
 
 // DatumKind tags a tuple column.
 type DatumKind uint8
@@ -108,6 +113,7 @@ type instance struct {
 	ctx  Ctx
 	run  func() error
 	emit func(Row) bool
+	row  Row // every row of every run is written here (see RunCtx)
 }
 
 // linked is what Prepare compiles once, so that a run links only its own
@@ -145,7 +151,8 @@ func (pr *Prepared) link(preparing bool) (*instance, error) {
 		if err := in.ctx.err(); err != nil {
 			return false, err
 		}
-		return in.emit(tupleToRow(t)), nil
+		in.row = fillRow(in.row, t)
+		return in.emit(in.row), nil
 	}
 	var err error
 	in.run, err = buildOp(pr.Plan.Root, &in.ctx, terminal)
@@ -218,11 +225,21 @@ func (c *Ctx) code(name string) *codeRef {
 }
 
 // keep has a pooled instance zero *p, an operator's state, when a run
-// returns. (Keeping the state's arrays for the next run moved
-// heap_inuse_mb +14 % on sr_inproc: EXPERIMENTS.md "Prepared means linked".)
+// returns. Iterators and slabs are dropped so: kept from run to run as
+// well as the output tuples, they moved sr_inproc heap_inuse_mb 31.7 →
+// 35.9 MiB (EXPERIMENTS.md "Box once at the result boundary").
 func keep[T any](c *Ctx, p *T) {
-	if c.pooled {
+	if c.pooled { // the closure is made only here: a run that links per run pays nothing
 		c.kept = append(c.kept, func() { *p = *new(T) })
+	}
+}
+
+// keepArray has a pooled instance clear *buf, an operator's output tuple,
+// when a run returns, and keep its array for the next run: nothing the run
+// wrote there outlives it but what sinks copied.
+func keepArray(c *Ctx, buf *Tuple) {
+	if c.pooled {
+		c.kept = append(c.kept, func() { clear((*buf)[:cap(*buf)]) })
 	}
 }
 
@@ -266,7 +283,10 @@ func (c *Ctx) Detach() { c.Tx.WithContext(c.prev) }
 
 // RunCtx executes the plan in interpretation mode within tx, calling emit
 // for every result row until exhaustion or emit returns false. On a
-// cancellation it returns ctx.Err().
+// cancellation it returns ctx.Err(). The Row emit gets is valid for that
+// call only: the run rewrites one buffer for every row (and the next run
+// of the instance rewrites it again), so emit copies what it keeps —
+// CollectCtx and RowSlab.Copy do.
 func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit func(Row) bool) error {
 	in, _ := pr.pool.Get().(*instance)
 	if in == nil {
@@ -297,22 +317,55 @@ func (pr *Prepared) release(in *instance) {
 	pr.pool.Put(in)
 }
 
-// CollectCtx executes the plan under ctx and gathers all rows.
+// CollectCtx executes the plan under ctx and gathers copies of all rows.
 func (pr *Prepared) CollectCtx(ctx context.Context, tx *core.Tx, params Params) ([]Row, error) {
 	var rows []Row
+	var slab RowSlab
 	err := pr.RunCtx(ctx, tx, params, func(r Row) bool {
-		rows = append(rows, r)
+		rows = append(rows, slab.Copy(r))
 		return true
 	})
 	return rows, err
 }
 
+// RowSlab carves owned copies of rows from shared arrays. Like
+// core.PropSlab, an array that runs out is replaced, never rewound, so a
+// copy stays valid for as long as anyone holds it.
+type RowSlab struct{ buf []storage.Value }
+
+// rowSlabMax caps an array's growth (in values).
+const rowSlabMax = 1024
+
+// Copy returns an owned copy of r.
+func (s *RowSlab) Copy(r Row) Row {
+	row := s.next(len(r))
+	copy(row, r)
+	return row
+}
+
+// fromTuple is ToRow into the slab.
+func (s *RowSlab) fromTuple(t Tuple) Row { return fillRow(s.next(len(t)), t) }
+
+// next claims the slab's next n values.
+func (s *RowSlab) next(n int) Row {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]storage.Value, 0, max(n, min(2*cap(s.buf), rowSlabMax)))
+	}
+	l := len(s.buf)
+	s.buf = s.buf[:l+n]
+	return Row(s.buf[l : l+n : l+n])
+}
+
 // ToRow converts a tuple to a row of plain values (nodes and
 // relationships become their ids).
-func ToRow(t Tuple) Row { return tupleToRow(t) }
+func ToRow(t Tuple) Row { return fillRow(nil, t) }
 
-func tupleToRow(t Tuple) Row {
-	row := make(Row, len(t))
+// fillRow writes t's plain values into row, reusing its array.
+func fillRow(row Row, t Tuple) Row {
+	if cap(row) < len(t) {
+		row = make(Row, len(t))
+	}
+	row = row[:len(t)]
 	for i, d := range t {
 		switch d.Kind {
 		case DNode:
@@ -472,8 +525,12 @@ func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
-	var buf Tuple
-	keep(ctx, &buf)
+	var st struct { // one allocation
+		it  core.IndexIter
+		buf Tuple
+	}
+	keep(ctx, &st.it)
+	keepArray(ctx, &st.buf)
 	return func() error {
 		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
@@ -483,21 +540,29 @@ func buildIndexScan(o *IndexScan, ctx *Ctx, out Sink) (func() error, error) {
 		if err != nil {
 			return err
 		}
-		snaps, err := ctx.Tx.IndexedLookup(tree, key)
-		if err != nil {
-			return err
-		}
-		for _, n := range snaps {
-			cont, err := out(buf.put(nil, Datum{Kind: DNode, Node: n}))
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
-		}
-		return nil
+		_, err = lookupEach(ctx, &st.it, tree, key, func(n core.NodeSnap) (bool, error) {
+			return out(st.buf.put(nil, Datum{Kind: DNode, Node: n}))
+		})
+		return err
 	}, nil
+}
+
+// lookupEach hands fn every node of the index hits of key visible to the
+// run's transaction, each read into the iterator's slab, until fn stops
+// it.
+func lookupEach(ctx *Ctx, it *core.IndexIter, tree *core.IndexRef, key storage.Value, fn func(core.NodeSnap) (bool, error)) (bool, error) {
+	if err := it.Reset(ctx.Tx, tree, key); err != nil {
+		return false, err
+	}
+	for {
+		ok, err := it.Next()
+		if !ok || err != nil {
+			return err == nil, err
+		}
+		if cont, err := fn(it.Node()); !cont || err != nil {
+			return cont, err
+		}
+	}
 }
 
 func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
@@ -506,7 +571,7 @@ func buildCreateNode(o *CreateNode, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	var buf Tuple
-	keep(ctx, &buf)
+	keepArray(ctx, &buf)
 	createInto := func(t Tuple) (bool, error) {
 		props, err := evalPropSpecs(evals, ctx, t)
 		if err != nil {
@@ -539,7 +604,8 @@ func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 		it  core.AdjIter
 		buf Tuple
 	}
-	keep(ctx, &st)
+	keep(ctx, &st.it)
+	keepArray(ctx, &st.buf)
 	it, buf := &st.it, &st.buf
 	// walk extends t by each relationship of the adjacency list at head.
 	walk := func(t Tuple, head uint64, outgoing bool, labelCode uint32) (bool, error) {
@@ -587,7 +653,8 @@ func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
 		slab core.PropSlab
 		buf  Tuple
 	}
-	keep(ctx, &st)
+	keep(ctx, &st.slab)
+	keepArray(ctx, &st.buf)
 	slab, buf := &st.slab, &st.buf
 	own := func(t Tuple) (bool, error) {
 		if o.RelCol >= len(t) || t[o.RelCol].Kind != DRel {
@@ -628,8 +695,12 @@ func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	label, pkey := ctx.code(o.Label), ctx.code(o.Key)
-	var buf Tuple
-	keep(ctx, &buf)
+	var st struct { // one allocation
+		it  core.IndexIter
+		buf Tuple
+	}
+	keep(ctx, &st.it)
+	keepArray(ctx, &st.buf)
 	own := func(t Tuple) (bool, error) {
 		tree, ok := indexFor(ctx.E, label, pkey)
 		if !ok {
@@ -639,17 +710,9 @@ func buildNodeLookup(o *NodeLookup, ctx *Ctx, out Sink) (func() error, error) {
 		if err != nil {
 			return false, err
 		}
-		snaps, err := ctx.Tx.IndexedLookup(tree, key)
-		if err != nil {
-			return false, err
-		}
-		for _, n := range snaps {
-			cont, err := out(buf.put(t, Datum{Kind: DNode, Node: n}))
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
+		return lookupEach(ctx, &st.it, tree, key, func(n core.NodeSnap) (bool, error) {
+			return out(st.buf.put(t, Datum{Kind: DNode, Node: n}))
+		})
 	}
 	return buildOp(o.Input, ctx, own)
 }
@@ -682,7 +745,7 @@ func buildProject(o *Project, ctx *Ctx, out Sink) (func() error, error) {
 		evals[i] = fn
 	}
 	var buf Tuple
-	keep(ctx, &buf)
+	keepArray(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		if buf == nil {
 			buf = make(Tuple, len(evals))
@@ -718,18 +781,19 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
-	type item struct {
-		t Tuple
-		k storage.Value
+	st := new(orderBuf)
+	if ctx.pooled {
+		// The copies are the run's, the arrays the instance's: a pooled
+		// instance clears them for its next run rather than dropping them
+		// (a copy per buffered tuple was sr_inproc's largest allocation site).
+		ctx.kept = append(ctx.kept, st.reset)
 	}
-	var buf []item
-	keep(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		k, err := key(ctx, t)
 		if err != nil {
 			return false, err
 		}
-		buf = append(buf, item{append(Tuple(nil), t...), k})
+		st.items = append(st.items, orderItem{st.slab.copy(t), k})
 		return true, nil
 	}
 	childRun, err := buildOp(o.Input, ctx, own)
@@ -737,22 +801,28 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	return func() error {
-		buf = buf[:0]
+		st.items = st.items[:0]
 		if err := childRun(); err != nil {
 			return err
 		}
-		sort.SliceStable(buf, func(i, j int) bool {
+		items := st.items
+		slices.SortStableFunc(items, func(a, b orderItem) int {
 			if o.Desc {
-				return buf[j].k.Less(buf[i].k)
+				a, b = b, a
 			}
-			return buf[i].k.Less(buf[j].k)
+			switch {
+			case a.k.Less(b.k):
+				return -1
+			case b.k.Less(a.k):
+				return 1
+			}
+			return 0
 		})
-		n := len(buf)
-		if o.Limit > 0 && o.Limit < n {
-			n = o.Limit
+		if o.Limit > 0 && o.Limit < len(items) {
+			items = items[:o.Limit]
 		}
-		for i := 0; i < n; i++ {
-			cont, err := out(buf[i].t)
+		for _, it := range items {
+			cont, err := out(it.t)
 			if err != nil {
 				return err
 			}
@@ -762,6 +832,60 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 		}
 		return nil
 	}, nil
+}
+
+// orderBuf is what OrderBy buffers: its input's tuples, copied, with
+// their sort keys.
+type orderBuf struct {
+	items []orderItem
+	slab  tupleSlab
+}
+
+type orderItem struct {
+	t Tuple
+	k storage.Value
+}
+
+func (b *orderBuf) reset() {
+	clear(b.items)
+	b.items = b.items[:0]
+	b.slab.rewind()
+}
+
+// tupleSlab carves the copies of tuples a sink keeps from shared arrays.
+// Like core.PropSlab, an array that runs out is replaced, so a copy stays
+// valid until its owner rewinds the slab. Each new array holds as many
+// Datums as the slab has handed out, so less than half of what it
+// allocates goes unused (Datums are large: doubling each array instead
+// raised scan_adaptive bytes_per_op).
+type tupleSlab struct {
+	buf []Datum
+	n   int // Datums handed out since the last rewind
+}
+
+// tupleSlabMax caps an array's size (in Datums).
+const tupleSlabMax = 256
+
+// rewind drops every copy and keeps an array for the next ones: the last,
+// or one that holds all of them if they did not fit in it.
+func (s *tupleSlab) rewind() {
+	if n := min(s.n, tupleSlabMax); n > cap(s.buf) {
+		s.buf = make([]Datum, 0, n)
+	} else {
+		clear(s.buf)
+		s.buf = s.buf[:0]
+	}
+	s.n = 0
+}
+
+func (s *tupleSlab) copy(t Tuple) Tuple {
+	if cap(s.buf)-len(s.buf) < len(t) {
+		s.buf = make([]Datum, 0, max(len(t), min(s.n, tupleSlabMax)))
+	}
+	n := len(s.buf)
+	s.buf = append(s.buf, t...)
+	s.n += len(t)
+	return Tuple(s.buf[n:len(s.buf):len(s.buf)])
 }
 
 func buildDistinct(o *Distinct, ctx *Ctx, out Sink) (func() error, error) {
@@ -819,7 +943,7 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 	}
 	table := make(map[storage.Value][]Tuple)
 	var buf Tuple
-	keep(ctx, &buf)
+	keepArray(ctx, &buf)
 	rightSink := func(t Tuple) (bool, error) {
 		k, err := rkey(ctx, t)
 		if err != nil {
@@ -867,7 +991,7 @@ func buildCreateRel(o *CreateRel, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	var buf Tuple
-	keep(ctx, &buf)
+	keepArray(ctx, &buf)
 	own := func(t Tuple) (bool, error) {
 		if o.SrcCol >= len(t) || t[o.SrcCol].Kind != DNode ||
 			o.DstCol >= len(t) || t[o.DstCol].Kind != DNode {

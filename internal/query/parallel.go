@@ -102,7 +102,7 @@ func (sp *Split) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) error {
 		if err := ctx.err(); err != nil {
 			return false, err
 		}
-		return emit(tupleToRow(t)), nil
+		return emit(ToRow(t)), nil
 	}
 	replay := func(out Sink) (func() error, error) {
 		return func() error {
@@ -152,7 +152,7 @@ func (sp *Split) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask 
 	}
 	nmorsels := MorselCount(tbl.MaxID(), tbl.ChunkCap())
 
-	// Streamed rows reach the caller's emit one at a time under emitMu.
+	// Streamed rows reach the caller's emit one at a time under streamed.mu.
 	// With a tail to run, each worker gathers its own tuples and the
 	// parts are joined once the workers are done: the tail sorts,
 	// aggregates or cuts off, so their order carries no meaning. A Limit
@@ -165,15 +165,18 @@ func (sp *Split) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask 
 		}
 	}
 	var gathered atomic.Int64
-	var emitMu sync.Mutex
+	var streamed struct { // one allocation: the rows are carved under mu
+		mu   sync.Mutex
+		rows RowSlab
+	}
 	var stopped atomic.Bool
 	stream := func(t Tuple) (bool, error) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
+		streamed.mu.Lock()
+		defer streamed.mu.Unlock()
 		if stopped.Load() {
 			return false, nil
 		}
-		if !emit(tupleToRow(t)) {
+		if !emit(streamed.rows.fromTuple(t)) {
 			stopped.Store(true)
 			return false, nil
 		}
@@ -189,45 +192,52 @@ func (sp *Split) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask 
 	parent.SetAttr("workers", int64(workers))
 	var next atomic.Uint64
 	var failed firstError
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wsp := parent.Child("query.worker", trace.KindExec)
-			wsp.SetAttr("worker", int64(w))
-			var morsels int64
-			defer func() {
-				wsp.SetAttr("morsels", morsels)
-				wsp.End()
-			}()
-			collect := stream
-			if !streaming {
-				var mine []Tuple
-				collect = func(t Tuple) (bool, error) {
-					mine = append(mine, append(Tuple(nil), t...))
-					if want > 0 && gathered.Add(1) >= want {
-						stopped.Store(true)
-						return false, nil
-					}
-					return true, nil
-				}
-				defer func() { parts[w] = mine }()
-			}
-			task, err := newTask(collect)
-			for err == nil {
-				m := next.Add(1) - 1
-				if m >= nmorsels || stopped.Load() || failed.pending() || ctx.err() != nil {
-					return
-				}
-				morsels++
-				err = task(m)
-			}
-			wsp.SetError(err)
-			failed.set(err)
+	work := func(w int) {
+		wsp := parent.Child("query.worker", trace.KindExec)
+		wsp.SetAttr("worker", int64(w))
+		var morsels int64
+		defer func() {
+			wsp.SetAttr("morsels", morsels)
+			wsp.End()
 		}()
+		collect := stream
+		if !streaming {
+			var mine []Tuple
+			collect = func(t Tuple) (bool, error) {
+				mine = append(mine, append(Tuple(nil), t...))
+				if want > 0 && gathered.Add(1) >= want {
+					stopped.Store(true)
+					return false, nil
+				}
+				return true, nil
+			}
+			defer func() { parts[w] = mine }()
+		}
+		task, err := newTask(collect)
+		for err == nil {
+			m := next.Add(1) - 1
+			if m >= nmorsels || stopped.Load() || failed.pending() || ctx.err() != nil {
+				return
+			}
+			morsels++
+			err = task(m)
+		}
+		wsp.SetError(err)
+		failed.set(err)
 	}
-	wg.Wait()
+	if workers == 1 {
+		work(0) // a JIT run's one worker: no goroutine to hand the run to
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
 	// Cancellation wins over secondary errors (a worker racing the abort
 	// may surface ErrTxDone first).
 	if err := ctx.err(); err != nil {

@@ -217,3 +217,32 @@ func TestWarmPreparedSeesRebuiltIndex(t *testing.T) {
 		t.Fatalf("after an insert: the warm Prepared answers %v, a fresh one %v (want 2 rows)", got, want)
 	}
 }
+
+// TestCollectedRowsOutliveLaterRuns: RunCtx rewrites one row buffer for
+// every row of every run, so CollectCtx copies; the rows it returned stay
+// as they were while the instance runs on.
+func TestCollectedRowsOutliveLaterRuns(t *testing.T) {
+	e, _, _ := testGraph(t, core.DRAM)
+	tx := e.Begin()
+	defer tx.Abort()
+	ctx := context.Background()
+	for name, plan := range reusePlans() {
+		pr, err := Prepare(e, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := pr.CollectCtx(ctx, tx, Params{"min": int64(21)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(kept)
+		for _, min := range []int64{20, 23, 22, 24} {
+			if _, err := pr.CollectCtx(ctx, tx, Params{"min": min}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := fmt.Sprint(kept); got != want {
+			t.Errorf("%s: rows collected first changed under later runs: %s, were %s", name, got, want)
+		}
+	}
+}

@@ -342,11 +342,13 @@ func (c *conn) handleRun(r *wire.Run) bool {
 		return c.reply(&wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
 	}
 	ctx, rspan := c.startRun(r)
-	rspan.SetAttr("mode", mode.String())
-	if text := stmt.Text(); text != "" {
-		rspan.SetAttr("text", text)
-	} else if r.Text != "" {
-		rspan.SetAttr("text", r.Text)
+	if rspan != nil { // boxing an attribute allocates, span or not
+		rspan.SetAttr("mode", mode.String())
+		if text := stmt.Text(); text != "" {
+			rspan.SetAttr("text", text)
+		} else if r.Text != "" {
+			rspan.SetAttr("text", r.Text)
+		}
 	}
 	asp := rspan.Child("server.admit", trace.KindAdmission)
 	aerr := c.srv.admit(c.ctx)

@@ -52,6 +52,7 @@ package poseidon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -272,54 +273,91 @@ func (db *DB) QueryTxCtx(ctx context.Context, tx *Tx, plan *query.Plan, params q
 	return db.collect(ctx, tx, stmt, params, mode, db.workers)
 }
 
-// A rowSink receives a statement's decoded rows in order; calls never
-// overlap. An error stops the statement. (An interface, not a func: a
-// closure appending to QueryAll's result costs one more allocation per
-// statement, +1.0 sr_inproc allocs_per_op.)
-type rowSink interface {
-	row(vals []any) error
+// A reader decodes a statement's rows to Go values as the run emits them:
+// the one decode-and-deliver loop behind every entry point that does not
+// stream through a cursor (Session.QueryEach and QueryAll, the
+// Query*/Cypher* one-shots). Each value is boxed once, straight out of the
+// run's borrowed row: into the result's one slab when the reader collects,
+// into a buffer reused row to row when it hands rows to fn. Its emit is
+// bound once, so a session that keeps its reader hands every statement a
+// function that is already made (a closure per statement cost
+// sr_inproc 2.0 allocs_per_op).
+type reader struct {
+	e    *core.Engine
+	emit func(query.Row) bool // read, bound by newReader
+	fn   func([]any) error    // QueryEach's callback; nil collects
+	vals []any                // the collected values, or fn's buffer
+	rows int                  // rows collected
+	err  error                // a decode or fn error, which stops the run
+	busy bool                 // a statement is running on it
 }
 
-// rowList is the sink that materializes a result.
-type rowList [][]any
-
-func (l *rowList) row(vals []any) error {
-	*l = append(*l, vals)
-	return nil
+func newReader(e *core.Engine) *reader {
+	r := &reader{e: e}
+	r.emit = r.read
+	return r
 }
 
-// rowFunc is the sink of a caller's callback (Session.QueryEach).
-type rowFunc func([]any) error
-
-func (f rowFunc) row(vals []any) error { return f(vals) }
-
-// each runs stmt in tx on the caller's goroutine, decoding every row and
-// handing it to sink as it is produced: the one decode-and-deliver loop
-// behind every entry point that does not stream through a cursor
-// (Session.QueryEach and QueryAll, the Query*/Cypher* one-shots). A
-// decode or sink error stops the statement and is returned.
-func (db *DB) each(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int, sink rowSink) error {
-	var err error
-	runErr := stmt.run(ctx, tx, params, mode, workers, func(r query.Row) bool {
-		var vals []any
-		if vals, err = db.decodeRow(r); err == nil {
-			err = sink.row(vals)
-		}
-		return err == nil
-	})
-	if err != nil {
-		return err
+func (r *reader) read(row query.Row) bool {
+	switch {
+	case r.fn != nil:
+		r.vals = r.vals[:0]
+	case r.rows > 0 && len(r.vals) != r.rows*len(row):
+		r.err = fmt.Errorf("poseidon: a row of %d values after rows of %d", len(row), len(r.vals)/r.rows)
+		return false
+	case cap(r.vals)-len(r.vals) < len(row):
+		r.vals = slices.Grow(r.vals, max(len(row), len(r.vals))) // by rows, doubling
 	}
-	return runErr
+	for _, v := range row {
+		gv, err := r.e.DecodeValue(v)
+		if err != nil {
+			r.err = err
+			return false
+		}
+		r.vals = append(r.vals, gv)
+	}
+	r.rows++
+	if r.fn != nil {
+		r.err = r.fn(r.vals)
+	}
+	return r.err == nil
 }
 
-// collect is each materializing the decoded result.
-func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int) ([][]any, error) {
-	rows := rowList{}
-	if err := db.each(ctx, tx, stmt, params, mode, workers, &rows); err != nil {
-		return nil, err
+// each runs stmt in tx on the caller's goroutine, handing every row to fn,
+// or collecting the result when fn is nil. A decode or fn error stops the
+// statement and is returned.
+func (r *reader) each(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int, fn func([]any) error) ([][]any, error) {
+	r.busy, r.fn = true, fn
+	defer r.reset()
+	if err := stmt.run(ctx, tx, params, mode, workers, r.emit); r.err == nil && err != nil {
+		r.err = err
+	}
+	if r.err != nil || fn != nil {
+		return nil, r.err
+	}
+	// Every row of a plan has the same width: carve them from the slab.
+	rows := make([][]any, r.rows)
+	w := len(r.vals) / max(r.rows, 1)
+	for i := range rows {
+		rows[i] = r.vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows, nil
+}
+
+// reset readies the reader for the next statement; a collected result is
+// the caller's, fn's buffer is kept.
+func (r *reader) reset() {
+	if r.fn == nil {
+		r.vals = nil
+	} else {
+		clear(r.vals)
+	}
+	r.fn, r.rows, r.err, r.busy = nil, 0, nil, false
+}
+
+// collect runs stmt in tx and materializes the decoded result.
+func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Params, mode ExecMode, workers int) ([][]any, error) {
+	return newReader(db.engine).each(ctx, tx, stmt, params, mode, workers, nil)
 }
 
 // decodeRow decodes a raw result row to Go values.

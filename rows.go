@@ -67,8 +67,12 @@ func newRows(parent context.Context, db *DB, end func(),
 	}
 	go func() {
 		var batch []query.Row // grown by append: most results never fill one
+		// The run's rows are valid for emit's call only; the batch keeps
+		// copies. The slab never hands out a value twice, so the consumer
+		// reads a sent batch while the producer carves the next.
+		var slab query.RowSlab
 		err := run(ctx, func(row query.Row) bool {
-			batch = append(batch, row)
+			batch = append(batch, slab.Copy(row))
 			if len(batch) < rowsBatchSize {
 				return true
 			}

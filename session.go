@@ -67,6 +67,9 @@ type Session struct {
 	// lastTrace holds the most recent finished trace rooted by this
 	// session (tracing enabled only); LastProfile derives from it.
 	lastTrace atomic.Pointer[trace.Trace]
+
+	// rd decodes the rows of the session's synchronous reads (see each).
+	rd *reader
 }
 
 // NewSession opens a session with the given defaults.
@@ -173,9 +176,8 @@ func (s *Session) LastProfile() *trace.Profile {
 // deadline, its span with the core.begin child, and an implicit
 // transaction begun like an explicit one — under the session's lock, so a
 // concurrent Close either refuses the statement or reaps its transaction.
-// The returned end rolls the transaction back (a no-op once it has
-// committed) and closes the rest; refused, open leaves nothing.
-func (s *Session) open(ctx context.Context, name string) (context.Context, *core.Tx, func(), error) {
+// The returned stmtEnd ends it all; refused, open leaves nothing.
+func (s *Session) open(ctx context.Context, name string) (context.Context, stmtEnd, error) {
 	cctx, cancelTimeout := s.context(ctx)
 	cctx, span := s.startSpan(cctx, name)
 	bsp := span.Child("core.begin", trace.KindCommit)
@@ -185,15 +187,27 @@ func (s *Session) open(ctx context.Context, name string) (context.Context, *core
 		span.SetError(err)
 		cancelTimeout()
 		span.End()
-		return nil, nil, nil, err
+		return nil, stmtEnd{}, err
 	}
-	end := func() {
-		tx.Abort()
-		s.release(tx)
-		cancelTimeout()
-		span.End()
-	}
-	return cctx, tx, end, nil
+	return cctx, stmtEnd{s, tx, cancelTimeout, span}, nil
+}
+
+// stmtEnd is what open started for one statement. A value, not a closure:
+// a statement that ends inside the call keeps it on the stack.
+type stmtEnd struct {
+	s      *Session
+	tx     *core.Tx
+	cancel context.CancelFunc
+	span   *trace.Span
+}
+
+// end rolls the transaction back (a no-op once it has committed) and
+// closes the rest.
+func (e stmtEnd) end() {
+	e.tx.Abort()
+	e.s.release(e.tx)
+	e.cancel()
+	e.span.End()
 }
 
 // Query runs a prepared statement in a fresh read-only snapshot and
@@ -205,14 +219,14 @@ func (s *Session) Query(ctx context.Context, stmt *Stmt, params query.Params) (*
 	if stmt.plan.HasUpdates() {
 		return nil, ErrUpdatePlan
 	}
-	cctx, tx, end, err := s.open(ctx, "session.query")
+	cctx, se, err := s.open(ctx, "session.query")
 	if err != nil {
 		return nil, err
 	}
 	// The cursor calls end when it is exhausted or closed, so the session
 	// span covers the full streaming lifetime.
-	return newRows(cctx, s.db, end, func(rctx context.Context, emit func(query.Row) bool) error {
-		return stmt.run(rctx, tx, params, s.cfg.Mode, s.cfg.Workers, emit)
+	return newRows(cctx, s.db, se.end, func(rctx context.Context, emit func(query.Row) bool) error {
+		return stmt.run(rctx, se.tx, params, s.cfg.Mode, s.cfg.Workers, emit)
 	}), nil
 }
 
@@ -221,11 +235,12 @@ func (s *Session) Query(ctx context.Context, stmt *Stmt, params query.Params) (*
 // body succeeded, roll back otherwise. (A Query cursor outlives the call
 // and ends its snapshot through open's end.)
 func (s *Session) implicit(ctx context.Context, name string, commit bool, body func(context.Context, *Tx) error) error {
-	cctx, tx, end, err := s.open(ctx, name)
+	cctx, se, err := s.open(ctx, name)
 	if err != nil {
 		return err
 	}
-	defer end()
+	defer se.end()
+	tx := se.tx
 	span := trace.FromContext(cctx) // open's; nil with tracing off
 	if commit && span != nil {
 		// Commit runs after stmt.run restores the tx context, so the
@@ -244,32 +259,43 @@ func (s *Session) implicit(ctx context.Context, name string, commit bool, body f
 // QueryEach is Query for callers that consume each decoded row as it is
 // produced: same snapshot, checks, Timeout and rollback, but no producer
 // goroutine, no cursor, nothing materialized. The statement runs from the
-// caller's goroutine and fn gets every row as the plan emits it. Calls to
+// caller's goroutine and fn gets every row as the plan emits it, in one
+// buffer rewritten row to row: fn copies the values it keeps. Calls to
 // fn never overlap and all happen before QueryEach returns, but under
 // Parallel or Adaptive over a morsel plan they are made from the morsel
 // workers, one at a time, so a blocking fn stalls every worker. An error
 // from fn stops the statement, rolls it back and is returned.
 func (s *Session) QueryEach(ctx context.Context, stmt *Stmt, params query.Params, fn func([]any) error) error {
-	return s.each(ctx, stmt, params, rowFunc(fn))
+	_, err := s.each(ctx, stmt, params, fn)
+	return err
 }
 
 // QueryAll is QueryEach collecting the whole decoded result.
 func (s *Session) QueryAll(ctx context.Context, stmt *Stmt, params query.Params) ([][]any, error) {
-	rows := rowList{}
-	if err := s.each(ctx, stmt, params, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return s.each(ctx, stmt, params, nil)
 }
 
-// each runs a read in an implicit transaction, delivering its rows to sink.
-func (s *Session) each(ctx context.Context, stmt *Stmt, params query.Params, sink rowSink) error {
+// each runs a read in an implicit transaction through the session's
+// reader — or a reader of its own when a statement already runs on it (an
+// fn that queries the session again).
+func (s *Session) each(ctx context.Context, stmt *Stmt, params query.Params, fn func([]any) error) ([][]any, error) {
 	if stmt.plan.HasUpdates() {
-		return ErrUpdatePlan
+		return nil, ErrUpdatePlan
 	}
-	return s.implicit(ctx, "session.query", false, func(cctx context.Context, tx *Tx) error {
-		return s.db.each(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers, sink)
+	r := s.rd
+	if r == nil || r.busy {
+		r = newReader(s.db.engine)
+		if s.rd == nil {
+			s.rd = r
+		}
+	}
+	var rows [][]any
+	err := s.implicit(ctx, "session.query", false, func(cctx context.Context, tx *Tx) error {
+		var err error
+		rows, err = r.each(cctx, tx, stmt, params, s.cfg.Mode, s.cfg.Workers, fn)
+		return err
 	})
+	return rows, err
 }
 
 // Exec runs a statement — typically containing updates — in a fresh
