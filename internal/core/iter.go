@@ -13,12 +13,20 @@ import (
 // filter down into the read (readNode/readRel), and is resettable: the
 // zero value is ready for Reset, and a pipeline keeps one per position
 // across morsels, so that its slab is reused instead of reallocated.
+//
+// A table scan's walker (NodeIter, RelTableIter) holds one row, as a
+// compiled scan keeps its row in registers (§6.2): the snapshot it hands
+// out is valid until its next Next or Reset. Whoever keeps a scanned
+// snapshot longer takes an owned copy (PropSlab.OwnNode/OwnRel). The
+// other walkers (AdjIter, IndexIter) and Tx.GetNodeIn append to their
+// slab, so their snapshots outlive the walker.
 
-// PropSlab is the append-only arena a walker, or a point reader's caller
-// (Tx.GetNodeIn), keeps the property sets of its snapshots in. Snapshots
-// own capped sub-slices of it; a slab that runs out is replaced, never
-// rewound, so a snapshot outlives the walker (and any Reset of it)
-// without a lifetime rule.
+// PropSlab is the arena a walker, a point reader's caller (Tx.GetNodeIn)
+// or a keeper of owned copies keeps the property sets of snapshots in.
+// Snapshots own capped sub-slices of it. Appended to, a slab that runs out
+// is replaced, so a snapshot stays valid until the slab's owner rewinds
+// it: an append-only walker never does; a scan walker does before every
+// row.
 type PropSlab struct{ buf []storage.Prop }
 
 // Slabs start small — most adjacency walks of a point query return a
@@ -45,6 +53,42 @@ func (s *PropSlab) keep(props []storage.Prop) []storage.Prop {
 		s.buf = s.buf[:len(s.buf)+len(props)]
 	}
 	return slices.Clip(props)
+}
+
+// Rewind drops every property set the slab holds and keeps its array for
+// the next ones. Only the slab's owner may call it, once no snapshot of
+// those sets is in use.
+func (s *PropSlab) Rewind() { s.buf = s.buf[:0] }
+
+// hold is keep for a walker that holds one row, whose slab was rewound
+// before the read: a chain that spilled leaves its longer array to the
+// slab, so a walker allocates O(log longest chain) times in its life.
+func (s *PropSlab) hold(props []storage.Prop) []storage.Prop {
+	if cap(props) > cap(s.buf) {
+		s.buf = props[:0]
+	}
+	return slices.Clip(props)
+}
+
+// OwnNode returns n with its property set copied into the slab, valid
+// until the slab is rewound: a keeper's copy of a scanned snapshot. A
+// DRAM version's set is the version's and is not copied.
+func (s *PropSlab) OwnNode(n NodeSnap) NodeSnap {
+	n.props = s.own(n.props)
+	return n
+}
+
+// OwnRel is OwnNode for a relationship snapshot.
+func (s *PropSlab) OwnRel(r RelSnap) RelSnap {
+	r.props = s.own(r.props)
+	return r
+}
+
+func (s *PropSlab) own(props []storage.Prop) []storage.Prop {
+	if len(props) == 0 {
+		return props
+	}
+	return s.keep(append(s.free(), props...))
 }
 
 // slotWalk walks the occupied slots of an id range of a table. Occupancy
@@ -90,7 +134,8 @@ func (w *slotWalk) nextOccupied() (uint64, bool) {
 	return 0, false
 }
 
-// NodeIter iterates the visible nodes of an id range.
+// NodeIter iterates the visible nodes of an id range. It holds one row:
+// a snapshot is valid until the iterator's next Next or Reset.
 type NodeIter struct {
 	tx    *Tx
 	slots slotWalk
@@ -127,6 +172,7 @@ func (it *NodeIter) Next() (bool, error) {
 		if !ok {
 			return false, nil
 		}
+		it.slab.Rewind()
 		snap, props, err := it.tx.readNode(id, it.label, it.slab.free())
 		if err == ErrNotFound || err == errWrongLabel {
 			continue
@@ -134,7 +180,7 @@ func (it *NodeIter) Next() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		snap.props = it.slab.keep(props)
+		snap.props = it.slab.hold(props)
 		it.cur = snap
 		return true, nil
 	}
@@ -143,7 +189,8 @@ func (it *NodeIter) Next() (bool, error) {
 // Node returns the current node.
 func (it *NodeIter) Node() NodeSnap { return it.cur }
 
-// RelTableIter iterates the visible relationships of an id range.
+// RelTableIter iterates the visible relationships of an id range. Like
+// NodeIter it holds one row.
 type RelTableIter struct {
 	tx    *Tx
 	slots slotWalk
@@ -177,6 +224,7 @@ func (it *RelTableIter) Next() (bool, error) {
 		if !ok {
 			return false, nil
 		}
+		it.slab.Rewind()
 		snap, props, err := it.tx.readRel(id, it.label, it.slab.free())
 		if err == ErrNotFound || err == errWrongLabel {
 			continue
@@ -184,7 +232,7 @@ func (it *RelTableIter) Next() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		snap.props = it.slab.keep(props)
+		snap.props = it.slab.hold(props)
 		it.cur = snap
 		return true, nil
 	}

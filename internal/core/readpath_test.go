@@ -230,33 +230,61 @@ func TestUnfilteredReadsTouchWhatTheyDid(t *testing.T) {
 	}
 }
 
-// TestSnapshotsOutliveTheirWalker keeps every snapshot of a scan that
-// runs through several slabs, lets the same iterator scan again, and only
-// then reads them: each must still hold exactly what a fresh point read
-// returns, and appending to one's Props must not reach its slab
-// neighbour.
-func TestSnapshotsOutliveTheirWalker(t *testing.T) {
+// TestScanWalkerHoldsOneRow: a table scan's walker rewrites one property
+// buffer row after row, so a snapshot is valid until its next Next; a
+// keeper's OwnNode/OwnRel copies, taken over one pass, still hold what a
+// fresh point read returns after the walker has scanned again; and the
+// walker's allocations do not grow with the rows it reads.
+func TestScanWalkerHoldsOneRow(t *testing.T) {
 	e := newTestEngine(t, DRAM)
 	const n = 700 // × 5 properties: seven 512-property slabs' worth
-	tx := e.Begin()
-	for i := 0; i < n; i++ {
+	five := func(i int) map[string]any {
 		props := map[string]any{}
 		for k := 0; k < 5; k++ {
 			props[fmt.Sprintf("p%d", k)] = int64(10*i + k)
 		}
-		mustCreateNode(t, tx, "K", props)
+		return props
+	}
+	tx := e.Begin()
+	prev := storage.NilID
+	for i := 0; i < n; i++ {
+		id := mustCreateNode(t, tx, "K", five(i))
 		mustCreateNode(t, tx, "Other", map[string]any{"z": int64(i)})
+		if prev != storage.NilID {
+			if _, err := tx.CreateRel(prev, id, "R", five(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = id
 	}
 	mustCommit(t, tx)
-
 	rd := e.Begin()
 	defer rd.Abort()
-	var it NodeIter
-	var kept []NodeSnap
+	k, r := labelCode(t, e, "K"), labelCode(t, e, "R")
+
+	var nodes NodeIter
+	nodes.Reset(rd, 0, ^uint64(0), k)
+	for i := 0; i < 2; i++ {
+		if ok, err := nodes.Next(); !ok || err != nil {
+			t.Fatalf("Next: %v, %v", ok, err)
+		}
+	}
+	first := nodes.Node().Props()
+	if ok, err := nodes.Next(); !ok || err != nil {
+		t.Fatalf("Next: %v, %v", ok, err)
+	}
+	if second := nodes.Node().Props(); len(first) != 5 || &second[0] != &first[0] {
+		t.Fatal("the next row's property set went to a new array, not the walker's one buffer")
+	}
+
+	var slab PropSlab
+	var keptNodes []NodeSnap
+	var keptRels []RelSnap
+	var rels RelTableIter
 	for pass := 0; pass < 2; pass++ {
-		it.Reset(rd, 0, ^uint64(0), labelCode(t, e, "K"))
+		nodes.Reset(rd, 0, ^uint64(0), k)
 		for {
-			ok, err := it.Next()
+			ok, err := nodes.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,15 +292,28 @@ func TestSnapshotsOutliveTheirWalker(t *testing.T) {
 				break
 			}
 			if pass == 0 {
-				kept = append(kept, it.Node())
+				keptNodes = append(keptNodes, slab.OwnNode(nodes.Node()))
+			}
+		}
+		rels.Reset(rd, 0, ^uint64(0), r)
+		for {
+			ok, err := rels.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if pass == 0 {
+				keptRels = append(keptRels, slab.OwnRel(rels.Rel()))
 			}
 		}
 	}
-	if len(kept) != n {
-		t.Fatalf("kept %d snapshots, want %d", len(kept), n)
+	if len(keptNodes) != n || len(keptRels) != n-1 {
+		t.Fatalf("kept %d nodes and %d relationships, want %d and %d", len(keptNodes), len(keptRels), n, n-1)
 	}
-	for i, s := range kept {
-		if i+1 < len(kept) {
+	for i, s := range keptNodes {
+		if i+1 < len(keptNodes) {
 			_ = append(s.Props(), storage.Prop{Key: 999999})
 		}
 		fresh, err := rd.GetNode(s.ID)
@@ -280,13 +321,44 @@ func TestSnapshotsOutliveTheirWalker(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(s.Props(), fresh.Props()) || len(s.Props()) != 5 {
-			t.Fatalf("snapshot %d of node %d holds %v, a fresh read %v", i, s.ID, s.Props(), fresh.Props())
+			t.Fatalf("owned copy %d of node %d holds %v, a fresh read %v", i, s.ID, s.Props(), fresh.Props())
 		}
-		for _, p := range fresh.Props() {
-			if v, ok := s.Prop(p.Key); !ok || v != p.Val {
-				t.Fatalf("snapshot %d: Prop(%d) = %v, %v; want %v", i, p.Key, v, ok, p.Val)
+	}
+	for i, s := range keptRels {
+		fresh, err := rd.GetRel(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Props(), fresh.Props()) || len(s.Props()) != 5 {
+			t.Fatalf("owned copy %d of relationship %d holds %v, a fresh read %v", i, s.ID, s.Props(), fresh.Props())
+		}
+	}
+
+	// A fresh walker over every K node allocates what one over a tenth
+	// of them does: its buffer, once.
+	passAllocs := func(rows int) float64 {
+		to := keptNodes[rows-1].ID + 1
+		return testing.AllocsPerRun(5, func() {
+			it := new(NodeIter)
+			it.Reset(rd, 0, to, k)
+			got := 0
+			for {
+				ok, err := it.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got++
 			}
-		}
+			if got != rows {
+				t.Fatalf("a pass read %d rows, want %d", got, rows)
+			}
+		})
+	}
+	if few, all := passAllocs(n/10), passAllocs(n); all != few {
+		t.Errorf("a walker's allocations grew with its rows: %.0f over %d, %.0f over %d", few, n/10, all, n)
 	}
 }
 

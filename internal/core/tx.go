@@ -544,7 +544,11 @@ func (tx *Tx) rawRelNext(rid uint64, out bool) (uint64, bool) {
 
 // --- scans ---
 
-// ScanNodes visits every node visible to the transaction in id order.
+// ScanNodes visits every node visible to the transaction in id order. The
+// snapshot fn gets is valid for that call only: the scan reads every row's
+// property set into one buffer. A caller that keeps a snapshot and reads
+// its properties later copies it (PropSlab.OwnNode) or re-reads it
+// (GetNode); its ID and Rec are plain values and stay valid.
 func (tx *Tx) ScanNodes(fn func(NodeSnap) bool) error {
 	if err := tx.check(); err != nil {
 		return err
@@ -558,7 +562,9 @@ func (tx *Tx) ScanNodes(fn func(NodeSnap) bool) error {
 	}
 }
 
-// ScanRels visits every relationship visible to the transaction.
+// ScanRels visits every relationship visible to the transaction. As with
+// ScanNodes, the snapshot fn gets is valid for that call only
+// (PropSlab.OwnRel copies one).
 func (tx *Tx) ScanRels(fn func(RelSnap) bool) error {
 	if err := tx.check(); err != nil {
 		return err

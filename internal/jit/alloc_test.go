@@ -5,6 +5,7 @@ package jit
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"poseidon/internal/core"
@@ -72,7 +73,8 @@ const (
 	rareNodes   = 48
 	commonNodes = 2400
 	// perScannedNode is the budget of a label scan: the nodes it rejects
-	// cost nothing, the rare match a Tuple and a share of a slab.
+	// cost nothing, the rare match a Tuple (its properties go to the
+	// walker's one row buffer).
 	perScannedNode = 0.05
 )
 
@@ -178,6 +180,98 @@ func TestMorselInterpreterAllocsIgnoreRejectedNodes(t *testing.T) {
 			few, commonNodes/2, many, commonNodes*5/2)
 	}
 }
+
+// TestLabelScanBytesIndependentOfMatches: a label scan whose filter keeps
+// one node reads every match's property chain into its walker's one row
+// buffer, so ten times the matches cost the compiled scan no more bytes,
+// and the morsel interpreter no more than the one-column Tuple its scan
+// emits per match. (A slab kept every match's set, 24 bytes a property,
+// and was replaced by a new 512-property array each time one filled.)
+func TestLabelScanBytesIndependentOfMatches(t *testing.T) {
+	const passes = 10
+	plan := func() *query.Plan {
+		return &query.Plan{Root: &query.Project{
+			Input: &query.Filter{
+				Input: &query.NodeScan{Label: "Rare"},
+				Pred:  &query.Cmp{Op: query.Eq, L: &query.Prop{Col: 0, Key: "p0"}, R: &query.Const{Val: 0}},
+			},
+			Cols: []query.Expr{&query.Prop{Col: 0, Key: "p5"}},
+		}}
+	}
+	// bytesPer returns the bytes one call of fn allocates, over passes
+	// calls.
+	bytesPer := func(fn func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / passes
+	}
+	// measure runs a pass over every morsel of the table once to warm up,
+	// then returns the bytes a pass allocates, compiled and interpreted.
+	measure := func(t *testing.T, rare int) (compiled, interpreted float64) {
+		e, _, _ := rareGraph(t, rare, commonNodes)
+		tx := e.Begin()
+		defer tx.Abort()
+		ctx := &query.Ctx{E: e, Tx: tx}
+		morsels := query.MorselCount(e.Nodes().MaxID(), e.Nodes().ChunkCap())
+		rows := 0
+		sink := func(query.Tuple) (bool, error) { rows++; return true, nil }
+		bytesPerPass := func(run func(m uint64) error) float64 {
+			pass := func() {
+				rows = 0
+				for m := uint64(0); m < morsels; m++ {
+					if err := run(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rows != 1 {
+					t.Fatalf("a pass emitted %d rows, want 1", rows)
+				}
+			}
+			pass()
+			return bytesPer(pass)
+		}
+
+		j, err := New(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := j.CompileCtx(context.Background(), plan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := c.Prog.NewExec()
+		compiled = bytesPerPass(func(m uint64) error { return exec.Run(ctx, m, sink) })
+
+		var chunk uint64
+		run, err := plan().Split().PipelineRunner(ctx, &chunk, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interpreted = bytesPerPass(func(m uint64) error { chunk = m; return run() })
+		return compiled, interpreted
+	}
+	fewC, fewI := measure(t, rareNodes)
+	manyC, manyI := measure(t, 10*rareNodes)
+	tupleBytes := bytesPer(func() { scanTuple = query.Tuple{{Kind: query.DNode}} })
+	scanTuples := float64(9*rareNodes) * tupleBytes
+	t.Logf("bytes per pass for %d → %d matches: compiled %.0f → %.0f, interpreted %.0f → %.0f (%.0f a scan Tuple)",
+		rareNodes, 10*rareNodes, fewC, manyC, fewI, manyI, tupleBytes)
+	if manyC > fewC+1024 {
+		t.Errorf("compiled label scan: %.0f bytes per pass over %d matches, %.0f over %d", manyC, 10*rareNodes, fewC, rareNodes)
+	}
+	if manyI > fewI+scanTuples+1024 {
+		t.Errorf("morsel interpreter: %.0f bytes per pass over %d matches, %.0f over %d plus %.0f of scan Tuples",
+			manyI, 10*rareNodes, fewI, rareNodes, scanTuples)
+	}
+}
+
+// scanTuple keeps the Tuple whose bytes TestLabelScanBytesIndependentOfMatches
+// measures on the heap.
+var scanTuple query.Tuple
 
 func TestGetNodeAllocBudget(t *testing.T) {
 	e, rare, bare := rareGraph(t, rareNodes, commonNodes)

@@ -282,7 +282,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 	start := time.Now()
 	err = mp.RunMorsels(ctx, workers, emit, func(out query.Sink) (query.MorselTask, error) {
 		var morsel uint64
-		interp, err := mp.PipelineRunner(ctx, &morsel, out)
+		var interp func() error // linked at the worker's first interpreted morsel
 		var exec *Exec
 		return func(m uint64) error {
 			if prog := compiledProg.Load(); prog != nil {
@@ -292,10 +292,16 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 				compiledMorsels.Add(1)
 				return exec.Run(ctx, m, out)
 			}
+			if interp == nil {
+				var err error
+				if interp, err = mp.PipelineRunner(ctx, &morsel, out); err != nil {
+					return err
+				}
+			}
 			interpMorsels.Add(1)
 			morsel = m
 			return interp()
-		}, err
+		}, nil
 	})
 	// Don't block on a compilation that is still running when the query
 	// was cancelled — it observes the same context and exits on its own;

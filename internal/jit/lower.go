@@ -17,8 +17,11 @@ import (
 // indirect call per step and one per block transfer and allocates nothing
 // per record it scans or expands: values live in registers, the iterators
 // of each pipeline position stay in the Exec from run to run, and the
-// property sets of their snapshots go to the iterators' slabs. The one
-// boxed tuple is the row handed to the sink at OpEmit — in contrast to
+// property sets of their snapshots go to the iterators' slabs. A scan's
+// iterator rewinds its slab row by row (core.NodeIter holds one row), so
+// a scanned row's properties live as long as the row is in a register;
+// what keeps an emitted tuple longer (RunMorsels' gather) copies them. The
+// one boxed tuple is the row handed to the sink at OpEmit — in contrast to
 // the AOT interpreter's per-operator dynamic dispatch and per-tuple
 // copies.
 

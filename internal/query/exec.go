@@ -22,7 +22,11 @@ import (
 // Retention rule: an operator writes every output into the one tuple it
 // owns and a sink sees a tuple only for the length of its call, so a sink
 // that keeps a tuple copies it (OrderBy, the HashJoin build side, the
-// morsel loop's gathering). The result boundary follows the same rule: a
+// morsel loop's gathering). A table scan's row is valid until its walker's
+// next row (core.NodeIter holds one), so a keeper a scan feeds owns what
+// it keeps: its copies take their property sets along (Tuple.Own). The
+// gather always does; OrderBy and the build side when scanFed says, once,
+// at link time. The result boundary follows the same rule: a
 // Row handed to emit is valid for that call only — a pooled run writes
 // every row into one buffer of its own — so a caller that keeps rows
 // copies them: CollectCtx and the facade's cursor into a RowSlab, the
@@ -58,6 +62,21 @@ func (t *Tuple) put(in Tuple, ds ...Datum) Tuple {
 	}
 	*t = append(append((*t)[:0], in...), ds...)
 	return *t
+}
+
+// Own makes t, a keeper's copy of a tuple, independent of the walkers its
+// snapshots came from: their property sets move into slab, which the
+// keeper keeps as long as it keeps t.
+func (t Tuple) Own(slab *core.PropSlab) Tuple {
+	for i := range t {
+		switch t[i].Kind {
+		case DNode:
+			t[i].Node = slab.OwnNode(t[i].Node)
+		case DRel:
+			t[i].Rel = slab.OwnRel(t[i].Rel)
+		}
+	}
+	return t
 }
 
 // Row is a finished output row of plain values.
@@ -194,6 +213,28 @@ type source struct {
 	link  func(out Sink) (func() error, error)
 }
 
+// scanFed reports whether the tuples op emits may hold a table scan's
+// row: the chain under it reaches a NodeScan or RelScan without crossing
+// an operator that emits tuples of its own (OrderBy's copies, CountAgg's
+// count, Project's values) or the tuples RunTail replays, which the gather
+// owns. (The only keeper linked above a source is the tail's: a pipeline
+// ends at its first breaker.) A HashJoin is followed down its streamed
+// side.
+func scanFed(op Op, ctx *Ctx) bool {
+	for ; op != nil; op = op.child() {
+		if s := ctx.src; s != nil && op == s.below {
+			return false
+		}
+		switch op.(type) {
+		case *NodeScan, *RelScan:
+			return true
+		case *OrderBy, *CountAgg, *Project:
+			return false
+		}
+	}
+	return false
+}
+
 // expr and pred return the evaluator of an operator's expression or
 // predicate: the Prepared's, or one built now (Prepare's Ctx records it).
 func (c *Ctx) expr(e Expr) (evalFn, error) { return linkFn(c, c.exprs, e, buildExpr) }
@@ -328,9 +369,9 @@ func (pr *Prepared) CollectCtx(ctx context.Context, tx *core.Tx, params Params) 
 	return rows, err
 }
 
-// RowSlab carves owned copies of rows from shared arrays. Like
-// core.PropSlab, an array that runs out is replaced, never rewound, so a
-// copy stays valid for as long as anyone holds it.
+// RowSlab carves owned copies of rows from shared arrays. Like an
+// append-only core.PropSlab, an array that runs out is replaced, never
+// rewound, so a copy stays valid for as long as anyone holds it.
 type RowSlab struct{ buf []storage.Value }
 
 // rowSlabMax caps an array's growth (in values).
@@ -788,12 +829,17 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 		// (a copy per buffered tuple was sr_inproc's largest allocation site).
 		ctx.kept = append(ctx.kept, st.reset)
 	}
+	owned := scanFed(o.Input, ctx)
 	own := func(t Tuple) (bool, error) {
 		k, err := key(ctx, t)
 		if err != nil {
 			return false, err
 		}
-		st.items = append(st.items, orderItem{st.slab.copy(t), k})
+		c := st.slab.copy(t)
+		if owned {
+			c.Own(&st.props)
+		}
+		st.items = append(st.items, orderItem{c, k})
 		return true, nil
 	}
 	childRun, err := buildOp(o.Input, ctx, own)
@@ -835,10 +881,11 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 // orderBuf is what OrderBy buffers: its input's tuples, copied, with
-// their sort keys.
+// their sort keys, and the property sets of scanned rows.
 type orderBuf struct {
 	items []orderItem
 	slab  tupleSlab
+	props core.PropSlab
 }
 
 type orderItem struct {
@@ -850,6 +897,7 @@ func (b *orderBuf) reset() {
 	clear(b.items)
 	b.items = b.items[:0]
 	b.slab.rewind()
+	b.props.Rewind()
 }
 
 // tupleSlab carves the copies of tuples a sink keeps from shared arrays.
@@ -942,14 +990,20 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	table := make(map[storage.Value][]Tuple)
+	var props core.PropSlab // the build side's scanned property sets
 	var buf Tuple
 	keepArray(ctx, &buf)
+	owned := scanFed(o.Right, ctx)
 	rightSink := func(t Tuple) (bool, error) {
 		k, err := rkey(ctx, t)
 		if err != nil {
 			return false, err
 		}
-		table[k] = append(table[k], append(Tuple(nil), t...))
+		c := append(Tuple(nil), t...)
+		if owned {
+			c.Own(&props)
+		}
+		table[k] = append(table[k], c)
 		return true, nil
 	}
 	rightRun, err := buildOp(o.Right, ctx, rightSink)
@@ -974,7 +1028,10 @@ func buildHashJoin(o *HashJoin, ctx *Ctx, out Sink) (func() error, error) {
 		return nil, err
 	}
 	return func() error {
-		defer clear(table) // the copies die with the run
+		defer func() { // the copies die with the run
+			clear(table)
+			props = core.PropSlab{}
+		}()
 		// Materialize the right side first (§6.2), then stream the left.
 		if err := rightRun(); err != nil {
 			return err

@@ -96,7 +96,10 @@ func (sp *Split) PipelineRunner(ctx *Ctx, morsel *uint64, out Sink) (func() erro
 }
 
 // RunTail executes the tail operators over the tuples the pipeline
-// produced: they are replayed in the pipeline's place.
+// produced: they are replayed in the pipeline's place. The tuples are the
+// caller's and outlive the walkers they came from — RunMorsels' gather
+// owns them, and a compiled pipeline that is not a scan has no walker that
+// rewinds — so a keeper in the tail copies no property set.
 func (sp *Split) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) error {
 	terminal := func(t Tuple) (bool, error) {
 		if err := ctx.err(); err != nil {
@@ -202,16 +205,21 @@ func (sp *Split) RunMorsels(ctx *Ctx, workers int, emit func(Row) bool, newTask 
 		}()
 		collect := stream
 		if !streaming {
-			var mine []Tuple
+			// The worker's tuples and the property sets of their scanned
+			// rows, which the walker rewrites row after row: one allocation.
+			var mine struct {
+				tuples []Tuple
+				props  core.PropSlab
+			}
 			collect = func(t Tuple) (bool, error) {
-				mine = append(mine, append(Tuple(nil), t...))
+				mine.tuples = append(mine.tuples, append(Tuple(nil), t...).Own(&mine.props))
 				if want > 0 && gathered.Add(1) >= want {
 					stopped.Store(true)
 					return false, nil
 				}
 				return true, nil
 			}
-			defer func() { parts[w] = mine }()
+			defer func() { parts[w] = mine.tuples }()
 		}
 		task, err := newTask(collect)
 		for err == nil {

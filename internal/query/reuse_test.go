@@ -2,8 +2,10 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -244,5 +246,117 @@ func TestCollectedRowsOutliveLaterRuns(t *testing.T) {
 		if got := fmt.Sprint(kept); got != want {
 			t.Errorf("%s: rows collected first changed under later runs: %s, were %s", name, got, want)
 		}
+	}
+}
+
+// TestKeptTuplesOwnScannedProps: a table scan's walker rewrites one
+// property buffer row after row, so a keeper a scan feeds — OrderBy, the
+// HashJoin build side, the morsel loop's gather — keeps owned copies.
+// Each plan sorts scanned rows (joined, in two of them, with a scanned
+// build side, with Distinct and Limit in between in the others) and reads
+// both sides' properties after the sort, through a pooled instance twice
+// and through the morsel loop at 2 workers, whose gathered rows span
+// several morsels.
+func TestKeptTuplesOwnScannedProps(t *testing.T) {
+	const persons, groups = 700, 7
+	e, err := core.Open(core.Config{Mode: core.DRAM, PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	bl := e.NewBulkLoader()
+	for g := 0; g < groups; g++ {
+		if _, err := bl.AddNode("Group", map[string]any{"num": int64(g), "title": fmt.Sprintf("g%d", g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < persons; i++ {
+		if _, err := bl.AddNode("Person", map[string]any{"num": int64(i), "grp": int64(i % groups), "name": fmt.Sprintf("p%03d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bl.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	scan := func(label string, between bool) Op {
+		var op Op = &NodeScan{Label: label}
+		if between {
+			op = &Limit{Input: &Distinct{Input: op, Key: &Prop{Col: 0, Key: "num"}}, N: persons}
+		}
+		return op
+	}
+	byNum := func(in Op) Op { return &OrderBy{Input: in, Key: &Prop{Col: 0, Key: "num"}} }
+	prop := func(col int, key string) Expr { return &Prop{Col: col, Key: key} }
+	plans := map[string]*Plan{}
+	for _, between := range []bool{false, true} {
+		suffix := ""
+		if between {
+			suffix = "-distinct-limit"
+		}
+		plans["orderby"+suffix] = &Plan{Root: &Project{
+			Input: byNum(scan("Person", between)),
+			Cols:  []Expr{prop(0, "num"), prop(0, "name")},
+		}}
+		plans["hashjoin-orderby"+suffix] = &Plan{Root: &Project{
+			Input: byNum(&HashJoin{Left: scan("Person", between), Right: scan("Group", between),
+				LKey: prop(0, "grp"), RKey: prop(0, "num")}),
+			Cols: []Expr{prop(0, "num"), prop(0, "name"), prop(1, "num"), prop(1, "title")},
+		}}
+	}
+	want := func(join bool) string {
+		var rows []string
+		for i := 0; i < persons; i++ {
+			if join {
+				rows = append(rows, fmt.Sprintf("%d p%03d %d g%d", i, i, i%groups, i%groups))
+			} else {
+				rows = append(rows, fmt.Sprintf("%d p%03d", i, i))
+			}
+		}
+		return fmt.Sprint(rows)
+	}
+	bg := context.Background()
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			pr, err := Prepare(e, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wanted := want(strings.HasPrefix(name, "hashjoin"))
+			check := func(how string, run func(tx *core.Tx, emit func(Row) bool) error) {
+				t.Helper()
+				tx := e.Begin()
+				defer tx.Abort()
+				var rows []string
+				var decodeErr error
+				err := run(tx, func(r Row) bool {
+					var cols []string
+					for _, v := range r {
+						gv, err := e.DecodeValue(v)
+						if err != nil {
+							decodeErr = err
+							return false
+						}
+						cols = append(cols, fmt.Sprint(gv))
+					}
+					rows = append(rows, strings.Join(cols, " "))
+					return true
+				})
+				if err = errors.Join(err, decodeErr); err != nil {
+					t.Fatalf("%s: %v", how, err)
+				}
+				if got := fmt.Sprint(rows); got != wanted {
+					t.Fatalf("%s: %d rows\n%.300s…\nwant\n%.300s…", how, len(rows), got, wanted)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				check(fmt.Sprintf("RunCtx #%d", i+1), func(tx *core.Tx, emit func(Row) bool) error {
+					return pr.RunCtx(bg, tx, nil, emit)
+				})
+			}
+			check("RunParallelCtx at 2 workers", func(tx *core.Tx, emit func(Row) bool) error {
+				return pr.RunParallelCtx(bg, tx, nil, 2, emit)
+			})
+		})
 	}
 }
