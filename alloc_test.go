@@ -71,21 +71,27 @@ func TestQueryAllAllocBudget(t *testing.T) {
 // was copied at OrderBy, made a Row and decoded to its own []any). What is
 // left: the index lookup's ids, the walkers' and GetNode's property slabs,
 // the transaction, the result's slab and row headers, and boxed integers.
+// An Adaptive session reads the same way: a point read has no morsel loop
+// to switch tiers in, so it is interpreted on the same pooled instances
+// (90 allocations when Adaptive sent it through the JIT's per-run
+// context, executor and tail).
 func TestIndexedShortReadAllocBudget(t *testing.T) {
 	db, stmt := shortReadDB(t)
-	sess := db.NewSession(SessionConfig{})
-	defer sess.Close()
 	ctx := context.Background()
 	params := query.Params{"n": int64(7)}
-	read := func() {
-		rows, err := sess.QueryAll(ctx, stmt, params)
-		if err != nil || len(rows) != 8 {
-			t.Fatalf("%d rows, err %v", len(rows), err)
+	for _, mode := range []ExecMode{Interpret, Adaptive} {
+		sess := db.NewSession(SessionConfig{Mode: mode})
+		read := func() {
+			rows, err := sess.QueryAll(ctx, stmt, params)
+			if err != nil || len(rows) != 8 {
+				t.Fatalf("%v: %d rows, err %v", mode, len(rows), err)
+			}
 		}
-	}
-	read()
-	const budget = 21
-	if allocs := testing.AllocsPerRun(200, read); allocs > budget {
-		t.Errorf("a warm short read allocates %.0f times, budget %d", allocs, budget)
+		read()
+		const budget = 21
+		if allocs := testing.AllocsPerRun(200, read); allocs > budget {
+			t.Errorf("a warm %v short read allocates %.0f times, budget %d", mode, allocs, budget)
+		}
+		sess.Close()
 	}
 }

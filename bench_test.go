@@ -364,23 +364,28 @@ func shortReadDB(tb testing.TB) (*DB, *Stmt) {
 }
 
 // BenchmarkIndexedShortRead runs the short-read shape of shortReadDB
-// through Session.QueryAll: eight friends per person, so eight rows
-// through OrderBy and the result boundary per op. Run with -benchmem for
-// the read path's allocations per op.
+// through Session.QueryAll, once per session mode: eight friends per
+// person, so eight rows through OrderBy and the result boundary per op.
+// Under both modes the read is interpreted (a point read has no morsel
+// loop for Adaptive to switch tiers in). Run with -benchmem for the read
+// path's allocations per op.
 func BenchmarkIndexedShortRead(b *testing.B) {
 	db, stmt := shortReadDB(b)
-	sess := db.NewSession(SessionConfig{})
-	defer sess.Close()
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := sess.QueryAll(ctx, stmt, query.Params{"n": int64(i % 200)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 8 {
-			b.Fatalf("rows = %d", len(rows))
-		}
+	for _, mode := range []ExecMode{Interpret, Adaptive} {
+		b.Run(mode.String(), func(b *testing.B) {
+			sess := db.NewSession(SessionConfig{Mode: mode})
+			defer sess.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := sess.QueryAll(ctx, stmt, query.Params{"n": int64(i % 200)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rows) != 8 {
+					b.Fatalf("rows = %d", len(rows))
+				}
+			}
+		})
 	}
 }

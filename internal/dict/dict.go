@@ -50,7 +50,8 @@ const (
 // cache (codes are immutable once assigned), so hot decodes skip PMem
 // entirely. This implements the paper's §8 outlook ("further performance
 // improvements ... by employing more hybrid DRAM/PMem approaches such as
-// for dictionaries"); the cache is simply empty after recovery.
+// for dictionaries"); the cache is simply empty after recovery (see
+// decodeCache).
 type Dict struct {
 	pool *pmemobj.Pool
 	hdr  uint64
@@ -64,8 +65,8 @@ type Dict struct {
 	// and deadlock against an open bulk-load batch.
 	mu sync.RWMutex
 
-	// decodeCache memoizes code→string (volatile, rebuilt on demand).
-	decodeCache sync.Map
+	// cache memoizes code→string (volatile, rebuilt on demand).
+	cache decodeCache
 }
 
 // Create allocates and initializes a dictionary in p. The returned header
@@ -275,7 +276,7 @@ func (d *Dict) Decode(code uint64) (string, error) {
 // DecodeAny is Decode answering with the string boxed as the cache holds
 // it, so that a caller that wants an interface value does not box it again.
 func (d *Dict) DecodeAny(code uint64) (any, error) {
-	if s, ok := d.decodeCache.Load(code); ok {
+	if s, ok := d.cache.load(code); ok {
 		return s, nil
 	}
 	dev := d.pool.Device()
@@ -294,9 +295,13 @@ func (d *Dict) DecodeAny(code uint64) (any, error) {
 	if strOff == 0 {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, code)
 	}
-	var s any = d.readString(strOff)
-	d.decodeCache.Store(code, s)
-	return s, nil
+	var s string
+	if n := dev.ReadU64(strOff); n > 0 {
+		buf := d.cache.carve(n)
+		dev.ReadBytes(strOff+8, buf)
+		s = unsafe.String(&buf[0], n) // buf is never written again
+	}
+	return d.cache.store(code, s), nil
 }
 
 // readString reads a length-prefixed string at off.

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -359,5 +361,114 @@ func TestLookupAroundTheInlineLength(t *testing.T) {
 		if !d.stringIs(off, s) || d.stringIs(off, string(b)) || d.stringIs(off, s[:n-1]) || d.stringIs(off, s+"a") {
 			t.Errorf("length %d: the in-place compare does not tell the stored string from its neighbours", n)
 		}
+	}
+}
+
+// TestConcurrentDecodeWhileEncoding: four decoders read codes spread over
+// several cache blocks — each filling slots the others race to fill —
+// while an encoder grows the dictionary past a rehash and the decoders
+// chase the codes it publishes. Every string matches, and a freshly
+// opened dictionary, whose cache is empty, agrees.
+func TestConcurrentDecodeWhileEncoding(t *testing.T) {
+	d, _ := newTestDict(t, 64<<20)
+	const preset, grown, decoders = 1536, 1536, 4
+	want := make([]string, 0, preset+grown)
+	codes := make([]uint64, preset+grown)
+	for i := 0; i < preset; i++ {
+		want = append(want, fmt.Sprintf("preset-%d", i))
+	}
+	for i := 0; i < grown; i++ {
+		want = append(want, fmt.Sprintf("grown-%d", i))
+	}
+	for i := 0; i < preset; i++ {
+		c, err := d.Encode(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[i] = c
+	}
+	var published atomic.Int64 // codes[:published] are encoded
+	published.Store(preset)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the encoder
+		defer wg.Done()
+		for i := preset; i < preset+grown; i++ {
+			c, err := d.Encode(want[i])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			codes[i] = c
+			published.Store(int64(i + 1))
+		}
+	}()
+	check := func(d *Dict, i int) bool {
+		got, err := d.Decode(codes[i])
+		if err != nil || got != want[i] {
+			t.Errorf("Decode(%d) = %q, %v; want %q", codes[i], got, err, want[i])
+			return false
+		}
+		return true
+	}
+	for w := 0; w < decoders; w++ {
+		wg.Add(1)
+		go func() { // each pass decodes what is new since the last, from its own start
+			defer wg.Done()
+			for seen := 0; seen < preset+grown; {
+				n := int(published.Load())
+				for k := 0; k < n-seen; k++ {
+					if !check(d, seen+(k+w*preset/decoders)%(n-seen)) {
+						return
+					}
+				}
+				seen = n
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	fresh := Open(d.pool, d.hdr)
+	for i := range codes {
+		if !check(fresh, i) {
+			return
+		}
+	}
+}
+
+// TestColdDecodeDeviceReads: the DRAM layer changes where a decoded
+// string lives, not what a miss reads. A cold decode of strings from
+// empty to longer than a cache chunk's own-buffer bound makes the device
+// reads the dictionary made with a map for a cache (coldReads), and a
+// warm one makes none.
+func TestColdDecodeDeviceReads(t *testing.T) {
+	d, dev := newTestDict(t, 8<<20)
+	strs := []string{"", "a", "Person", "creationDate", strings.Repeat("x", 100), strings.Repeat("y", 3000)}
+	codes := make([]uint64, len(strs))
+	for i, s := range strs {
+		var err error
+		if codes[i], err = d.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := Open(d.pool, d.hdr)
+	decodeAll := func() uint64 {
+		before := dev.Stats.Snapshot()
+		for i, c := range codes {
+			if got, err := cold.Decode(c); err != nil || got != strs[i] {
+				t.Fatalf("Decode(%d) = %q, %v", c, got, err)
+			}
+		}
+		return dev.Stats.Snapshot().Sub(before).Reads
+	}
+	const coldReads = 422
+	if reads := decodeAll(); reads != coldReads {
+		t.Errorf("a cold decode of %d strings read the device %d times, want %d", len(strs), reads, coldReads)
+	}
+	if reads := decodeAll(); reads != 0 {
+		t.Errorf("a warm decode read the device %d times", reads)
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"poseidon/internal/storage"
 )
 
-// ErrUnsupported reports a plan construct the JIT cannot compile; the
-// engine falls back to the AOT interpreter for such plans.
+// ErrUnsupported reports a plan construct the JIT cannot compile. An
+// explicit JIT run returns it; the adaptive morsel loop keeps such a plan
+// on the AOT interpreter.
 var ErrUnsupported = errors.New("jit: plan not compilable")
 
 // The code generator follows the paper's §6.2 design: a visitor walks the

@@ -232,9 +232,10 @@ func runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) bool) error {
 // background goroutine compiles the pipeline; once compilation finishes,
 // the task function is redirected and the remaining morsels run compiled.
 // A plan the workers may not share (Split.Morsels) has no loop to adapt
-// and is RunCtx. On a cancellation the background compilation stops before
-// its next stage, no goroutine is left behind, and the call returns
-// ctx.Err().
+// and is RunCtx; that branch serves direct callers only, since the DB
+// interprets such a plan under Adaptive (executor in stmt.go). On a
+// cancellation the background compilation stops before its next stage,
+// no goroutine is left behind, and the call returns ctx.Err().
 func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
 	mp := plan.Split()

@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 
+	"poseidon"
 	"poseidon/internal/index"
 	"poseidon/internal/ldbc"
 	"poseidon/internal/wire"
@@ -65,5 +66,42 @@ func TestUntracedRunSetsNoAttrs(t *testing.T) {
 	const budget = 31
 	if allocs := testing.AllocsPerRun(100, func() { c.handle(run) }); allocs > budget {
 		t.Errorf("an untraced RUN allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// TestAdaptiveServerPointReadAllocs: a server whose default mode is
+// Adaptive answers a warm pull-all RUN of an indexed LDBC short read the
+// way an interpreting server does. A point read has no morsel loop for
+// the adaptive tier switch to act in, so it takes the interpreter's
+// pooled instances (41 allocations against 27 when Adaptive sent it
+// through the JIT's per-run context, executor and rows).
+func TestAdaptiveServerPointReadAllocs(t *testing.T) {
+	ds := ldbc.Generate(ldbc.Config{Persons: 50})
+	var allocs [2]float64
+	for i, mode := range []poseidon.ExecMode{poseidon.Adaptive, poseidon.Interpret} {
+		db, srv, _ := startServer(t, Config{Mode: mode})
+		if err := ds.LoadCore(db.Engine(), true, index.Hybrid); err != nil {
+			t.Fatal(err)
+		}
+		server, client := net.Pipe()
+		go io.Copy(io.Discard, client)
+		c := newConn(srv, server)
+		if !c.handle(&wire.Hello{UserAgent: "alloc", Mode: wire.ModeDefault}) {
+			t.Fatal("HELLO refused")
+		}
+		run := &wire.Run{Text: "ldbc:sr1", Mode: wire.ModeDefault,
+			Params: map[string]any{"id": ds.PersonIDs[7]}, PullAll: true}
+		for k := 0; k < 3; k++ { // warm: the statement cache, the session
+			if !c.handle(run) {
+				t.Fatalf("%v: RUN closed the connection", mode)
+			}
+		}
+		allocs[i] = testing.AllocsPerRun(100, func() { c.handle(run) })
+		c.shutdown()
+		client.Close()
+	}
+	if allocs[0] > allocs[1] {
+		t.Errorf("a warm ldbc:sr1 RUN allocates %.0f times on an Adaptive server, %.0f on an Interpret one",
+			allocs[0], allocs[1])
 	}
 }

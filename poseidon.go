@@ -101,7 +101,8 @@ const (
 	// JIT compiles the pipeline to specialized code (cached) and runs it.
 	JIT
 	// Adaptive interprets morsels while compiling in the background, then
-	// switches to compiled code (§6.2 "Adaptive Execution").
+	// switches to compiled code (§6.2 "Adaptive Execution"). A plan with
+	// no morsel loop (a point read, an update, a join) is interpreted.
 	Adaptive
 )
 
@@ -445,11 +446,7 @@ func (db *DB) Explain(plan *query.Plan) string {
 	}
 	b.WriteString("executor: ")
 	for _, mode := range []ExecMode{Interpret, Parallel, JIT, Adaptive} {
-		ex := executor(mode, sp)
-		if mode == Adaptive && ex == JIT && err != nil {
-			ex = Interpret // runInner's fallback: the compiler said no
-		}
-		fmt.Fprintf(&b, " %s→%s", mode, ex)
+		fmt.Fprintf(&b, " %s→%s", mode, executor(mode, sp))
 	}
 	b.WriteByte('\n')
 	return b.String()

@@ -377,7 +377,9 @@ func TestLimitCountsOnceInEveryMode(t *testing.T) {
 // TestAdaptiveAnswersWhatInterpretAnswers: a join is nothing the compiler
 // handles. Interpret, Parallel and Adaptive answer it alike — Adaptive is
 // a superset of Interpret — and only the explicit JIT mode refuses; Explain
-// names the executor each mode's run picked.
+// names the executor each mode's run picked. Adaptive adapts only where
+// there is a morsel loop: a label scan, not an update or an indexed point
+// read, which are interpreted.
 func TestAdaptiveAnswersWhatInterpretAnswers(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedSocial(t, db)
@@ -420,9 +422,13 @@ func TestAdaptiveAnswersWhatInterpretAnswers(t *testing.T) {
 	if out := db.Explain(join); !strings.Contains(out, "interpret→interpret parallel→interpret jit→jit adaptive→interpret") {
 		t.Errorf("Explain of a join names other executors:\n%s", out)
 	}
+	if err := db.CreateIndex("Person", "name", HybridIndex); err != nil {
+		t.Fatal(err)
+	}
 	for src, executors := range map[string]string{
-		`MATCH (p:Person) RETURN p.name`:  "interpret→interpret parallel→parallel jit→jit adaptive→adaptive",
-		`MATCH (p:Person) SET p.seen = 1`: "interpret→interpret parallel→interpret jit→jit adaptive→interpret",
+		`MATCH (p:Person) RETURN p.name`:           "interpret→interpret parallel→parallel jit→jit adaptive→adaptive",
+		`MATCH (p:Person) SET p.seen = 1`:          "interpret→interpret parallel→interpret jit→jit adaptive→interpret",
+		`MATCH (p:Person {name: $n}) RETURN p.age`: "interpret→interpret parallel→interpret jit→jit adaptive→interpret",
 	} {
 		if out, err := db.ExplainCypher(src); err != nil || !strings.Contains(out, executors) {
 			t.Errorf("Explain of %q: err %v, want executors %q in:\n%s", src, err, executors, out)

@@ -2,7 +2,6 @@ package poseidon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -142,20 +141,18 @@ func (s *Stmt) run(ctx context.Context, tx *Tx, params query.Params, mode ExecMo
 	return err
 }
 
-// executor is the one rule for who runs a plan under a mode; every
-// run and Explain read it. Interpret and JIT are taken at their word.
-// Parallel and Adaptive drive morsels, which takes a table scan to cut into
-// them and a plan the workers can share one transaction over
-// (query.Split.Morsels): updates are interpreted, single-threaded, for a
-// deterministic write order, and so is a join or a point read under
-// Parallel. Adaptive compiles a read it cannot drive by morsels — JIT, with
-// one difference: what the compiler rejects is interpreted (see runInner).
+// executor is the one rule for who runs a plan under a mode; every run
+// and Explain read it. Interpret and JIT are taken at their word.
+// Parallel and Adaptive drive morsels when the plan has a table scan to
+// cut into them and the workers can share one transaction over it
+// (query.Split.Morsels). Anything else is interpreted on the Prepared's
+// pooled, already-linked instances: a point read has no morsel loop —
+// nothing to spread over workers, no morsel boundary to switch tiers at
+// (§6.2) — and an update (for a deterministic write order) or a join
+// runs single-threaded.
 func executor(mode ExecMode, sp *query.Split) ExecMode {
-	if (mode != Parallel && mode != Adaptive) || sp.Morsels() {
+	if mode == Interpret || mode == JIT || sp.Morsels() {
 		return mode
-	}
-	if mode == Adaptive && !sp.Updates && !sp.Join {
-		return JIT
 	}
 	return Interpret
 }
@@ -175,13 +172,7 @@ func (s *Stmt) runInner(ctx context.Context, tx *Tx, params query.Params, mode E
 		return st, err
 	case JIT:
 		// jit.RunCtx creates its own compile/exec spans from ctx.
-		st, err := s.db.jit.RunCtx(ctx, tx, s.plan, params, emit)
-		if mode == Adaptive && errors.Is(err, jit.ErrUnsupported) {
-			// Adaptive answers whatever Interpret answers. The compiler
-			// refuses before a row is emitted, so nothing runs twice.
-			return st, s.interpret(ctx, tx, params, emit)
-		}
-		return st, err
+		return s.db.jit.RunCtx(ctx, tx, s.plan, params, emit)
 	case Adaptive:
 		return s.db.jit.RunAdaptiveCtx(ctx, tx, s.plan, params, workers, emit)
 	default:
