@@ -93,8 +93,8 @@ func main() {
 	fmt.Printf("\nloaded into PMem engine in %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("pool heap used: %.1f MiB\n", float64(e.Pool().HeapUsed())/(1<<20))
 	st := e.Device().Stats.Snapshot()
-	fmt.Printf("device during load: %d writes, %d line flushes, %d block writes, %d drains\n",
-		st.Writes, st.LineFlushes, st.BlockWrites, st.Drains)
+	fmt.Printf("device during load: %d reads (%d cache misses), %d writes, %d line flushes, %d block writes, %d drains\n",
+		st.Reads, st.CacheMisses, st.Writes, st.LineFlushes, st.BlockWrites, st.Drains)
 
 	if *save != "" {
 		f, err := os.Create(*save)

@@ -180,6 +180,7 @@ func (b *BulkLoader) AddNode(label string, props map[string]any) (uint64, error)
 	}
 	storage.WriteNodeRec(b.e.dev, off, &rec)
 	b.tx.NoteWrite(off, storage.NodeRecordSize)
+	b.e.nodeLabels.set(id, rec.Label)
 	b.bump()
 	return id, nil
 }
@@ -227,6 +228,7 @@ func (b *BulkLoader) AddRel(src, dst uint64, label string, props map[string]any)
 	}
 	storage.WriteRelRec(e.dev, off, &rec)
 	b.tx.NoteWrite(off, storage.RelRecordSize)
+	e.relLabels.set(id, rec.Label)
 
 	// Prepend to both adjacency lists — one group fence for both
 	// head-pointer undo images instead of two.

@@ -458,6 +458,13 @@ func (tx *Tx) tableFor(k objKind) *storage.Table {
 	return tx.e.rels
 }
 
+func (e *Engine) labelsOf(k objKind) *labelMirror {
+	if k == kindNode {
+		return &e.nodeLabels
+	}
+	return &e.relLabels
+}
+
 func (tx *Tx) recordOffset(key objKey) uint64 {
 	off, ok := tx.tableFor(key.kind).RecordOffset(key.id)
 	if !ok {
@@ -560,6 +567,7 @@ func (tx *Tx) abortLocked() error {
 			// hold a reference.
 			tbl := tx.tableFor(d.key.kind)
 			err := e.runOnShardLane(e.shardOf(d.key), func(ptx *pmemobj.Tx) error {
+				e.labelsOf(d.key.kind).clear(d.key.id)
 				return tbl.ReleaseTx(ptx, d.key.id)
 			})
 			if err != nil {
@@ -625,20 +633,22 @@ func (tx *Tx) updateIndexes() {
 // --- transaction-level garbage collection (§5.3) ---
 
 // enqueueGC records the committed deletions for later physical
-// reclamation, each on its own shard's queue.
+// reclamation.
 func (tx *Tx) enqueueGC() {
-	e := tx.e
 	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if !d.isDelete {
-			continue
+		if tx.dirty[key].isDelete {
+			tx.e.enqueueReclaim(key)
 		}
-		sh := &e.shards[e.shardOf(d.key)]
-		sh.gcMu.Lock()
-		sh.gcQueue = append(sh.gcQueue, d.key)
-		sh.gcPending.Add(1)
-		sh.gcMu.Unlock()
 	}
+}
+
+// enqueueReclaim puts a committed deletion on its own shard's queue.
+func (e *Engine) enqueueReclaim(key objKey) {
+	sh := &e.shards[e.shardOf(key)]
+	sh.gcMu.Lock()
+	sh.gcQueue = append(sh.gcQueue, key)
+	sh.gcPending.Add(1)
+	sh.gcMu.Unlock()
 }
 
 // runGC is transaction-level garbage collection (§5.3), run at every
@@ -688,6 +698,18 @@ func (e *Engine) runGC() {
 	if len(queue) == 0 {
 		return
 	}
+	// Every deletion taken committed before this point. If no transaction
+	// is active now — counting the Begins between their clock draw and
+	// their registration, which quiescent waits out — every later one
+	// draws a timestamp above those commits and cannot see the deleted
+	// versions. Otherwise a transaction that began after the check above
+	// may be older than one of them: they wait for a later pass.
+	if !e.quiescent() {
+		for _, key := range queue {
+			e.enqueueReclaim(key)
+		}
+		return
+	}
 	e.lockAllShards()
 	defer e.unlockAllShards()
 	// Relationships first, then nodes, so unlinking still finds the
@@ -721,6 +743,7 @@ func (e *Engine) reclaimRel(id uint64) {
 	}
 	e.unlinkRel(id, rec.Src, rec.NextSrc, true)
 	e.unlinkRel(id, rec.Dst, rec.NextDst, false)
+	e.relLabels.clear(id)
 	err := e.pool.RunTx(func(ptx *pmemobj.Tx) error {
 		if err := storage.FreePropChainTx(ptx, e.props, rec.Props); err != nil {
 			return err
@@ -794,6 +817,7 @@ func (e *Engine) reclaimNode(id uint64) {
 		}
 	}
 	sh.idxMu.RUnlock()
+	e.nodeLabels.clear(id)
 	err := e.pool.RunTx(func(ptx *pmemobj.Tx) error {
 		if err := storage.FreePropChainTx(ptx, e.props, rec.Props); err != nil {
 			return err

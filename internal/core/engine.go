@@ -164,6 +164,11 @@ type Engine struct {
 	rels  *storage.Table
 	props *storage.Table
 
+	// nodeLabels and relLabels mirror the label of every node and
+	// relationship slot in DRAM, for the table scans (see labelMirror).
+	nodeLabels labelMirror
+	relLabels  labelMirror
+
 	root uint64
 
 	// Global MVTO clock: transaction ids, commit timestamps and the
@@ -457,11 +462,12 @@ func Reopen(dev *pmem.Device, cfg Config) (*Engine, error) {
 
 // recoverRecords scans both record tables, clearing stale transaction
 // locks (bts > 0: the version committed earlier, only the lock word is
-// stale) and reclaiming slots of uncommitted inserts (bts == 0). It
+// stale) and reclaiming slots of uncommitted inserts (bts == 0). The same
+// pass fills each table's label mirror from the records it keeps. It
 // returns the highest committed timestamp seen.
 func (e *Engine) recoverRecords() (uint64, error) {
 	maxTS := uint64(1)
-	reclaim := func(tbl *storage.Table, txnOff, btsOff, etsOff uint64) error {
+	reclaim := func(tbl *storage.Table, labels *labelMirror, txnOff, btsOff, etsOff, labelOff uint64) error {
 		var stale []uint64
 		var drop []uint64
 		tbl.Scan(func(id, off uint64) bool {
@@ -477,11 +483,14 @@ func (e *Engine) recoverRecords() (uint64, error) {
 			switch {
 			case txn != 0 && bts == 0:
 				drop = append(drop, id) // uncommitted insert
+				return true
 			case txn == 0 && bts == 0:
 				drop = append(drop, id) // half-initialized slot
+				return true
 			case txn != 0:
 				stale = append(stale, off) // stale lock on committed data
 			}
+			labels.set(id, uint32(e.dev.ReadU64(off+labelOff)))
 			return true
 		})
 		for _, off := range stale {
@@ -495,10 +504,10 @@ func (e *Engine) recoverRecords() (uint64, error) {
 		}
 		return nil
 	}
-	if err := reclaim(e.nodes, storage.NTxnID, storage.NBts, storage.NEts); err != nil {
+	if err := reclaim(e.nodes, &e.nodeLabels, storage.NTxnID, storage.NBts, storage.NEts, storage.NLabel); err != nil {
 		return 0, err
 	}
-	if err := reclaim(e.rels, storage.RTxnID, storage.RBts, storage.REts); err != nil {
+	if err := reclaim(e.rels, &e.relLabels, storage.RTxnID, storage.RBts, storage.REts, storage.RLabel); err != nil {
 		return 0, err
 	}
 	return maxTS, nil
@@ -579,6 +588,15 @@ func (e *Engine) ActiveTxs() int {
 		sh.activeMu.Unlock()
 	}
 	return n
+}
+
+// quiescent reports whether no transaction is active. Like minActive it
+// first waits out the Begins between their clock draw and their
+// registration, which ActiveTxs alone does not count.
+func (e *Engine) quiescent() bool {
+	e.beginMu.Lock()
+	defer e.beginMu.Unlock()
+	return e.ActiveTxs() == 0
 }
 
 // minActive returns the smallest timestamp of an active transaction not

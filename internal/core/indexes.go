@@ -177,6 +177,9 @@ func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 	n := e.nodes.Chunks()
 	for ci := uint64(s); ci < n; ci += uint64(e.nShards) {
 		e.nodes.ScanChunk(ci, func(id, off uint64) bool {
+			if e.nodeLabels.skips(id, ik.label) {
+				return true
+			}
 			rec := storage.ReadNodeRec(e.dev, off)
 			if rec.Bts == 0 || rec.Label != ik.label {
 				return true // uncommitted insert or different label

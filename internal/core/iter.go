@@ -91,22 +91,28 @@ func (s *PropSlab) own(props []storage.Prop) []storage.Prop {
 	return s.keep(append(s.free(), props...))
 }
 
-// slotWalk walks the occupied slots of an id range of a table. Occupancy
-// bitmap words are cached so 64 slots cost one bitmap read.
+// slotWalk walks the occupied slots of an id range of a table that may
+// carry a label: a slot the table's label mirror knows to hold another
+// label is passed over without a device read. Occupancy bitmap words are
+// cached so 64 slots cost one bitmap read.
 type slotWalk struct {
 	tbl       *storage.Table
+	labels    *labelMirror
+	label     uint32 // 0 = all labels
 	next, end uint64
 	word      uint64 // cached occupancy bits for [wordBase, wordBase+64)
 	wordBase  uint64
 	haveWord  bool
 }
 
-// reset aims the walk at from <= id < to, clipped to the table.
-func (w *slotWalk) reset(tbl *storage.Table, from, to uint64) {
-	*w = slotWalk{tbl: tbl, next: from, end: min(to, tbl.MaxID())}
+// reset aims the walk at the slots from <= id < to, clipped to the table,
+// that may carry label (0: any).
+func (w *slotWalk) reset(tbl *storage.Table, labels *labelMirror, from, to uint64, label uint32) {
+	*w = slotWalk{tbl: tbl, labels: labels, label: label, next: from, end: min(to, tbl.MaxID())}
 }
 
-// nextOccupied returns the next occupied slot's id.
+// nextOccupied returns the next occupied slot's id that may carry the
+// walk's label.
 func (w *slotWalk) nextOccupied() (uint64, bool) {
 	cap_ := w.tbl.ChunkCap()
 	for w.next < w.end {
@@ -127,7 +133,7 @@ func (w *slotWalk) nextOccupied() (uint64, bool) {
 			continue
 		}
 		w.next++
-		if w.word&(1<<(slot%64)) != 0 {
+		if w.word&(1<<(slot%64)) != 0 && !w.labels.skips(id, w.label) {
 			return id, true
 		}
 	}
@@ -148,7 +154,7 @@ type NodeIter struct {
 // range is clipped to the table) carrying label code label, 0 for all.
 func (it *NodeIter) Reset(tx *Tx, from, to uint64, label uint32) {
 	it.tx, it.label = tx, label
-	it.slots.reset(tx.e.nodes, from, to)
+	it.slots.reset(tx.e.nodes, &tx.e.nodeLabels, from, to, label)
 }
 
 // NewNodeRangeIter iterates the visible nodes with from <= id < to — the
@@ -202,7 +208,7 @@ type RelTableIter struct {
 // Reset is NodeIter.Reset for the relationship table.
 func (it *RelTableIter) Reset(tx *Tx, from, to uint64, label uint32) {
 	it.tx, it.label = tx, label
-	it.slots.reset(tx.e.rels, from, to)
+	it.slots.reset(tx.e.rels, &tx.e.relLabels, from, to, label)
 }
 
 // NewRelRangeIter iterates the visible relationships with from <= id < to.

@@ -10,7 +10,7 @@ import (
 // read it; every id ends at the largest timestamp bumped into it, a get
 // never sees a timestamp go down, and forget clears one id only.
 func TestRTSTableConcurrentBumps(t *testing.T) {
-	const workers, ids, rounds = 4, 5 * rtsBlockLen, 3
+	const workers, ids, rounds = 4, 5 * wordBlockLen, 3
 	tbl := newRTSTable()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -46,7 +46,7 @@ func TestRTSTableConcurrentBumps(t *testing.T) {
 	if got := tbl.get(ids - 8); got != rounds*workers {
 		t.Errorf("forget cleared a neighbour: rts %d", got)
 	}
-	if got := tbl.get(100 * rtsBlockLen); got != 0 {
+	if got := tbl.get(100 * wordBlockLen); got != 0 {
 		t.Errorf("an id never read has rts %d", got)
 	}
 }

@@ -350,7 +350,15 @@ func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, [
 	// chain walk: a version the walker will drop needs no property set,
 	// but it was still read, so the lock checks and the rts bump apply to
 	// it whatever its label (a label taken from a torn record fails the
-	// re-check like any other field).
+	// re-check like any other field). A table scan does not get here for
+	// a slot its label mirror knows to hold another label: a slot's label
+	// is set at create or load and never changes, and a slot is reused
+	// only after GC reclaims it while no transaction is active or an
+	// uncommitted insert aborts, so no version a reader may see carries
+	// another label than the slot. The scan's result does not depend on
+	// that record, and it takes neither the lock check nor the rts bump.
+	// An adjacency walk reads every record on its list: it follows a
+	// rejected relationship's list pointer.
 	var rec storage.NodeRec
 	var props []storage.Prop
 	for attempt := 0; ; attempt++ {
@@ -740,6 +748,7 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: create node: %w", err)
 	}
+	e.nodeLabels.set(id, uint32(labelCode))
 	e.shards[home].homeInserts.Add(1)
 	rec := storage.NodeRec{
 		Bts: tx.id, Ets: Infinity,
@@ -808,6 +817,7 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	if err != nil {
 		return 0, fmt.Errorf("core: create rel: %w", err)
 	}
+	e.relLabels.set(id, uint32(labelCode))
 	rec := storage.RelRec{
 		Bts: tx.id, Ets: Infinity,
 		Label: uint32(labelCode),

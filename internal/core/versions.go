@@ -128,36 +128,31 @@ type retainedVer struct {
 	ets uint64
 }
 
-// --- read timestamps (volatile, lock-free) ---
+// --- per-record words (volatile, lock-free) ---
 
-// rtsBlockLen is how many consecutive record ids share one block of read
-// timestamps.
-const rtsBlockLen = 1024
+// wordBlockLen is how many consecutive record ids share one block of a
+// wordTable.
+const wordBlockLen = 1024
 
-type rtsBlock [rtsBlockLen]atomic.Uint64
-
-// rtsTable tracks the latest reader timestamp per record (§5.1, the
-// volatile rts of Fig 2): one atomic word per record id, in blocks
-// allocated on the first bump of an id in them. A reader raises the word
-// by CAS and a writer loads it — no lock on either side. Being volatile,
-// it resets to zero after recovery, which conservatively allows the first
-// post-restart writers to proceed.
-type rtsTable struct {
-	mu  sync.Mutex                                 // serializes growing dir and installing blocks
-	dir atomic.Pointer[[]atomic.Pointer[rtsBlock]] // replaced by a longer copy to grow
+// wordTable is one volatile word per record id of a table, in blocks
+// allocated on the first store to an id in them. Blocks never move, so a
+// word's address is stable and reading it takes no lock; only growing the
+// directory and installing a block do. The rts sidecar and the label
+// mirror are both one.
+type wordTable[W any] struct {
+	mu  sync.Mutex                                        // serializes growing dir and installing blocks
+	dir atomic.Pointer[[]atomic.Pointer[[wordBlockLen]W]] // replaced by a longer copy to grow
 }
 
-func newRTSTable() *rtsTable { return &rtsTable{} }
-
-// word returns id's read timestamp, or nil if its block was never
-// allocated and alloc is false. A block installed before a lookup is in
-// every directory published after it: growth copies under mu, installs
-// go into the current directory under mu.
-func (t *rtsTable) word(id uint64, alloc bool) *atomic.Uint64 {
-	i := id / rtsBlockLen
+// word returns id's word, or nil if its block was never allocated and
+// alloc is false. A block installed before a lookup is in every directory
+// published after it: growth copies under mu, installs go into the
+// current directory under mu.
+func (t *wordTable[W]) word(id uint64, alloc bool) *W {
+	i := id / wordBlockLen
 	if dir := t.dir.Load(); dir != nil && i < uint64(len(*dir)) {
 		if b := (*dir)[i].Load(); b != nil {
-			return &b[id%rtsBlockLen]
+			return &b[id%wordBlockLen]
 		}
 	}
 	if !alloc {
@@ -167,11 +162,11 @@ func (t *rtsTable) word(id uint64, alloc bool) *atomic.Uint64 {
 	defer t.mu.Unlock()
 	dir := t.dir.Load()
 	if dir == nil || i >= uint64(len(*dir)) {
-		var old []atomic.Pointer[rtsBlock]
+		var old []atomic.Pointer[[wordBlockLen]W]
 		if dir != nil {
 			old = *dir
 		}
-		grown := make([]atomic.Pointer[rtsBlock], max(i+1, 2*uint64(len(old))))
+		grown := make([]atomic.Pointer[[wordBlockLen]W], max(i+1, 2*uint64(len(old))))
 		for j := range old {
 			grown[j].Store(old[j].Load())
 		}
@@ -180,11 +175,20 @@ func (t *rtsTable) word(id uint64, alloc bool) *atomic.Uint64 {
 	}
 	b := (*dir)[i].Load()
 	if b == nil {
-		b = new(rtsBlock)
+		b = new([wordBlockLen]W)
 		(*dir)[i].Store(b)
 	}
-	return &b[id%rtsBlockLen]
+	return &b[id%wordBlockLen]
 }
+
+// rtsTable tracks the latest reader timestamp per record (§5.1, the
+// volatile rts of Fig 2). A reader raises the word by CAS and a writer
+// loads it — no lock on either side. Being volatile, it resets to zero
+// after recovery, which conservatively allows the first post-restart
+// writers to proceed.
+type rtsTable struct{ wordTable[atomic.Uint64] }
+
+func newRTSTable() *rtsTable { return &rtsTable{} }
 
 // bump raises the rts of id to ts if larger.
 func (t *rtsTable) bump(id, ts uint64) {
@@ -210,4 +214,42 @@ func (t *rtsTable) forget(id uint64) {
 	if w := t.word(id, false); w != nil {
 		w.Store(0)
 	}
+}
+
+// labelMirror is a record table's volatile label mirror: the label code
+// of the record in each slot, so a table scan can pass over another
+// label's slot without reading the device (DESIGN.md "What a read
+// touches"). 0 means unknown, and the scan reads the record as before.
+//
+// A slot's label is fixed for the slot's life, so the mirror has one
+// writer rule: set holds the label of the record the slot holds, stored
+// after the record is written (an insert, a bulk load, Reopen's scan);
+// clear runs before a slot is given back (abort, GC reclamation), so a
+// freed slot's entry reads 0 until its next occupant sets it.
+type labelMirror struct{ wordTable[atomic.Uint32] }
+
+func (m *labelMirror) set(id uint64, label uint32) { m.word(id, true).Store(label) }
+
+func (m *labelMirror) clear(id uint64) {
+	if w := m.word(id, false); w != nil {
+		w.Store(0)
+	}
+}
+
+// get returns the mirrored label of slot id, 0 if unknown.
+func (m *labelMirror) get(id uint64) uint32 {
+	if w := m.word(id, false); w != nil {
+		return w.Load()
+	}
+	return 0
+}
+
+// skips reports whether a scan for label (0: any) passes over slot id:
+// its mirrored label is known and is another.
+func (m *labelMirror) skips(id uint64, label uint32) bool {
+	if label == 0 {
+		return false
+	}
+	l := m.get(id)
+	return l != 0 && l != label
 }

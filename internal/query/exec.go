@@ -26,7 +26,8 @@ import (
 // next row (core.NodeIter holds one), so a keeper a scan feeds owns what
 // it keeps: its copies take their property sets along (Tuple.Own). The
 // gather always does; OrderBy and the build side when scanFed says, once,
-// at link time. The result boundary follows the same rule: a
+// at link time. The tuples RunTail replays are the caller's for the whole
+// run, so the tail's OrderBy keeps them uncopied. The result boundary follows the same rule: a
 // Row handed to emit is valid for that call only — a pooled run writes
 // every row into one buffer of its own — so a caller that keeps rows
 // copies them: CollectCtx and the facade's cursor into a RowSlab, the
@@ -830,16 +831,22 @@ func buildOrderBy(o *OrderBy, ctx *Ctx, out Sink) (func() error, error) {
 		ctx.kept = append(ctx.kept, st.reset)
 	}
 	owned := scanFed(o.Input, ctx)
+	// Directly over a source, OrderBy is the tail's first operator and its
+	// input is RunTail's replay (a pipeline holds no breaker): tuples the
+	// caller owns for the whole run, which it keeps without a copy.
+	replayed := ctx.src != nil && o.Input == ctx.src.below
 	own := func(t Tuple) (bool, error) {
 		k, err := key(ctx, t)
 		if err != nil {
 			return false, err
 		}
-		c := st.slab.copy(t)
-		if owned {
-			c.Own(&st.props)
+		if !replayed {
+			t = st.slab.copy(t)
+			if owned {
+				t.Own(&st.props)
+			}
 		}
-		st.items = append(st.items, orderItem{c, k})
+		st.items = append(st.items, orderItem{t, k})
 		return true, nil
 	}
 	childRun, err := buildOp(o.Input, ctx, own)

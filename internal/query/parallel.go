@@ -99,7 +99,8 @@ func (sp *Split) PipelineRunner(ctx *Ctx, morsel *uint64, out Sink) (func() erro
 // produced: they are replayed in the pipeline's place. The tuples are the
 // caller's and outlive the walkers they came from — RunMorsels' gather
 // owns them, and a compiled pipeline that is not a scan has no walker that
-// rewinds — so a keeper in the tail copies no property set.
+// rewinds — so a keeper in the tail copies no property set, and an
+// OrderBy over the replay keeps the tuples themselves.
 func (sp *Split) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) error {
 	terminal := func(t Tuple) (bool, error) {
 		if err := ctx.err(); err != nil {
