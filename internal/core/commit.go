@@ -228,11 +228,13 @@ func (e *Engine) commitEpoch(order []int, members []*Tx) {
 //     Dirty versions never enter a chain; they live in the write set.
 //  2. All record rewrites, property-chain writes and slot releases run in
 //     a single pmemobj undo-log transaction, so the whole group is
-//     failure-atomic (DG4; the paper's PMDK-based approach). The ranges
-//     known up front are snapshotted behind one publication fence.
+//     failure-atomic (DG4; the paper's PMDK-based approach). Every range
+//     it writes over a prior image — inserted records' bitmap words and
+//     the reserved property slots' included — is planned up front and
+//     snapshotted behind one publication fence.
 //  3. Records are unlocked with single 8-byte stores after the commit
-//     point, behind one drain; a crash in between leaves stale locks that
-//     recovery clears.
+//     point, flushed but not fenced: a crash that loses a release leaves
+//     a stale lock that recovery clears.
 //  4. Secondary indexes are updated (still under the shard locks, so
 //     per-shard index updates observe commit order) and
 //     transaction-level GC is queued.
@@ -272,10 +274,7 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		}
 	}
 
-	// Step 2. The persist span hangs off the first traced member. A shard
-	// that runs out of property-record slots rolls the lane back;
-	// capacity is reserved outside every commit lock (chunk appends
-	// mutate global allocator state) and the persist retried.
+	// Step 2. The persist span hangs off the first traced member.
 	var traced *trace.Span
 	for _, tx := range members {
 		if traced = tx.seat.span; traced != nil {
@@ -287,35 +286,39 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 	if psp != nil {
 		preDev = e.dev.Stats.Snapshot()
 	}
-	ranges := e.epochRanges(members)
+	// The plan reserves the group's property slots under the shard locks;
+	// a shard short of them gets capacity outside every commit lock
+	// (chunk appends mutate global allocator state) before the plan is
+	// made again.
+	plan := &e.shards[order[0]].plan
 	retries := 0
-	var err error
-	for {
+	err := e.planGroup(plan, order, members)
+	for errors.Is(err, storage.ErrShardFull) {
+		e.unlockShards(order)
+		locked = false
+		err = e.reserveProps(members)
+		e.lockShards(order, members)
+		locked = true
+		if err == nil {
+			err = e.planGroup(plan, order, members)
+		}
+		retries++
+	}
+	if err == nil {
 		err = e.pool.RunTxLane(lane, func(ptx *pmemobj.Tx) error {
-			if err := ptx.SnapshotAll(ranges); err != nil {
+			if err := ptx.SnapshotAll(plan.ranges); err != nil {
 				return err
 			}
+			slots := plan.props
 			for _, tx := range members {
 				for _, key := range tx.order {
-					if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
+					if err := tx.applyDirty(ptx, tx.dirty[key], &slots); err != nil {
 						return err
 					}
 				}
 			}
 			return nil
 		})
-		if !errors.Is(err, storage.ErrShardFull) {
-			break
-		}
-		e.unlockShards(order)
-		locked = false
-		err = e.reserveProps(members)
-		e.lockShards(order, members)
-		locked = true
-		if err != nil {
-			break
-		}
-		retries++
 	}
 	if retries > 0 {
 		psp.SetAttr("shard_full_retries", int64(retries))
@@ -335,16 +338,13 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		return err
 	}
 
-	// Step 3. The commit point has passed; these are plain failure-atomic
-	// 8-byte stores (txn-id is field 0 of both record types).
+	// Step 3. The commit point has passed; each release is one 8-byte
+	// store (txn-id is field 0 of both record types), and none is fenced.
 	for _, tx := range members {
 		for _, key := range tx.order {
-			off := tx.recordOffset(key)
-			e.dev.WriteU64(off, 0)
-			e.dev.Flush(off, 8)
+			e.unlock(tx.recordOffset(key))
 		}
 	}
-	e.dev.Drain()
 	if psp != nil {
 		// The device delta over-attributes under concurrency (epochs on
 		// other shards share the device); it is a locality signal, not an
@@ -391,7 +391,7 @@ func (e *Engine) reserveProps(members []*Tx) error {
 		for _, key := range tx.order {
 			d := tx.dirty[key]
 			if !d.isDelete && d.propsChanged {
-				needs[e.shardOf(key)] += propRecords(len(d.ver.props))
+				needs[e.shardOf(key)] += storage.PropRecords(len(d.ver.props))
 			}
 		}
 	}
@@ -405,10 +405,6 @@ func (e *Engine) reserveProps(members []*Tx) error {
 	}
 	return nil
 }
-
-// propRecords returns the number of property records a chain of n
-// properties occupies.
-func propRecords(n int) int { return (n + storage.PItemsMax - 1) / storage.PItemsMax }
 
 // oldPropHead returns the head of the committed property chain the dirty
 // object supersedes.
@@ -475,9 +471,10 @@ func (tx *Tx) recordOffset(key objKey) uint64 {
 
 // applyDirty writes one dirty object into PMem within the commit
 // transaction. The record's txn-id word keeps the lock until after the
-// commit point. New property records are constrained to the dirty
-// object's shard so the commit lane only ever covers held shards.
-func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
+// commit point. New property records take the next slots of the group's
+// reservation (planGroup), in the dirty object's shard, so the commit
+// lane only ever covers held shards.
+func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj, slots *[]uint64) error {
 	e := tx.e
 	off := tx.recordOffset(d.key)
 	if err := ptx.Snapshot(off, recordSize(d.key.kind)); err != nil {
@@ -510,11 +507,13 @@ func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj) error {
 					return err
 				}
 			}
+			n := storage.PropRecords(len(d.ver.props))
 			var err error
-			head, err = storage.WritePropChainShardTx(ptx, e.props, d.key.id, d.ver.props, e.shardOf(d.key))
+			head, err = storage.WritePropChainAtTx(ptx, e.props, d.key.id, d.ver.props, (*slots)[:n])
 			if err != nil {
 				return err
 			}
+			*slots = (*slots)[n:]
 		}
 		if d.key.kind == kindNode {
 			rec := *d.ver.node
@@ -575,9 +574,7 @@ func (tx *Tx) abortLocked() error {
 			}
 			continue
 		}
-		off := tx.recordOffset(d.key)
-		e.dev.WriteU64(off, 0)
-		e.dev.Persist(off, 8)
+		e.unlock(tx.recordOffset(d.key))
 	}
 	tx.finish()
 	return nil

@@ -138,6 +138,9 @@ type engineShard struct {
 	// queue batches the shard's concurrent committers into epochs (see
 	// groupcommit.go).
 	queue epochQueue
+	// plan is the scratch of the commit groups whose lowest locked shard
+	// this is, reused under commitMu.
+	plan epochPlan
 
 	// Per-shard slice of the secondary indexes: tree s of index (label,
 	// key) holds entries only for node ids owned by shard s.
@@ -493,16 +496,16 @@ func (e *Engine) recoverRecords() (uint64, error) {
 			labels.set(id, uint32(e.dev.ReadU64(off+labelOff)))
 			return true
 		})
+		// One fence for all the table's stale locks, one pool transaction
+		// for all its dropped slots (split only at the log's capacity).
 		for _, off := range stale {
 			e.dev.WriteU64(off+txnOff, 0)
-			e.dev.Persist(off+txnOff, 8)
+			e.dev.Flush(off+txnOff, 8)
 		}
-		for _, id := range drop {
-			if err := tbl.Release(id); err != nil {
-				return err
-			}
+		if len(stale) > 0 {
+			e.dev.Drain()
 		}
-		return nil
+		return tbl.Release(drop...)
 	}
 	if err := reclaim(e.nodes, &e.nodeLabels, storage.NTxnID, storage.NBts, storage.NEts, storage.NLabel); err != nil {
 		return 0, err

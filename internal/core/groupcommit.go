@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -17,8 +18,9 @@ import (
 // The queue batches concurrent single-shard committers: a committer that
 // finds its shard's queue leaderless leads one epoch — itself plus
 // whoever queued behind it while it waited for the shard lock, up to
-// maxEpochMembers — persists the batch behind one publication fence, one
-// lane commit and one shared lock-release drain, then wakes the members.
+// maxEpochMembers — persists the batch behind one publication fence and
+// one lane commit, releases the members' locks with unfenced stores,
+// then wakes the members.
 // Committers arriving while an epoch persists park and form the next
 // epoch; batching comes purely from that backpressure, so an uncontended
 // committer pays for an epoch of one and nothing else. A leader runs
@@ -181,59 +183,109 @@ func (e *Engine) laneBudget(lane int) uint64 {
 }
 
 // estimateUndo approximates the undo-log bytes committing tx consumes:
-// one record snapshot per dirty object, a record+bitmap-word snapshot
-// per freed old property record, and a bitmap-word snapshot per new
-// property record. Coverage dedup only shrinks the real usage, so the
-// estimate errs high; the slack covers chunk-header snapshots.
+// one record snapshot per dirty object and a bitmap-word snapshot per
+// inserted one, a record+bitmap-word snapshot per freed old property
+// record, and a bitmap-word snapshot per new property record. Coverage
+// dedup only shrinks the real usage, so the estimate errs high.
 func estimateUndo(tx *Tx) uint64 {
 	total := uint64(512)
 	for _, key := range tx.order {
 		d := tx.dirty[key]
 		total += pmemobj.SnapshotCost(recordSize(key.kind))
+		if d.isInsert {
+			total += pmemobj.SnapshotCost(8)
+		}
 		if d.isDelete || !d.propsChanged {
 			continue
 		}
 		if d.hasOld {
-			total += uint64(propRecords(len(d.oldProps))) * (pmemobj.SnapshotCost(storage.PropRecordSize) + pmemobj.SnapshotCost(8))
+			total += uint64(storage.PropRecords(len(d.oldProps))) * (pmemobj.SnapshotCost(storage.PropRecordSize) + pmemobj.SnapshotCost(8))
 		}
-		total += uint64(propRecords(len(d.ver.props))) * pmemobj.SnapshotCost(8)
+		total += uint64(storage.PropRecords(len(d.ver.props))) * pmemobj.SnapshotCost(8)
 	}
 	return total
 }
 
-// epochRanges pre-collects every persistent range the members are known
-// to touch — dirty records, the old property records an update frees,
-// and their occupancy-bitmap words — so one SnapshotAll publishes them
-// behind a single fence. applyDirty's own Snapshot calls then dedup
-// against the coverage; only ranges unknown before slot allocation
-// (fresh bitmap words, chunk headers) still log individually.
-func (e *Engine) epochRanges(members []*Tx) []pmemobj.Range {
-	n := 0
-	for _, tx := range members {
-		n += len(tx.order)
-	}
-	out := make([]pmemobj.Range, 0, n)
+// epochPlan is what a group's commit settles before its lane
+// transaction starts: every persistent range the group writes over a
+// prior image, so one SnapshotAll publishes all their undo entries behind
+// a single fence, and the property slots its new chains take, reserved
+// in the order applyDirty consumes them.
+type epochPlan struct {
+	ranges []pmemobj.Range
+	props  []uint64
+	// Per shard of the group's lock set: the property records its
+	// chains need, then the cursor into free, the slots reserved for them.
+	need []int
+	free []uint64
+}
+
+// planGroup fills p for members, whose ascending shard lock set is
+// order: each dirty record; an inserted record's occupancy-bitmap word,
+// whose bit the insert set at op time and the commit makes durable; the
+// old property records an update frees, with their bitmap words; and for
+// every new property chain, free slots of the owner's shard and their
+// bitmap words. applyDirty's own Snapshot calls then all dedup against
+// the coverage. Caller holds the shard locks, which keep the reserved
+// slots free until the lane transaction takes them. Fails with
+// storage.ErrShardFull when a shard lacks the slots.
+func (e *Engine) planGroup(p *epochPlan, order []int, members []*Tx) error {
+	p.need = append(p.need[:0], make([]int, len(order))...)
 	for _, tx := range members {
 		for _, key := range tx.order {
-			d := tx.dirty[key]
-			out = append(out, pmemobj.Range{Off: tx.recordOffset(key), N: recordSize(key.kind)})
-			if !d.hasOld || !d.propsChanged || d.isDelete {
-				continue
-			}
-			for id := d.oldPropHead(); id != storage.NilID; {
-				poff, ok := e.props.RecordOffset(id)
-				if !ok {
-					break
-				}
-				out = append(out, pmemobj.Range{Off: poff, N: storage.PropRecordSize})
-				if w, ok := e.props.BitmapWordOff(id); ok {
-					out = append(out, pmemobj.Range{Off: w, N: 8})
-				}
-				id = e.dev.ReadU64(poff + storage.PNext)
+			if d := tx.dirty[key]; !d.isDelete && d.propsChanged {
+				p.need[slices.Index(order, e.shardOf(key))] += storage.PropRecords(len(d.ver.props))
 			}
 		}
 	}
-	return out
+	p.free = p.free[:0]
+	for i, s := range order {
+		n := p.need[i]
+		p.need[i] = len(p.free) // from here on, shard i's cursor into free
+		var err error
+		if p.free, err = e.props.FreeSlots(p.free, s, n); err != nil {
+			return err
+		}
+	}
+
+	p.ranges, p.props = p.ranges[:0], p.props[:0]
+	for _, tx := range members {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			p.ranges = append(p.ranges, pmemobj.Range{Off: tx.recordOffset(key), N: recordSize(key.kind)})
+			if d.isInsert && !mutateInsertBit() {
+				if w, ok := tx.tableFor(key.kind).BitmapWordOff(key.id); ok {
+					p.ranges = append(p.ranges, pmemobj.Range{Off: w, N: 8})
+				}
+			}
+			if d.isDelete || !d.propsChanged {
+				continue
+			}
+			if d.hasOld {
+				for id := d.oldPropHead(); id != storage.NilID; {
+					poff, ok := e.props.RecordOffset(id)
+					if !ok {
+						break
+					}
+					p.ranges = append(p.ranges, pmemobj.Range{Off: poff, N: storage.PropRecordSize})
+					if w, ok := e.props.BitmapWordOff(id); ok {
+						p.ranges = append(p.ranges, pmemobj.Range{Off: w, N: 8})
+					}
+					id = e.dev.ReadU64(poff + storage.PNext)
+				}
+			}
+			i := slices.Index(order, e.shardOf(key))
+			n := storage.PropRecords(len(d.ver.props))
+			for _, id := range p.free[p.need[i] : p.need[i]+n] {
+				p.props = append(p.props, id)
+				if w, ok := e.props.BitmapWordOff(id); ok {
+					p.ranges = append(p.ranges, pmemobj.Range{Off: w, N: 8})
+				}
+			}
+			p.need[i] += n
+		}
+	}
+	return nil
 }
 
 // recordSize returns the persistent record size of an object kind.

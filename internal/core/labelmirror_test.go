@@ -179,3 +179,43 @@ func TestReopenRebuildsLabelMirror(t *testing.T) {
 		}
 	}
 }
+
+// TestMirrorPacksSlotsAndForgetsPastCapacity: four slots share a mirror
+// word without disturbing each other, and a label first seen after the
+// mirror's 255 codes mirrors as unknown, so its slots are still read.
+func TestMirrorPacksSlotsAndForgetsPastCapacity(t *testing.T) {
+	var m labelMirror
+	for id := uint64(0); id < 8; id++ {
+		m.set(id, uint32(100+id%3))
+	}
+	m.clear(5)
+	for id := uint64(0); id < 8; id++ {
+		want := uint32(100 + id%3)
+		if id == 5 {
+			want = 0
+		}
+		if got := m.get(id); got != want {
+			t.Fatalf("slot %d mirrors %d, want %d", id, got, want)
+		}
+	}
+	for code := uint32(1000); code < 1000+300; code++ {
+		id := uint64(code) * 4
+		m.set(id, code)
+		want := code
+		if m.n.Load() == 255 && m.find(code) == 0 {
+			want = 0
+		}
+		if got := m.get(id); got != want {
+			t.Fatalf("label %d mirrors %d, want %d", code, got, want)
+		}
+		if m.skips(id, code) {
+			t.Fatalf("a scan for label %d passes over its own slot", code)
+		}
+	}
+	if got := m.n.Load(); got != 255 {
+		t.Fatalf("mirror holds %d codes, want 255", got)
+	}
+	if got := m.get(1299 * 4); got != 0 {
+		t.Fatalf("the 303rd label mirrors %d, want 0 (unknown)", got)
+	}
+}

@@ -290,3 +290,49 @@ func TestConcurrentContendedWriters(t *testing.T) {
 		t.Errorf("v = %v, want %d (one increment per successful commit)", p["v"], commits)
 	}
 }
+
+// TestRecoveryFencesOncePerTable: Reopen after a crash that caught 100
+// inserts and 100 updates in flight, every line of them on media (as a
+// crash may leave them), clears the 100 stale locks behind one drain and
+// drops the 100 uncommitted slots in one pool transaction — one
+// publication fence, one flush drain, one commit point: 4 drains in all.
+// It paid 500 when each stale lock was persisted alone (100) and each
+// dropped slot released in a transaction of its own (4 each: two
+// snapshot fences, the flush drain, the commit point).
+func TestRecoveryFencesOncePerTable(t *testing.T) {
+	e := newTestEngine(t, PMem)
+	setup := e.Begin()
+	var committed []uint64
+	for i := 0; i < 100; i++ {
+		committed = append(committed, mustCreateNode(t, setup, "Person", map[string]any{"n": int64(i)}))
+	}
+	mustCommit(t, setup)
+
+	inflight := e.Begin()
+	for i, id := range committed {
+		mustCreateNode(t, inflight, "Person", map[string]any{"n": int64(100 + i)})
+		if err := inflight.SetNodeProps(id, map[string]any{"n": int64(-i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := e.Device()
+	dev.Flush(0, uint64(dev.Size()))
+	dev.Drain()
+	e.Close()
+	dev.Crash()
+
+	pre := dev.Stats.Snapshot()
+	e2, err := Reopen(dev, Config{Mode: PMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e2.Close)
+	drains := dev.Stats.Snapshot().Sub(pre).Drains
+	if got := e2.NodeCount(); got != 100 {
+		t.Fatalf("%d nodes after recovery, want the 100 committed", got)
+	}
+	const want = 4
+	if drains != want {
+		t.Errorf("Reopen after 100 in-flight inserts and updates pays %d drains, want %d", drains, want)
+	}
+}

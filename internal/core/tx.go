@@ -111,23 +111,72 @@ func (e *Engine) relChainsOf(id uint64) *chainTable {
 func (e *Engine) nodeRTSOf(id uint64) *rtsTable { return e.shards[e.nodes.ShardOf(id)].nodeRTS }
 func (e *Engine) relRTSOf(id uint64) *rtsTable  { return e.shards[e.rels.ShardOf(id)].relRTS }
 
-// withShardSlot runs fn inside shard s's undo-log lane while holding the
-// shard's commit lock, so the persistent ranges fn touches stay covered
-// by exactly one lane (the lane-overlap safety invariant). When the shard
-// runs out of slots the lane transaction rolls back and capacity is
-// reserved via EnsureShardFree — outside every commit lock, because chunk
-// appends mutate global allocator state — before retrying.
-func (e *Engine) withShardSlot(tbl *storage.Table, s int, fn func(*pmemobj.Tx) error) error {
+// place stores a new record in a free slot of tbl owned by shard s and
+// returns the slot's id (§5.1: the record goes into the persistent array
+// at once and stays write-locked, bts = 0, until commit). write stores
+// the record, lock word included, at off.
+//
+// Nothing here is durable and no undo entry is written: the commit
+// snapshots the record and the slot's bitmap word behind its one
+// publication fence and flushes both before its commit point, and a
+// crash before then leaves an insert nobody committed, which recovery
+// drops whether or not its bit or record reached media (DESIGN.md "When
+// an insert becomes durable"). The record is written before its bit is
+// set, so a reader never finds an occupied slot without the locked
+// record. The
+// slot is taken under the shard's commit lock: a commit's online
+// rollback rewrites the shard's bitmap words from their undo images and
+// must not lose a bit set meanwhile. A shard without a free slot gets
+// capacity outside the lock — chunk appends mutate global allocator
+// state — and the take is retried.
+func (e *Engine) place(tbl *storage.Table, s int, write func(off uint64)) (uint64, error) {
 	for {
-		err := e.runOnShardLane(s, fn)
-		if errors.Is(err, storage.ErrShardFull) {
-			if err := tbl.EnsureShardFree(s); err != nil {
-				return err
-			}
-			continue
+		id, err := e.placeInShard(tbl, s, write)
+		if !errors.Is(err, storage.ErrShardFull) {
+			return id, err
 		}
-		return err
+		if err := tbl.EnsureShardFree(s); err != nil {
+			return 0, err
+		}
 	}
+}
+
+// placeInShard is one attempt of place under shard s's commit lock.
+//
+//pmem:deferred-flush the inserting commit snapshots the record and its bitmap word and flushes both before its commit point
+func (e *Engine) placeInShard(tbl *storage.Table, s int, write func(off uint64)) (uint64, error) {
+	sh := &e.shards[s]
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	var one [1]uint64
+	ids, err := tbl.FreeSlots(one[:0], s, 1)
+	if err != nil {
+		return 0, err
+	}
+	id := ids[0]
+	off, _ := tbl.RecordOffset(id)
+	write(off)
+	word, err := tbl.Occupy(id)
+	if err != nil {
+		return 0, err
+	}
+	if e.dev.StrictFlush() {
+		// The strict checker takes a stored line that a later fence finds
+		// unflushed for one a crash would silently lose, and a reader of
+		// it for a reader acting on lost data. These lines may be lost:
+		// write them back, still without a fence, so it checks the rest.
+		e.dev.Flush(off, tbl.RecordSize())
+		e.dev.Flush(word, 8)
+	}
+	return id, nil
+}
+
+// unlock releases the write lock whose lock word is at off with one
+// 8-byte store, flushed and never fenced: a release a crash loses is a
+// stale lock on committed data, which recoverRecords clears.
+func (e *Engine) unlock(off uint64) {
+	e.dev.WriteU64(off, 0)
+	e.dev.Flush(off, 8)
 }
 
 // runOnShardLane runs fn as a transaction on shard s's undo-log lane
@@ -635,10 +684,7 @@ func (tx *Tx) track(d *dirtyObj) *dirtyObj {
 // released and the transaction aborted.
 func (tx *Tx) writeChecksNode(off, id uint64, rec storage.NodeRec) error {
 	e := tx.e
-	unlock := func() {
-		e.dev.WriteU64(off+storage.NTxnID, 0)
-		e.dev.Persist(off+storage.NTxnID, 8)
-	}
+	unlock := func() { e.unlock(off + storage.NTxnID) }
 	if rec.Bts == 0 {
 		unlock()
 		return ErrNotFound
@@ -680,10 +726,7 @@ func (tx *Tx) lockRel(id uint64) (*dirtyObj, error) {
 	}
 	rec := storage.ReadRelRec(e.dev, off)
 	rec.TxnID = 0
-	unlock := func() {
-		e.dev.WriteU64(off+storage.RTxnID, 0)
-		e.dev.Persist(off+storage.RTxnID, 8)
-	}
+	unlock := func() { e.unlock(off + storage.RTxnID) }
 	if rec.Bts == 0 {
 		unlock()
 		return nil, ErrNotFound
@@ -712,6 +755,8 @@ func (tx *Tx) lockRel(id uint64) (*dirtyObj, error) {
 // CreateNode inserts a new node. Per §5.1, the record is stored in the
 // persistent array immediately but stays write-locked (txn-id set,
 // bts = 0) until commit.
+//
+//pmem:deferred-flush the record is placed unflushed (see place); the inserting commit snapshots and flushes it
 func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 	if err := tx.check(); err != nil {
 		return 0, err
@@ -729,21 +774,12 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 	// single-shard workloads commit without touching any other shard's
 	// lock or lane.
 	home := e.homeShard(tx.id)
-	var id, off uint64
-	err = e.withShardSlot(e.nodes, home, func(ptx *pmemobj.Tx) error {
-		var err error
-		id, off, err = e.nodes.InsertShardTx(ptx, home)
-		if err != nil {
-			return err
-		}
-		rec := storage.NodeRec{
+	id, err := e.place(e.nodes, home, func(off uint64) {
+		storage.WriteNodeRec(e.dev, off, &storage.NodeRec{
 			TxnID: tx.id, Bts: 0, Ets: Infinity,
 			Label: uint32(labelCode),
 			Out:   storage.NilID, In: storage.NilID, Props: storage.NilID,
-		}
-		storage.WriteNodeRec(e.dev, off, &rec)
-		ptx.NoteWrite(off, storage.NodeRecordSize)
-		return nil
+		})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: create node: %w", err)
@@ -764,6 +800,8 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 // CreateRel inserts a new relationship from src to dst. Both endpoint
 // nodes are write-locked because their adjacency heads change (DD4: the
 // new relationship is prepended to both offset-linked lists).
+//
+//pmem:deferred-flush the record is placed unflushed (see place); the inserting commit snapshots and flushes it
 func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (uint64, error) {
 	if err := tx.check(); err != nil {
 		return 0, err
@@ -794,25 +832,16 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	// The relationship record is co-located with its source node's shard,
 	// so a commit that touches src and its out-edges stays single-shard.
 	relShard := e.ShardOfNode(src)
-	var id, off uint64
 	nextSrc := srcD.ver.node.Out
 	nextDst := dstD.ver.node.In
-	err = e.withShardSlot(e.rels, relShard, func(ptx *pmemobj.Tx) error {
-		var err error
-		id, off, err = e.rels.InsertShardTx(ptx, relShard)
-		if err != nil {
-			return err
-		}
-		rec := storage.RelRec{
+	id, err := e.place(e.rels, relShard, func(off uint64) {
+		storage.WriteRelRec(e.dev, off, &storage.RelRec{
 			TxnID: tx.id, Bts: 0, Ets: Infinity,
 			Label: uint32(labelCode),
 			Src:   src, Dst: dst,
 			NextSrc: nextSrc, NextDst: nextDst,
 			Props: storage.NilID,
-		}
-		storage.WriteRelRec(e.dev, off, &rec)
-		ptx.NoteWrite(off, storage.RelRecordSize)
-		return nil
+		})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: create rel: %w", err)

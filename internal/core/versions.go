@@ -134,20 +134,21 @@ type retainedVer struct {
 // wordTable.
 const wordBlockLen = 1024
 
-// wordTable is one volatile word per record id of a table, in blocks
-// allocated on the first store to an id in them. Blocks never move, so a
-// word's address is stable and reading it takes no lock; only growing the
-// directory and installing a block do. The rts sidecar and the label
-// mirror are both one.
+// wordTable is one volatile word per index — a record id of a table, or
+// a group of ids — in blocks allocated on the first store to an index in
+// them. Blocks never move, so a word's address is stable and reading it
+// takes no lock; only growing the directory and installing a block do.
+// The rts sidecar is one per record id; the label mirror keeps its slot
+// bytes in one, a word per four ids.
 type wordTable[W any] struct {
 	mu  sync.Mutex                                        // serializes growing dir and installing blocks
 	dir atomic.Pointer[[]atomic.Pointer[[wordBlockLen]W]] // replaced by a longer copy to grow
 }
 
-// word returns id's word, or nil if its block was never allocated and
-// alloc is false. A block installed before a lookup is in every directory
-// published after it: growth copies under mu, installs go into the
-// current directory under mu.
+// word returns the word of index id, or nil if its block was never
+// allocated and alloc is false. A block installed before a lookup is in
+// every directory published after it: growth copies under mu, installs
+// go into the current directory under mu.
 func (t *wordTable[W]) word(id uint64, alloc bool) *W {
 	i := id / wordBlockLen
 	if dir := t.dir.Load(); dir != nil && i < uint64(len(*dir)) {
@@ -221,25 +222,81 @@ func (t *rtsTable) forget(id uint64) {
 // label's slot without reading the device (DESIGN.md "What a read
 // touches"). 0 means unknown, and the scan reads the record as before.
 //
+// A slot costs one byte, four to a word: the index of its label in
+// codes, the label codes the mirror has seen, in the order it first saw
+// them. Index 0 is unknown, and so is a label first seen after 255
+// others: its slots are simply read.
+//
 // A slot's label is fixed for the slot's life, so the mirror has one
 // writer rule: set holds the label of the record the slot holds, stored
 // after the record is written (an insert, a bulk load, Reopen's scan);
 // clear runs before a slot is given back (abort, GC reclamation), so a
-// freed slot's entry reads 0 until its next occupant sets it.
-type labelMirror struct{ wordTable[atomic.Uint32] }
+// freed slot's entry reads 0 until its next occupant sets it. Four slots
+// share a word, so both store their byte with a CaS.
+type labelMirror struct {
+	slots wordTable[atomic.Uint32] // slot id's byte is byte id%4 of word id/4
+	mu    sync.Mutex               // serializes adding a code
+	n     atomic.Uint32            // codes[1..n] are in use
+	codes [256]atomic.Uint32       // stored before any slot byte names it
+}
 
-func (m *labelMirror) set(id uint64, label uint32) { m.word(id, true).Store(label) }
+func (m *labelMirror) set(id uint64, label uint32) {
+	m.store(m.slots.word(id/4, true), id, m.index(label))
+}
 
 func (m *labelMirror) clear(id uint64) {
-	if w := m.word(id, false); w != nil {
-		w.Store(0)
+	if w := m.slots.word(id/4, false); w != nil {
+		m.store(w, id, 0)
 	}
+}
+
+// store sets slot id's byte of its word w to b.
+func (m *labelMirror) store(w *atomic.Uint32, id uint64, b uint32) {
+	shift := id % 4 * 8
+	for {
+		old := w.Load()
+		if w.CompareAndSwap(old, old&^(0xff<<shift)|b<<shift) {
+			return
+		}
+	}
+}
+
+// index returns label's index in codes, adding it if there is room; 0
+// when there is none (or for label 0).
+func (m *labelMirror) index(label uint32) uint32 {
+	if label == 0 {
+		return 0
+	}
+	if i := m.find(label); i != 0 {
+		return i
+	}
+	m.mu.Lock() // look again: another setter may have added it meanwhile
+	defer m.mu.Unlock()
+	n := m.n.Load()
+	if i := m.find(label); i != 0 || n == uint32(len(m.codes)-1) {
+		return i
+	}
+	m.codes[n+1].Store(label)
+	m.n.Store(n + 1)
+	return n + 1
+}
+
+// find returns label's index in codes, 0 if absent.
+func (m *labelMirror) find(label uint32) uint32 {
+	for i, n := uint32(1), m.n.Load(); i <= n; i++ {
+		if m.codes[i].Load() == label {
+			return i
+		}
+	}
+	return 0
 }
 
 // get returns the mirrored label of slot id, 0 if unknown.
 func (m *labelMirror) get(id uint64) uint32 {
-	if w := m.word(id, false); w != nil {
-		return w.Load()
+	if w := m.slots.word(id/4, false); w != nil {
+		if b := w.Load() >> (id % 4 * 8) & 0xff; b != 0 {
+			return m.codes[b].Load()
+		}
 	}
 	return 0
 }

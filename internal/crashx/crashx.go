@@ -380,12 +380,12 @@ const ingestChurn = 4
 //
 // After every IU epoch, ingestChurn churn epochs of property-less
 // CreateRel (or, alternating, DeleteRel) transactions commit. Their
-// apply phase writes only ranges the leader pre-covered with SnapshotAll
-// — no fresh property records, so no individual undo appends re-persist
-// the lane's count word after the group fence. Those epochs depend on the leader's
-// single fence alone, which is exactly what the groupfence crashmutate
-// build breaks: without them, IU epochs' own prop-chain snapshots mask
-// the planted bug and the mutation test could not catch it.
+// apply phase is short and writes only ranges the leader pre-covered
+// with SnapshotAll, so a sampled crash point often lands in an epoch
+// that depends on the leader's single fence alone — exactly what the
+// groupfence crashmutate build breaks. (IU epochs depend on it alone
+// too: a commit covers every range it writes, its property slots' bitmap
+// words included, with the one SnapshotAll.)
 func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*query.Prepared) (started int, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -126,15 +126,18 @@ func TestReplayCleanSchedule(t *testing.T) {
 // so every IU-mix ID minted so far replays only while the default path
 // issues the same stores, flushes and drains in the same order. The totals
 // of the CI sweep's workload (-persons 16 -ops 30 -seed 1) are pinned as
-// measured before the index delta layer was removed (PR 20); a change that
-// moves them re-addresses every recorded IU schedule and must say so.
+// measured once an insert's op-time slot stopped running an undo-log
+// transaction of its own and lock releases stopped fencing
+// (1805/1179/354 and 1931/10405/371 before); a
+// change that moves them re-addresses every recorded IU schedule and must
+// say so.
 func TestIUMixEventCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a full engine; skipped in -short")
 	}
 	want := map[int]map[pmem.CrashEvents]uint64{
-		1: {pmem.EvStore: 1805, pmem.EvFlush: 1179, pmem.EvDrain: 354},
-		4: {pmem.EvStore: 1931, pmem.EvFlush: 10405, pmem.EvDrain: 371},
+		1: {pmem.EvStore: 1649, pmem.EvFlush: 889, pmem.EvDrain: 141},
+		4: {pmem.EvStore: 1742, pmem.EvFlush: 10103, pmem.EvDrain: 153},
 	}
 	for shards, counts := range want {
 		opts := Options{Persons: 16, Ops: 30, Seed: 1, Shards: shards}

@@ -1,6 +1,10 @@
 package storage
 
-import "poseidon/internal/pmemobj"
+import (
+	"fmt"
+
+	"poseidon/internal/pmemobj"
+)
 
 // Property batches (DD3): key/value pairs of a node or relationship are
 // grouped into cache-line-sized records of up to three items; further
@@ -8,22 +12,32 @@ import "poseidon/internal/pmemobj"
 // enclosing pmemobj transaction so that the property chain flips along
 // with its owner's version fields.
 
+// PropRecords returns the number of property records a chain of n
+// properties occupies.
+func PropRecords(n int) int { return (n + PItemsMax - 1) / PItemsMax }
+
 // WritePropChainTx stores props as a chain of property records, returning
 // the head record id (or NilID for an empty set). Slots are allocated
 // within tx from any shard.
 func WritePropChainTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop) (uint64, error) {
-	return writePropChainTx(tx, tbl, owner, props, -1)
+	return writePropChainTx(tx, tbl, owner, props, nil)
 }
 
-// WritePropChainShardTx is WritePropChainTx constrained to slots owned by
-// shard s, so the chain's records stay covered by s's commit lock (the
-// lane-overlap safety invariant). Fails with ErrShardFull when the shard
-// has no capacity; the caller reserves via EnsureShardFree and retries.
-func WritePropChainShardTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, s int) (uint64, error) {
-	return writePropChainTx(tx, tbl, owner, props, s)
+// WritePropChainAtTx is WritePropChainTx into the slots ids, one per
+// record of the chain, reserved beforehand with FreeSlots. A caller that
+// snapshotted the slots' bitmap words before the transaction's first
+// write (the engine's commit, in its one SnapshotAll) takes them without
+// another undo-log fence.
+func WritePropChainAtTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, ids []uint64) (uint64, error) {
+	if len(ids) != PropRecords(len(props)) {
+		return 0, fmt.Errorf("storage: %d properties need %d records, %d reserved", len(props), PropRecords(len(props)), len(ids))
+	}
+	return writePropChainTx(tx, tbl, owner, props, ids)
 }
 
-func writePropChainTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, s int) (uint64, error) {
+// writePropChainTx takes the chain's slots from ids in order, or from
+// any shard when ids is nil.
+func writePropChainTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, ids []uint64) (uint64, error) {
 	if len(props) == 0 {
 		return NilID, nil
 	}
@@ -33,10 +47,11 @@ func writePropChainTx(tx *pmemobj.Tx, tbl *Table, owner uint64, props []Prop, s 
 	for i := 0; i < len(props); i += PItemsMax {
 		var id, off uint64
 		var err error
-		if s < 0 {
+		if ids == nil {
 			id, off, err = tbl.InsertTx(tx)
 		} else {
-			id, off, err = tbl.InsertShardTx(tx, s)
+			id = ids[i/PItemsMax]
+			off, err = tbl.InsertAtTx(tx, id)
 		}
 		if err != nil {
 			return 0, err

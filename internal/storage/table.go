@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,9 +29,9 @@ import (
 var (
 	ErrTableFull = errors.New("storage: chunk directory full")
 	ErrBadRecord = errors.New("storage: record id out of range or slot free")
-	// ErrShardFull reports that a shard-constrained insert found no free
-	// slot in any chunk owned by the shard. Callers reserve capacity with
-	// EnsureShardFree (outside the failing transaction) and retry.
+	// ErrShardFull reports that a shard had too few free slots for a
+	// reservation (FreeSlots). Callers reserve capacity with
+	// EnsureShardFreeN, outside every engine lock, and retry.
 	ErrShardFull = errors.New("storage: no free slot in shard")
 )
 
@@ -231,6 +232,9 @@ func (t *Table) ShardOf(id uint64) int {
 // Offset returns the table header offset for persisting in a root object.
 func (t *Table) Offset() uint64 { return t.hdr }
 
+// RecordSize returns the size of one record in bytes.
+func (t *Table) RecordSize() uint64 { return t.recSize }
+
 // ChunkCap returns the number of record slots per chunk.
 func (t *Table) ChunkCap() uint64 { return t.chunkCap }
 
@@ -332,12 +336,11 @@ func (t *Table) InsertTx(tx *pmemobj.Tx) (uint64, uint64, error) {
 	defer t.mu.Unlock()
 
 	for s := range t.free {
-		id, off, ok, err := t.popFreeLocked(tx, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		if ok {
-			return id, off, nil
+		if ci, slot, ok := t.freeSlotLocked(s); ok {
+			if err := t.setBitmapTx(tx, t.dir[ci], slot, true); err != nil {
+				return 0, 0, err
+			}
+			return ci*t.chunkCap + slot, t.dir[ci] + t.dataStart + slot*t.recSize, nil
 		}
 	}
 
@@ -353,48 +356,91 @@ func (t *Table) InsertTx(tx *pmemobj.Tx) (uint64, uint64, error) {
 	return ci * t.chunkCap, chunk + t.dataStart, nil
 }
 
-// popFreeLocked takes the first free slot from shard s's chunk list.
+// freeSlotLocked returns the first free slot of the last chunk on shard
+// s's free list that still has one, dropping the full chunks it passes.
 // Caller holds t.mu.
-func (t *Table) popFreeLocked(tx *pmemobj.Tx, s int) (uint64, uint64, bool, error) {
+func (t *Table) freeSlotLocked(s int) (ci, slot uint64, ok bool) {
 	list := t.free[s]
 	for len(list) > 0 {
-		ci := list[len(list)-1]
-		chunk := t.dir[ci]
-		slot := t.chunkFreeSlot(chunk)
-		if slot < 0 {
-			list = list[:len(list)-1]
-			continue
+		ci = list[len(list)-1]
+		if slot := t.chunkFreeSlot(t.dir[ci]); slot >= 0 {
+			t.free[s] = list
+			return ci, uint64(slot), true
 		}
-		t.free[s] = list
-		if err := t.setBitmapTx(tx, chunk, uint64(slot), true); err != nil {
-			return 0, 0, false, err
-		}
-		id := ci*t.chunkCap + uint64(slot)
-		return id, chunk + t.dataStart + uint64(slot)*t.recSize, true, nil
+		list = list[:len(list)-1]
 	}
 	t.free[s] = list
-	return 0, 0, false, nil
+	return 0, 0, false
 }
 
-// InsertShardTx allocates a record slot from a chunk owned by shard s. It
-// never appends chunks (lane transactions cannot allocate); when the
-// shard's chunks are exhausted it fails with ErrShardFull and the caller
-// must reserve capacity via EnsureShardFree outside the transaction and
-// retry.
-func (t *Table) InsertShardTx(tx *pmemobj.Tx, s int) (uint64, uint64, error) {
+// FreeSlots appends to dst the ids of n free slots of chunks owned by
+// shard s, in the order successive inserts would take them, and marks
+// none of them. It fails with ErrShardFull when the shard has fewer; the
+// caller reserves capacity with EnsureShardFreeN and retries.
+//
+// The slots stay free until the caller occupies them (Occupy, or
+// InsertAtTx inside a transaction), so a reservation holds only while
+// the caller excludes every other taker of shard s's slots — in the
+// engine, by holding the shard's commit lock — and two calls for one
+// shard return the same slots.
+func (t *Table) FreeSlots(dst []uint64, s, n int) ([]uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s < 0 || s >= t.shards {
-		return 0, 0, fmt.Errorf("storage: insert into unknown shard %d of %d", s, t.shards)
+		return dst, fmt.Errorf("storage: reserve in unknown shard %d of %d", s, t.shards)
 	}
-	id, off, ok, err := t.popFreeLocked(tx, s)
-	if err != nil {
-		return 0, 0, err
+	var seenBuf [8]uint64
+	seen := seenBuf[:0] // a chunk released into twice is listed twice
+	list := t.free[s]
+	for i := len(list) - 1; i >= 0 && n > 0; i-- {
+		ci := list[i]
+		if slices.Contains(seen, ci) {
+			continue
+		}
+		seen = append(seen, ci)
+		chunk := t.dir[ci]
+		for w := uint64(0); w*64 < t.chunkCap && n > 0; w++ {
+			free := ^t.dev.ReadU64(chunk + cBitmap + w*8)
+			for ; free != 0 && n > 0; free &= free - 1 {
+				slot := w*64 + uint64(mathbits.TrailingZeros64(free))
+				if slot >= t.chunkCap {
+					break
+				}
+				dst = append(dst, ci*t.chunkCap+slot)
+				n--
+			}
+		}
 	}
+	if n > 0 {
+		return dst, fmt.Errorf("%w %d", ErrShardFull, s)
+	}
+	return dst, nil
+}
+
+// Occupy sets the occupancy bit of the free slot id in the CPU view
+// alone — no undo entry, no flush — and returns the device offset of the
+// bitmap word it changed. It is the engine's op-time insert (§5.1: the
+// new record is stored in the persistent array at once, write-locked
+// until commit): the bit becomes durable only when the inserting commit
+// snapshots and flushes that word, and a crash before then forgets an
+// insert nobody committed. The caller must exclude every other writer of
+// the word, including an online rollback of a transaction that
+// snapshotted it.
+//
+//pmem:deferred-flush the inserting commit snapshots the word and flushes it before its commit point
+func (t *Table) Occupy(id uint64) (uint64, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	wordOff, ok := t.BitmapWordOff(id)
 	if !ok {
-		return 0, 0, fmt.Errorf("%w %d", ErrShardFull, s)
+		return 0, fmt.Errorf("%w: id %d", ErrBadRecord, id)
 	}
-	return id, off, nil
+	bits := t.dev.ReadU64(wordOff)
+	if bits&(1<<(id%t.chunkCap%64)) != 0 {
+		return 0, fmt.Errorf("%w: id %d already occupied", ErrBadRecord, id)
+	}
+	t.dev.WriteU64(wordOff, bits|1<<(id%t.chunkCap%64))
+	return wordOff, nil
 }
 
 // EnsureShardFree guarantees shard s owns at least one free record slot,
@@ -471,8 +517,10 @@ func (t *Table) chunkFreeCount(chunkOff uint64) int {
 	return total
 }
 
-// InsertAtTx marks a specific id occupied, for recovery and bulk-load
-// paths. It fails if the slot is already occupied.
+// InsertAtTx marks a specific id occupied within tx: a slot FreeSlots
+// reserved (an engine commit taking its property records), or a chosen
+// id on recovery and bulk-load paths. It fails if the slot is already
+// occupied.
 func (t *Table) InsertAtTx(tx *pmemobj.Tx, id uint64) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -494,9 +542,42 @@ func (t *Table) InsertAtTx(tx *pmemobj.Tx, id uint64) (uint64, error) {
 	return chunk + t.dataStart + slot*t.recSize, nil
 }
 
-// Release frees a record slot in its own transaction. See ReleaseTx.
-func (t *Table) Release(id uint64) error {
-	return t.pool.RunTx(func(tx *pmemobj.Tx) error { return t.ReleaseTx(tx, id) })
+// Release frees the record slots ids (see ReleaseTx) in as few
+// transactions on the pool's built-in log as its capacity allows. Each
+// snapshots all its records and bitmap words with one SnapshotAll, so it
+// costs one publication fence and one commit however many slots it
+// frees.
+func (t *Table) Release(ids ...uint64) error {
+	per := uint64(1)
+	if logCap := t.pool.LogCap(); logCap > pmemobj.LogHeaderBytes {
+		per = max(1, (logCap-pmemobj.LogHeaderBytes)/(pmemobj.SnapshotCost(t.recSize)+pmemobj.SnapshotCost(8)))
+	}
+	for len(ids) > 0 {
+		batch := ids[:min(uint64(len(ids)), per)]
+		ranges := make([]pmemobj.Range, 0, 2*len(batch))
+		for _, id := range batch {
+			if off, ok := t.RecordOffset(id); ok {
+				w, _ := t.BitmapWordOff(id)
+				ranges = append(ranges, pmemobj.Range{Off: off, N: t.recSize}, pmemobj.Range{Off: w, N: 8})
+			}
+		}
+		err := t.pool.RunTx(func(tx *pmemobj.Tx) error {
+			if err := tx.SnapshotAll(ranges); err != nil {
+				return err
+			}
+			for _, id := range batch {
+				if err := t.ReleaseTx(tx, id); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		ids = ids[len(batch):]
+	}
+	return nil
 }
 
 // ReleaseTx zeroes the record and clears its bitmap bit within tx, making
