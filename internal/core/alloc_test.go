@@ -13,8 +13,8 @@ import "testing"
 //   - Begin: the Tx;
 //   - encodeProps: the sorted key slice and the encoded property slice;
 //   - CreateRel: the relationship record, its dirty version and dirtyObj;
-//   - lockNode (source and destination): the record copy, the dirty
-//     version and the dirtyObj — two each;
+//   - Tx.lock of the source and destination nodes: the record copy, the
+//     dirty version and the dirtyObj — two each;
 //   - track: the write-set map, its first bucket, and the commit-order
 //     slice growing to 1, 2 and 4 entries;
 //   - commitShards: the lock-order slice;

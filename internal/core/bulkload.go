@@ -165,7 +165,7 @@ func (b *BulkLoader) AddNode(label string, props map[string]any) (uint64, error)
 		return 0, b.fail(err)
 	}
 	b.ensureTx()
-	id, off, err := b.e.nodes.InsertTx(b.tx)
+	id, off, err := b.e.tables[kindNode].InsertTx(b.tx)
 	if err != nil {
 		return 0, b.failTx(err)
 	}
@@ -180,7 +180,7 @@ func (b *BulkLoader) AddNode(label string, props map[string]any) (uint64, error)
 	}
 	storage.WriteNodeRec(b.e.dev, off, &rec)
 	b.tx.NoteWrite(off, storage.NodeRecordSize)
-	b.e.nodeLabels.set(id, rec.Label)
+	b.e.labels[kindNode].set(id, rec.Label)
 	b.bump()
 	return id, nil
 }
@@ -200,17 +200,18 @@ func (b *BulkLoader) AddRel(src, dst uint64, label string, props map[string]any)
 		return 0, b.fail(err)
 	}
 	e := b.e
-	srcOff, ok := e.nodes.RecordOffset(src)
-	if !ok || !e.nodes.Occupied(src) {
+	nodes := e.tables[kindNode]
+	srcOff, ok := nodes.RecordOffset(src)
+	if !ok || !nodes.Occupied(src) {
 		return 0, b.fail(fmt.Errorf("%w: source node %d", ErrNotFound, src))
 	}
-	dstOff, ok := e.nodes.RecordOffset(dst)
-	if !ok || !e.nodes.Occupied(dst) {
+	dstOff, ok := nodes.RecordOffset(dst)
+	if !ok || !nodes.Occupied(dst) {
 		return 0, b.fail(fmt.Errorf("%w: destination node %d", ErrNotFound, dst))
 	}
 
 	b.ensureTx()
-	id, off, err := e.rels.InsertTx(b.tx)
+	id, off, err := e.tables[kindRel].InsertTx(b.tx)
 	if err != nil {
 		return 0, b.failTx(err)
 	}
@@ -228,7 +229,7 @@ func (b *BulkLoader) AddRel(src, dst uint64, label string, props map[string]any)
 	}
 	storage.WriteRelRec(e.dev, off, &rec)
 	b.tx.NoteWrite(off, storage.RelRecordSize)
-	e.relLabels.set(id, rec.Label)
+	e.labels[kindRel].set(id, rec.Label)
 
 	// Prepend to both adjacency lists — one group fence for both
 	// head-pointer undo images instead of two.
@@ -260,8 +261,9 @@ func (b *BulkLoader) failTx(err error) error {
 		b.tx.Commit() // snapshots so far are internally consistent
 		b.tx = nil
 	}
-	b.e.nodes.ResyncVolatile()
-	b.e.rels.ResyncVolatile()
+	for _, tbl := range b.e.tables {
+		tbl.ResyncVolatile()
+	}
 	b.e.props.ResyncVolatile()
 	b.release()
 	b.err = err

@@ -327,7 +327,7 @@ func (e *Engine) persistGroup(order []int, lane int, members []*Tx) error {
 		for _, tx := range members {
 			for _, key := range tx.order {
 				if horizon < tx.id && tx.dirty[key].supersedes() {
-					e.chainsOf(key).remove(key.id, tx.id)
+					e.shard(key).chains[key.kind].remove(key.id, tx.id)
 				}
 			}
 		}
@@ -408,12 +408,7 @@ func (e *Engine) reserveProps(members []*Tx) error {
 
 // oldPropHead returns the head of the committed property chain the dirty
 // object supersedes.
-func (d *dirtyObj) oldPropHead() uint64 {
-	if d.key.kind == kindNode {
-		return d.oldNode.Props
-	}
-	return d.oldRel.Props
-}
+func (d *dirtyObj) oldPropHead() uint64 { return d.old.hdr(d.key.kind).props }
 
 // supersedes reports whether committing d replaces a committed version
 // that an older reader could only find in a chain. Deletes keep serving
@@ -424,45 +419,18 @@ func (d *dirtyObj) supersedes() bool { return d.hasOld && !d.isDelete }
 // committer's id), into its chain and lists it for GC on the record's
 // shard. Caller holds that shard's commit lock.
 func (e *Engine) retain(d *dirtyObj, ets uint64) {
-	var v *version
-	if d.key.kind == kindNode {
-		old := d.oldNode
-		v = &version{bts: old.Bts, ets: ets, node: &old, props: d.oldProps}
-	} else {
-		old := d.oldRel
-		v = &version{bts: old.Bts, ets: ets, rel: &old, props: d.oldProps}
-	}
-	e.chainsOf(d.key).push(d.key.id, v)
-	sh := &e.shards[e.shardOf(d.key)]
+	v := versionOf(d.key.kind, &d.old, d.oldProps)
+	v.bts, v.ets = d.old.hdr(d.key.kind).bts, ets
+	sh := e.shard(d.key)
+	sh.chains[d.key.kind].push(d.key.id, v)
 	sh.gcMu.Lock()
 	sh.retained = append(sh.retained, retainedVer{d.key, ets})
 	sh.gcPending.Add(1)
 	sh.gcMu.Unlock()
 }
 
-func (e *Engine) chainsOf(key objKey) *chainTable {
-	if key.kind == kindNode {
-		return e.nodeChainsOf(key.id)
-	}
-	return e.relChainsOf(key.id)
-}
-
-func (tx *Tx) tableFor(k objKind) *storage.Table {
-	if k == kindNode {
-		return tx.e.nodes
-	}
-	return tx.e.rels
-}
-
-func (e *Engine) labelsOf(k objKind) *labelMirror {
-	if k == kindNode {
-		return &e.nodeLabels
-	}
-	return &e.relLabels
-}
-
 func (tx *Tx) recordOffset(key objKey) uint64 {
-	off, ok := tx.tableFor(key.kind).RecordOffset(key.id)
+	off, ok := tx.e.tables[key.kind].RecordOffset(key.id)
 	if !ok {
 		panic(fmt.Sprintf("core: dirty %v %d has no record", key.kind, key.id))
 	}
@@ -477,23 +445,17 @@ func (tx *Tx) recordOffset(key objKey) uint64 {
 func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj, slots *[]uint64) error {
 	e := tx.e
 	off := tx.recordOffset(d.key)
-	if err := ptx.Snapshot(off, recordSize(d.key.kind)); err != nil {
+	if err := ptx.Snapshot(off, e.tables[d.key.kind].RecordSize()); err != nil {
 		return err
 	}
 
 	switch {
 	case d.isDelete:
-		// Close the validity window; content and properties stay for old
-		// readers until GC reclaims the slot.
-		if d.key.kind == kindNode {
-			e.dev.WriteU64(off+storage.NEts, tx.id)
-			flags := e.dev.ReadU32(off + storage.NFlags)
-			e.dev.WriteU32(off+storage.NFlags, flags|storage.FlagTombstone)
-		} else {
-			e.dev.WriteU64(off+storage.REts, tx.id)
-			flags := e.dev.ReadU32(off + storage.RFlags)
-			e.dev.WriteU32(off+storage.RFlags, flags|storage.FlagTombstone)
-		}
+		// Close the validity window (the header of either kind); content
+		// and properties stay for old readers until GC reclaims the slot.
+		e.dev.WriteU64(off+storage.NEts, tx.id)
+		flags := e.dev.ReadU32(off + storage.NFlags)
+		e.dev.WriteU32(off+storage.NFlags, flags|storage.FlagTombstone)
 		return nil
 
 	default:
@@ -515,19 +477,14 @@ func (tx *Tx) applyDirty(ptx *pmemobj.Tx, d *dirtyObj, slots *[]uint64) error {
 			}
 			*slots = (*slots)[n:]
 		}
+		// The version's typed record, still locked until step 3.
 		if d.key.kind == kindNode {
 			rec := *d.ver.node
-			rec.TxnID = tx.id // still locked until step 3
-			rec.Bts = tx.id
-			rec.Ets = Infinity
-			rec.Props = head
+			rec.TxnID, rec.Bts, rec.Ets, rec.Props = tx.id, tx.id, Infinity, head
 			storage.WriteNodeRec(e.dev, off, &rec)
 		} else {
 			rec := *d.ver.rel
-			rec.TxnID = tx.id
-			rec.Bts = tx.id
-			rec.Ets = Infinity
-			rec.Props = head
+			rec.TxnID, rec.Bts, rec.Ets, rec.Props = tx.id, tx.id, Infinity, head
 			storage.WriteRelRec(e.dev, off, &rec)
 		}
 		return nil
@@ -564,10 +521,9 @@ func (tx *Tx) abortLocked() error {
 			// so the release cannot overlap a concurrent commit's undo
 			// log. Readers always saw the record locked, so nobody can
 			// hold a reference.
-			tbl := tx.tableFor(d.key.kind)
 			err := e.runOnShardLane(e.shardOf(d.key), func(ptx *pmemobj.Tx) error {
-				e.labelsOf(d.key.kind).clear(d.key.id)
-				return tbl.ReleaseTx(ptx, d.key.id)
+				e.labels[d.key.kind].clear(d.key.id)
+				return e.tables[d.key.kind].ReleaseTx(ptx, d.key.id)
 			})
 			if err != nil {
 				return fmt.Errorf("core: abort: release %v %d: %w", d.key.kind, d.key.id, err)
@@ -593,7 +549,7 @@ func (tx *Tx) updateIndexes() {
 		if d.key.kind != kindNode {
 			continue
 		}
-		if !d.propsChanged && !d.isDelete && d.hasOld && d.oldNode.Label == d.ver.node.Label {
+		if !d.propsChanged && !d.isDelete && d.hasOld && d.old.node.Label == d.ver.node.Label {
 			continue // adjacency-only update: index entries unchanged
 		}
 		sh := &e.shards[e.shardOf(d.key)]
@@ -607,7 +563,7 @@ func (tx *Tx) updateIndexes() {
 		// and newer readers re-validate against their snapshot anyway.
 		if d.hasOld && !d.isDelete {
 			for _, p := range d.oldProps {
-				if t := sh.indexes[indexKey{d.oldNode.Label, p.Key}]; t != nil {
+				if t := sh.indexes[indexKey{d.old.node.Label, p.Key}]; t != nil {
 					t.Delete(p.Val, d.key.id)
 				}
 			}
@@ -673,7 +629,7 @@ func (e *Engine) runGC() {
 			if r.ets > minActive {
 				return false
 			}
-			e.chainsOf(r.key).prune(r.key.id, minActive)
+			e.shard(r.key).chains[r.key.kind].prune(r.key.id, minActive)
 			return true
 		})
 		reclaim = reclaim || len(sh.gcQueue) > 0
@@ -711,56 +667,76 @@ func (e *Engine) runGC() {
 	defer e.unlockAllShards()
 	// Relationships first, then nodes, so unlinking still finds the
 	// endpoint records in place.
-	for _, key := range queue {
-		if key.kind == kindRel {
-			e.reclaimRel(key.id)
-		}
-	}
-	for _, key := range queue {
-		if key.kind == kindNode {
-			e.reclaimNode(key.id)
+	for _, k := range [...]objKind{kindRel, kindNode} {
+		for _, key := range queue {
+			if key.kind == k {
+				e.reclaim(key)
+			}
 		}
 	}
 }
 
-// reclaimRel physically unlinks a tombstoned relationship from both
-// adjacency lists and releases its slot and property records. Caller
+// reclaim physically removes a tombstoned record, releasing its slot and
+// property records — one step for both kinds, but for what each kind
+// keeps elsewhere: a relationship is first unlinked from both adjacency
+// lists, a node's (deferred) secondary-index entries are dropped. Caller
 // holds every shard commit lock, so the built-in undo log cannot overlap
 // any lane.
 //
 //poseidonlint:ignore seqlock caller holds every shard commitMu (reclaim runs inside lockAllShards), so no writer can race these reads
-func (e *Engine) reclaimRel(id uint64) {
-	off, ok := e.rels.RecordOffset(id)
-	if !ok || !e.rels.Occupied(id) {
+func (e *Engine) reclaim(key objKey) {
+	tbl, id := e.tables[key.kind], key.id
+	off, ok := tbl.RecordOffset(id)
+	if !ok || !tbl.Occupied(id) {
 		return
 	}
-	rec := storage.ReadRelRec(e.dev, off)
-	if rec.Flags&storage.FlagTombstone == 0 {
+	var r record
+	if key.kind == kindNode {
+		r.node = storage.ReadNodeRec(e.dev, off)
+	} else {
+		r.rel = storage.ReadRelRec(e.dev, off)
+	}
+	h := r.hdr(key.kind)
+	if h.flags&storage.FlagTombstone == 0 {
 		return
 	}
-	e.unlinkRel(id, rec.Src, rec.NextSrc, true)
-	e.unlinkRel(id, rec.Dst, rec.NextDst, false)
-	e.relLabels.clear(id)
+	sh := e.shard(key)
+	if key.kind == kindRel {
+		e.unlinkRel(id, r.rel.Src, r.rel.NextSrc, true)
+		e.unlinkRel(id, r.rel.Dst, r.rel.NextDst, false)
+	} else {
+		sh.idxMu.RLock()
+		if len(sh.indexes) > 0 {
+			for _, p := range storage.ReadPropChain(e.props, h.props) {
+				if t := sh.indexes[indexKey{h.label, p.Key}]; t != nil {
+					t.Delete(p.Val, id)
+				}
+			}
+		}
+		sh.idxMu.RUnlock()
+	}
+	e.labels[key.kind].clear(id)
 	err := e.pool.RunTx(func(ptx *pmemobj.Tx) error {
-		if err := storage.FreePropChainTx(ptx, e.props, rec.Props); err != nil {
+		if err := storage.FreePropChainTx(ptx, e.props, h.props); err != nil {
 			return err
 		}
-		return e.rels.ReleaseTx(ptx, id)
+		return tbl.ReleaseTx(ptx, id)
 	})
 	if err != nil {
-		e.rels.ResyncVolatile()
+		tbl.ResyncVolatile()
 		e.props.ResyncVolatile()
 		return
 	}
-	e.relRTSOf(id).forget(id)
+	sh.rts[key.kind].forget(id)
 }
 
 // unlinkRel removes relationship id from one adjacency list of node n.
 // The rewritten next-pointers are plain 8-byte failure-atomic stores:
 // every intermediate state yields the same visible relationship set.
 func (e *Engine) unlinkRel(id, nodeID, next uint64, out bool) {
-	nodeOff, ok := e.nodes.RecordOffset(nodeID)
-	if !ok || !e.nodes.Occupied(nodeID) {
+	nodes, rels := e.tables[kindNode], e.tables[kindRel]
+	nodeOff, ok := nodes.RecordOffset(nodeID)
+	if !ok || !nodes.Occupied(nodeID) {
 		return
 	}
 	headField := nodeOff + storage.NOut
@@ -776,8 +752,8 @@ func (e *Engine) unlinkRel(id, nodeID, next uint64, out bool) {
 		return
 	}
 	for cur != storage.NilID {
-		curOff, ok := e.rels.RecordOffset(cur)
-		if !ok || !e.rels.Occupied(cur) {
+		curOff, ok := rels.RecordOffset(cur)
+		if !ok || !rels.Occupied(cur) {
 			return
 		}
 		n := e.dev.ReadU64(curOff + nextField)
@@ -788,43 +764,4 @@ func (e *Engine) unlinkRel(id, nodeID, next uint64, out bool) {
 		}
 		cur = n
 	}
-}
-
-// reclaimNode releases a tombstoned node's slot and property records,
-// and drops the node's (deferred) secondary-index entries. Caller holds
-// every shard commit lock.
-//
-//poseidonlint:ignore seqlock caller holds every shard commitMu (reclaim runs inside lockAllShards), so no writer can race these reads
-func (e *Engine) reclaimNode(id uint64) {
-	off, ok := e.nodes.RecordOffset(id)
-	if !ok || !e.nodes.Occupied(id) {
-		return
-	}
-	rec := storage.ReadNodeRec(e.dev, off)
-	if rec.Flags&storage.FlagTombstone == 0 {
-		return
-	}
-	sh := &e.shards[e.nodes.ShardOf(id)]
-	sh.idxMu.RLock()
-	if len(sh.indexes) > 0 {
-		for _, p := range storage.ReadPropChain(e.props, rec.Props) {
-			if t := sh.indexes[indexKey{rec.Label, p.Key}]; t != nil {
-				t.Delete(p.Val, id)
-			}
-		}
-	}
-	sh.idxMu.RUnlock()
-	e.nodeLabels.clear(id)
-	err := e.pool.RunTx(func(ptx *pmemobj.Tx) error {
-		if err := storage.FreePropChainTx(ptx, e.props, rec.Props); err != nil {
-			return err
-		}
-		return e.nodes.ReleaseTx(ptx, id)
-	})
-	if err != nil {
-		e.nodes.ResyncVolatile()
-		e.props.ResyncVolatile()
-		return
-	}
-	e.nodeRTSOf(id).forget(id)
 }

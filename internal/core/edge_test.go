@@ -158,7 +158,7 @@ func TestManyRelsBetweenSamePair(t *testing.T) {
 func TestSlotReuseAfterDeleteCycle(t *testing.T) {
 	// Create/delete cycles must reuse slots (DG5), not grow the table.
 	e := newTestEngine(t, PMem)
-	chunks := func() uint64 { return e.nodes.Chunks() }
+	chunks := func() uint64 { return e.tables[kindNode].Chunks() }
 	for round := 0; round < 5; round++ {
 		tx := e.Begin()
 		ids := make([]uint64, 100)

@@ -121,10 +121,9 @@ type engineShard struct {
 	activeMu sync.Mutex
 	active   map[uint64]struct{}
 
-	nodeChains *chainTable
-	relChains  *chainTable
-	nodeRTS    *rtsTable
-	relRTS     *rtsTable
+	// The MVTO sidecars of the shard's records, per kind.
+	chains [numKinds]*chainTable
+	rts    [numKinds]rtsTable
 
 	// GC bookkeeping, guarded by gcMu: the committed deletions awaiting
 	// physical reclamation and the versions commits retained in this
@@ -163,14 +162,12 @@ type Engine struct {
 	pool *pmemobj.Pool
 	dict *dict.Dict
 
-	nodes *storage.Table
-	rels  *storage.Table
-	props *storage.Table
+	tables [numKinds]*storage.Table // the node and relationship records
+	props  *storage.Table
 
-	// nodeLabels and relLabels mirror the label of every node and
-	// relationship slot in DRAM, for the table scans (see labelMirror).
-	nodeLabels labelMirror
-	relLabels  labelMirror
+	// labels mirrors the label of every record slot in DRAM, for the table
+	// scans (see labelMirror).
+	labels [numKinds]labelMirror
 
 	root uint64
 
@@ -241,10 +238,10 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.dict = d
-	if e.nodes, err = storage.CreateTable(pool, storage.NodeRecordSize, storage.Options{}); err != nil {
+	if e.tables[kindNode], err = storage.CreateTable(pool, storage.NodeRecordSize, storage.Options{}); err != nil {
 		return nil, err
 	}
-	if e.rels, err = storage.CreateTable(pool, storage.RelRecordSize, storage.Options{}); err != nil {
+	if e.tables[kindRel], err = storage.CreateTable(pool, storage.RelRecordSize, storage.Options{}); err != nil {
 		return nil, err
 	}
 	if e.props, err = storage.CreateTable(pool, storage.PropRecordSize, storage.Options{}); err != nil {
@@ -254,8 +251,8 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev.WriteU64(root+rootNodes, e.nodes.Offset())
-	dev.WriteU64(root+rootRels, e.rels.Offset())
+	dev.WriteU64(root+rootNodes, e.tables[kindNode].Offset())
+	dev.WriteU64(root+rootRels, e.tables[kindRel].Offset())
 	dev.WriteU64(root+rootProps, e.props.Offset())
 	dev.WriteU64(root+rootDict, d.Offset())
 	dev.WriteU64(root+rootIdxCount, 0)
@@ -311,10 +308,9 @@ func newEngine(cfg Config, dev *pmem.Device, pool *pmemobj.Pool) *Engine {
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.active = make(map[uint64]struct{})
-		sh.nodeChains = newChainTable()
-		sh.relChains = newChainTable()
-		sh.nodeRTS = newRTSTable()
-		sh.relRTS = newRTSTable()
+		for k := range sh.chains {
+			sh.chains[k] = newChainTable()
+		}
 		sh.indexes = make(map[indexKey]*index.Tree)
 	}
 	return e
@@ -326,17 +322,15 @@ func newEngine(cfg Config, dev *pmem.Device, pool *pmemobj.Pool) *Engine {
 func (e *Engine) Shards() int { return e.nShards }
 
 // ShardOfNode returns the shard owning node id.
-func (e *Engine) ShardOfNode(id uint64) int { return e.nodes.ShardOf(id) }
+func (e *Engine) ShardOfNode(id uint64) int { return e.tables[kindNode].ShardOf(id) }
 
 // ShardOfRel returns the shard owning relationship id.
-func (e *Engine) ShardOfRel(id uint64) int { return e.rels.ShardOf(id) }
+func (e *Engine) ShardOfRel(id uint64) int { return e.tables[kindRel].ShardOf(id) }
 
-func (e *Engine) shardOf(key objKey) int {
-	if key.kind == kindNode {
-		return e.nodes.ShardOf(key.id)
-	}
-	return e.rels.ShardOf(key.id)
-}
+func (e *Engine) shardOf(key objKey) int { return e.tables[key.kind].ShardOf(key.id) }
+
+// shard returns the shard owning the record of key.
+func (e *Engine) shard(key objKey) *engineShard { return &e.shards[e.shardOf(key)] }
 
 // homeShard maps a transaction to the shard where its new nodes are
 // placed, spreading op-time inserts (and thus future commit locks) across
@@ -346,8 +340,9 @@ func (e *Engine) homeShard(txid uint64) int { return int(txid % uint64(e.nShards
 // initShardStorage propagates the shard partition to the record tables.
 // Called once at open, before any transaction runs.
 func (e *Engine) initShardStorage() {
-	e.nodes.SetShards(e.nShards)
-	e.rels.SetShards(e.nShards)
+	for _, tbl := range e.tables {
+		tbl.SetShards(e.nShards)
+	}
 	e.props.SetShards(e.nShards)
 }
 
@@ -434,10 +429,10 @@ func Reopen(dev *pmem.Device, cfg Config) (*Engine, error) {
 	}
 	e.root = root
 	e.dict = dict.Open(pool, dev.ReadU64(root+rootDict))
-	if e.nodes, err = storage.OpenTable(pool, dev.ReadU64(root+rootNodes)); err != nil {
+	if e.tables[kindNode], err = storage.OpenTable(pool, dev.ReadU64(root+rootNodes)); err != nil {
 		return nil, err
 	}
-	if e.rels, err = storage.OpenTable(pool, dev.ReadU64(root+rootRels)); err != nil {
+	if e.tables[kindRel], err = storage.OpenTable(pool, dev.ReadU64(root+rootRels)); err != nil {
 		return nil, err
 	}
 	if e.props, err = storage.OpenTable(pool, dev.ReadU64(root+rootProps)); err != nil {
@@ -470,13 +465,13 @@ func Reopen(dev *pmem.Device, cfg Config) (*Engine, error) {
 // returns the highest committed timestamp seen.
 func (e *Engine) recoverRecords() (uint64, error) {
 	maxTS := uint64(1)
-	reclaim := func(tbl *storage.Table, labels *labelMirror, txnOff, btsOff, etsOff, labelOff uint64) error {
+	for k, tbl := range e.tables {
 		var stale []uint64
 		var drop []uint64
 		tbl.Scan(func(id, off uint64) bool {
-			txn := e.dev.ReadU64(off + txnOff)
-			bts := e.dev.ReadU64(off + btsOff)
-			ets := e.dev.ReadU64(off + etsOff)
+			txn := e.dev.ReadU64(off + storage.NTxnID)
+			bts := e.dev.ReadU64(off + storage.NBts)
+			ets := e.dev.ReadU64(off + storage.NEts)
 			if bts > maxTS {
 				maxTS = bts
 			}
@@ -493,25 +488,21 @@ func (e *Engine) recoverRecords() (uint64, error) {
 			case txn != 0:
 				stale = append(stale, off) // stale lock on committed data
 			}
-			labels.set(id, uint32(e.dev.ReadU64(off+labelOff)))
+			e.labels[k].set(id, uint32(e.dev.ReadU64(off+storage.NLabel)))
 			return true
 		})
 		// One fence for all the table's stale locks, one pool transaction
 		// for all its dropped slots (split only at the log's capacity).
 		for _, off := range stale {
-			e.dev.WriteU64(off+txnOff, 0)
-			e.dev.Flush(off+txnOff, 8)
+			e.dev.WriteU64(off+storage.NTxnID, 0)
+			e.dev.Flush(off+storage.NTxnID, 8)
 		}
 		if len(stale) > 0 {
 			e.dev.Drain()
 		}
-		return tbl.Release(drop...)
-	}
-	if err := reclaim(e.nodes, &e.nodeLabels, storage.NTxnID, storage.NBts, storage.NEts, storage.NLabel); err != nil {
-		return 0, err
-	}
-	if err := reclaim(e.rels, &e.relLabels, storage.RTxnID, storage.RBts, storage.REts, storage.RLabel); err != nil {
-		return 0, err
+		if err := tbl.Release(drop...); err != nil {
+			return 0, err
+		}
 	}
 	return maxTS, nil
 }
@@ -546,10 +537,10 @@ func (e *Engine) Dict() *dict.Dict { return e.dict }
 func (e *Engine) Mode() Mode { return e.mode }
 
 // Nodes returns the node table (query-engine access path).
-func (e *Engine) Nodes() *storage.Table { return e.nodes }
+func (e *Engine) Nodes() *storage.Table { return e.tables[kindNode] }
 
 // Rels returns the relationship table.
-func (e *Engine) Rels() *storage.Table { return e.rels }
+func (e *Engine) Rels() *storage.Table { return e.tables[kindRel] }
 
 // Props returns the property table.
 func (e *Engine) Props() *storage.Table { return e.props }
@@ -574,10 +565,10 @@ func (e *Engine) GroupCommitStats() (epochs, members, splits uint64) {
 }
 
 // NodeCount returns the number of occupied node slots (all versions).
-func (e *Engine) NodeCount() uint64 { return e.nodes.Count() }
+func (e *Engine) NodeCount() uint64 { return e.tables[kindNode].Count() }
 
 // RelCount returns the number of occupied relationship slots.
-func (e *Engine) RelCount() uint64 { return e.rels.Count() }
+func (e *Engine) RelCount() uint64 { return e.tables[kindRel].Count() }
 
 // ActiveTxs returns the number of transactions that have begun but not
 // yet committed or aborted. Facade tests use it to assert that cancelled

@@ -143,45 +143,145 @@ func TestSnapshotIsolationOnUpdate(t *testing.T) {
 	})
 }
 
+// writeKind drives one record kind through the MVTO write checks: the
+// same protocol guards node and relationship records.
+type writeKind struct {
+	name   string
+	create func(t *testing.T, tx *Tx) uint64
+	set    func(tx *Tx, id uint64, props map[string]any) error
+	get    func(tx *Tx, id uint64) (map[string]any, error)
+	del    func(tx *Tx, id uint64) error
+}
+
+var writeKinds = []writeKind{
+	{
+		name:   "node",
+		create: func(t *testing.T, tx *Tx) uint64 { return mustCreateNode(t, tx, "Person", nil) },
+		set:    (*Tx).SetNodeProps,
+		get: func(tx *Tx, id uint64) (map[string]any, error) {
+			snap, err := tx.GetNode(id)
+			if err != nil {
+				return nil, err
+			}
+			return tx.e.DecodeProps(snap.Props())
+		},
+		del: (*Tx).DeleteNode,
+	},
+	{
+		name: "relationship",
+		create: func(t *testing.T, tx *Tx) uint64 {
+			a := mustCreateNode(t, tx, "Person", nil)
+			b := mustCreateNode(t, tx, "Person", nil)
+			id, err := tx.CreateRel(a, b, "knows", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		},
+		set: (*Tx).SetRelProps,
+		get: func(tx *Tx, id uint64) (map[string]any, error) {
+			snap, err := tx.GetRel(id)
+			if err != nil {
+				return nil, err
+			}
+			return tx.e.DecodeProps(snap.Props())
+		},
+		del: (*Tx).DeleteRel,
+	},
+}
+
+// TestWriteWriteConflictAborts: a write to a record another writer holds
+// locked, that a newer transaction deleted, or that carries a newer
+// version (bts > txn) aborts as a write conflict, for either kind.
 func TestWriteWriteConflictAborts(t *testing.T) {
 	bothModes(t, func(t *testing.T, e *Engine) {
-		setup := e.Begin()
-		id := mustCreateNode(t, setup, "Person", nil)
-		mustCommit(t, setup)
+		for _, k := range writeKinds {
+			for _, tc := range []struct {
+				name string
+				// newer acts on the record first and returns the value of x
+				// it leaves behind once the older write has failed.
+				newer func(t *testing.T, newer *Tx, id uint64) any
+			}{
+				{"locked", func(t *testing.T, newer *Tx, id uint64) any {
+					if err := k.set(newer, id, map[string]any{"x": int64(1)}); err != nil {
+						t.Fatal(err)
+					}
+					return int64(1)
+				}},
+				{"deleted by a newer transaction", func(t *testing.T, newer *Tx, id uint64) any {
+					if err := k.del(newer, id); err != nil {
+						t.Fatal(err)
+					}
+					mustCommit(t, newer)
+					return nil
+				}},
+				{"newer version", func(t *testing.T, newer *Tx, id uint64) any {
+					if err := k.set(newer, id, map[string]any{"x": int64(1)}); err != nil {
+						t.Fatal(err)
+					}
+					mustCommit(t, newer)
+					return int64(1)
+				}},
+			} {
+				t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+					setup := e.Begin()
+					id := k.create(t, setup)
+					mustCommit(t, setup)
 
-		tx1 := e.Begin()
-		tx2 := e.Begin()
-		if err := tx1.SetNodeProps(id, map[string]any{"x": int64(1)}); err != nil {
-			t.Fatal(err)
-		}
-		err := tx2.SetNodeProps(id, map[string]any{"x": int64(2)})
-		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("conflicting write = %v, want ErrAborted", err)
-		}
-		mustCommit(t, tx1)
-		p := nodeProps(t, e, id)
-		if p["x"] != int64(1) {
-			t.Errorf("x = %v, want 1", p["x"])
+					older := e.Begin()
+					newer := e.Begin()
+					want := tc.newer(t, newer, id)
+					err := k.set(older, id, map[string]any{"x": int64(2)})
+					if r, ok := ReasonOf(err); !errors.Is(err, ErrAborted) || !ok || r != AbortWriteConflict {
+						t.Fatalf("conflicting write = %v, want a write-conflict abort", err)
+					}
+					if err := newer.Commit(); err != nil && !errors.Is(err, ErrTxDone) {
+						t.Fatal(err)
+					}
+					rd := e.Begin()
+					defer rd.Abort()
+					p, err := k.get(rd, id)
+					if want == nil {
+						if !errors.Is(err, ErrNotFound) {
+							t.Fatalf("read after delete = %v, %v, want ErrNotFound", p, err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p["x"] != want {
+						t.Errorf("x = %v, want %v", p["x"], want)
+					}
+				})
+			}
 		}
 	})
 }
 
+// TestWriteAfterNewerReadAborts: the MVTO write rule — a record read by
+// a newer transaction (rts > txn) refuses an older writer, for either
+// kind.
 func TestWriteAfterNewerReadAborts(t *testing.T) {
 	bothModes(t, func(t *testing.T, e *Engine) {
-		setup := e.Begin()
-		id := mustCreateNode(t, setup, "Person", nil)
-		mustCommit(t, setup)
+		for _, k := range writeKinds {
+			t.Run(k.name, func(t *testing.T) {
+				setup := e.Begin()
+				id := k.create(t, setup)
+				mustCommit(t, setup)
 
-		older := e.Begin() // smaller timestamp
-		newer := e.Begin()
-		if _, err := newer.GetNode(id); err != nil { // bumps rts to newer.id
-			t.Fatal(err)
+				older := e.Begin() // smaller timestamp
+				newer := e.Begin()
+				if _, err := k.get(newer, id); err != nil { // bumps rts to newer.id
+					t.Fatal(err)
+				}
+				err := k.set(older, id, map[string]any{"x": int64(1)})
+				if r, ok := ReasonOf(err); !errors.Is(err, ErrAborted) || !ok || r != AbortValidation {
+					t.Fatalf("write under newer rts = %v, want a validation abort (MVTO rule)", err)
+				}
+				newer.Abort()
+			})
 		}
-		err := older.SetNodeProps(id, map[string]any{"x": int64(1)})
-		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("write under newer rts = %v, want ErrAborted (MVTO rule)", err)
-		}
-		newer.Abort()
 	})
 }
 

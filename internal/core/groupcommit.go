@@ -191,7 +191,7 @@ func estimateUndo(tx *Tx) uint64 {
 	total := uint64(512)
 	for _, key := range tx.order {
 		d := tx.dirty[key]
-		total += pmemobj.SnapshotCost(recordSize(key.kind))
+		total += pmemobj.SnapshotCost(tx.e.tables[key.kind].RecordSize())
 		if d.isInsert {
 			total += pmemobj.SnapshotCost(8)
 		}
@@ -252,9 +252,10 @@ func (e *Engine) planGroup(p *epochPlan, order []int, members []*Tx) error {
 	for _, tx := range members {
 		for _, key := range tx.order {
 			d := tx.dirty[key]
-			p.ranges = append(p.ranges, pmemobj.Range{Off: tx.recordOffset(key), N: recordSize(key.kind)})
+			tbl := e.tables[key.kind]
+			p.ranges = append(p.ranges, pmemobj.Range{Off: tx.recordOffset(key), N: tbl.RecordSize()})
 			if d.isInsert && !mutateInsertBit() {
-				if w, ok := tx.tableFor(key.kind).BitmapWordOff(key.id); ok {
+				if w, ok := tbl.BitmapWordOff(key.id); ok {
 					p.ranges = append(p.ranges, pmemobj.Range{Off: w, N: 8})
 				}
 			}
@@ -286,12 +287,4 @@ func (e *Engine) planGroup(p *epochPlan, order []int, members []*Tx) error {
 		}
 	}
 	return nil
-}
-
-// recordSize returns the persistent record size of an object kind.
-func recordSize(k objKind) uint64 {
-	if k == kindRel {
-		return storage.RelRecordSize
-	}
-	return storage.NodeRecordSize
 }

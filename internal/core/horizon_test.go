@@ -27,7 +27,7 @@ func newHorizonEngine(t *testing.T, shards int) *Engine {
 func versionState(e *Engine) (chains, retained int) {
 	for i := range e.shards {
 		sh := &e.shards[i]
-		for _, t := range []*chainTable{sh.nodeChains, sh.relChains} {
+		for _, t := range sh.chains {
 			for j := range t.shards {
 				cs := &t.shards[j]
 				cs.mu.Lock()

@@ -174,10 +174,10 @@ func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 	sh.commitMu.Lock()
 	defer sh.commitMu.Unlock()
 	var ents []index.Entry
-	n := e.nodes.Chunks()
-	for ci := uint64(s); ci < n; ci += uint64(e.nShards) {
-		e.nodes.ScanChunk(ci, func(id, off uint64) bool {
-			if e.nodeLabels.skips(id, ik.label) {
+	nodes := e.tables[kindNode]
+	for ci := uint64(s); ci < nodes.Chunks(); ci += uint64(e.nShards) {
+		nodes.ScanChunk(ci, func(id, off uint64) bool {
+			if e.labels[kindNode].skips(id, ik.label) {
 				return true
 			}
 			rec := storage.ReadNodeRec(e.dev, off)
@@ -401,7 +401,7 @@ func (e *Engine) LookupIndex(labelCode, keyCode uint32) (*IndexRef, bool) {
 	}
 	e.refMu.Lock()
 	defer e.refMu.Unlock()
-	ref = &IndexRef{label: labelCode, key: keyCode, nodes: e.nodes, trees: make([]*index.Tree, e.nShards)}
+	ref = &IndexRef{label: labelCode, key: keyCode, nodes: e.tables[kindNode], trees: make([]*index.Tree, e.nShards)}
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.idxMu.RLock()
@@ -508,7 +508,7 @@ func (e *Engine) reconcileIndexes() error {
 	for ik := range sh0.indexes {
 		allowed[ik] = make(map[index.Entry]entState)
 	}
-	e.nodes.Scan(func(id, off uint64) bool {
+	e.tables[kindNode].Scan(func(id, off uint64) bool {
 		rec := storage.ReadNodeRec(e.dev, off)
 		live := rec.Ets == Infinity
 		for _, p := range storage.ReadPropChain(e.props, rec.Props) {
@@ -543,7 +543,7 @@ func (e *Engine) reconcileIndexes() error {
 			var extra []index.Entry
 			tree.WalkLeaves(func(_ uint64, entries []index.Entry, _ uint64) bool {
 				for _, ent := range entries {
-					if _, ok := allowed[ik][ent]; !ok || e.nodes.ShardOf(ent.ID) != s {
+					if _, ok := allowed[ik][ent]; !ok || e.ShardOfNode(ent.ID) != s {
 						extra = append(extra, ent)
 					}
 				}
@@ -555,7 +555,7 @@ func (e *Engine) reconcileIndexes() error {
 			// Insert entries live nodes of this shard require but the torn
 			// commit never got to write.
 			for ent, st := range allowed[ik] {
-				if st.required && e.nodes.ShardOf(ent.ID) == s && !tree.Contains(ent.Key, ent.ID) {
+				if st.required && e.ShardOfNode(ent.ID) == s && !tree.Contains(ent.Key, ent.ID) {
 					if err := tree.Insert(ent.Key, ent.ID); err != nil {
 						return fmt.Errorf("core: reconcile index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
 					}
@@ -577,7 +577,7 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 		return err
 	}
 	for ent, st := range entries {
-		if !st.required || e.nodes.ShardOf(ent.ID) != s {
+		if !st.required || e.ShardOfNode(ent.ID) != s {
 			continue // tombstoned nodes' entries are optional; a rebuild omits them
 		}
 		if err := tree.Insert(ent.Key, ent.ID); err != nil {

@@ -10,7 +10,7 @@ import (
 // AOT-compiled access methods that both the interpreter and the JIT
 // backend reuse (§6.2), packaged in pull form so compiled pipelines can
 // drive them from generated loop code. Every walker pushes its label
-// filter down into the read (readNode/readRel), and is resettable: the
+// filter down into the one read protocol (Tx.read), and is resettable: the
 // zero value is ready for Reset, and a pipeline keeps one per position
 // across morsels, so that its slab is reused instead of reallocated.
 //
@@ -91,70 +91,83 @@ func (s *PropSlab) own(props []storage.Prop) []storage.Prop {
 	return s.keep(append(s.free(), props...))
 }
 
-// slotWalk walks the occupied slots of an id range of a table that may
-// carry a label: a slot the table's label mirror knows to hold another
-// label is passed over without a device read. Occupancy bitmap words are
-// cached so 64 slots cost one bitmap read.
-type slotWalk struct {
-	tbl       *storage.Table
-	labels    *labelMirror
-	label     uint32 // 0 = all labels
-	next, end uint64
-	word      uint64 // cached occupancy bits for [wordBase, wordBase+64)
-	wordBase  uint64
-	haveWord  bool
+// tableWalk is the one walker loop behind NodeIter and RelTableIter: the
+// visible records of one kind in an id range, read through the shared
+// protocol (Tx.read) one row at a time. It walks the occupied slots,
+// passing over a slot the table's label mirror knows to hold another
+// label without a device read, and caches occupancy bitmap words so 64
+// slots cost one bitmap read.
+type tableWalk struct {
+	tx       *Tx
+	kind     objKind
+	label    uint32 // 0 = all labels
+	pos, end uint64
+	word     uint64 // cached occupancy bits for [wordBase, wordBase+64)
+	wordBase uint64
+	haveWord bool
+	id       uint64 // the current row's
+	slab     PropSlab
 }
 
-// reset aims the walk at the slots from <= id < to, clipped to the table,
-// that may carry label (0: any).
-func (w *slotWalk) reset(tbl *storage.Table, labels *labelMirror, from, to uint64, label uint32) {
-	*w = slotWalk{tbl: tbl, labels: labels, label: label, next: from, end: min(to, tbl.MaxID())}
+// reset aims the walk at the records of kind k with from <= id < to,
+// clipped to the table, that may carry label (0: any).
+func (w *tableWalk) reset(tx *Tx, k objKind, from, to uint64, label uint32) {
+	w.tx, w.kind, w.label = tx, k, label
+	w.pos, w.end, w.haveWord = from, min(to, tx.e.tables[k].MaxID()), false
 }
 
-// nextOccupied returns the next occupied slot's id that may carry the
-// walk's label.
-func (w *slotWalk) nextOccupied() (uint64, bool) {
-	cap_ := w.tbl.ChunkCap()
-	for w.next < w.end {
-		id := w.next
+// next reads the next visible record into w.id: the DRAM version it
+// found, or nil with the PMem record in r, and the record's property set,
+// held in the walk's slab until the next call.
+func (w *tableWalk) next(r *record) (*version, []storage.Prop, bool, error) {
+	tbl, labels := w.tx.e.tables[w.kind], &w.tx.e.labels[w.kind]
+	cap_ := tbl.ChunkCap()
+	for w.pos < w.end {
+		id := w.pos
 		slot := id % cap_
 		// Bitmap words are chunk-relative; chunk starts need not be
 		// 64-aligned in id space, so align on the slot, not the id.
 		base := id - slot%64
 		if !w.haveWord || w.wordBase != base {
-			w.word = w.tbl.BitmapWord(id)
+			w.word = tbl.BitmapWord(id)
 			w.wordBase = base
 			w.haveWord = true
 		}
 		if w.word == 0 {
 			// Skip the whole empty word, but never past the chunk end:
 			// the next chunk's bitmap starts a fresh word.
-			w.next = min(base+64, (id/cap_+1)*cap_)
+			w.pos = min(base+64, (id/cap_+1)*cap_)
 			continue
 		}
-		w.next++
-		if w.word&(1<<(slot%64)) != 0 && !w.labels.skips(id, w.label) {
-			return id, true
+		w.pos++
+		if w.word&(1<<(slot%64)) == 0 || labels.skips(id, w.label) {
+			continue
 		}
+		w.slab.Rewind()
+		v, props, err := w.tx.read(objKey{w.kind, id}, w.label, w.slab.free(), r)
+		if err == ErrNotFound || err == errWrongLabel {
+			continue
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		w.id = id
+		return v, w.slab.hold(props), true, nil
 	}
-	return 0, false
+	return nil, nil, false, nil
 }
 
 // NodeIter iterates the visible nodes of an id range. It holds one row:
 // a snapshot is valid until the iterator's next Next or Reset.
 type NodeIter struct {
-	tx    *Tx
-	slots slotWalk
-	label uint32 // 0 = all labels
-	cur   NodeSnap
-	slab  PropSlab
+	walk tableWalk
+	cur  NodeSnap
 }
 
 // Reset aims the iterator at the visible nodes with from <= id < to (the
 // range is clipped to the table) carrying label code label, 0 for all.
 func (it *NodeIter) Reset(tx *Tx, from, to uint64, label uint32) {
-	it.tx, it.label = tx, label
-	it.slots.reset(tx.e.nodes, &tx.e.nodeLabels, from, to, label)
+	it.walk.reset(tx, kindNode, from, to, label)
 }
 
 // NewNodeRangeIter iterates the visible nodes with from <= id < to — the
@@ -173,23 +186,13 @@ func (tx *Tx) NewNodeIter(labelCode uint32) *NodeIter {
 // Next advances to the next visible node. It returns false at the end;
 // a non-nil error aborts the query (lock conflict).
 func (it *NodeIter) Next() (bool, error) {
-	for {
-		id, ok := it.slots.nextOccupied()
-		if !ok {
-			return false, nil
-		}
-		it.slab.Rewind()
-		snap, props, err := it.tx.readNode(id, it.label, it.slab.free())
-		if err == ErrNotFound || err == errWrongLabel {
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		snap.props = it.slab.hold(props)
-		it.cur = snap
-		return true, nil
+	var r record
+	v, props, ok, err := it.walk.next(&r)
+	if ok {
+		it.cur = nodeSnapOf(it.walk.id, &r, v)
+		it.cur.props = props
 	}
+	return ok, err
 }
 
 // Node returns the current node.
@@ -198,17 +201,13 @@ func (it *NodeIter) Node() NodeSnap { return it.cur }
 // RelTableIter iterates the visible relationships of an id range. Like
 // NodeIter it holds one row.
 type RelTableIter struct {
-	tx    *Tx
-	slots slotWalk
-	label uint32
-	cur   RelSnap
-	slab  PropSlab
+	walk tableWalk
+	cur  RelSnap
 }
 
 // Reset is NodeIter.Reset for the relationship table.
 func (it *RelTableIter) Reset(tx *Tx, from, to uint64, label uint32) {
-	it.tx, it.label = tx, label
-	it.slots.reset(tx.e.rels, &tx.e.relLabels, from, to, label)
+	it.walk.reset(tx, kindRel, from, to, label)
 }
 
 // NewRelRangeIter iterates the visible relationships with from <= id < to.
@@ -225,23 +224,13 @@ func (tx *Tx) NewRelIter(labelCode uint32) *RelTableIter {
 
 // Next advances to the next visible relationship.
 func (it *RelTableIter) Next() (bool, error) {
-	for {
-		id, ok := it.slots.nextOccupied()
-		if !ok {
-			return false, nil
-		}
-		it.slab.Rewind()
-		snap, props, err := it.tx.readRel(id, it.label, it.slab.free())
-		if err == ErrNotFound || err == errWrongLabel {
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		snap.props = it.slab.hold(props)
-		it.cur = snap
-		return true, nil
+	var r record
+	v, props, ok, err := it.walk.next(&r)
+	if ok {
+		it.cur = relSnapOf(it.walk.id, &r, v)
+		it.cur.props = props
 	}
+	return ok, err
 }
 
 // Rel returns the current relationship.

@@ -35,7 +35,7 @@ func mirrorAgrees(t *testing.T, e *Engine) {
 		tbl      *storage.Table
 		labels   *labelMirror
 		labelOff uint64
-	}{{e.nodes, &e.nodeLabels, storage.NLabel}, {e.rels, &e.relLabels, storage.RLabel}} {
+	}{{e.tables[kindNode], &e.labels[kindNode], storage.NLabel}, {e.tables[kindRel], &e.labels[kindRel], storage.RLabel}} {
 		for id := uint64(0); id < tc.tbl.MaxID(); id++ {
 			got := tc.labels.get(id)
 			if !tc.tbl.Occupied(id) {
@@ -82,7 +82,7 @@ func TestReclaimedSlotTakesNewLabel(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustCommit(t, tx) // quiescent: its end reclaims the slot
-		if e.nodes.Occupied(gone) {
+		if e.tables[kindNode].Occupied(gone) {
 			t.Fatal("the deleted node's slot was not reclaimed")
 		}
 		mirrorAgrees(t, e)
@@ -110,13 +110,13 @@ func TestAbortedInsertLeavesNoLabel(t *testing.T) {
 	oneShardModes(t, func(t *testing.T, e *Engine) {
 		tx := e.Begin()
 		id := mustCreateNode(t, tx, "A", nil)
-		if got, want := e.nodeLabels.get(id), labelCode(t, e, "A"); got != want {
+		if got, want := e.labels[kindNode].get(id), labelCode(t, e, "A"); got != want {
 			t.Fatalf("an insert mirrors label %d, want %d", got, want)
 		}
 		if err := tx.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.nodeLabels.get(id); got != 0 {
+		if got := e.labels[kindNode].get(id); got != 0 {
 			t.Fatalf("the aborted insert's slot mirrors label %d", got)
 		}
 		mirrorAgrees(t, e)
@@ -164,17 +164,17 @@ func TestReopenRebuildsLabelMirror(t *testing.T) {
 	e2 := reopenAfterCrash(t, e)
 	mirrorAgrees(t, e2)
 	for _, id := range ghosts {
-		if e2.nodes.Occupied(id) {
+		if e2.tables[kindNode].Occupied(id) {
 			t.Fatalf("in-flight insert %d survived the crash", id)
 		}
 	}
 	for _, id := range nodes {
-		if e2.nodeLabels.get(id) == 0 {
+		if e2.labels[kindNode].get(id) == 0 {
 			t.Fatalf("Reopen left committed node %d's label unmirrored", id)
 		}
 	}
 	for _, id := range rels {
-		if e2.relLabels.get(id) == 0 {
+		if e2.labels[kindRel].get(id) == 0 {
 			t.Fatalf("Reopen left committed relationship %d's label unmirrored", id)
 		}
 	}

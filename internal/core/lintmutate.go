@@ -35,7 +35,7 @@ func (e *Engine) mutantDescendingLocks(a, b int) {
 // bracket, no TxnID pin, and no commit lock: a concurrent committer can
 // hand it a torn record. seqlock must flag the read.
 func (e *Engine) mutantUnbracketedRead(id uint64) uint64 {
-	off, ok := e.nodes.RecordOffset(id)
+	off, ok := e.tables[kindNode].RecordOffset(id)
 	if !ok {
 		return 0
 	}
@@ -43,12 +43,12 @@ func (e *Engine) mutantUnbracketedRead(id uint64) uint64 {
 	return rec.Bts
 }
 
-// mutantChainReadBelowBracket brackets the record read the way readNode
+// mutantChainReadBelowBracket brackets the record read the way Tx.read
 // does but walks the property chain after the bracket closed, through the
 // buffer-appending reader: a commit may by then have freed and recycled
 // the chain, and nothing re-checks. seqlock must flag the chain read.
 func (e *Engine) mutantChainReadBelowBracket(id uint64, buf []storage.Prop) []storage.Prop {
-	off, ok := e.nodes.RecordOffset(id)
+	off, ok := e.tables[kindNode].RecordOffset(id)
 	if !ok {
 		return nil
 	}

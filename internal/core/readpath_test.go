@@ -117,13 +117,13 @@ func TestLabelScanTouchesOnlyMatchingChains(t *testing.T) {
 		matches int
 	}{{"A", 16}, {"B", 16}, {"C", 16}} {
 		want := lineSet{}
-		for id := uint64(0); id < e.nodes.MaxID(); id += 64 {
-			off, _ := e.nodes.BitmapWordOff(id)
+		for id := uint64(0); id < e.tables[kindNode].MaxID(); id += 64 {
+			off, _ := e.tables[kindNode].BitmapWordOff(id)
 			want.add(off)
 		}
 		code := labelCode(t, e, tc.label)
 		for _, id := range nodes {
-			off, _ := e.nodes.RecordOffset(id)
+			off, _ := e.tables[kindNode].RecordOffset(id)
 			if rec := storage.ReadNodeRec(e.dev, off); rec.Label == code {
 				want.add(off, off+storage.NBts, off+storage.NEts)
 				chainLines(e, want, rec.Props)
@@ -185,8 +185,9 @@ func TestLabelScanTouchesOnlyMatchingChains(t *testing.T) {
 
 // TestUnfilteredReadsTouchWhatTheyDid pins the device cost of reads that
 // carry no label — a label-0 scan, the callback scan, point GetNode and
-// GetRel — at the numbers measured before reads went label-first: the
-// pushed-down test must change nothing for them.
+// GetRel, and the relationship walkers — at the numbers measured before
+// reads went label-first: the pushed-down test must change nothing for
+// them.
 func TestUnfilteredReadsTouchWhatTheyDid(t *testing.T) {
 	e := countEngine(t)
 	nodes, rels := mixedGraph(t, e)
@@ -230,6 +231,45 @@ func TestUnfilteredReadsTouchWhatTheyDid(t *testing.T) {
 		}
 	}), (pmem.StatsSnapshot{Reads: 15 + 2*8, CacheHits: 8 - 3, CacheMisses: 3 + 2}); d != want {
 		t.Errorf("GetRel: %+v, want %+v", d, want)
+	}
+
+	// The relationship walkers, at the numbers of the separate node and
+	// relationship read paths. A table scan walks 15 occupancy words (3
+	// lines); each of the 12 relationships costs 15 words in 8 probes
+	// (occupancy word; Bts, Ets, the 9-word record over two lines, then
+	// TxnID, Bts, Ets again), the records spanning 14 lines; the 6 x own
+	// one chain record and the 6 y two, 18 records of 8 words.
+	relScan := pmem.StatsSnapshot{Reads: 15 + 12*15 + 18*8, CacheHits: 15 + 12*8 + 18 - 35, CacheMisses: 3 + 14 + 18}
+	if d := coldDelta(e, func() {
+		it := tx.NewRelIter(0)
+		for {
+			if ok, err := it.Next(); !ok || err != nil {
+				return
+			}
+		}
+	}); d != relScan {
+		t.Errorf("label-0 RelTableIter: %+v, want %+v", d, relScan)
+	}
+	if d := coldDelta(e, func() {
+		_ = tx.ScanRels(func(RelSnap) bool { return true })
+	}); d != relScan {
+		t.Errorf("ScanRels: %+v, want %+v", d, relScan)
+	}
+	// Node 0's out-list: the same per-record cost with no bitmap walk
+	// (each record's occupancy check shares one bitmap line).
+	n0, err := tx.GetNode(nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, want := coldDelta(e, func() {
+		it := tx.NewOutRelIter(n0, 0)
+		for {
+			if ok, err := it.Next(); !ok || err != nil {
+				return
+			}
+		}
+	}), (pmem.StatsSnapshot{Reads: 12*15 + 18*8, CacheHits: 12*8 + 18 - 33, CacheMisses: 1 + 14 + 18}); d != want {
+		t.Errorf("out-list AdjIter: %+v, want %+v", d, want)
 	}
 }
 

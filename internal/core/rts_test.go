@@ -11,7 +11,7 @@ import (
 // never sees a timestamp go down, and forget clears one id only.
 func TestRTSTableConcurrentBumps(t *testing.T) {
 	const workers, ids, rounds = 4, 5 * wordBlockLen, 3
-	tbl := newRTSTable()
+	tbl := new(rtsTable)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

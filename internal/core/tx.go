@@ -72,9 +72,46 @@ type dirtyObj struct {
 
 	// Committed pre-image captured at lock time (updates/deletes only).
 	hasOld   bool
-	oldNode  storage.NodeRec
-	oldRel   storage.RelRec
+	old      record
 	oldProps []storage.Prop
+}
+
+// record is one persistent record of either kind as the shared protocol
+// steps read it: the typed record of its kind, the other left zero. The
+// steps look at it through hdr; only the typed decodes (readNode,
+// readRel, the walkers) and the adjacency or index upkeep of a kind read
+// the typed fields.
+type record struct {
+	node storage.NodeRec
+	rel  storage.RelRec
+}
+
+// hdr is the MVTO header both kinds carry (see the layout assertion in
+// types.go) and the head of the record's property chain.
+type hdr struct {
+	txnID, bts, ets uint64
+	label, flags    uint32
+	props           uint64
+}
+
+func (r *record) hdr(k objKind) hdr {
+	if k == kindNode {
+		n := &r.node
+		return hdr{n.TxnID, n.Bts, n.Ets, n.Label, n.Flags, n.Props}
+	}
+	l := &r.rel
+	return hdr{l.TxnID, l.Bts, l.Ets, l.Label, l.Flags, l.Props}
+}
+
+// versionOf returns a DRAM version holding a copy of the typed record of
+// r, of kind k.
+func versionOf(k objKind, r *record, props []storage.Prop) *version {
+	if k == kindNode {
+		n := r.node
+		return &version{node: &n, props: props}
+	}
+	l := r.rel
+	return &version{rel: &l, props: props}
 }
 
 // Begin starts a transaction, drawing the next timestamp from the global
@@ -100,16 +137,6 @@ func (e *Engine) Begin() *Tx {
 	e.tel.TxBegun.Inc()
 	return &Tx{e: e, id: id}
 }
-
-// Per-id accessors for the sharded MVTO state.
-func (e *Engine) nodeChainsOf(id uint64) *chainTable {
-	return e.shards[e.nodes.ShardOf(id)].nodeChains
-}
-func (e *Engine) relChainsOf(id uint64) *chainTable {
-	return e.shards[e.rels.ShardOf(id)].relChains
-}
-func (e *Engine) nodeRTSOf(id uint64) *rtsTable { return e.shards[e.nodes.ShardOf(id)].nodeRTS }
-func (e *Engine) relRTSOf(id uint64) *rtsTable  { return e.shards[e.rels.ShardOf(id)].relRTS }
 
 // place stores a new record in a free slot of tbl owned by shard s and
 // returns the slot's id (§5.1: the record goes into the persistent array
@@ -330,10 +357,11 @@ func propIn(props []storage.Prop, key uint32) (storage.Value, bool) {
 	return storage.Value{}, false
 }
 
-// errWrongLabel is readNode/readRel's answer for a visible object that
-// does not carry the label the walker asked for: the returned snapshot's
-// Rec is valid (adjacency walkers follow its list pointers), but its
-// property chain was not read. It never leaves the package.
+// errWrongLabel is the read protocol's answer for a visible object that
+// does not carry the label the walker asked for: the record or version it
+// returns beside it is valid (adjacency walkers follow its list
+// pointers), but its property chain was not read. It never leaves the
+// package.
 var errWrongLabel = errors.New("core: label mismatch")
 
 // pointPropBuf is the stack buffer of a point read; longer property sets
@@ -361,27 +389,40 @@ func (tx *Tx) GetNodeIn(id uint64, slab *PropSlab) (NodeSnap, error) {
 	return snap, err
 }
 
-// readNode is the read protocol behind GetNode and every node walker.
-// label restricts it to nodes of that label code (0 = any); another
-// visible node is reported as errWrongLabel. A PMem-resident version's
-// property set is appended to dst and returned beside the snapshot: the
-// caller decides where it lives (GetNode copies out of a stack buffer,
-// walkers keep it in their slab) and stores it in the snapshot.
-func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, []storage.Prop, error) {
-	if err := tx.check(); err != nil {
-		return NodeSnap{}, nil, err
+// GetRel returns the visible version of relationship id.
+func (tx *Tx) GetRel(id uint64) (RelSnap, error) {
+	var buf [pointPropBuf]storage.Prop
+	snap, props, err := tx.readRel(id, 0, buf[:0])
+	if len(props) > 0 {
+		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
 	}
-	if d, ok := tx.dirty[objKey{kindNode, id}]; ok {
+	return snap, err
+}
+
+// read is the §5.1 read protocol behind every point read and walker, one
+// for both record kinds. label restricts it to records of that label
+// code (0 = any); another visible record is reported as errWrongLabel.
+// It returns the visible DRAM version, or nil with the PMem-resident
+// record in r and its property set appended to dst: the caller decides
+// where that lives (a point read copies out of a stack buffer, walkers
+// keep it in their slab).
+func (tx *Tx) read(key objKey, label uint32, dst []storage.Prop, r *record) (*version, []storage.Prop, error) {
+	if err := tx.check(); err != nil {
+		return nil, nil, err
+	}
+	if d, ok := tx.dirty[key]; ok {
 		if d.isDelete {
-			return NodeSnap{}, nil, ErrNotFound
+			return nil, nil, ErrNotFound
 		}
-		return nodeVersionSnap(id, d.ver, label)
+		return d.ver, nil, d.ver.labelErr(label)
 	}
 	e := tx.e
-	off, ok := e.nodes.RecordOffset(id)
-	if !ok || !e.nodes.Occupied(id) {
-		return NodeSnap{}, nil, ErrNotFound
+	tbl, id := e.tables[key.kind], key.id
+	off, ok := tbl.RecordOffset(id)
+	if !ok || !tbl.Occupied(id) {
+		return nil, nil, ErrNotFound
 	}
+	sh := e.shard(key)
 	// Seqlock-style stable read. The record is multi-word, so a committer
 	// can rewrite it underneath us, and the lock word alone cannot detect
 	// a full lock→rewrite→unlock cycle that fits inside a reader
@@ -408,19 +449,24 @@ func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, [
 	// that record, and it takes neither the lock check nor the rts bump.
 	// An adjacency walk reads every record on its list: it follows a
 	// rejected relationship's list pointer.
-	var rec storage.NodeRec
+	var h hdr
 	var props []storage.Prop
 	for attempt := 0; ; attempt++ {
 		bts1 := e.dev.ReadU64(off + storage.NBts)
 		ets1 := e.dev.ReadU64(off + storage.NEts)
-		rec = storage.ReadNodeRec(e.dev, off)
-		if rec.TxnID != 0 {
-			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d is write-locked by txn %d", id, rec.TxnID)
+		if key.kind == kindNode {
+			r.node = storage.ReadNodeRec(e.dev, off)
+		} else {
+			r.rel = storage.ReadRelRec(e.dev, off)
+		}
+		h = r.hdr(key.kind)
+		if h.txnID != 0 {
+			return nil, nil, tx.fail(AbortValidation, "%v %d is write-locked by txn %d", key.kind, id, h.txnID)
 		}
 		propsOK := true
-		if rec.Bts != 0 && rec.Bts <= tx.id && tx.id < rec.Ets {
-			if label == 0 || rec.Label == label {
-				props, propsOK = storage.ReadPropChainInto(e.props, rec.Props, dst, maxPropWalk)
+		if h.bts != 0 && h.bts <= tx.id && tx.id < h.ets {
+			if label == 0 || h.label == label {
+				props, propsOK = storage.ReadPropChainInto(e.props, h.props, dst, maxPropWalk)
 			}
 			// Bump rts BEFORE re-reading the lock word. A writer CASes
 			// the lock and then reads rts, so either it observes our bump
@@ -429,120 +475,72 @@ func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, [
 			// always yields. A spurious bump from a read that then aborts
 			// or retries is harmless: a stale rts only over-aborts
 			// writers.
-			e.nodeRTSOf(id).bump(id, tx.id) // rts is updated only on latest-version reads
+			sh.rts[key.kind].bump(id, tx.id) // rts is updated only on latest-version reads
 		}
 		if e.dev.ReadU64(off+storage.NTxnID) != 0 {
-			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d was locked during read", id)
+			return nil, nil, tx.fail(AbortValidation, "%v %d was locked during read", key.kind, id)
 		}
 		if propsOK && e.dev.ReadU64(off+storage.NBts) == bts1 && e.dev.ReadU64(off+storage.NEts) == ets1 &&
-			rec.Bts == bts1 && rec.Ets == ets1 {
+			h.bts == bts1 && h.ets == ets1 {
 			break // no commit overlapped the read
 		}
 		if attempt >= 3 {
-			return NodeSnap{}, nil, tx.fail(AbortValidation, "node %d kept being rewritten during read", id)
+			return nil, nil, tx.fail(AbortValidation, "%v %d kept being rewritten during read", key.kind, id)
 		}
 	}
-	if rec.Bts == 0 {
-		return NodeSnap{}, nil, ErrNotFound
+	if h.bts == 0 {
+		return nil, nil, ErrNotFound
 	}
-	if rec.Bts <= tx.id && tx.id < rec.Ets {
-		if label != 0 && rec.Label != label {
-			return NodeSnap{ID: id, Rec: rec}, nil, errWrongLabel
+	if h.bts <= tx.id && tx.id < h.ets {
+		if label != 0 && h.label != label {
+			return nil, nil, errWrongLabel
 		}
-		return NodeSnap{ID: id, Rec: rec}, props, nil
+		return nil, props, nil
 	}
-	v, steps := e.nodeChainsOf(id).find(id, tx.id)
+	v, steps := sh.chains[key.kind].find(id, tx.id)
 	e.tel.ChainWalk.Observe(steps)
-	if v != nil {
-		return nodeVersionSnap(id, v, label)
+	if v == nil {
+		return nil, nil, ErrNotFound
 	}
-	return NodeSnap{}, nil, ErrNotFound
+	return v, nil, v.labelErr(label)
 }
 
-// nodeVersionSnap is the snapshot of DRAM version v under the label test.
-func nodeVersionSnap(id uint64, v *version, label uint32) (NodeSnap, []storage.Prop, error) {
-	if label != 0 && v.node.Label != label {
-		return NodeSnap{ID: id, Rec: *v.node}, nil, errWrongLabel
+// readNode is read decoded as a node snapshot, whose property set the
+// caller stores.
+func (tx *Tx) readNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, []storage.Prop, error) {
+	var r record
+	v, props, err := tx.read(objKey{kindNode, id}, label, dst, &r)
+	if err != nil && err != errWrongLabel {
+		return NodeSnap{}, nil, err
 	}
-	return NodeSnap{ID: id, Rec: *v.node, ver: v}, nil, nil
+	return nodeSnapOf(id, &r, v), props, err
 }
 
-// GetRel returns the visible version of relationship id.
-func (tx *Tx) GetRel(id uint64) (RelSnap, error) {
-	var buf [pointPropBuf]storage.Prop
-	snap, props, err := tx.readRel(id, 0, buf[:0])
-	if len(props) > 0 {
-		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
-	}
-	return snap, err
-}
-
-// readRel is the relationship counterpart of readNode.
+// readRel is read decoded as a relationship snapshot; see readNode.
 func (tx *Tx) readRel(id uint64, label uint32, dst []storage.Prop) (RelSnap, []storage.Prop, error) {
-	if err := tx.check(); err != nil {
+	var r record
+	v, props, err := tx.read(objKey{kindRel, id}, label, dst, &r)
+	if err != nil && err != errWrongLabel {
 		return RelSnap{}, nil, err
 	}
-	if d, ok := tx.dirty[objKey{kindRel, id}]; ok {
-		if d.isDelete {
-			return RelSnap{}, nil, ErrNotFound
-		}
-		return relVersionSnap(id, d.ver, label)
-	}
-	e := tx.e
-	off, ok := e.rels.RecordOffset(id)
-	if !ok || !e.rels.Occupied(id) {
-		return RelSnap{}, nil, ErrNotFound
-	}
-	// Same seqlock-style stable read as readNode — see the comment there.
-	var rec storage.RelRec
-	var props []storage.Prop
-	for attempt := 0; ; attempt++ {
-		bts1 := e.dev.ReadU64(off + storage.RBts)
-		ets1 := e.dev.ReadU64(off + storage.REts)
-		rec = storage.ReadRelRec(e.dev, off)
-		if rec.TxnID != 0 {
-			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d is write-locked by txn %d", id, rec.TxnID)
-		}
-		propsOK := true
-		if rec.Bts != 0 && rec.Bts <= tx.id && tx.id < rec.Ets {
-			if label == 0 || rec.Label == label {
-				props, propsOK = storage.ReadPropChainInto(e.props, rec.Props, dst, maxPropWalk)
-			}
-			e.relRTSOf(id).bump(id, tx.id)
-		}
-		if e.dev.ReadU64(off+storage.RTxnID) != 0 {
-			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d was locked during read", id)
-		}
-		if propsOK && e.dev.ReadU64(off+storage.RBts) == bts1 && e.dev.ReadU64(off+storage.REts) == ets1 &&
-			rec.Bts == bts1 && rec.Ets == ets1 {
-			break
-		}
-		if attempt >= 3 {
-			return RelSnap{}, nil, tx.fail(AbortValidation, "relationship %d kept being rewritten during read", id)
-		}
-	}
-	if rec.Bts == 0 {
-		return RelSnap{}, nil, ErrNotFound
-	}
-	if rec.Bts <= tx.id && tx.id < rec.Ets {
-		if label != 0 && rec.Label != label {
-			return RelSnap{ID: id, Rec: rec}, nil, errWrongLabel
-		}
-		return RelSnap{ID: id, Rec: rec}, props, nil
-	}
-	v, steps := e.relChainsOf(id).find(id, tx.id)
-	e.tel.ChainWalk.Observe(steps)
-	if v != nil {
-		return relVersionSnap(id, v, label)
-	}
-	return RelSnap{}, nil, ErrNotFound
+	return relSnapOf(id, &r, v), props, err
 }
 
-func relVersionSnap(id uint64, v *version, label uint32) (RelSnap, []storage.Prop, error) {
-	if label != 0 && v.rel.Label != label {
-		return RelSnap{ID: id, Rec: *v.rel}, nil, errWrongLabel
+// nodeSnapOf is the snapshot of what read found: version v, or the PMem
+// record r when v is nil.
+func nodeSnapOf(id uint64, r *record, v *version) NodeSnap {
+	if v != nil {
+		return NodeSnap{ID: id, Rec: *v.node, ver: v}
 	}
-	return RelSnap{ID: id, Rec: *v.rel, ver: v}, nil, nil
+	return NodeSnap{ID: id, Rec: r.node}
+}
+
+// relSnapOf is nodeSnapOf for a relationship.
+func relSnapOf(id uint64, r *record, v *version) RelSnap {
+	if v != nil {
+		return RelSnap{ID: id, Rec: *v.rel, ver: v}
+	}
+	return RelSnap{ID: id, Rec: r.rel}
 }
 
 // mustAbort rolls the transaction back after a protocol violation so the
@@ -589,8 +587,9 @@ func (tx *Tx) rawRelNext(rid uint64, out bool) (uint64, bool) {
 		}
 		return d.ver.rel.NextDst, true
 	}
-	off, ok := e.rels.RecordOffset(rid)
-	if !ok || !e.rels.Occupied(rid) {
+	rels := e.tables[kindRel]
+	off, ok := rels.RecordOffset(rid)
+	if !ok || !rels.Occupied(rid) {
 		return 0, false
 	}
 	if out {
@@ -637,11 +636,14 @@ func (tx *Tx) ScanRels(fn func(RelSnap) bool) error {
 
 // --- writes ---
 
-// lockNode write-locks node id via CaS on its txn-id field (§5.1) and
-// creates its DRAM dirty version in the write set. Subsequent writes by
-// the same transaction reuse the dirty version.
-func (tx *Tx) lockNode(id uint64) (*dirtyObj, error) {
-	key := objKey{kindNode, id}
+// lock write-locks the record of key via CaS on its txn-id word (§5.1)
+// and creates its DRAM dirty version in the write set, one protocol for
+// both kinds. Holding the lock, it enforces the MVTO write rules: the
+// record must be the latest committed version and must not have been
+// read by a more recent transaction (rts check); on violation the lock is
+// released and the transaction aborted. Subsequent writes by the same
+// transaction reuse the dirty version.
+func (tx *Tx) lock(key objKey) (*dirtyObj, error) {
 	if d, ok := tx.dirty[key]; ok {
 		if d.isDelete {
 			return nil, ErrNotFound
@@ -649,22 +651,39 @@ func (tx *Tx) lockNode(id uint64) (*dirtyObj, error) {
 		return d, nil
 	}
 	e := tx.e
-	off, ok := e.nodes.RecordOffset(id)
-	if !ok || !e.nodes.Occupied(id) {
+	tbl, id := e.tables[key.kind], key.id
+	off, ok := tbl.RecordOffset(id)
+	if !ok || !tbl.Occupied(id) {
 		return nil, ErrNotFound
 	}
 	if !e.dev.CompareAndSwapU64(off+storage.NTxnID, 0, tx.id) {
-		return nil, tx.fail(AbortWriteConflict, "node %d is locked by txn %d", id, e.dev.ReadU64(off+storage.NTxnID))
+		return nil, tx.fail(AbortWriteConflict, "%v %d is locked by txn %d", key.kind, id, e.dev.ReadU64(off+storage.NTxnID))
 	}
-	rec := storage.ReadNodeRec(e.dev, off)
-	rec.TxnID = 0 // the lock word is protocol state, not version content
-	if unlockErr := tx.writeChecksNode(off, id, rec); unlockErr != nil {
-		return nil, unlockErr
+	// The lock word is protocol state, not version content.
+	var old record
+	if key.kind == kindNode {
+		old.node = storage.ReadNodeRec(e.dev, off)
+		old.node.TxnID = 0
+	} else {
+		old.rel = storage.ReadRelRec(e.dev, off)
+		old.rel.TxnID = 0
 	}
-	oldProps := storage.ReadPropChain(e.props, rec.Props)
-	newRec := rec
-	ver := &version{node: &newRec, props: append([]storage.Prop(nil), oldProps...)}
-	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldNode: rec, oldProps: oldProps}), nil
+	h := old.hdr(key.kind)
+	if rts := e.shard(key).rts[key.kind].get(id); h.bts == 0 || h.ets != Infinity || h.bts > tx.id || rts > tx.id {
+		e.unlock(off + storage.NTxnID)
+		switch {
+		case h.bts == 0 || h.ets <= tx.id:
+			return nil, ErrNotFound // never committed, or deleted before us
+		case h.ets != Infinity:
+			return nil, tx.fail(AbortWriteConflict, "%v %d deleted by a newer transaction", key.kind, id)
+		case h.bts > tx.id:
+			return nil, tx.fail(AbortWriteConflict, "%v %d has a newer version (bts %d > txn %d)", key.kind, id, h.bts, tx.id)
+		}
+		return nil, tx.fail(AbortValidation, "%v %d was read by txn %d > %d", key.kind, id, rts, tx.id)
+	}
+	oldProps := storage.ReadPropChain(e.props, h.props)
+	ver := versionOf(key.kind, &old, append([]storage.Prop(nil), oldProps...))
+	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, old: old, oldProps: oldProps}), nil
 }
 
 // track adds d to the write set. Begin leaves the set nil, so a
@@ -676,80 +695,6 @@ func (tx *Tx) track(d *dirtyObj) *dirtyObj {
 	tx.dirty[d.key] = d
 	tx.order = append(tx.order, d.key)
 	return d
-}
-
-// writeChecksNode enforces the MVTO write rules after the lock was taken:
-// the record must be the latest committed version and must not have been
-// read by a more recent transaction (rts check). On violation the lock is
-// released and the transaction aborted.
-func (tx *Tx) writeChecksNode(off, id uint64, rec storage.NodeRec) error {
-	e := tx.e
-	unlock := func() { e.unlock(off + storage.NTxnID) }
-	if rec.Bts == 0 {
-		unlock()
-		return ErrNotFound
-	}
-	if rec.Ets != Infinity {
-		unlock()
-		if rec.Ets <= tx.id {
-			return ErrNotFound // deleted before us
-		}
-		return tx.fail(AbortWriteConflict, "node %d deleted by a newer transaction", id)
-	}
-	if rec.Bts > tx.id {
-		unlock()
-		return tx.fail(AbortWriteConflict, "node %d has a newer version (bts %d > txn %d)", id, rec.Bts, tx.id)
-	}
-	if rts := e.nodeRTSOf(id).get(id); rts > tx.id {
-		unlock()
-		return tx.fail(AbortValidation, "node %d was read by txn %d > %d", id, rts, tx.id)
-	}
-	return nil
-}
-
-// lockRel is the relationship counterpart of lockNode.
-func (tx *Tx) lockRel(id uint64) (*dirtyObj, error) {
-	key := objKey{kindRel, id}
-	if d, ok := tx.dirty[key]; ok {
-		if d.isDelete {
-			return nil, ErrNotFound
-		}
-		return d, nil
-	}
-	e := tx.e
-	off, ok := e.rels.RecordOffset(id)
-	if !ok || !e.rels.Occupied(id) {
-		return nil, ErrNotFound
-	}
-	if !e.dev.CompareAndSwapU64(off+storage.RTxnID, 0, tx.id) {
-		return nil, tx.fail(AbortWriteConflict, "relationship %d is locked by txn %d", id, e.dev.ReadU64(off+storage.RTxnID))
-	}
-	rec := storage.ReadRelRec(e.dev, off)
-	rec.TxnID = 0
-	unlock := func() { e.unlock(off + storage.RTxnID) }
-	if rec.Bts == 0 {
-		unlock()
-		return nil, ErrNotFound
-	}
-	if rec.Ets != Infinity {
-		unlock()
-		if rec.Ets <= tx.id {
-			return nil, ErrNotFound
-		}
-		return nil, tx.fail(AbortWriteConflict, "relationship %d deleted by a newer transaction", id)
-	}
-	if rec.Bts > tx.id {
-		unlock()
-		return nil, tx.fail(AbortWriteConflict, "relationship %d has a newer version", id)
-	}
-	if rts := e.relRTSOf(id).get(id); rts > tx.id {
-		unlock()
-		return nil, tx.fail(AbortValidation, "relationship %d was read by txn %d > %d", id, rts, tx.id)
-	}
-	oldProps := storage.ReadPropChain(e.props, rec.Props)
-	newRec := rec
-	ver := &version{rel: &newRec, props: append([]storage.Prop(nil), oldProps...)}
-	return tx.track(&dirtyObj{key: key, ver: ver, hasOld: true, oldRel: rec, oldProps: oldProps}), nil
 }
 
 // CreateNode inserts a new node. Per §5.1, the record is stored in the
@@ -774,26 +719,19 @@ func (tx *Tx) CreateNode(label string, props map[string]any) (uint64, error) {
 	// single-shard workloads commit without touching any other shard's
 	// lock or lane.
 	home := e.homeShard(tx.id)
-	id, err := e.place(e.nodes, home, func(off uint64) {
-		storage.WriteNodeRec(e.dev, off, &storage.NodeRec{
-			TxnID: tx.id, Bts: 0, Ets: Infinity,
-			Label: uint32(labelCode),
-			Out:   storage.NilID, In: storage.NilID, Props: storage.NilID,
-		})
-	})
-	if err != nil {
-		return 0, fmt.Errorf("core: create node: %w", err)
-	}
-	e.nodeLabels.set(id, uint32(labelCode))
-	e.shards[home].homeInserts.Add(1)
 	rec := storage.NodeRec{
-		Bts: tx.id, Ets: Infinity,
+		TxnID: tx.id, Bts: 0, Ets: Infinity,
 		Label: uint32(labelCode),
 		Out:   storage.NilID, In: storage.NilID, Props: storage.NilID,
 	}
-	ver := &version{node: &rec, props: encProps}
-	key := objKey{kindNode, id}
-	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
+	id, err := e.place(e.tables[kindNode], home, func(off uint64) { storage.WriteNodeRec(e.dev, off, &rec) })
+	if err != nil {
+		return 0, fmt.Errorf("core: create node: %w", err)
+	}
+	e.labels[kindNode].set(id, uint32(labelCode))
+	e.shards[home].homeInserts.Add(1)
+	rec.TxnID, rec.Bts = 0, tx.id // the dirty version: what the commit writes
+	tx.track(&dirtyObj{key: objKey{kindNode, id}, ver: &version{node: &rec, props: encProps}, isInsert: true, propsChanged: true})
 	return id, nil
 }
 
@@ -815,7 +753,7 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	if err != nil {
 		return 0, err
 	}
-	srcD, err := tx.lockNode(src)
+	srcD, err := tx.lock(objKey{kindNode, src})
 	if err != nil {
 		return 0, fmt.Errorf("core: create rel: source: %w", err)
 	}
@@ -823,7 +761,7 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	if dst == src {
 		dstD = srcD
 	} else {
-		dstD, err = tx.lockNode(dst)
+		dstD, err = tx.lock(objKey{kindNode, dst})
 		if err != nil {
 			return 0, fmt.Errorf("core: create rel: destination: %w", err)
 		}
@@ -832,31 +770,20 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 	// The relationship record is co-located with its source node's shard,
 	// so a commit that touches src and its out-edges stays single-shard.
 	relShard := e.ShardOfNode(src)
-	nextSrc := srcD.ver.node.Out
-	nextDst := dstD.ver.node.In
-	id, err := e.place(e.rels, relShard, func(off uint64) {
-		storage.WriteRelRec(e.dev, off, &storage.RelRec{
-			TxnID: tx.id, Bts: 0, Ets: Infinity,
-			Label: uint32(labelCode),
-			Src:   src, Dst: dst,
-			NextSrc: nextSrc, NextDst: nextDst,
-			Props: storage.NilID,
-		})
-	})
+	rec := storage.RelRec{
+		TxnID: tx.id, Bts: 0, Ets: Infinity,
+		Label: uint32(labelCode),
+		Src:   src, Dst: dst,
+		NextSrc: srcD.ver.node.Out, NextDst: dstD.ver.node.In,
+		Props: storage.NilID,
+	}
+	id, err := e.place(e.tables[kindRel], relShard, func(off uint64) { storage.WriteRelRec(e.dev, off, &rec) })
 	if err != nil {
 		return 0, fmt.Errorf("core: create rel: %w", err)
 	}
-	e.relLabels.set(id, uint32(labelCode))
-	rec := storage.RelRec{
-		Bts: tx.id, Ets: Infinity,
-		Label: uint32(labelCode),
-		Src:   src, Dst: dst,
-		NextSrc: nextSrc, NextDst: nextDst,
-		Props: storage.NilID,
-	}
-	ver := &version{rel: &rec, props: encProps}
-	key := objKey{kindRel, id}
-	tx.track(&dirtyObj{key: key, ver: ver, isInsert: true, propsChanged: true})
+	e.labels[kindRel].set(id, uint32(labelCode))
+	rec.TxnID, rec.Bts = 0, tx.id
+	tx.track(&dirtyObj{key: objKey{kindRel, id}, ver: &version{rel: &rec, props: encProps}, isInsert: true, propsChanged: true})
 
 	// Prepend to both adjacency lists in the DRAM dirty versions.
 	srcD.ver.node.Out = id
@@ -867,28 +794,15 @@ func (tx *Tx) CreateRel(src, dst uint64, label string, props map[string]any) (ui
 // SetNodeProps updates (merges) properties of a node; a nil value removes
 // the key.
 func (tx *Tx) SetNodeProps(id uint64, props map[string]any) error {
-	if err := tx.check(); err != nil {
-		return err
-	}
-	encProps, err := tx.e.encodeProps(props)
-	if err != nil {
-		return err
-	}
-	removes, err := tx.removalKeys(props)
-	if err != nil {
-		return err
-	}
-	d, err := tx.lockNode(id)
-	if err != nil {
-		return err
-	}
-	d.ver.props = mergeProps(d.ver.props, encProps, removes)
-	d.propsChanged = true
-	return nil
+	return tx.setProps(objKey{kindNode, id}, props)
 }
 
 // SetRelProps updates (merges) properties of a relationship.
 func (tx *Tx) SetRelProps(id uint64, props map[string]any) error {
+	return tx.setProps(objKey{kindRel, id}, props)
+}
+
+func (tx *Tx) setProps(key objKey, props map[string]any) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
@@ -900,7 +814,7 @@ func (tx *Tx) SetRelProps(id uint64, props map[string]any) error {
 	if err != nil {
 		return err
 	}
-	d, err := tx.lockRel(id)
+	d, err := tx.lock(key)
 	if err != nil {
 		return err
 	}
@@ -961,7 +875,7 @@ func (tx *Tx) DeleteRel(id uint64) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	d, err := tx.lockRel(id)
+	d, err := tx.lock(objKey{kindRel, id})
 	if err != nil {
 		return err
 	}
@@ -991,7 +905,7 @@ func (tx *Tx) DeleteNode(id uint64) error {
 	if hasRel {
 		return ErrHasRels
 	}
-	d, err := tx.lockNode(id)
+	d, err := tx.lock(objKey{kindNode, id})
 	if err != nil {
 		return err
 	}

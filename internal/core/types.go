@@ -13,6 +13,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"poseidon/internal/storage"
 )
 
 // Mode selects the storage medium of the engine, matching the paper's
@@ -124,12 +126,24 @@ func abortf(reason AbortReason, format string, args ...any) error {
 	return &AbortError{Reason: reason, msg: fmt.Sprintf(format, args...)}
 }
 
+// objKind names a record kind. Per-kind engine state (record tables,
+// label mirrors, each shard's version chains and rts sidecars) sits in
+// arrays indexed by it, and the MVTO protocol steps are written once over
+// both kinds (tx.go).
 type objKind uint8
 
 const (
 	kindNode objKind = iota
 	kindRel
+	numKinds
 )
+
+// Both record kinds carry the MVTO header at the same offsets, so the
+// shared protocol steps address it by the node names (storage.NTxnID,
+// NBts, NEts, NLabel, NFlags) whatever the kind. This fails to compile
+// ("constant overflows") once a layout change moves either header.
+const _ = -uint((storage.NTxnID ^ storage.RTxnID) | (storage.NBts ^ storage.RBts) |
+	(storage.NEts ^ storage.REts) | (storage.NLabel ^ storage.RLabel) | (storage.NFlags ^ storage.RFlags))
 
 func (k objKind) String() string {
 	if k == kindNode {

@@ -37,6 +37,17 @@ func (v *version) visibleAt(ts uint64) bool {
 	return v.bts <= ts && ts < v.ets
 }
 
+// labelErr is errWrongLabel when label (0: any) is not the version's.
+func (v *version) labelErr(label uint32) error {
+	if label == 0 {
+		return nil
+	}
+	if v.node != nil && v.node.Label != label || v.rel != nil && v.rel.Label != label {
+		return errWrongLabel
+	}
+	return nil
+}
+
 const chainShards = 64
 
 // chainShard guards its chains: every chain operation runs under mu, so a
@@ -188,8 +199,6 @@ func (t *wordTable[W]) word(id uint64, alloc bool) *W {
 // after recovery, which conservatively allows the first post-restart
 // writers to proceed.
 type rtsTable struct{ wordTable[atomic.Uint64] }
-
-func newRTSTable() *rtsTable { return &rtsTable{} }
 
 // bump raises the rts of id to ts if larger.
 func (t *rtsTable) bump(id, ts uint64) {

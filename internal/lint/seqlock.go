@@ -12,9 +12,10 @@ import (
 //
 //   - a seqlock bracket: an enclosing retry loop that snapshots the
 //     record's Bts and Ets words before the read, re-reads both after,
-//     and re-checks the TxnID lock word (the readNode/readRel shape);
+//     and re-checks the TxnID lock word (the shape of core's Tx.read,
+//     the one read protocol of both record kinds);
 //   - a TxnID pin: a CompareAndSwapU64 on the record's TxnID word
-//     executed on every path to the read (the lockNode/lockRel shape —
+//     executed on every path to the read (the shape of core's Tx.lock —
 //     the record is locked, so it cannot change under the read);
 //   - holding a shard commitMu (directly or via lockShards), which
 //     excludes all writers.
@@ -206,7 +207,7 @@ func checkSeqlock(c *Context, fi FuncInfo) {
 					case pinned:
 						// Writers are excluded; any accessor is safe.
 					case !bracket:
-						c.Reportf(call.Pos(), "%s outside a seqlock bracket: wrap it in a Bts/Ets snapshot + TxnID re-check retry loop (see core.readNode), pin the record with a TxnID CAS, or hold the shard commitMu", name)
+						c.Reportf(call.Pos(), "%s outside a seqlock bracket: wrap it in a Bts/Ets snapshot + TxnID re-check retry loop (see core.Tx.read), pin the record with a TxnID CAS, or hold the shard commitMu", name)
 					case unboundedChainReads[name]:
 						c.Reportf(call.Pos(), "unbounded %s inside an optimistic seqlock bracket can chase a torn chain; use ReadPropChainInto so a torn read terminates and fails the re-check", name)
 					}
