@@ -75,10 +75,16 @@ type Stmt struct {
 
 // Conn is one client connection to a poseidond server.
 type Conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	opts Options
+	nc    net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	codec wire.Codec
+	opts  Options
+
+	// runMsg and tc are the RUN and its trace context every statement
+	// sends, rewritten per request.
+	runMsg wire.Run
+	tc     wire.TraceContext
 
 	// broken marks the connection unusable after an I/O or protocol
 	// error (server error frames do NOT break the connection).
@@ -100,10 +106,11 @@ func Dial(addr string, opts Options) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 16<<10),
-		bw:   bufio.NewWriterSize(nc, 32<<10),
-		opts: opts,
+		nc:    nc,
+		br:    bufio.NewReaderSize(nc, 16<<10),
+		bw:    bufio.NewWriterSize(nc, 32<<10),
+		codec: wire.Codec{Max: opts.MaxMessage},
+		opts:  opts,
 	}
 	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
 	if err := c.handshakeHello(); err != nil {
@@ -161,7 +168,8 @@ func (c *Conn) traceStart(name string) (*trace.Span, *wire.TraceContext) {
 		return sp, nil
 	}
 	sc := sp.Context()
-	return sp, &wire.TraceContext{TraceID: sc.TraceID, SpanID: sc.SpanID}
+	c.tc = wire.TraceContext{TraceID: sc.TraceID, SpanID: sc.SpanID}
+	return sp, &c.tc
 }
 
 // LastTraceID returns the trace ID of the most recent traced request in
@@ -189,7 +197,7 @@ func (c *Conn) InTx() bool { return c.inTx }
 // Close says GOODBYE (best-effort) and closes the connection.
 func (c *Conn) Close() error {
 	if !c.broken {
-		_ = wire.WriteMessage(c.bw, &wire.Goodbye{})
+		_ = c.codec.WriteMessage(c.bw, &wire.Goodbye{})
 		_ = c.bw.Flush()
 	}
 	return c.nc.Close()
@@ -200,7 +208,7 @@ func (c *Conn) send(m wire.Message) error {
 	if c.broken {
 		return fmt.Errorf("client: connection is broken")
 	}
-	if err := wire.WriteMessage(c.bw, m); err != nil {
+	if err := c.codec.WriteMessage(c.bw, m); err != nil {
 		c.broken = true
 		return err
 	}
@@ -215,7 +223,7 @@ func (c *Conn) send(m wire.Message) error {
 // *ServerError without breaking the connection; transport and decode
 // failures break it.
 func (c *Conn) recv() (wire.Message, error) {
-	m, err := wire.ReadMessageMax(c.br, c.opts.MaxMessage)
+	m, err := c.codec.ReadMessage(c.br)
 	if err != nil {
 		c.broken = true
 		return nil, err
@@ -259,9 +267,11 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	return &Stmt{ID: uint32(id), HasUpdates: upd, text: text}, nil
 }
 
-// newRun builds one RUN and roots its client span.
+// newRun rewrites the connection's RUN for one statement and roots its
+// client span.
 func (c *Conn) newRun(stmt *Stmt, text string, params map[string]any) (*wire.Run, *trace.Span) {
-	r := &wire.Run{Text: text, Params: params, Mode: wire.ModeDefault}
+	r := &c.runMsg
+	*r = wire.Run{Text: text, Params: params, Mode: wire.ModeDefault}
 	if stmt != nil {
 		r.StmtID = stmt.ID
 	}

@@ -140,9 +140,17 @@ func TestMVTOTransfersConserveMoney(t *testing.T) {
 	}
 }
 
+// TestMVTOReadersSeeConsistentSnapshots: readers run beside a writer that
+// transfers money without pause; every snapshot a reader completes shows
+// the invariant total. A reader aborts when it meets the writer's lock, so
+// on a loaded host the writer could starve every reader. Progress is made
+// structural instead: the writer holds gate for each transfer, and a reader
+// that aborted starveAfter times in a row takes gate for its next snapshot,
+// which then runs with no transfer in flight.
 func TestMVTOReadersSeeConsistentSnapshots(t *testing.T) {
 	e, ids, code := setupBank(t, DRAM)
 	stop := make(chan struct{})
+	gate := make(chan struct{}, 1)
 	var writerErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -150,17 +158,19 @@ func TestMVTOReadersSeeConsistentSnapshots(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			a := ids[rng.Intn(accounts)]
 			b := ids[rng.Intn(accounts)]
 			if a == b {
 				continue
 			}
-			if _, err := transfer(e, code, a, b, 10); err != nil {
+			select {
+			case <-stop:
+				return
+			case gate <- struct{}{}:
+			}
+			_, err := transfer(e, code, a, b, 10)
+			<-gate
+			if err != nil {
 				writerErr = err
 				return
 			}
@@ -169,8 +179,14 @@ func TestMVTOReadersSeeConsistentSnapshots(t *testing.T) {
 
 	// Readers: each snapshot must show the exact invariant total, no
 	// matter when it runs relative to in-flight transfers.
-	consistent := 0
+	const starveAfter = 8
+	consistent, paused, streak := 0, 0, 0
 	for i := 0; i < 300; i++ {
+		held := streak >= starveAfter
+		if held {
+			gate <- struct{}{} // the writer pauses after its transfer
+			paused++
+		}
 		tx := e.Begin()
 		total := int64(0)
 		ok := true
@@ -183,9 +199,14 @@ func TestMVTOReadersSeeConsistentSnapshots(t *testing.T) {
 			total += b
 		}
 		_ = tx.Abort() // may already be aborted by a lock conflict
+		if held {
+			<-gate
+		}
 		if !ok {
+			streak++
 			continue
 		}
+		streak = 0
 		consistent++
 		if total != initialEach*accounts {
 			t.Fatalf("reader %d saw inconsistent total %d", i, total)
@@ -199,7 +220,7 @@ func TestMVTOReadersSeeConsistentSnapshots(t *testing.T) {
 	if consistent == 0 {
 		t.Fatal("no reader ever completed a snapshot")
 	}
-	t.Logf("%d/300 readers completed consistent snapshots", consistent)
+	t.Logf("%d/300 readers completed consistent snapshots, %d with the writer paused", consistent, paused)
 }
 
 func TestMVTOCrashDuringTransfersConserves(t *testing.T) {

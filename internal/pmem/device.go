@@ -238,6 +238,14 @@ func (d *Device) WriteU32(off uint64, v uint32) {
 }
 
 // ReadWords bulk-loads len(dst) words starting at off (8-byte aligned).
+//
+// The cache is probed once per 64-byte stride counted from off, not once
+// per line the range touches: ReadWords(16, 7 words) covers lines 0 and 1
+// but probes (and installs) line 0 only, so a later load from line 1 is a
+// second miss. A record that straddles a line boundary is charged one
+// probe unless another access touches its second line. This undercounts
+// device loads; it is kept because correcting it moves the modelled
+// device time of every workload, which needs a re-baselined benchmark.
 func (d *Device) ReadWords(off uint64, dst []uint64) {
 	d.checkRange(off, uint64(len(dst))*8)
 	st := d.Stats.stripe(off)
@@ -266,7 +274,9 @@ func (d *Device) WriteWords(off uint64, src []uint64) {
 }
 
 // ReadBytes fills dst from the device starting at off, which must be
-// 8-byte aligned. Partial trailing words are handled.
+// 8-byte aligned. Partial trailing words are handled. Like ReadWords it
+// probes the cache once per 64-byte stride from off, not once per line
+// touched.
 func (d *Device) ReadBytes(off uint64, dst []byte) {
 	d.checkRange(off, uint64(len(dst)))
 	if off%8 != 0 {

@@ -37,6 +37,9 @@ type conn struct {
 	bw     *bufio.Writer
 	ctx    context.Context
 	cancel context.CancelFunc
+	// codec frames every message: its read half runs on the reader
+	// goroutine, its write half on the processor.
+	codec wire.Codec
 
 	// sessions holds one Session per execution mode, created lazily:
 	// the public Session pins its mode at creation, and RUN may
@@ -54,8 +57,13 @@ type conn struct {
 	nextStmt uint32
 	helloed  bool
 
-	// writeRecord writes one RECORD frame; built once per connection.
+	// writeRecord writes one RECORD frame through rec; built once per
+	// connection.
 	writeRecord func([]any) error
+	rec         wire.Record
+	// affected is the SUCCESS of an auto-committed update; its meta map
+	// is rewritten per update.
+	affected wire.Success
 
 	// version is the wire version the handshake negotiated.
 	version uint32
@@ -85,8 +93,12 @@ func newConn(s *Server, nc net.Conn) *conn {
 		stmts:   make(map[uint32]*poseidon.Stmt),
 	}
 	c.writeRecord = func(vals []any) error {
-		return wire.WriteMessage(c.bw, &wire.Record{Values: vals})
+		c.rec.Values = vals
+		err := c.codec.WriteMessage(c.bw, &c.rec)
+		c.rec.Values = nil
+		return err
 	}
+	c.affected.Meta = map[string]any{"rows_affected": int64(0), "committed": true}
 	return c
 }
 
@@ -130,7 +142,7 @@ func (c *conn) serve() {
 	go func() {
 		defer close(msgs)
 		for {
-			m, err := wire.ReadMessage(c.br)
+			m, err := c.codec.ReadMessage(c.br)
 			select {
 			case msgs <- incoming{m, err}:
 			case <-c.ctx.Done():
@@ -148,7 +160,7 @@ func (c *conn) serve() {
 			// Framing is unrecoverable after a decode error; tell the
 			// client why if the error was structural, then hang up.
 			if in.err != nil && c.ctx.Err() == nil {
-				_ = wire.WriteMessage(c.bw, &wire.Error{
+				_ = c.codec.WriteMessage(c.bw, &wire.Error{
 					Code: wire.CodeProtocol, Message: in.err.Error()})
 				_ = c.bw.Flush()
 			}
@@ -247,7 +259,7 @@ func (c *conn) handle(m wire.Message) bool {
 
 // reply writes one response frame; false means the connection is dead.
 func (c *conn) reply(m wire.Message) bool {
-	return wire.WriteMessage(c.bw, m) == nil
+	return c.codec.WriteMessage(c.bw, m) == nil
 }
 
 // sessFor returns the connection's session pinned to mode, creating it
@@ -386,7 +398,7 @@ func (c *conn) handleRun(r *wire.Run) bool {
 		if r.PullAll {
 			return c.handlePull(&wire.Pull{N: -1}) && c.bw.Flush() == nil
 		}
-		return c.reply(&wire.Success{Meta: map[string]any{"streaming": true}})
+		return c.reply(resultStreaming)
 	}
 
 	// Auto-commit: updates run to completion and commit before the
@@ -400,10 +412,8 @@ func (c *conn) handleRun(r *wire.Run) bool {
 		if err != nil {
 			return c.reply(errorFrame(err))
 		}
-		return c.reply(&wire.Success{Meta: map[string]any{
-			"rows_affected": int64(n),
-			"committed":     true,
-		}})
+		c.affected.Meta["rows_affected"] = int64(n)
+		return c.reply(&c.affected)
 	}
 	if r.PullAll {
 		return c.queryEach(ctx, sess, stmt, params, rspan)
@@ -419,7 +429,7 @@ func (c *conn) handleRun(r *wire.Run) bool {
 	// The wire span covers the full streaming lifetime; closeRows seals
 	// the trace after the session span (owned by the Rows cleanup) ends.
 	c.wireSpan = rspan
-	return c.reply(&wire.Success{Meta: map[string]any{"streaming": true}})
+	return c.reply(resultStreaming)
 }
 
 // queryEach answers a pull-all auto-commit read on the connection
@@ -441,8 +451,19 @@ func (c *conn) queryEach(ctx context.Context, sess *poseidon.Session, stmt *pose
 	return c.reply(final) && c.bw.Flush() == nil
 }
 
-// resultDone is the SUCCESS that ends an exhausted result.
-var resultDone = &wire.Success{Meta: map[string]any{"has_more": false}}
+// The fixed responses, encoded as they are and never written to.
+var (
+	// resultDone is the SUCCESS that ends an exhausted result.
+	resultDone = &wire.Success{Meta: map[string]any{"has_more": false}}
+	// resultMore ends a PULL that left records in the result.
+	resultMore = &wire.Success{Meta: map[string]any{"has_more": true}}
+	// resultStreaming answers a RUN that opened a result to PULL.
+	resultStreaming = &wire.Success{Meta: map[string]any{"streaming": true}}
+	// committed answers an explicit COMMIT.
+	committed = &wire.Success{Meta: map[string]any{"committed": true}}
+	// ack answers a request that reports nothing.
+	ack = &wire.Success{}
+)
 
 // handleSys serves the sys:* introspection statements added alongside
 // protocol v2 (plain RUN text, so they work over v1 framing too).
@@ -530,12 +551,12 @@ func (c *conn) handlePull(p *wire.Pull) bool {
 			c.closeRows()
 			return c.reply(errorFrame(err))
 		}
-		if !c.reply(&wire.Record{Values: vals}) {
+		if c.writeRecord(vals) != nil {
 			return false
 		}
 		sent++
 	}
-	return c.reply(&wire.Success{Meta: map[string]any{"has_more": true}})
+	return c.reply(resultMore)
 }
 
 func (c *conn) handleDiscard() bool {
@@ -545,7 +566,7 @@ func (c *conn) handleDiscard() bool {
 	if err := c.closeRows(); err != nil {
 		return c.reply(errorFrame(err))
 	}
-	return c.reply(&wire.Success{})
+	return c.reply(ack)
 }
 
 func (c *conn) handleBegin() bool {
@@ -560,7 +581,7 @@ func (c *conn) handleBegin() bool {
 		return c.reply(errorFrame(err))
 	}
 	c.tx = tx
-	return c.reply(&wire.Success{})
+	return c.reply(ack)
 }
 
 func (c *conn) handleCommit() bool {
@@ -590,7 +611,7 @@ func (c *conn) handleCommit() bool {
 	if err != nil {
 		return c.reply(errorFrame(err))
 	}
-	return c.reply(&wire.Success{Meta: map[string]any{"committed": true}})
+	return c.reply(committed)
 }
 
 func (c *conn) handleRollback() bool {
@@ -603,7 +624,7 @@ func (c *conn) handleRollback() bool {
 	}
 	c.tx.Abort()
 	c.tx = nil
-	return c.reply(&wire.Success{})
+	return c.reply(ack)
 }
 
 func (c *conn) handleReset() bool {
@@ -612,5 +633,5 @@ func (c *conn) handleReset() bool {
 		c.tx.Abort()
 		c.tx = nil
 	}
-	return c.reply(&wire.Success{})
+	return c.reply(ack)
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Message is one decoded protocol message. The concrete types below
@@ -201,11 +200,8 @@ func (m *Run) encodeBody(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, m.StmtID)
 	buf = appendString(buf, m.Text)
 	buf = append(buf, m.Mode)
-	params := m.Params
-	if params == nil {
-		params = map[string]any{}
-	}
-	buf, err := appendValue(buf, params)
+	// A nil map encodes as the empty map.
+	buf, err := appendValue(buf, m.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -228,11 +224,7 @@ func (*Reset) encodeBody(buf []byte) ([]byte, error)    { return buf, nil }
 func (*Goodbye) encodeBody(buf []byte) ([]byte, error)  { return buf, nil }
 
 func (m *Success) encodeBody(buf []byte) ([]byte, error) {
-	meta := m.Meta
-	if meta == nil {
-		meta = map[string]any{}
-	}
-	return appendValue(buf, meta)
+	return appendValue(buf, m.Meta) // a nil map encodes as the empty map
 }
 
 func (m *Record) encodeBody(buf []byte) ([]byte, error) {
@@ -249,33 +241,6 @@ func (m *Record) encodeBody(buf []byte) ([]byte, error) {
 func (m *Error) encodeBody(buf []byte) ([]byte, error) {
 	buf = appendString(buf, m.Code)
 	return appendString(buf, m.Message), nil
-}
-
-// WriteMessage encodes and frames one message. The caller flushes its
-// bufio.Writer at response boundaries.
-func WriteMessage(w io.Writer, m Message) error {
-	body, err := m.encodeBody(nil)
-	if err != nil {
-		return err
-	}
-	if len(body) > MaxMessage {
-		return fmt.Errorf("%w: encoding %s", ErrTooLarge, MsgName(m.Type()))
-	}
-	return WriteFrame(w, m.Type(), body)
-}
-
-// ReadMessage reads and decodes the next message, enforcing MaxMessage.
-func ReadMessage(r io.Reader) (Message, error) {
-	return ReadMessageMax(r, MaxMessage)
-}
-
-// ReadMessageMax is ReadMessage with a caller-chosen frame-size cap.
-func ReadMessageMax(r io.Reader, max int) (Message, error) {
-	typ, body, err := ReadFrame(r, max)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(typ, body)
 }
 
 // DecodeMessage decodes a reassembled frame body. It never panics on

@@ -72,8 +72,25 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 func TestLargeBodyChunks(t *testing.T) {
-	// A body over 64 KiB must split into multiple chunks and reassemble.
-	text := strings.Repeat("x", 3*maxChunk+17)
+	// A body over 64 KiB must split into maxChunk pieces, each behind its
+	// length, then the terminator — the layout the codec builds in place —
+	// and reassemble.
+	text := strings.Repeat("abcdefg", (3*maxChunk+17)/7)
+	want := []byte{MsgPrepare}
+	for rest := appendString(nil, text); len(rest) > 0; {
+		n := min(len(rest), maxChunk)
+		want = append(want, byte(n>>8), byte(n))
+		want = append(want, rest[:n]...)
+		rest = rest[n:]
+	}
+	want = append(want, 0, 0)
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &Prepare{Text: text}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("a large body framed differently from the chunked layout")
+	}
 	got := roundTrip(t, &Prepare{Text: text}).(*Prepare)
 	if got.Text != text {
 		t.Fatalf("large body corrupted: got %d bytes want %d", len(got.Text), len(text))
@@ -85,7 +102,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 	if err := WriteMessage(&buf, &Prepare{Text: strings.Repeat("y", 100_000)}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 64_000)
+	c := &Codec{Max: 64_000}
+	_, err := c.ReadMessage(bytes.NewReader(buf.Bytes()))
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -178,7 +196,7 @@ func TestUnknownMessageType(t *testing.T) {
 func TestReadFrameEOFIsClean(t *testing.T) {
 	// EOF before any byte of a frame is a clean connection end, not a
 	// malformed stream.
-	_, _, err := ReadFrame(bytes.NewReader(nil), MaxMessage)
+	_, err := ReadMessage(bytes.NewReader(nil))
 	if err != io.EOF {
 		t.Fatalf("got %v, want io.EOF", err)
 	}
