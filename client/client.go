@@ -85,6 +85,9 @@ type Conn struct {
 	// sends, rewritten per request.
 	runMsg wire.Run
 	tc     wire.TraceContext
+	// rec is the RECORD every row of a result is decoded into; each row
+	// keeps its own Values.
+	rec wire.Record
 
 	// broken marks the connection unusable after an I/O or protocol
 	// error (server error frames do NOT break the connection).
@@ -223,7 +226,7 @@ func (c *Conn) send(m wire.Message) error {
 // *ServerError without breaking the connection; transport and decode
 // failures break it.
 func (c *Conn) recv() (wire.Message, error) {
-	m, err := c.codec.ReadMessage(c.br)
+	m, err := c.codec.ReadMessageInto(c.br, &c.rec)
 	if err != nil {
 		c.broken = true
 		return nil, err

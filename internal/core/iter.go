@@ -263,10 +263,21 @@ func (tx *Tx) NewInRelIter(n NodeSnap, labelCode uint32) *AdjIter {
 	return &AdjIter{tx: tx, next: n.Rec.In, out: false, label: labelCode}
 }
 
-// Next advances along the offset-linked adjacency list (DD4).
+// Next advances along the offset-linked adjacency list (DD4). A
+// relationship the label mirror knows to carry another label costs one
+// list-pointer load (Tx.passRel); the others go through the read protocol.
 func (it *AdjIter) Next() (bool, error) {
+	labels := &it.tx.e.labels[kindRel]
 	for it.next != storage.NilID {
 		rid := it.next
+		if labels.skips(rid, it.label) {
+			next, ok := it.tx.passRel(rid, it.out)
+			if !ok {
+				return false, nil
+			}
+			it.next = next
+			continue
+		}
 		r, props, err := it.tx.readRel(rid, it.label, it.slab.free())
 		if err == ErrNotFound {
 			// Invisible: follow the committed list structure.
@@ -326,7 +337,7 @@ func (it *IndexIter) Next() (bool, error) {
 	for it.pos < len(it.ids) {
 		id := it.ids[it.pos]
 		it.pos++
-		snap, err := it.tx.GetNodeIn(id, &it.slab)
+		snap, err := it.tx.GetNodeIn(id, 0, &it.slab)
 		if err == ErrNotFound {
 			continue
 		}

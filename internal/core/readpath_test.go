@@ -152,8 +152,9 @@ func TestLabelScanTouchesOnlyMatchingChains(t *testing.T) {
 		}
 	}
 
-	// The same through an adjacency walk: the 12 list records are all
-	// probed (the list runs through them), the chains of the 6 x only.
+	// The same through an adjacency walk: the list runs through all 12
+	// records, but of a y only its list pointer is read; the chains of the
+	// 6 x only.
 	n0, err := tx.GetNode(nodes[0])
 	if err != nil {
 		t.Fatal(err)
@@ -174,11 +175,14 @@ func TestLabelScanTouchesOnlyMatchingChains(t *testing.T) {
 			}
 		}
 	})
-	// Per list record 15 words in 8 probes (occupancy word; Bts, Ets, the
-	// 9-word record over two lines, then TxnID, Bts, Ets again); the 12
-	// records span 14 lines beside the bitmap's one; 6 one-record chains.
-	// Filter-after-read also walked the 6 two-record chains of the y.
-	if want := (pmem.StatsSnapshot{Reads: 12*15 + 6*8, CacheHits: 12*8 - 15, CacheMisses: 15 + 6}); d != want {
+	// Per x record 15 words in 8 probes (occupancy word; Bts, Ets, the
+	// 9-word record over two lines, then TxnID, Bts, Ets again), per y 2
+	// words in 2 probes (occupancy word, NextSrc): the label mirror knows
+	// the y, so the walk takes only its list pointer. The 12 records span
+	// 14 lines beside the bitmap's one; 6 one-record chains. Before the
+	// mirror the walk read each y like an x (12*15 words in 12*8 probes);
+	// filter-after-read also walked the 6 two-record chains of the y.
+	if want := (pmem.StatsSnapshot{Reads: 6*15 + 6*2 + 6*8, CacheHits: 6*8 + 6*2 + 6 - 21, CacheMisses: 15 + 6}); d != want {
 		t.Errorf("label-x expansion: %+v, want %+v", d, want)
 	}
 }
@@ -410,9 +414,10 @@ func TestScanWalkerHoldsOneRow(t *testing.T) {
 // changes), so it passes over a B record without its lock check or rts
 // bump: the scan completes over a write-locked B node, and a B writer older
 // than the reader still commits. What the scan does read keeps the
-// protocol: a write-locked A node aborts it, and so does a locked
-// relationship of another label on an adjacency list, whose list pointer
-// an expansion follows.
+// protocol: a write-locked A node aborts it. A label-x expansion passes
+// over a y relationship reading only its list pointer: it completes over
+// a write-locked y, and raises y's rts for the word it read, so a y writer
+// older than the reader that locks y after the walk aborts.
 func TestScanPassesOverLockedSlotOfOtherLabel(t *testing.T) {
 	bothModes(t, func(t *testing.T, e *Engine) {
 		setup := e.Begin()
@@ -468,22 +473,153 @@ func TestScanPassesOverLockedSlotOfOtherLabel(t *testing.T) {
 		wantValidationAbort("label-A scan over a write-locked A node", err)
 		w.Abort()
 
+		xCode := labelCode(t, e, "x")
+		expandX := func(tx *Tx) (int, error) {
+			n, err := tx.GetNode(a)
+			if err != nil {
+				return 0, err
+			}
+			it := tx.NewOutRelIter(n, xCode)
+			for found := 0; ; found++ {
+				if ok, err := it.Next(); !ok || err != nil {
+					return found, err
+				}
+			}
+		}
 		w = e.Begin()
-		defer w.Abort()
 		if err := w.SetRelProps(y, map[string]any{"w": int64(1)}); err != nil {
 			t.Fatal(err)
 		}
 		rd = e.Begin()
+		if got, err := expandX(rd); err != nil || got != 1 {
+			t.Fatalf("label-x expansion over a write-locked y relationship = %d, %v; want 1 x", got, err)
+		}
+		rd.Abort()
+		w.Abort()
+
+		w = e.Begin() // older than the reader
+		rd = e.Begin()
 		defer rd.Abort()
-		n, err := rd.GetNode(a)
-		if err != nil {
+		if got, err := expandX(rd); err != nil || got != 1 {
+			t.Fatalf("label-x expansion = %d, %v; want 1 x", got, err)
+		}
+		wantValidationAbort("an older y writer after a label-x expansion",
+			w.SetRelProps(y, map[string]any{"w": int64(2)}))
+		w.Abort()
+	})
+}
+
+// TestLabelledGetNodeReadsOnlyItsLabel: a labelled point read of a node
+// the label mirror knows to carry another label touches no line of its
+// record or chain; one the mirror does not know is read through the
+// protocol, which skips the chain of another label. Either way it is not
+// found, and a node of the label costs what an unlabelled read does.
+func TestLabelledGetNodeReadsOnlyItsLabel(t *testing.T) {
+	e := countEngine(t)
+	nodes, _ := mixedGraph(t, e)
+	tx := e.Begin()
+	defer tx.Abort()
+	aCode, cCode := labelCode(t, e, "A"), labelCode(t, e, "C")
+	c := nodes[2] // a C node, its record over two lines, three chain records
+
+	var slab PropSlab
+	if d := coldDelta(e, func() {
+		if _, err := tx.GetNodeOf(c, aCode); err != ErrNotFound {
+			t.Fatalf("label-A GetNodeOf of a C node: %v, want ErrNotFound", err)
+		}
+		if _, err := tx.GetNodeIn(c, aCode, &slab); err != ErrNotFound {
+			t.Fatalf("label-A GetNodeIn of a C node: %v, want ErrNotFound", err)
+		}
+	}); d != (pmem.StatsSnapshot{}) {
+		t.Errorf("label-A reads of a mirrored C node: %+v, want no device access", d)
+	}
+
+	plain := coldDelta(e, func() {
+		if _, err := tx.GetNode(c); err != nil {
 			t.Fatal(err)
 		}
-		it := rd.NewOutRelIter(n, labelCode(t, e, "x"))
-		for ok := true; ok && err == nil; {
-			ok, err = it.Next()
+	})
+	var snap NodeSnap
+	if d := coldDelta(e, func() {
+		var err error
+		if snap, err = tx.GetNodeIn(c, cCode, &slab); err != nil {
+			t.Fatal(err)
 		}
-		wantValidationAbort("label-x expansion over a write-locked y relationship", err)
+	}); d != plain {
+		t.Errorf("label-C GetNodeIn of a C node: %+v, want an unlabelled read's %+v", d, plain)
+	}
+	if len(snap.Props()) != 7 || snap.Rec.Label != cCode {
+		t.Errorf("label-C GetNodeIn = label %d, props %v; want the C node's 7", snap.Rec.Label, snap.Props())
+	}
+
+	// Unknown to the mirror: the bitmap line and the record's two lines,
+	// no chain record.
+	e.labels[kindNode].clear(c)
+	defer e.labels[kindNode].set(c, cCode)
+	if d, want := coldDelta(e, func() {
+		if _, err := tx.GetNodeOf(c, aCode); err != ErrNotFound {
+			t.Fatalf("label-A GetNodeOf of an unmirrored C node: %v, want ErrNotFound", err)
+		}
+	}), (pmem.StatsSnapshot{Reads: 13, CacheHits: 7 - 3, CacheMisses: 3}); d != want {
+		t.Errorf("label-A GetNodeOf of an unmirrored C node: %+v, want %+v", d, want)
+	}
+}
+
+// TestLabelledGetNodeHasNoDependencyOnOtherLabels: a labelled point read
+// neither checks the lock of nor bumps the rts of a node of another label
+// — it completes over a write-locked one, and an older writer of it still
+// commits — while a read of its own label keeps the protocol. The
+// transaction's own writes are judged by their dirty versions.
+func TestLabelledGetNodeHasNoDependencyOnOtherLabels(t *testing.T) {
+	bothModes(t, func(t *testing.T, e *Engine) {
+		setup := e.Begin()
+		a := mustCreateNode(t, setup, "A", map[string]any{"v": int64(1)})
+		b := mustCreateNode(t, setup, "B", map[string]any{"v": int64(2)})
+		mustCommit(t, setup)
+		aCode, bCode, vKey := labelCode(t, e, "A"), labelCode(t, e, "B"), labelCode(t, e, "v")
+
+		w := e.Begin() // older than the reader
+		rd := e.Begin()
+		if _, err := rd.GetNodeOf(b, aCode); err != ErrNotFound {
+			t.Fatalf("label-A read of a B node: %v, want ErrNotFound", err)
+		}
+		if err := w.SetNodeProps(b, map[string]any{"v": int64(3)}); err != nil {
+			t.Fatalf("an older B writer after a label-A read: %v (the read bumped B's rts)", err)
+		}
+		if _, err := rd.GetNodeOf(b, aCode); err != ErrNotFound {
+			t.Fatalf("label-A read of a write-locked B node: %v, want ErrNotFound", err)
+		}
+		_, err := rd.GetNodeOf(b, bCode)
+		if reason, ok := ReasonOf(err); !errors.Is(err, ErrAborted) || !ok || reason != AbortValidation {
+			t.Fatalf("label-B read of a write-locked B node: %v, want an AbortValidation abort", err)
+		}
+		mustCommit(t, w)
+
+		tx := e.Begin()
+		defer tx.Abort()
+		c := mustCreateNode(t, tx, "A", map[string]any{"v": int64(4)})
+		if err := tx.SetNodeProps(c, map[string]any{"v": int64(5)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.DeleteNode(a); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := tx.GetNodeOf(c, aCode); err != nil || n.Rec.Label != aCode {
+			t.Fatalf("label-A read of the transaction's own A insert: %+v, %v", n, err)
+		} else if v, _ := n.Prop(vKey); v.Int() != 5 {
+			t.Errorf("own insert reads v = %v, want its update's 5", v)
+		}
+		if _, err := tx.GetNodeOf(c, bCode); err != ErrNotFound {
+			t.Errorf("label-B read of the transaction's own A insert: %v, want ErrNotFound", err)
+		}
+		if _, err := tx.GetNodeOf(a, aCode); err != ErrNotFound {
+			t.Errorf("label-A read of an A node the transaction deleted: %v, want ErrNotFound", err)
+		}
+		if n, err := tx.GetNodeOf(b, bCode); err != nil {
+			t.Errorf("label-B read of the committed B node: %v", err)
+		} else if v, _ := n.Prop(vKey); v.Int() != 3 {
+			t.Errorf("B node reads v = %v, want the committed 3", v)
+		}
 	})
 }
 
@@ -569,7 +705,9 @@ func TestSnapshotOfOwnWriteSeesLaterSetProps(t *testing.T) {
 // for a moment without transactions, in which GC reclaims the round's
 // deletions, and its next round's inserts take those slots under a new
 // label (N and P alternate, and one churned node is an M), so the label
-// mirror changes under the scanners. Every version ever committed has all
+// mirror changes under the scanners; labelled endpoint readers fetch
+// every slot as an M, and each hub relationship's endpoint as an M and as
+// an N. Every version ever committed has all
 // its value properties equal; a snapshot that shows two different values
 // mixed two versions. A label-M scan returns every fixed M node and at
 // most one churned one (whether it returns one depends on where it was
@@ -598,7 +736,7 @@ func TestLabelReadersNeverSeeMixedVersions(t *testing.T) {
 			ms, rs = append(ms, m), append(rs, r)
 		}
 		mustCommit(t, setup)
-		mCode, relCode := labelCode(t, e, "M"), labelCode(t, e, "m")
+		mCode, nCode, relCode := labelCode(t, e, "M"), labelCode(t, e, "N"), labelCode(t, e, "m")
 
 		// uniform reports the first mixed property set.
 		uniform := func(kind string, id uint64, label, want uint32, props []storage.Prop) error {
@@ -621,7 +759,7 @@ func TestLabelReadersNeverSeeMixedVersions(t *testing.T) {
 		// which is when GC reclaims slots.
 		var quiet sync.RWMutex
 		var stop atomic.Bool
-		var scans, walks, commits, reused atomic.Int64
+		var scans, walks, fetches, commits, reused atomic.Int64
 		errCh := make(chan error, 16)
 		fail := func(err error) {
 			if err = ignorable(err); err != nil {
@@ -780,6 +918,72 @@ func TestLabelReadersNeverSeeMixedVersions(t *testing.T) {
 				}
 			}
 		}()
+		// Labelled endpoint readers: a fetch for M of every slot returns the
+		// fixed M nodes and at most one churned one (the churn's M of the
+		// reader's snapshot, unless the churn replaced it between two
+		// fetches), each whole; every hub relationship ends at a fixed M,
+		// which a fetch for N does not return.
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var slab PropSlab
+			for !stop.Load() {
+				quiet.RLock()
+				tx := e.Begin()
+				slab.Rewind()
+				n, fixed := 0, 0
+				var err error
+				for id := uint64(0); id < e.tables[kindNode].MaxID() && err == nil; id++ {
+					var s NodeSnap
+					switch s, err = tx.GetNodeIn(id, mCode, &slab); err {
+					case nil:
+						err = uniform("node", id, s.Rec.Label, mCode, s.Props())
+						n++
+						if slices.Contains(ms, id) {
+							fixed++
+						}
+					case ErrNotFound:
+						err = nil
+					}
+				}
+				ends := 0
+				if err == nil {
+					var h NodeSnap
+					if h, err = tx.GetNode(hub); err == nil {
+						var endErr error
+						err = tx.OutRels(h, func(r RelSnap) bool {
+							s, err := tx.GetNodeIn(r.Rec.Dst, mCode, &slab)
+							if err == nil {
+								err = uniform("endpoint", s.ID, s.Rec.Label, mCode, s.Props())
+							}
+							if err == nil {
+								if _, err = tx.GetNodeIn(r.Rec.Dst, nCode, &slab); err == ErrNotFound {
+									err = nil
+								} else if err == nil {
+									err = fmt.Errorf("label-N fetch returned M endpoint %d", r.Rec.Dst)
+								}
+							}
+							ends++
+							endErr = err
+							return err == nil
+						})
+						if err == nil {
+							err = endErr
+						}
+					}
+				}
+				tx.Abort()
+				quiet.RUnlock()
+				if err != nil {
+					fail(err)
+				} else if fixed != objects || n > objects+1 || ends != 2*objects {
+					fail(fmt.Errorf("label-M fetches returned %d nodes, %d of the %d fixed ones; %d hub endpoints, want %d",
+						n, fixed, objects, ends, 2*objects))
+				} else {
+					fetches.Add(1)
+				}
+			}
+		}()
 		writers.Wait()
 		stop.Store(true)
 		readers.Wait()
@@ -794,7 +998,7 @@ func TestLabelReadersNeverSeeMixedVersions(t *testing.T) {
 			t.Fatal("no churned insert ever took a reclaimed slot")
 		}
 		mirrorAgrees(t, e)
-		t.Logf("%d updates committed and %d reclaimed slots reused under %d clean label scans and %d clean expansions",
-			commits.Load(), reused.Load(), scans.Load(), walks.Load())
+		t.Logf("%d updates committed and %d reclaimed slots reused under %d clean label scans, %d clean expansions and %d clean endpoint passes",
+			commits.Load(), reused.Load(), scans.Load(), walks.Load(), fetches.Load())
 	})
 }

@@ -373,20 +373,44 @@ const pointPropBuf = 16
 // validity window does not cover the transaction, the DRAM version chain
 // is searched. Reading an object write-locked by another transaction
 // aborts.
-func (tx *Tx) GetNode(id uint64) (NodeSnap, error) {
+func (tx *Tx) GetNode(id uint64) (NodeSnap, error) { return tx.GetNodeOf(id, 0) }
+
+// GetNodeOf is GetNode for a node of label code label (0: any): a visible
+// node of another label is ErrNotFound.
+func (tx *Tx) GetNodeOf(id uint64, label uint32) (NodeSnap, error) {
 	var buf [pointPropBuf]storage.Prop
-	snap, props, err := tx.readNode(id, 0, buf[:0])
+	snap, props, err := tx.pointNode(id, label, buf[:0])
 	if len(props) > 0 {
 		snap.props = append(make([]storage.Prop, 0, len(props)), props...)
 	}
 	return snap, err
 }
 
-// GetNodeIn is GetNode keeping the property set in the caller's slab.
-func (tx *Tx) GetNodeIn(id uint64, slab *PropSlab) (NodeSnap, error) {
-	snap, props, err := tx.readNode(id, 0, slab.free())
+// GetNodeIn is GetNodeOf keeping the property set in the caller's slab.
+func (tx *Tx) GetNodeIn(id uint64, label uint32, slab *PropSlab) (NodeSnap, error) {
+	snap, props, err := tx.pointNode(id, label, slab.free())
 	snap.props = slab.keep(props)
 	return snap, err
+}
+
+// pointNode is the point read of a node of label (0: any). A node the
+// label mirror knows to carry another label is not read at all — no
+// device load, no lock check, no rts bump — for the same reason a table
+// scan passes over its slot: the result does not depend on it. Another
+// node is read through the protocol, which skips the chain walk of one of
+// another label.
+func (tx *Tx) pointNode(id uint64, label uint32, dst []storage.Prop) (NodeSnap, []storage.Prop, error) {
+	if tx.e.labels[kindNode].skips(id, label) {
+		if err := tx.check(); err != nil {
+			return NodeSnap{}, nil, err
+		}
+		return NodeSnap{}, nil, ErrNotFound
+	}
+	snap, props, err := tx.readNode(id, label, dst)
+	if err == errWrongLabel {
+		return NodeSnap{}, nil, ErrNotFound
+	}
+	return snap, props, err
 }
 
 // GetRel returns the visible version of relationship id.
@@ -446,9 +470,10 @@ func (tx *Tx) read(key objKey, label uint32, dst []storage.Prop, r *record) (*ve
 	// only after GC reclaims it while no transaction is active or an
 	// uncommitted insert aborts, so no version a reader may see carries
 	// another label than the slot. The scan's result does not depend on
-	// that record, and it takes neither the lock check nor the rts bump.
-	// An adjacency walk reads every record on its list: it follows a
-	// rejected relationship's list pointer.
+	// that record, and it takes neither the lock check nor the rts bump;
+	// nor does a labelled point read of a node (pointNode). An adjacency
+	// walk takes only the list pointer of such a relationship (passRel),
+	// and follows that of one it gets here as errWrongLabel.
 	var h hdr
 	var props []storage.Prop
 	for attempt := 0; ; attempt++ {
@@ -574,6 +599,23 @@ func (tx *Tx) adjRels(head uint64, out bool, fn func(RelSnap) bool) error {
 			return err
 		}
 	}
+}
+
+// passRel is how an adjacency walk for one label passes over a
+// relationship the label mirror knows to carry another: it takes the list
+// pointer (rawRelNext) and nothing else — no seqlock bracket, no record,
+// no lock check. The walk's result does not depend on the relationship,
+// and the pointer needs no bracket: a live relationship's list pointers
+// are written when it is placed and changed only by reclaim, which runs
+// while no transaction is active (a commit rewrites the record with the
+// pointers it had). The walk did read a word of the record, so the
+// relationship's rts is raised as a read would raise it.
+func (tx *Tx) passRel(rid uint64, out bool) (uint64, bool) {
+	next, ok := tx.rawRelNext(rid, out)
+	if ok {
+		tx.e.shard(objKey{kindRel, rid}).rts[kindRel].bump(rid, tx.id)
+	}
+	return next, ok
 }
 
 // rawRelNext reads the chain pointer of a relationship record regardless

@@ -129,8 +129,8 @@ func (c *compiler) compileMatch(st *Stmt) (query.Op, error) {
 				Op: query.Eq, L: &query.Prop{Col: relCol, Key: pm.Key}, R: litExpr(pm.Val),
 			}}
 		}
-		op = &query.GetNode{Input: op, RelCol: relCol, End: end, OtherCol: prevCol}
 		node := st.Match[i+1]
+		op = &query.GetNode{Input: op, RelCol: relCol, End: end, OtherCol: prevCol, Label: node.Label}
 		nodeCol := c.cols
 		c.cols++
 		c.bind2(node.Var, nodeCol)
@@ -171,8 +171,10 @@ func (c *compiler) accessPath(n NodePattern) (query.Op, error) {
 	return &query.NodeScan{Label: n.Label}, nil
 }
 
-// nodeResidualFilters adds label and property-equality filters not
-// already enforced by the access path.
+// nodeResidualFilters adds the property-equality filters not already
+// enforced by the access path. A pattern node's label never needs one:
+// the operator that binds the node — NodeScan, IndexScan, NodeLookup or
+// GetNode — carries it.
 func (c *compiler) nodeResidualFilters(op query.Op, n NodePattern, col int, viaAccess bool) query.Op {
 	indexed := ""
 	if viaAccess && n.Label != "" {
@@ -182,9 +184,6 @@ func (c *compiler) nodeResidualFilters(op query.Op, n NodePattern, col int, viaA
 				break
 			}
 		}
-	}
-	if !viaAccess && n.Label != "" {
-		op = &query.Filter{Input: op, Pred: &query.HasLabel{Col: col, Label: n.Label}}
 	}
 	for _, pm := range n.Props {
 		if pm.Key == indexed {

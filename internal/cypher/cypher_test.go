@@ -138,6 +138,99 @@ func TestTraversalDirections(t *testing.T) {
 	}
 }
 
+// TestLabelledEndpointIsFetchedByLabel: a labelled pattern node reached
+// by a traversal puts its label on the GetNode that fetches it — no
+// HasLabel filter after a fetch of every endpoint — and answers what that
+// filter did.
+func TestLabelledEndpointIsFetchedByLabel(t *testing.T) {
+	e := testEngine(t)
+	tx := e.Begin()
+	rome, err := tx.CreateNode("City", map[string]any{"name": "rome"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oslo, err := tx.CreateNode("City", map[string]any{"name": "oslo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ada, bob := personID(t, e, "ada"), personID(t, e, "bob")
+	for _, to := range []uint64{rome, bob, oslo} {
+		if _, err := tx.CreateRel(ada, to, "visited", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.CreateRel(bob, rome, "visited", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	const src = `MATCH (a)-[:visited]->(c:City) RETURN c.name`
+	plan, err := Plan(e, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig := plan.Signature(); !strings.Contains(sig, "|GetNode(1,dst,0,City)") || strings.Contains(sig, "hasLabel") {
+		t.Errorf("plan = %s, want a GetNode labelled City and no hasLabel", sig)
+	}
+	rows := run(t, e, src, nil)
+	// The plan the label filter made: every endpoint fetched, then tested.
+	filtered := &query.Plan{Root: &query.Project{
+		Input: &query.Filter{
+			Input: &query.GetNode{
+				Input:  &query.Expand{Input: &query.NodeScan{}, Col: 0, Dir: query.Out, RelLabel: "visited"},
+				RelCol: 1, End: query.Dst,
+			},
+			Pred: &query.HasLabel{Col: 2, Label: "City"},
+		},
+		Cols: []query.Expr{&query.Prop{Col: 2, Key: "name"}},
+	}}
+	pr, err := query.Prepare(e, filtered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = e.Begin()
+	defer tx.Abort()
+	wantRows, err := pr.CollectCtx(context.Background(), tx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]any
+	for _, r := range wantRows {
+		name, err := e.DecodeValue(r[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, []any{name})
+	}
+	if got := strings.Join(names(rows), ","); got != "oslo,rome,rome" || got != strings.Join(names(want), ",") {
+		t.Errorf("labelled fetch = %s, the label filter's plan %v; want oslo,rome,rome from both", got, names(want))
+	}
+	persons := run(t, e, `MATCH (a:Person {name: 'ada'})-[:visited]->(p:Person) RETURN p.name`, nil)
+	if got := names(persons); strings.Join(got, ",") != "bob" {
+		t.Errorf("ada visited persons = %v, want bob", got)
+	}
+}
+
+// personID looks up a person's id by name.
+func personID(t *testing.T, e *core.Engine, name string) uint64 {
+	t.Helper()
+	ref, ok := e.IndexFor("Person", "name")
+	if !ok {
+		t.Fatal("no Person.name index")
+	}
+	v, err := e.EncodeValue(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := ref.LookupAppend(nil, v)
+	if len(ids) != 1 {
+		t.Fatalf("person %q: %d ids", name, len(ids))
+	}
+	return ids[0]
+}
+
 func TestWhereOrderLimitParams(t *testing.T) {
 	e := testEngine(t)
 	rows := run(t, e,

@@ -148,7 +148,7 @@ func splitBlob(blob []byte) (string, []byte, bool) {
 // function in the codec below, opcodes by their number in ir.go — and is
 // part of every cache key, so code persisted in another format is never
 // found, let alone linked.
-const irFormat = "ir2|"
+const irFormat = "ir3|"
 
 // encodeFn serializes a function. A compact custom codec keeps relinking
 // far cheaper than recompiling — the property that makes the persistent

@@ -382,7 +382,7 @@ func (g *gen) genGetNode(o *query.GetNode, ops []query.Op, k int) error {
 	g.types[idV] = tyInt
 	n := b.node()
 	found := b.val()
-	b.emit(Instr{Op: OpGetNode, Dst: n, Dst2: found, A: idV, B: NoReg})
+	b.emit(Instr{Op: OpGetNode, Dst: n, Dst2: found, A: idV, B: NoReg, Sym: o.Label})
 	body := b.newBlock("getnode.body")
 	exit := b.newBlock("getnode.exit")
 	b.branch(found, body, exit)

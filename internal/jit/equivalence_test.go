@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"poseidon/internal/core"
@@ -70,7 +71,8 @@ func randomOperand(rng *rand.Rand, col int) query.Expr {
 }
 
 // randomPlan builds a random single-chain read plan over the test graph;
-// wide widens its filters (randomExpr) and always filters the scan.
+// wide widens its filters (randomExpr), always filters the scan, and
+// draws expansions over every label and labelled endpoint fetches.
 func randomPlan(rng *rand.Rand, wide bool) *query.Plan {
 	var op query.Op = &query.NodeScan{Label: "Person"}
 	cols := 1 // current tuple width; col 0 is a node
@@ -89,10 +91,17 @@ func randomPlan(rng *rand.Rand, wide bool) *query.Plan {
 		case 1:
 			src := nodeCols[rng.Intn(len(nodeCols))]
 			dir := []query.Dir{query.Out, query.In}[rng.Intn(2)]
-			op = &query.Expand{Input: op, Col: src, Dir: dir, RelLabel: "knows"}
+			rel, label := "knows", ""
+			if wide {
+				// Walk every relationship of buildTown too, and fetch the
+				// endpoint by label: a person, a city, a label no node has.
+				rel = []string{"knows", ""}[rng.Intn(2)]
+				label = []string{"", "Person", "City", "Nope"}[rng.Intn(4)]
+			}
+			op = &query.Expand{Input: op, Col: src, Dir: dir, RelLabel: rel}
 			relCol := cols
 			cols++
-			op = &query.GetNode{Input: op, RelCol: relCol, End: query.Dst}
+			op = &query.GetNode{Input: op, RelCol: relCol, End: query.Dst, Label: label}
 			nodeCols = append(nodeCols, cols)
 			cols++
 		case 2:
@@ -115,7 +124,7 @@ func randomPlan(rng *rand.Rand, wide bool) *query.Plan {
 // interpreted and switches) and with it warm — over a table of several
 // morsels, and compares with the interpreter's answer.
 func TestRandomPlansJITMatchesInterpreter(t *testing.T) {
-	e, _ := buildRing(t, core.DRAM, 1100)
+	e := buildTown(t, 1100)
 	if m := query.MorselCount(e.Nodes().MaxID(), e.Nodes().ChunkCap()); m < 4 {
 		t.Fatalf("the table has %d morsels, the test needs at least 4", m)
 	}
@@ -188,7 +197,7 @@ func FuzzRandomPlans(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 20260705} {
 		f.Add(seed)
 	}
-	e, _ := buildRing(f, core.DRAM, 1100)
+	e := buildTown(f, 1100)
 	j, err := New(e)
 	if err != nil {
 		f.Fatal(err)
@@ -254,18 +263,56 @@ func sameAnswer(plan *query.Plan, got, want, all []query.Row) error {
 	return nil
 }
 
-// limitShape reports whether the plan has a Limit and whether a Filter
-// sits above its lowest one.
+// limitShape reports whether the plan has a Limit and whether the row
+// count above its lowest one depends on which tuples the Limit kept: a
+// Filter or a labelled GetNode above it drops some, and in a plan that
+// expands over every label an Expand's fan-out depends on the node (a
+// city has none of a person's knows edges).
 func limitShape(p *query.Plan) (limit, filtered bool) {
-	for _, op := range p.Split().Ops {
-		switch op.(type) {
+	ops := p.Split().Ops
+	anyLabel := slices.ContainsFunc(ops, func(op query.Op) bool {
+		x, ok := op.(*query.Expand)
+		return ok && x.RelLabel == ""
+	})
+	for _, op := range ops {
+		switch o := op.(type) {
 		case *query.Limit:
 			limit = true
 		case *query.Filter:
 			filtered = filtered || limit
+		case *query.GetNode:
+			filtered = filtered || limit && o.Label != ""
+		case *query.Expand:
+			filtered = filtered || limit && anyLabel
 		}
 	}
 	return limit, filtered
+}
+
+// buildTown is buildRing's graph of n persons with n/50 cities beside
+// it, person i located in city i%(n/50): endpoints of another label for
+// the wide random plans' expansions over every label.
+func buildTown(t testing.TB, n int) *core.Engine {
+	t.Helper()
+	e, persons := buildRing(t, core.DRAM, n)
+	tx := e.Begin()
+	var cities []uint64
+	for i := 0; i < n/50; i++ {
+		id, err := tx.CreateNode("City", map[string]any{"pid": int64(1000 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cities = append(cities, id)
+	}
+	for i, p := range persons {
+		if _, err := tx.CreateRel(p, cities[i%len(cities)], "isLocatedIn", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // withoutLimits copies a randomPlan tree, leaving its Limits out.

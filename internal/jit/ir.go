@@ -70,7 +70,7 @@ const (
 	OpRelOtherID  // dst(val) = endpoint of rel A that is not node B(node)
 
 	// Point access (AOT methods; may abort the transaction).
-	OpGetNode // dst(node) = GetNode(id from val A); Aux2 dst2(val bool) = found
+	OpGetNode // dst(node) = GetNode(id from val A) of label Sym (empty: any); Aux2 dst2(val bool) = found
 
 	// Iterators.
 	OpIterChunkInit    // dst(iter) over the nodes of morsel (val A); Sym = label filter

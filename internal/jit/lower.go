@@ -368,8 +368,14 @@ func lowerInstr(in Instr) (stepFn, error) {
 
 	case OpGetNode:
 		dst2 := in.Dst2
+		lc := &lazyCode{name: in.Sym}
 		return func(m *machine) bool {
-			snap, err := m.ctx.Tx.GetNode(uint64(m.vals[a].Int()))
+			code, ok := lc.get(m.ctx.E)
+			if !ok { // no node carries an unknown label
+				m.vals[dst2] = storage.BoolValue(false)
+				return true
+			}
+			snap, err := m.ctx.Tx.GetNodeOf(uint64(m.vals[a].Int()), code)
 			switch err {
 			case nil:
 				m.nodes[dst] = snap

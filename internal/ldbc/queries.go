@@ -93,12 +93,9 @@ func SRPlan(q QueryID, useIndex bool) (*query.Plan, error) {
 		// Last 10 messages of a person: person <-[hasCreator]- message.
 		return &query.Plan{Root: &query.Project{
 			Input: &query.OrderBy{
-				Input: &query.Filter{
-					Input: &query.GetNode{
-						Input:  &query.Expand{Input: access("Person", useIndex, "id"), Col: 0, Dir: query.In, RelLabel: "hasCreator"},
-						RelCol: 1, End: query.Src,
-					},
-					Pred: &query.HasLabel{Col: 2, Label: L},
+				Input: &query.GetNode{
+					Input:  &query.Expand{Input: access("Person", useIndex, "id"), Col: 0, Dir: query.In, RelLabel: "hasCreator"},
+					RelCol: 1, End: query.Src, Label: L,
 				},
 				Key: &query.Prop{Col: 2, Key: "creationDate"}, Desc: true, Limit: 10,
 			},

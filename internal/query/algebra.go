@@ -253,17 +253,20 @@ func (o *Expand) sig(b *strings.Builder) {
 }
 func (o *Expand) child() Op { return o.Input }
 
-// GetNode fetches a relationship endpoint, pushing tuple+node.
+// GetNode fetches a relationship endpoint, pushing tuple+node. With a
+// Label it fetches only an endpoint of that label and drops the tuple
+// otherwise, reading no record the label mirror knows to be another's.
 type GetNode struct {
 	Input    Op
 	RelCol   int
 	End      End
-	OtherCol int // used when End == Other
+	OtherCol int    // used when End == Other
+	Label    string // empty = any label
 }
 
 func (o *GetNode) sig(b *strings.Builder) {
 	o.Input.sig(b)
-	fmt.Fprintf(b, "|GetNode(%d,%s,%d)", o.RelCol, o.End, o.OtherCol)
+	fmt.Fprintf(b, "|GetNode(%d,%s,%d,%s)", o.RelCol, o.End, o.OtherCol, o.Label)
 }
 func (o *GetNode) child() Op { return o.Input }
 

@@ -691,6 +691,7 @@ func buildExpand(o *Expand, ctx *Ctx, out Sink) (func() error, error) {
 }
 
 func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
+	ref := ctx.code(o.Label)
 	var st struct { // one allocation
 		slab core.PropSlab
 		buf  Tuple
@@ -719,7 +720,15 @@ func buildGetNode(o *GetNode, ctx *Ctx, out Sink) (func() error, error) {
 				target = rel.Rec.Src
 			}
 		}
-		n, err := ctx.Tx.GetNodeIn(target, slab)
+		var labelCode uint32
+		if o.Label != "" {
+			code, ok := ref.get(ctx.E)
+			if !ok {
+				return true, nil
+			}
+			labelCode = uint32(code)
+		}
+		n, err := ctx.Tx.GetNodeIn(target, labelCode, slab)
 		if err == core.ErrNotFound {
 			return true, nil
 		}

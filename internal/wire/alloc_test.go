@@ -4,6 +4,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"testing"
 )
@@ -44,4 +45,29 @@ func warmWrite(t *testing.T, c *Codec, m Message) func() {
 	}
 	write()
 	return write
+}
+
+// TestHeldRecordSavesAnAlloc: a warm RECORD read into a held Record
+// allocates one less than one read into a new Record — the Record itself.
+func TestHeldRecordSavesAnAlloc(t *testing.T) {
+	var frame bytes.Buffer
+	if err := WriteMessage(&frame, &Record{Values: []any{int64(1), nil, true}}); err != nil {
+		t.Fatal(err)
+	}
+	var c Codec
+	var rec Record
+	var r bytes.Reader
+	read := func(into *Record) func() {
+		return func() {
+			r.Reset(frame.Bytes())
+			if _, err := c.ReadMessageInto(&r, into); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read(nil)()
+	fresh, held := testing.AllocsPerRun(100, read(nil)), testing.AllocsPerRun(100, read(&rec))
+	if held != fresh-1 {
+		t.Errorf("a warm RECORD allocates %.1f times read into a held Record, %.1f into a new one; want one less", held, fresh)
+	}
 }

@@ -87,6 +87,52 @@ func TestDecodedMessagesOwnTheirMemory(t *testing.T) {
 	}
 }
 
+// TestRecordsDecodeIntoOneRecord: ReadMessageInto decodes every RECORD
+// of a stream into the caller's one Record, and each gets Values of its
+// own, so rows taken from it still hold what was sent after later reads;
+// other messages decode as ReadMessage decodes them.
+func TestRecordsDecodeIntoOneRecord(t *testing.T) {
+	sent := []Message{
+		&Record{Values: []any{"alpha", int64(7), []any{"beta", 1.5}}},
+		&Record{Values: []any{"gamma", map[string]any{"k": "v"}}},
+		&Success{Meta: map[string]any{"has_more": false}},
+	}
+	var stream bytes.Buffer
+	for _, m := range sent {
+		if err := WriteMessage(&stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteMessage(&stream, &Prepare{Text: strings.Repeat("Z", stream.Len())}); err != nil {
+		t.Fatal(err)
+	}
+	var c Codec
+	var rec Record
+	var rows [][]any
+	for _, want := range sent {
+		m, err := c.ReadMessageInto(&stream, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := m.(*Record); ok {
+			if r != &rec {
+				t.Fatalf("a RECORD was decoded into a new Record")
+			}
+			rows = append(rows, r.Values)
+		} else if !reflect.DeepEqual(m, want) {
+			t.Errorf("%s = %#v, want %#v", MsgName(want.Type()), m, want)
+		}
+	}
+	if _, err := c.ReadMessageInto(&stream, &rec); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if want := sent[i].(*Record).Values; !reflect.DeepEqual(row, want) {
+			t.Errorf("row %d changed after later reads:\n got %#v\nwant %#v", i, row, want)
+		}
+	}
+}
+
 // TestCodecDropsOversizedBuffers: a frame larger than one chunk grows a
 // codec half's buffer for that frame only; afterwards the codec keeps at
 // most maxRetain per half.

@@ -92,11 +92,18 @@ func chunk(frame []byte) []byte {
 
 // ReadMessage reads and decodes the next message, enforcing the codec's
 // frame-size cap.
-func (c *Codec) ReadMessage(r io.Reader) (Message, error) {
+func (c *Codec) ReadMessage(r io.Reader) (Message, error) { return c.ReadMessageInto(r, nil) }
+
+// ReadMessageInto is ReadMessage decoding a RECORD into rec, when rec is
+// not nil, instead of a new Record, and returning rec: a reader of a
+// result stream keeps one Record for all its rows. Each RECORD still gets
+// a Values slice of its own, so a row taken from rec.Values stays valid
+// after later reads; rec itself holds the latest RECORD only.
+func (c *Codec) ReadMessageInto(r io.Reader, rec *Record) (Message, error) {
 	typ, body, err := c.readFrame(r)
 	var m Message
 	if err == nil {
-		m, err = DecodeMessage(typ, body)
+		m, err = decodeMessage(typ, body, rec)
 	}
 	if cap(c.in) > maxRetain {
 		c.in = nil

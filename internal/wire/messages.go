@@ -246,7 +246,11 @@ func (m *Error) encodeBody(buf []byte) ([]byte, error) {
 // DecodeMessage decodes a reassembled frame body. It never panics on
 // malformed input: every structural violation maps to ErrMalformed or
 // ErrTooLarge (the fuzz targets enforce this).
-func DecodeMessage(typ byte, body []byte) (Message, error) {
+func DecodeMessage(typ byte, body []byte) (Message, error) { return decodeMessage(typ, body, nil) }
+
+// decodeMessage is DecodeMessage decoding a RECORD into rec instead of a
+// new Record when rec is not nil.
+func decodeMessage(typ byte, body []byte, rec *Record) (Message, error) {
 	d := &decoder{buf: body}
 	var m Message
 	var err error
@@ -301,7 +305,9 @@ func DecodeMessage(typ byte, body []byte) (Message, error) {
 		s.Meta, err = decodeParams(d)
 		m = s
 	case MsgRecord:
-		rec := &Record{}
+		if rec == nil {
+			rec = &Record{}
+		}
 		var n uint32
 		if n, err = d.u32(); err == nil {
 			if int64(n) > int64(d.remaining()) {
